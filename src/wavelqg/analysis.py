@@ -17,17 +17,15 @@ test suite and the ``verify`` command exercise.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .params import NondimParams, locality_residuals
-from .spectral import laplacian_circulant, laplacian_spectrum, offdiag_mass
-from .synthesis import (GainSet, assemble_gains, kf_riccati_spectrum,
-                        kf_spectral_gain, lqr_riccati_spectrum,
-                        lqr_spectral_gain)
+from .spectral import (circulant_rows, laplacian_circulant, laplacian_spectrum,
+                       offdiag_masses)
+from .synthesis import (IMAG_TOL, DesignSpectra, GainSet, assemble_gains,
+                        design_spectra, kf_spectral_gain, lqr_spectral_gain)
 
 __all__ = [
     "CostLocalityReport",
@@ -50,16 +48,22 @@ CSV_HEADER = ("pi1,pi2,pi3,pi4,n,j_lqr,j_kf,j_lqg,offdiag_k1,offdiag_k2,"
               "offdiag_l1,offdiag_l2,res_k,res_l,on_curve")
 
 
+def _costs(s: DesignSpectra) -> np.ndarray:
+    """(j_lqr, j_kf, j_lqg) along a new last axis, per point of ``s``."""
+    # trace(S K' R K): R = 1/pi3**2 is folded into p0 and p2
+    ctrl = s.s1 * s.k0 * s.p0 + 2.0 * s.s0 * s.k0 * s.p2 + s.s2 * s.kc * s.p2
+    return np.sum(np.stack([s.p1 + s.p2, s.s1 + s.s2, s.p2 + ctrl], axis=-2),
+                  axis=-1)
+
+
 def lqr_cost(p: NondimParams) -> float:
     """trace of the control Riccati solution."""
-    rs = lqr_riccati_spectrum(p)
-    return float(np.sum(rs.diag1 + rs.diag2))
+    return float(_costs(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n))[0])
 
 
 def kf_cost(p: NondimParams) -> float:
     """trace of the steady-state estimation error covariance."""
-    rs = kf_riccati_spectrum(p)
-    return float(np.sum(rs.diag1 + rs.diag2))
+    return float(_costs(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n))[1])
 
 
 def lqg_cost(p: NondimParams) -> float:
@@ -67,24 +71,16 @@ def lqg_cost(p: NondimParams) -> float:
 
     Per frequency: p2 + (s1 k0**2 + 2 s0 k0 kc + s2 kc**2) / pi3**2.
     """
-    pr = lqr_riccati_spectrum(p)
-    sr = kf_riccati_spectrum(p)
-    kg = lqr_spectral_gain(p)
-    k0, kc = kg.k0, kg.companion
-    ctrl = (sr.diag1 * k0 ** 2 + 2.0 * sr.p0 * k0 * kc + sr.diag2 * kc ** 2)
-    return float(np.sum(pr.diag2 + ctrl / p.pi3 ** 2))
+    return float(_costs(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n))[2])
 
 
 def lqg_cost_dual(p: NondimParams) -> float:
     """Same cost through the dual form trace(S Qbar) + trace(P L V L')."""
-    d = laplacian_spectrum(p.n).values.real
-    pr = lqr_riccati_spectrum(p)
-    sr = kf_riccati_spectrum(p)
-    lg = kf_spectral_gain(p)
-    l0, lc = lg.k0, lg.companion
-    v = 1.0 / (1.0 - p.pi1 * d)
-    state = sr.diag1 * (1.0 - p.pi1 * d) + sr.diag2 * p.pi2
-    inject = v * (pr.diag1 * lc ** 2 + 2.0 * pr.p0 * lc * l0 + pr.diag2 * l0 ** 2)
+    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
+    v_inv = 1.0 - p.pi1 * laplacian_spectrum(p.n).values.real
+    state = s.s1 * v_inv + s.s2 * p.pi2
+    inject = (s.p1 * s.lc ** 2 + 2.0 * s.p0 * s.lc * s.l0
+              + s.p2 * s.l0 ** 2) / v_inv
     return float(np.sum(state + inject))
 
 
@@ -170,17 +166,34 @@ class CostLocalityReport:
         return cls(**d)
 
 
+# Point-frequency cells per kernel call.  The kernel holds about 300 bytes
+# per cell, so this caps its working memory near 1.4 MB for any grid size,
+# small enough not to raise a sweep's peak resident memory.
+_CHUNK_CELLS = 1 << 12
+
+
+def _reports(points: list[NondimParams], n: int) -> list[CostLocalityReport]:
+    """:func:`report` at each point (all on n sites), chunk by chunk."""
+    step = max(1, _CHUNK_CELLS // n)
+    out = []
+    for i in range(0, len(points), step):
+        chunk = points[i:i + step]
+        pi = np.array([[pt.pi1, pt.pi2, pt.pi3, pt.pi4] for pt in chunk])
+        s = design_spectra(*pi.T, n)
+        # K1, K2, L1, L2 spectra; the filter's block1 carries the companion
+        blocks = np.stack([s.k0, s.kc, s.lc, s.l0], axis=-2)
+        masses = offdiag_masses(circulant_rows(blocks, IMAG_TOL))
+        values = np.concatenate([_costs(s), masses], axis=-1).tolist()
+        # positional in field order: point, costs, masses, residuals
+        out += [CostLocalityReport(pt.pi1, pt.pi2, pt.pi3, pt.pi4, pt.n, *v,
+                                   *locality_residuals(pt))
+                for pt, v in zip(chunk, values)]
+    return out
+
+
 def report(p: NondimParams) -> CostLocalityReport:
     """Evaluate costs and locality measures at one parameter point."""
-    gk = assemble_gains(lqr_spectral_gain(p), p)
-    gl = assemble_gains(kf_spectral_gain(p), p)
-    res_k, res_l = locality_residuals(p)
-    return CostLocalityReport(
-        pi1=p.pi1, pi2=p.pi2, pi3=p.pi3, pi4=p.pi4, n=p.n,
-        j_lqr=lqr_cost(p), j_kf=kf_cost(p), j_lqg=lqg_cost(p),
-        offdiag_k1=offdiag_mass(gk.block1), offdiag_k2=offdiag_mass(gk.block2),
-        offdiag_l1=offdiag_mass(gl.block1), offdiag_l2=offdiag_mass(gl.block2),
-        residual_lqr_decentral=res_k, residual_kf_decentral=res_l)
+    return _reports([p], p.n)[0]
 
 
 @dataclass(frozen=True)
@@ -210,15 +223,6 @@ class SweepGrid:
         if self.n < 2:
             raise ValueError("n must be at least 2")
 
-    @classmethod
-    def log_default(cls, count: int = 50, lo: float = 1e-1, hi: float = 1e1,
-                    pi2: float = 1.0, n: int = 30,
-                    tie_pi3_pi4: bool = True, pi3_fixed: float = 1.0
-                    ) -> "SweepGrid":
-        vals = np.logspace(math.log10(lo), math.log10(hi), count)
-        return cls(pi1_values=vals, pi34_values=vals.copy(), pi2=pi2, n=n,
-                   tie_pi3_pi4=tie_pi3_pi4, pi3_fixed=pi3_fixed)
-
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -239,52 +243,32 @@ def _near_curve(pi1: float, pi_other: float, half_cell: float) -> bool:
     return dist <= max(half_cell, 1e-12)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("WAVELQG_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def sweep(grid: SweepGrid) -> list[SweepRow]:
     """Evaluate :func:`report` on every grid point, tagging curve proximity.
 
     Rows come back pi1-major: the outer loop walks pi1_values, the inner one
-    pi34_values.  Points are independent; WAVELQG_THREADS > 1 fans the
-    evaluation out over a thread pool without changing order or values.
+    pi34_values.
     """
     half = max(_log_half_cell(grid.pi1_values),
                _log_half_cell(grid.pi34_values))
-    points = []
-    for pi1 in grid.pi1_values:
-        for v in grid.pi34_values:
-            pi3 = v if grid.tie_pi3_pi4 else grid.pi3_fixed
-            points.append(NondimParams(pi1=float(pi1), pi2=grid.pi2,
-                                       pi3=float(pi3), pi4=float(v), n=grid.n))
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(report, points))
-    else:
-        reports = [report(pt) for pt in points]
-    rows = []
-    for pt, rep in zip(points, reports):
-        on = (_near_curve(pt.pi1, pt.pi3, half)
-              and _near_curve(pt.pi1, pt.pi4, half))
-        rows.append(SweepRow(params=pt, report=rep, on_curve=on))
-    return rows
+    points = [NondimParams(pi1=float(pi1), pi2=grid.pi2, n=grid.n,
+                           pi3=float(v if grid.tie_pi3_pi4
+                                     else grid.pi3_fixed), pi4=float(v))
+              for pi1 in grid.pi1_values for v in grid.pi34_values]
+    return [SweepRow(params=pt, report=rep,
+                     on_curve=(_near_curve(pt.pi1, pt.pi3, half)
+                               and _near_curve(pt.pi1, pt.pi4, half)))
+            for pt, rep in zip(points, _reports(points, grid.n))]
 
 
 def curve_reports(pi1_values, pi2: float = 1.0, n: int = 30
                   ) -> list[SweepRow]:
     """Reports along the fully decentralized family pi3 = pi4 = 2/pi1."""
-    rows = []
-    for pi1 in np.atleast_1d(np.asarray(pi1_values, dtype=float)):
-        pt = NondimParams(pi1=float(pi1), pi2=pi2, pi3=2.0 / float(pi1),
-                          pi4=2.0 / float(pi1), n=n)
-        rows.append(SweepRow(params=pt, report=report(pt), on_curve=True))
-    return rows
+    points = [NondimParams(pi1=float(pi1), pi2=pi2, pi3=2.0 / float(pi1),
+                           pi4=2.0 / float(pi1), n=n)
+              for pi1 in np.atleast_1d(np.asarray(pi1_values, dtype=float))]
+    return [SweepRow(params=pt, report=rep, on_curve=True)
+            for pt, rep in zip(points, _reports(points, n))]
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

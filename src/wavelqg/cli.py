@@ -6,7 +6,6 @@ set (--c --dx --q1 --q2 --r --sigma-m --sigma-d --alpha), never mixed; a
 JSON --config file may supply the same keys, with explicit flags winning.
 
 Exit codes: 0 success, 1 verification failure, 2 bad usage or configuration.
-WAVELQG_THREADS caps the worker threads used to fan out sweep evaluation.
 """
 
 from __future__ import annotations
@@ -353,8 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="wavelqg",
         description="Closed-form LQG design and locality analysis for the "
-                    "discretized wave equation on a ring.",
-        epilog="WAVELQG_THREADS caps sweep worker threads (default 1).")
+                    "discretized wave equation on a ring.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("synth", help="synthesize gains, write GainSet JSON")

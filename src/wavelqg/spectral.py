@@ -38,7 +38,9 @@ __all__ = [
     "laplacian_spectrum",
     "laplacian_circulant",
     "spectrum_of_circulant",
+    "circulant_rows",
     "circulant_from_spectrum",
+    "offdiag_masses",
     "offdiag_mass",
 ]
 
@@ -152,26 +154,35 @@ def spectrum_of_circulant(c: Circulant) -> Spectrum:
     return Spectrum(np.conj(np.fft.fft(c.first_row)))
 
 
-def circulant_from_spectrum(s: Spectrum, tol: float = 1e-9) -> Circulant:
-    """Rebuild the real circulant whose eigenvalue sequence is ``s``.
+def circulant_rows(vals: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """First rows of the real circulants whose eigenvalues run along the
+    last axis of ``vals`` (leading axes are a batch).
 
-    Raises
-    ------
-    SymmetryError
-        If ``s`` is not conjugate-symmetric (values[k] == conj(values[n-k])),
-        since no real matrix then exists.
+    Raises :class:`SymmetryError` if a sequence is not conjugate-symmetric
+    (vals[k] == conj(vals[n-k])), since no real matrix then exists.
     """
-    vals = s.values
-    n = s.n
-    mirrored = np.conj(vals[(-np.arange(n)) % n])
-    scale = 1.0 + np.abs(vals).max()
-    if np.abs(vals - mirrored).max() > tol * scale:
+    n = vals.shape[-1]
+    mirrored = np.conj(vals[..., (-np.arange(n)) % n])
+    scale = 1.0 + np.abs(vals).max(axis=-1)
+    if np.any(np.abs(vals - mirrored).max(axis=-1) > tol * scale):
         raise SymmetryError(
             "spectrum is not conjugate-symmetric; no real circulant matches it")
-    row = np.fft.ifft(np.conj(vals))
-    if np.abs(row.imag).max() > tol * scale:
+    row = np.fft.ifft(np.conj(vals), axis=-1)
+    if np.any(np.abs(row.imag).max(axis=-1) > tol * scale):
         raise SymmetryError("inverse transform produced a non-real first row")
-    return Circulant(row.real)
+    return row.real
+
+
+def circulant_from_spectrum(s: Spectrum, tol: float = 1e-9) -> Circulant:
+    """The real circulant whose eigenvalue sequence is ``s``; see
+    :func:`circulant_rows`."""
+    return Circulant(circulant_rows(s.values, tol))
+
+
+def offdiag_masses(rows: np.ndarray) -> np.ndarray:
+    """:func:`offdiag_mass` of each first row along the last axis."""
+    off = np.sqrt(np.sum(rows[..., 1:] ** 2, axis=-1))
+    return off / np.maximum(np.sqrt(np.sum(rows ** 2, axis=-1)), _NORM_FLOOR)
 
 
 def offdiag_mass(c: Circulant) -> float:
@@ -180,6 +191,4 @@ def offdiag_mass(c: Circulant) -> float:
     Zero exactly when the matrix is a multiple of the identity, i.e. when
     the feedback it represents is completely decentralized.
     """
-    row = c.first_row
-    off = float(np.sqrt(np.sum(row[1:] ** 2)))
-    return off / max(float(np.linalg.norm(row)), _NORM_FLOOR)
+    return float(offdiag_masses(c.first_row))

@@ -9,29 +9,24 @@ the Laplacian eigenvalue
 
     d(k) = -4 sin(pi k / n)**2 .
 
-Those 2x2 problems admit explicit roots.  Writing the control solution as
-[[p1, p0], [p0, p2]], the component equations give
+Those 2x2 problems admit explicit roots, each built on one square root
+per frequency.  With v = 1 - pi1 d, X = pi3**2 v and w = pi4**2 v, both
+rationalized so that no term cancels (d <= 0):
 
-    p0(k) = (d + sqrt(d**2 + pi3**2 (1 - pi1 d))) / pi3**2
-    p2(k) = sqrt(2 p0 + pi2) / pi3
-    p1(k) = p2 * (pi3**2 p0 - d)          (from the off-diagonal equation)
+    K1 spectrum  k0(k) = X / (sqrt(d**2 + X) - d)     (= d + sqrt(d**2 + X))
+    K2 spectrum  kc(k) = sqrt(2 k0 + pi2 pi3**2)
+    s0(k)              = 1 / (sqrt(d**2 + w) - d)     (the PSD root)
 
-with state feedback u = -[K1 K2] (displacements, velocities) where
+The control Riccati solution [[p1, p0], [p0, p2]] and the estimator error
+covariance [[s1, s0], [s0, s2]] follow from the component equations,
 
-    K1 has spectrum  k0(k)   = d + sqrt(d**2 + pi3**2 (1 - pi1 d))
-    K2 has spectrum  sqrt(2 k0 + pi2 pi3**2) .
+    p0 = k0 / pi3**2      p2 = kc / pi3**2      p1 = p2 (k0 - d)
+    s1 = sqrt(2 s0 / w)   s2 = s1 (w s0 - d)
 
-The estimator error covariance [[s1, s0], [s0, s2]] satisfies the dual
-equation with weight w = pi4**2 (1 - pi1 d):
+and the injection gain L = [L1; L2] has spectra
 
-    s0(k) = (d + sqrt(d**2 + w)) / w       (the + root; the - root is not PSD)
-    s1(k) = sqrt(2 s0 / w)
-    s2(k) = s1 * (w s0 - d)
-
-and the injection gain splits as L = [L1; L2] with
-
-    L2 has spectrum  l0(k)   = d/pi4 + sqrt((d/pi4)**2 - pi1 d + 1)
-    L1 has spectrum  sqrt(2 l0 / pi4) .
+    L2: l0(k) = w s0 / pi4 = d/pi4 + sqrt((d/pi4)**2 - pi1 d + 1)
+    L1: lc(k) = w s1 / pi4 = sqrt(2 l0 / pi4) .
 
 Both k0 and l0 become frequency-independent (all gains diagonal) exactly on
 pi1 = 2/pi3 resp. pi1 = 2/pi4, where the square roots collapse to perfect
@@ -46,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import NondimParams
-from .spectral import (Circulant, Spectrum, SymmetryError,
-                       circulant_from_spectrum, laplacian_spectrum)
+from .spectral import (Circulant, Spectrum, circulant_from_spectrum,
+                       laplacian_spectrum)
 
 __all__ = [
     "GainKind",
@@ -55,6 +50,8 @@ __all__ = [
     "RiccatiSpectrum",
     "SpectralGain",
     "GainSet",
+    "DesignSpectra",
+    "design_spectra",
     "lqr_riccati_spectrum",
     "lqr_spectral_gain",
     "kf_riccati_spectrum",
@@ -68,7 +65,7 @@ __all__ = [
 decentralization_tolerance = 1e-12
 
 # imaginary leakage allowed when turning symmetric spectra into first rows
-_IMAG_TOL = 1e-10
+IMAG_TOL = 1e-10
 
 
 class GainKind(str, enum.Enum):
@@ -133,51 +130,67 @@ class GainSet:
     spectral: SpectralGain
 
 
-def _laplacian_values(p: NondimParams) -> np.ndarray:
-    return laplacian_spectrum(p.n).values.real
+@dataclass(frozen=True, eq=False)
+class DesignSpectra:
+    """The spectra of the module docstring at a batch of parameter points;
+    each array has the broadcast shape of the pi inputs plus a last axis
+    over the n frequencies."""
+
+    p0: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
+    k0: np.ndarray
+    kc: np.ndarray
+    s0: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    l0: np.ndarray
+    lc: np.ndarray
+
+
+def design_spectra(pi1, pi2, pi3, pi4, n: int) -> DesignSpectra:
+    """Every spectrum for pi values broadcast over a batch, from one square
+    root per frequency for the regulator and one for the filter."""
+    pi1, pi2, pi3, pi4 = (np.asarray(x, dtype=float)[..., None]
+                          for x in (pi1, pi2, pi3, pi4))
+    d = laplacian_spectrum(n).values.real
+    v = 1.0 - pi1 * d
+    x = pi3 ** 2 * v
+    k0 = x / (np.sqrt(d * d + x) - d)
+    kc = np.sqrt(2.0 * k0 + pi2 * pi3 ** 2)
+    p2 = kc / pi3 ** 2
+    w = pi4 ** 2 * v
+    s0 = 1.0 / (np.sqrt(d * d + w) - d)
+    s1 = np.sqrt(2.0 * s0 / w)
+    return DesignSpectra(
+        p0=k0 / pi3 ** 2, p1=p2 * (k0 - d), p2=p2, k0=k0, kc=kc,
+        s0=s0, s1=s1, s2=s1 * (w * s0 - d), l0=w * s0 / pi4, lc=w * s1 / pi4)
 
 
 def lqr_riccati_spectrum(p: NondimParams) -> RiccatiSpectrum:
     """Stabilizing control Riccati solution, one 2x2 block per frequency."""
-    d = _laplacian_values(p)
-    root = np.sqrt(d * d + p.pi3 ** 2 * (1.0 - p.pi1 * d))
-    p0 = (d + root) / p.pi3 ** 2
-    p2 = np.sqrt(2.0 * p0 + p.pi2) / p.pi3
-    p1 = p2 * (p.pi3 ** 2 * p0 - d)
-    return RiccatiSpectrum(p0=p0, diag1=p1, diag2=p2, kind=RiccatiKind.CONTROL)
+    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
+    return RiccatiSpectrum(p0=s.p0, diag1=s.p1, diag2=s.p2,
+                           kind=RiccatiKind.CONTROL)
 
 
 def lqr_spectral_gain(p: NondimParams) -> SpectralGain:
     """Optimal state-feedback gain spectra (k0, sqrt(2 k0 + pi2 pi3**2))."""
-    d = _laplacian_values(p)
-    k0 = d + np.sqrt(d * d + p.pi3 ** 2 * (1.0 - p.pi1 * d))
-    companion = np.sqrt(2.0 * k0 + p.pi2 * p.pi3 ** 2)
-    return SpectralGain(k0=k0, companion=companion, kind=GainKind.LQR)
+    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
+    return SpectralGain(k0=s.k0, companion=s.kc, kind=GainKind.LQR)
 
 
 def kf_riccati_spectrum(p: NondimParams) -> RiccatiSpectrum:
     """Stabilizing filter error covariance, one 2x2 block per frequency."""
-    d = _laplacian_values(p)
-    w = p.pi4 ** 2 * (1.0 - p.pi1 * d)
-    s0 = (d + np.sqrt(d * d + w)) / w
-    s1 = np.sqrt(2.0 * s0 / w)
-    s2 = s1 * (w * s0 - d)
-    return RiccatiSpectrum(p0=s0, diag1=s1, diag2=s2, kind=RiccatiKind.FILTER)
+    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
+    return RiccatiSpectrum(p0=s.s0, diag1=s.s1, diag2=s.s2,
+                           kind=RiccatiKind.FILTER)
 
 
 def kf_spectral_gain(p: NondimParams) -> SpectralGain:
     """Optimal injection gain spectra (l0, sqrt(2 l0 / pi4))."""
-    d = _laplacian_values(p)
-    dp = d / p.pi4
-    l0 = dp + np.sqrt(dp * dp - p.pi1 * d + 1.0)
-    companion = np.sqrt(2.0 * l0 / p.pi4)
-    return SpectralGain(k0=l0, companion=companion, kind=GainKind.KF)
-
-
-def _mirror(values: np.ndarray) -> np.ndarray:
-    """values[(n - k) mod n], the reflection a real circulant spectrum obeys."""
-    n = values.size
-    return values[(-np.arange(n)) % n]
+    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
+    return SpectralGain(k0=s.l0, companion=s.lc, kind=GainKind.KF)
 
 
 def assemble_gains(g: SpectralGain, p: NondimParams) -> GainSet:
@@ -189,19 +202,14 @@ def assemble_gains(g: SpectralGain, p: NondimParams) -> GainSet:
     """
     if g.n != p.n:
         raise ValueError(f"gain is for n={g.n}, parameters say n={p.n}")
-    for name, seq in (("k0", g.k0), ("companion", g.companion)):
-        scale = 1.0 + float(np.abs(seq).max())
-        if np.abs(seq - _mirror(seq)).max() > _IMAG_TOL * scale:
-            raise SymmetryError(
-                f"{name} spectrum is not symmetric under k -> n-k")
     if g.kind is GainKind.LQR:
         spec1, spec2 = g.k0, g.companion
     else:
         # filter: block1 acts on the displacement estimate, and carries the
         # companion sequence; block2 carries l0
         spec1, spec2 = g.companion, g.k0
-    block1 = circulant_from_spectrum(Spectrum(spec1.astype(complex)), _IMAG_TOL)
-    block2 = circulant_from_spectrum(Spectrum(spec2.astype(complex)), _IMAG_TOL)
+    block1 = circulant_from_spectrum(Spectrum(spec1), IMAG_TOL)
+    block2 = circulant_from_spectrum(Spectrum(spec2), IMAG_TOL)
     return GainSet(block1=block1, block2=block2, kind=g.kind, params=p,
                    spectral=g)
 
@@ -215,7 +223,7 @@ def gain_are_residuals(gs: GainSet) -> np.ndarray:
     parameters) reports nonzero residuals.
     """
     p = gs.params
-    d = _laplacian_values(p)
+    d = laplacian_spectrum(p.n).values.real
     k0 = np.asarray(gs.spectral.k0, dtype=float)
     kc = np.asarray(gs.spectral.companion, dtype=float)
     if gs.kind is GainKind.LQR:

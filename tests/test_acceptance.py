@@ -163,6 +163,7 @@ def test_06_lqg_cost_trace_forms_agree():
         assert abs(j1 - j2) / abs(j1) <= 1e-6
 
 
+@pytest.mark.slow
 def test_07_monte_carlo_validates_trace_formulas():
     """n = 8 decentralized point, horizon 2000, 20 realizations, dt = 0.01:
     empirical cost and error power within 5% of the closed forms, in

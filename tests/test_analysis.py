@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wavelqg import analysis
 from wavelqg.analysis import (CSV_HEADER, CostLocalityReport, SweepGrid,
                               build_closed_loop, curve_reports, kf_cost,
                               lqg_cost, lqg_cost_dual, lqr_cost,
@@ -180,12 +181,26 @@ def test_sweep_tags_curve_points():
         assert abs(np.log(pi1 * pi4 / 2.0)) <= np.log(10) / 8 * np.sqrt(2) + 1e-9
 
 
-def test_single_point_sweep_equals_report():
+def test_single_point_sweep_equals_report(monkeypatch):
     grid = SweepGrid(pi1_values=[0.5], pi34_values=[4.0], n=8)
     rows = sweep(grid)
     assert len(rows) == 1
     assert rows[0].report == report(params(n=8))
     assert rows[0].on_curve  # exact curve point, zero-width cell
+    # batched 4x3 grids, tied and untied, and the batched curve reproduce
+    # the single-point report exactly, in pi1-major order; chunks of 5
+    # points cut across the pi1 rows
+    monkeypatch.setattr(analysis, "_CHUNK_CELLS", 30)
+    pi1s, pi34s = np.logspace(-1, 1, 4), np.logspace(-1, 1, 3)
+    for tie in (True, False):
+        rows = sweep(SweepGrid(pi1_values=pi1s, pi34_values=pi34s, n=6,
+                               tie_pi3_pi4=tie, pi3_fixed=1.7))
+        expected = [params(pi1=a, pi3=v if tie else 1.7, pi4=v, n=6)
+                    for a in pi1s for v in pi34s]
+        assert [r.params for r in rows] == expected
+        assert [r.report for r in rows] == [report(p) for p in expected]
+    rows = curve_reports(pi1s, n=6)
+    assert [r.report for r in rows] == [report(r.params) for r in rows]
 
 
 def test_csv_rendering_roundtrips():
@@ -209,17 +224,6 @@ def test_curve_reports_follow_fig4_ordering():
         assert r.params.pi4 == r.params.pi3
     j = [r.report.j_lqg for r in rows]
     assert all(b > a for a, b in zip(j, j[1:]))  # smaller pi1, smaller cost
-
-
-def test_sweep_thread_fanout_matches_serial(monkeypatch):
-    grid = SweepGrid(pi1_values=np.logspace(-1, 1, 4),
-                     pi34_values=np.logspace(-1, 1, 3), n=4)
-    monkeypatch.delenv("WAVELQG_THREADS", raising=False)
-    serial = sweep(grid)
-    monkeypatch.setenv("WAVELQG_THREADS", "4")
-    threaded = sweep(grid)
-    assert [r.report for r in serial] == [r.report for r in threaded]
-    assert [r.on_curve for r in serial] == [r.on_curve for r in threaded]
 
 
 def test_sweep_grid_validation():

@@ -31,6 +31,20 @@ def test_synth_writes_gain_files_and_verdict(tmp_path, capsys):
                        atol=1e-12)
 
 
+def test_synth_at_tiny_pi3_pi4_writes_both_files(tmp_path):
+    # pi3**2 far below d**2: the gain spectra must still be mirror-symmetric
+    out = str(tmp_path / "g")
+    assert main(["synth", "--pi1", "0", "--pi3", "1e-6", "--pi4", "1e-6",
+                 "--out", out]) == 0
+    assert (tmp_path / "g_lqr.json").exists()
+    assert (tmp_path / "g_kf.json").exists()
+
+
+def test_verify_passes_at_small_pi3_pi4():
+    assert main(["verify", "--pi1", "0", "--pi3", "1e-3",
+                 "--pi4", "1e-3"]) == 0
+
+
 def test_synth_reports_non_decentralizable_at_pi1_zero(tmp_path, capsys):
     out = str(tmp_path / "g")
     assert main(["synth", "--pi1", "0", "--n", "4", "--out", out]) == 0

@@ -288,6 +288,7 @@ def test_estimator_is_unbiased():
     assert abs(pooled.mean()) <= 3.0 * pooled.std(ddof=1) / np.sqrt(nb)
 
 
+@pytest.mark.slow
 def test_halving_dt_is_within_monte_carlo_error():
     # Weak-order-1 consistency: the cost shift from halving dt is hidden
     # inside the Monte Carlo noise (two-sample z at 3 sigma; the measured
@@ -303,6 +304,7 @@ def test_halving_dt_is_within_monte_carlo_error():
     assert abs(means[0] - means[1]) <= 3.0 * np.hypot(*ses)
 
 
+@pytest.mark.slow
 def test_monte_carlo_matches_trace_formulas():
     # End-to-end: empirical time-averaged cost and error power against the
     # closed-form traces at the decentralized point.

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavelqg.spectral import (Circulant, Spectrum, SymmetryError,
-                              circulant_from_spectrum, dft_forward,
-                              dft_inverse, dft_matrix, laplacian_circulant,
-                              laplacian_spectrum, offdiag_mass,
+                              circulant_from_spectrum, circulant_rows,
+                              dft_forward, dft_inverse, dft_matrix,
+                              laplacian_circulant, laplacian_spectrum,
+                              offdiag_mass, offdiag_masses,
                               spectrum_of_circulant)
 
 
@@ -148,6 +149,21 @@ def test_non_mirror_spectrum_is_rejected():
     vals[1] = 1j  # would need vals[3] == -1j
     with pytest.raises(SymmetryError):
         circulant_from_spectrum(Spectrum(vals))
+
+
+def test_batched_rows_match_single_and_reject_one_bad_sequence():
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((3, 8))
+    spectra = np.stack([spectrum_of_circulant(Circulant(r)).values
+                        for r in rows])
+    got = circulant_rows(spectra)
+    np.testing.assert_allclose(got, rows, atol=1e-12)
+    np.testing.assert_allclose(
+        offdiag_masses(got), [offdiag_mass(Circulant(r)) for r in got],
+        rtol=1e-15)
+    spectra[1, 2] += 1.0  # only the middle sequence loses its mirror
+    with pytest.raises(SymmetryError):
+        circulant_rows(spectra)
 
 
 @pytest.mark.parametrize("row,expected", [

@@ -1,7 +1,10 @@
 """Closed-form spectral gains, Riccati spectra, and circulant assembly."""
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavelqg.params import NondimParams
 from wavelqg.spectral import SymmetryError, laplacian_spectrum, offdiag_mass
@@ -52,6 +55,32 @@ def test_riccati_residuals_small_everywhere():
         worst = max(max(control_residual(p, k) for k in range(n)),
                     max(filter_residual(p, k) for k in range(n)))
         assert worst <= 1e-9, f"residual {worst:.2e} at {p}"
+
+
+_WIDE_PI = st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pi1=st.one_of(st.just(0.0), _WIDE_PI), pi3=_WIDE_PI, pi4=_WIDE_PI,
+       n=st.sampled_from([2, 3, 8, 30]))
+def test_roots_match_50_digit_reference(pi1, pi3, pi4, n):
+    # the textbook forms d + sqrt(d**2 + X) cancel in double precision when
+    # X << d**2; evaluated with 50 digits they are an exact reference
+    p = params(pi1=pi1, pi3=pi3, pi4=pi4, n=n)
+    got = {"k0": lqr_spectral_gain(p).k0, "p0": lqr_riccati_spectrum(p).p0,
+           "l0": kf_spectral_gain(p).k0, "s0": kf_riccati_spectrum(p).p0}
+    with mpmath.workdps(50):
+        a1, a3, a4 = (mpmath.mpf(v) for v in (pi1, pi3, pi4))
+        for k, dk in enumerate(laplacian_spectrum(n).values.real):
+            d = mpmath.mpf(dk)
+            w = a4 ** 2 * (1 - a1 * d)
+            k0 = d + mpmath.sqrt(d ** 2 + a3 ** 2 * (1 - a1 * d))
+            ref = {"k0": k0, "p0": k0 / a3 ** 2,
+                   "l0": d / a4 + mpmath.sqrt((d / a4) ** 2 - a1 * d + 1),
+                   "s0": (d + mpmath.sqrt(d ** 2 + w)) / w}
+            for name, value in ref.items():
+                rel = abs((mpmath.mpf(got[name][k]) - value) / value)
+                assert rel <= 1e-13, f"{name}[{k}] off by {float(rel):.2e}"
 
 
 def test_per_frequency_closed_loops_are_hurwitz():
