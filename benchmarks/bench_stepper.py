@@ -1,4 +1,4 @@
-"""Time the Euler-Maruyama stepping kernels (compiled vs numpy fallback).
+"""Time the Euler-Maruyama stepping kernel.
 
 Usage:
     python benchmarks/bench_stepper.py [--n 30] [--steps 20000] [--repeat 5]
@@ -43,26 +43,19 @@ def main(argv=None) -> int:
 
     z0, m, qbar, krk, noise = build_workload(args.n, args.steps)
     dt = 0.005
-    backends = _kernels.available_backends()
     print(f"n={args.n}, steps={args.steps}, state dim {4 * args.n}, "
-          f"active backend: {_kernels.BACKEND}")
+          f"backend: {_kernels.BACKEND}")
 
-    results = {}
-    for name, advance in backends.items():
-        best = np.inf
-        out = None
-        for _ in range(args.repeat):
-            z = z0.copy()
-            t0 = time.perf_counter()
-            out = advance(z, m, qbar, krk, noise, dt)
-            best = min(best, time.perf_counter() - t0)
-        results[name] = best
-        rate = args.steps / best
-        print(f"  {name:7s} {best * 1e3:9.2f} ms   {rate:12.0f} steps/s   "
-              f"cost integral {out[0]:.6g}")
-    if "cython" in results:
-        print(f"  speedup (cython over python): "
-              f"{results['python'] / results['cython']:.1f}x")
+    best = np.inf
+    out = None
+    for _ in range(args.repeat):
+        z = z0.copy()
+        t0 = time.perf_counter()
+        out = _kernels.advance(z, m, qbar, krk, noise, dt)
+        best = min(best, time.perf_counter() - t0)
+    rate = args.steps / best
+    print(f"  {best * 1e3:9.2f} ms   {rate:12.0f} steps/s   "
+          f"cost integral {out[0]:.6g}")
     return 0
 
 

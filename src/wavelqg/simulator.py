@@ -12,11 +12,14 @@ Determinism
 -----------
 Realization i draws from numpy's PCG64 seeded with
 ``SeedSequence(seed, spawn_key=(i,))`` -- a documented, order-independent
-splitting rule, so running realizations in any order (or in parallel)
-reproduces identical results.  Within a realization each step consumes 2n
-standard normals (n disturbance, n measurement) drawn row-wise, so the
-noise stream does not depend on internal chunk sizes and paths agree
-across chunkings to floating-point roundoff.
+splitting rule.  Within a realization each step consumes 2n standard
+normals (n disturbance, n measurement) drawn row-wise, so the noise stream
+does not depend on internal chunk sizes and paths agree across chunkings
+to floating-point roundoff.  Realizations are stepped together in groups
+of ``max(1, 256 // 4n)``, yet every product is taken per realization, and
+the noise blocks and kernel segments depend only on the step count,
+``store_every`` and the burn-in, so realization i's results are bitwise the
+same whatever the number of realizations R.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ __all__ = [
 ]
 
 _BLOWUP = 1e12
-_MAX_CHUNK = 8192
+_BLOCK = 256          # steps per noise block; bounds each kernel call
+_GROUP_ENTRIES = 256  # state entries (realizations x 4n) stepped together
 
 
 class InstabilityError(RuntimeError):
@@ -51,7 +55,7 @@ class InstabilityError(RuntimeError):
 
 
 def kernel_backend() -> str:
-    """Which stepping kernel is active ("cython" or "python")."""
+    """Name of the stepping kernel, as recorded in every summary ("python")."""
     return _kernels.BACKEND
 
 
@@ -171,27 +175,16 @@ def noise_covariance(pi1: float, n: int) -> np.ndarray:
 
 
 def _segments(n_steps: int, store_every: int, burn_step: int) -> list[tuple[int, int]]:
-    """Split [0, n_steps) at stored samples, the burn-in boundary and a
-    maximum chunk length; every boundary type is honored simultaneously."""
-    cuts = set(range(0, n_steps + 1, store_every))
-    cuts.add(n_steps)
-    cuts.add(burn_step)
-    ordered = sorted(c for c in cuts if 0 <= c <= n_steps)
-    segs = []
-    for lo, hi in zip(ordered[:-1], ordered[1:]):
-        start = lo
-        while hi - start > _MAX_CHUNK:
-            segs.append((start, start + _MAX_CHUNK))
-            start += _MAX_CHUNK
-        if hi > start:
-            segs.append((start, hi))
-    return segs
+    """Split [0, n_steps) at stored samples, the burn-in boundary and the
+    noise blocks of ``_BLOCK`` steps; every boundary type is honored."""
+    cuts = set(range(0, n_steps, store_every)) | set(range(0, n_steps, _BLOCK))
+    ordered = sorted(cuts | {burn_step, n_steps})
+    return list(zip(ordered[:-1], ordered[1:]))
 
 
 def simulate(cfg: SimConfig,
              x0: np.ndarray | None = None,
-             xh0: np.ndarray | None = None,
-             _advance=None) -> tuple[Trajectory, SimSummary]:
+             xh0: np.ndarray | None = None) -> tuple[Trajectory, SimSummary]:
     """Run the Monte Carlo experiment described by ``cfg``.
 
     Returns the (subsampled) trajectory of the first realization together
@@ -204,7 +197,6 @@ def simulate(cfg: SimConfig,
         If any state magnitude exceeds 1e12, which for this always-stable
         loop means the discretization, not the design, failed.
     """
-    advance = _advance if _advance is not None else _kernels.advance
     p = cfg.params
     n = p.n
     cl = build_closed_loop(p)
@@ -223,7 +215,6 @@ def simulate(cfg: SimConfig,
     segs = _segments(n_steps, cfg.store_every, burn_step)
     stored_steps = sorted(set(range(0, n_steps + 1, cfg.store_every)) | {n_steps})
     store_at = {s: i for i, s in enumerate(stored_steps)}
-    sqrt_dt = math.sqrt(cfg.dt)
     scaling = _noise_filter(p.pi1, n)
 
     z0 = np.zeros(4 * n)
@@ -236,46 +227,55 @@ def simulate(cfg: SimConfig,
     if t_post <= 0.0:
         raise ValueError("burn_in leaves no post-burn-in samples")
 
-    costs = []
-    errs = []
+    n_real = cfg.n_realizations
+    group = max(1, _GROUP_ENTRIES // (4 * n))
+    amp = cfg.noise_scale * math.sqrt(cfg.dt)
+    costs = np.empty(n_real)
+    errs = np.empty(n_real)
     traj_states = np.empty((len(stored_steps), 4 * n))
     traj_cost = np.empty(len(stored_steps))
+    traj_states[0] = z0
+    traj_cost[0] = 0.0
 
-    for real in range(cfg.n_realizations):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(real,))))
-        z = z0.copy()
-        cum_cost = 0.0
-        post_cost = 0.0
-        post_err = 0.0
-        if real == 0:
-            traj_states[0] = z
-            traj_cost[0] = 0.0
+    for first in range(0, n_real, group):
+        stop = min(first + group, n_real)
+        reals = range(first, stop)
+        rngs = [np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(cfg.seed, spawn_key=(real,))))
+            for real in reals]
+        z = np.tile(z0, (len(reals), 1))
+        cum_cost = np.zeros(len(reals))
+        post_cost = np.zeros(len(reals))
+        post_err = np.zeros(len(reals))
         for lo, hi in segs:
-            steps = hi - lo
-            raw = rng.standard_normal((steps, 2 * n))
-            noise = np.zeros((steps, 4 * n))
-            if cfg.noise_scale != 0.0:
-                amp = cfg.noise_scale * sqrt_dt
-                noise[:, n:2 * n] = amp * raw[:, :n]
-                noise[:, 2 * n:] = amp * (_correlate(raw[:, n:], scaling)
-                                          @ lmat.T)
-            c_int, e_int, mx = advance(z, m_aug, qbar, krk, noise, cfg.dt)
-            if mx > _BLOWUP or not math.isfinite(mx):
+            off = lo % _BLOCK
+            if off == 0:  # segments never straddle a block (see _segments)
+                steps = min(_BLOCK, n_steps - lo)
+                noise = np.zeros((steps, len(reals), 4 * n))
+                for i, rng in enumerate(rngs):
+                    raw = rng.standard_normal((steps, 2 * n))
+                    if cfg.noise_scale != 0.0:
+                        noise[:, i, n:2 * n] = amp * raw[:, :n]
+                        noise[:, i, 2 * n:] = amp * (
+                            _correlate(raw[:, n:], scaling) @ lmat.T)
+            c_int, e_int, mx = _kernels.advance(
+                z, m_aug, qbar, krk, noise[off:off + hi - lo], cfg.dt)
+            bad = np.flatnonzero(~(mx <= _BLOWUP))  # also catches nan
+            if bad.size:
                 raise InstabilityError(
                     f"state magnitude exceeded {_BLOWUP:.0e} at "
-                    f"t ~ {hi * cfg.dt:.3g} (realization {real}); "
+                    f"t ~ {hi * cfg.dt:.3g} (realization {reals[bad[0]]}); "
                     f"reduce dt={cfg.dt!r}")
             cum_cost += c_int
             if lo >= burn_step:
                 post_cost += c_int
                 post_err += e_int
-            if real == 0 and hi in store_at:
+            if first == 0 and hi in store_at:
                 idx = store_at[hi]
-                traj_states[idx] = z
-                traj_cost[idx] = cum_cost
-        costs.append(post_cost / t_post)
-        errs.append(post_err / t_post)
+                traj_states[idx] = z[0]
+                traj_cost[idx] = cum_cost[0]
+        costs[first:stop] = post_cost / t_post
+        errs[first:stop] = post_err / t_post
 
     times = np.array(stored_steps, dtype=float) * cfg.dt
     plant = traj_states[:, :2 * n]
@@ -292,6 +292,5 @@ def simulate(cfg: SimConfig,
         realization_err_traces=[float(e) for e in errs],
         seed=cfg.seed, dt=cfg.dt, t_final=cfg.t_final, burn_in=cfg.burn_in,
         n_realizations=cfg.n_realizations, noise_scale=cfg.noise_scale,
-        generator="pcg64", backend=(_kernels.BACKEND if _advance is None
-                                    else "custom"))
+        generator="pcg64", backend=_kernels.BACKEND)
     return traj, summary

@@ -1,23 +1,20 @@
-"""Both stepping kernels honor one contract; the compiled one is optional."""
+"""The stepping kernel honors one contract, for one realization or many."""
 
 import numpy as np
-import pytest
 
 from wavelqg import _kernels
-from wavelqg._kernels import _stepper_py
-from wavelqg.params import NondimParams
-from wavelqg.simulator import SimConfig, kernel_backend, simulate
+from wavelqg.simulator import kernel_backend
 
 
-def _random_problem(rng, n=3, steps=40):
+def _random_problem(rng, n=3, steps=40, batch=()):
     dim = 4 * n
-    z = rng.standard_normal(dim)
+    z = rng.standard_normal(batch + (dim,))
     m = rng.standard_normal((dim, dim)) * 0.1
     q = rng.standard_normal((2 * n, 2 * n))
     qbar = q @ q.T
     k = rng.standard_normal((2 * n, 2 * n))
     krk = k @ k.T
-    noise = 0.05 * rng.standard_normal((steps, dim))
+    noise = 0.05 * rng.standard_normal((steps,) + batch + (dim,))
     return z, m, qbar, krk, noise
 
 
@@ -26,7 +23,7 @@ def test_python_kernel_matches_reference_loop():
     z, m, qbar, krk, noise = _random_problem(rng)
     dt = 0.01
     zk = z.copy()
-    cost, err, mx = _stepper_py.advance(zk, m, qbar, krk, noise, dt)
+    cost, err, mx = _kernels.advance(zk, m, qbar, krk, noise, dt)
 
     # same ops, spelled out
     zr = z.copy()
@@ -44,51 +41,31 @@ def test_python_kernel_matches_reference_loop():
     assert mx == x
     assert np.array_equal(zk, zr)
 
+    # a batch of realizations: each row is bitwise its own 1-D run
+    z, m, qbar, krk, noise = _random_problem(rng, batch=(5,))
+    zb = z.copy()
+    batched = _kernels.advance(zb, m, qbar, krk, noise, dt)
+    for i in range(z.shape[0]):
+        zi = z[i].copy()
+        single = _kernels.advance(zi, m, qbar, krk,
+                                  np.ascontiguousarray(noise[:, i]), dt)
+        assert all(b[i] == s for b, s in zip(batched, single))
+        assert np.array_equal(zb[i], zi)
+
 
 def test_zero_generator_accumulates_noise_exactly():
     rng = np.random.default_rng(1)
     n, steps = 2, 25
     z0 = rng.standard_normal(4 * n)
     noise = rng.standard_normal((steps, 4 * n))
-    for advance in _kernels.available_backends().values():
-        z = z0.copy()
-        cost, err, mx = advance(z, np.zeros((4 * n, 4 * n)),
-                                np.eye(2 * n), np.eye(2 * n), noise, 0.5)
-        assert np.allclose(z, z0 + noise.sum(axis=0), atol=1e-14)
-        assert cost > 0.0 and err >= 0.0 and mx > 0.0
-
-
-def test_backends_agree():
-    backends = _kernels.available_backends()
-    assert "python" in backends
-    if "cython" not in backends:
-        pytest.skip("compiled kernel not built")
-    rng = np.random.default_rng(2)
-    for _ in range(5):
-        z, m, qbar, krk, noise = _random_problem(rng)
-        dt = 0.005
-        zp, zc = z.copy(), z.copy()
-        rp = backends["python"](zp, m, qbar, krk, noise, dt)
-        rc = backends["cython"](zc, m, qbar, krk, noise, dt)
-        assert np.allclose(zp, zc, rtol=1e-12, atol=1e-13)
-        for a, b in zip(rp, rc):
-            assert a == pytest.approx(b, rel=1e-12, abs=1e-13)
+    z = z0.copy()
+    cost, err, mx = _kernels.advance(z, np.zeros((4 * n, 4 * n)),
+                                     np.eye(2 * n), np.eye(2 * n), noise, 0.5)
+    assert np.allclose(z, z0 + noise.sum(axis=0), atol=1e-14)
+    assert cost > 0.0 and err >= 0.0 and mx > 0.0
 
 
 def test_selected_backend_is_exposed():
+    assert _kernels.available_backends() == {"python": _kernels.advance}
     assert _kernels.BACKEND in _kernels.available_backends()
     assert kernel_backend() == _kernels.BACKEND
-
-
-def test_injected_kernel_is_reported_as_custom():
-    p = NondimParams(pi1=0.0, pi2=1.0, pi3=1.0, pi4=1.0, n=4)
-    cfg = SimConfig(params=p, dt=0.01, t_final=5.0, seed=13)
-    _, default = simulate(cfg)
-    _, injected = simulate(cfg, _advance=_stepper_py.advance)
-    assert default.backend == kernel_backend()
-    assert injected.backend == "custom"
-    # same noise stream, same contract: summaries agree to roundoff
-    assert injected.empirical_lqg_cost == pytest.approx(
-        default.empirical_lqg_cost, rel=1e-9)
-    assert injected.empirical_est_err_cov_trace == pytest.approx(
-        default.empirical_est_err_cov_trace, rel=1e-9)
