@@ -90,7 +90,9 @@ class ClosedLoopLqg:
 
     ``augmented`` is the 4n-by-4n generator of (plant state, estimate):
 
-        [[A, -B K], [L C, A - L C - B K]].
+        [[A, -B K], [L C, A - L C - B K]],
+
+    with the dense gains ``kmat`` = K = [K1 K2] and ``lmat`` = L = [L1; L2].
     """
 
     a: np.ndarray
@@ -98,6 +100,8 @@ class ClosedLoopLqg:
     c_meas: np.ndarray
     gain_k: GainSet
     gain_l: GainSet
+    kmat: np.ndarray
+    lmat: np.ndarray
     params: NondimParams
     augmented: np.ndarray
 
@@ -135,8 +139,8 @@ def build_closed_loop(p: NondimParams) -> ClosedLoopLqg:
     if not top < 0.0:
         raise AssertionError(
             f"closed loop is not stable (abscissa {top:.3e}); assembly bug")
-    return ClosedLoopLqg(a=a, b=b, c_meas=c, gain_k=gk, gain_l=gl, params=p,
-                         augmented=aug)
+    return ClosedLoopLqg(a=a, b=b, c_meas=c, gain_k=gk, gain_l=gl,
+                         kmat=kmat, lmat=lmat, params=p, augmented=aug)
 
 
 @dataclass(frozen=True)

@@ -204,8 +204,7 @@ def simulate(cfg: SimConfig,
     lap = laplacian_circulant(n).dense()
     qbar = np.block([[np.eye(n) - p.pi1 * lap, np.zeros((n, n))],
                      [np.zeros((n, n)), p.pi2 * np.eye(n)]])
-    kmat = np.hstack([cl.gain_k.block1.dense(), cl.gain_k.block2.dense()])
-    lmat = np.vstack([cl.gain_l.block1.dense(), cl.gain_l.block2.dense()])
+    kmat, lmat = cl.kmat, cl.lmat
     krk = kmat.T @ kmat / p.pi3 ** 2
     qbar = np.ascontiguousarray(qbar)
     krk = np.ascontiguousarray(krk)

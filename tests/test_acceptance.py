@@ -11,16 +11,11 @@ import numpy as np
 import pytest
 
 from wavelqg import analysis, synthesis
-from wavelqg.oracle import (
-    DenseAreProblem,
-    care_residual,
-    solve_care_dense,
-    solve_filter_are_dense,
-    spectral_abscissa,
-)
+from wavelqg.oracle import spectral_abscissa
 from wavelqg.params import DimensionalParams, NondimParams, locality_residuals, nondimensionalize
 from wavelqg.simulator import SimConfig, noise_covariance, sample_correlated_noise, simulate
-from wavelqg.spectral import laplacian_spectrum, offdiag_mass
+from wavelqg.spectral import offdiag_mass
+from wavelqg.verify import verify_point
 
 N_CYCLE = (2, 4, 8, 16, 30)
 
@@ -37,38 +32,16 @@ def _draws(count, lo, hi, seed, n_choices=N_CYCLE):
 def test_01_spectral_gains_match_dense_are_oracle():
     """50 random parameter draws in [1e-2, 1e2]: closed-form gains vs the
     Newton-Kleinman dense solver at <= 1e-7 relative, per-frequency ARE
-    residuals <= 1e-9, in under 60 s."""
+    residuals <= 1e-9, in under 60 s; every check of ``verify_point``
+    passes at every draw."""
     start = time.perf_counter()
     worst_gain, worst_res = 0.0, 0.0
     for p in _draws(50, 1e-2, 1e2, seed=101):
-        d = laplacian_spectrum(p.n).values.real
-        kg = synthesis.lqr_spectral_gain(p)
-        fg = synthesis.kf_spectral_gain(p)
-        kr = synthesis.lqr_riccati_spectrum(p)
-        fr = synthesis.kf_riccati_spectrum(p)
-        for k in range(p.n):
-            a = np.array([[0.0, 1.0], [d[k], 0.0]])
-            prob = DenseAreProblem(a, [0.0, 1.0],
-                                   np.diag([1.0 - p.pi1 * d[k], p.pi2]),
-                                   [[p.pi3 ** 2]])
-            _, kd = solve_care_dense(prob)
-            worst_gain = max(
-                worst_gain,
-                abs(kd[0, 0] - kg.k0[k]) / abs(kd[0, 0]),
-                abs(kd[0, 1] - kg.companion[k]) / abs(kd[0, 1]))
-            worst_res = max(worst_res, care_residual(kr.block(k), prob))
-
-            c = np.array([[p.pi4, 0.0]])
-            vinv = np.array([[1.0 - p.pi1 * d[k]]])
-            _, ld = solve_filter_are_dense(a, c, np.diag([0.0, 1.0]), vinv)
-            worst_gain = max(
-                worst_gain,
-                abs(ld[1, 0] - fg.k0[k]) / abs(ld[1, 0]),
-                abs(ld[0, 0] - fg.companion[k]) / abs(ld[0, 0]))
-            sb = fr.block(k)
-            resf = (a @ sb + sb @ a.T + np.diag([0.0, 1.0])
-                    - sb @ c.T @ vinv @ c @ sb)
-            worst_res = max(worst_res, float(np.abs(resf).max()))
+        checks = {c.name: c for c in verify_point(p)}
+        assert all(c.ok for c in checks.values()), (p, checks)
+        worst_gain = max(worst_gain,
+                         checks["per_frequency_gain_vs_dense_oracle"].value)
+        worst_res = max(worst_res, checks["closed_form_riccati_residual"].value)
     assert worst_gain <= 1e-7
     assert worst_res <= 1e-9
     assert time.perf_counter() - start < 60.0

@@ -74,6 +74,28 @@ def test_verify_against_dense_oracle(capsys):
     assert "verify passed" in text
 
 
+def test_verify_report_schema(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert main(["verify", *DECENTRAL, "--report", str(report)]) == 0
+    rep = json.loads(report.read_text())
+    assert rep["pass"] is True
+    assert isinstance(rep["source"], str)
+    assert [c["name"] for c in rep["checks"]] == [
+        "per_frequency_gain_vs_dense_oracle", "closed_form_riccati_residual",
+        "lqg_cost_dual_form_agreement", "closed_loop_spectral_abscissa"]
+    for c in rep["checks"]:
+        assert list(c) == ["name", "value", "tol", "ok"]
+        assert c["ok"] is True
+
+
+def test_verify_oracle_non_convergence_exits_1(capsys):
+    assert main(["verify", "--pi1", "1e-8", "--pi3", "1e8", "--pi4", "1e8",
+                 "--n", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_verify_check_file_round_trip(tmp_path, capsys):
     out = str(tmp_path / "g")
     main(["synth", *DECENTRAL, "--out", out])
