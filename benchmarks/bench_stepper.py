@@ -18,21 +18,17 @@ from wavelqg import _kernels
 from wavelqg.analysis import build_closed_loop
 from wavelqg.params import NondimParams
 from wavelqg.simulator import _BLOCK
-from wavelqg.spectral import laplacian_circulant
 
 
 def build_workload(n: int, steps: int, seed: int = 0):
     p = NondimParams(pi1=0.5, pi2=1.0, pi3=4.0, pi4=4.0, n=n)
     cl = build_closed_loop(p)
     m = np.ascontiguousarray(cl.augmented)
-    lap = laplacian_circulant(n).dense()
-    qbar = np.block([[np.eye(n) - p.pi1 * lap, np.zeros((n, n))],
-                     [np.zeros((n, n)), p.pi2 * np.eye(n)]])
-    krk = np.ascontiguousarray(cl.kmat.T @ cl.kmat / p.pi3 ** 2)
     rng = np.random.default_rng(seed)
     noise = 0.1 * rng.standard_normal((steps, 4 * n))
     z0 = rng.standard_normal(4 * n)
-    return z0, m, np.ascontiguousarray(qbar), krk, noise
+    return (z0, m, np.ascontiguousarray(cl.qbar),
+            np.ascontiguousarray(cl.krk), noise)
 
 
 def main(argv=None) -> int:

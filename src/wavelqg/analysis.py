@@ -77,7 +77,7 @@ def lqg_cost(p: NondimParams) -> float:
 def lqg_cost_dual(p: NondimParams) -> float:
     """Same cost through the dual form trace(S Qbar) + trace(P L V L')."""
     s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
-    v_inv = 1.0 - p.pi1 * laplacian_spectrum(p.n).values.real
+    v_inv = 1.0 - p.pi1 * laplacian_spectrum(p.n)
     state = s.s1 * v_inv + s.s2 * p.pi2
     inject = (s.p1 * s.lc ** 2 + 2.0 * s.p0 * s.lc * s.l0
               + s.p2 * s.l0 ** 2) / v_inv
@@ -93,6 +93,9 @@ class ClosedLoopLqg:
         [[A, -B K], [L C, A - L C - B K]],
 
     with the dense gains ``kmat`` = K = [K1 K2] and ``lmat`` = L = [L1; L2].
+    The running LQG cost is x' ``qbar`` x + xhat' ``krk`` xhat, with the
+    state weight ``qbar`` = [[I - pi1 Lap, 0], [0, pi2 I]] on the plant
+    state x and ``krk`` = K' R K = K' K / pi3**2 on the estimate xhat.
     """
 
     a: np.ndarray
@@ -102,6 +105,8 @@ class ClosedLoopLqg:
     gain_l: GainSet
     kmat: np.ndarray
     lmat: np.ndarray
+    qbar: np.ndarray
+    krk: np.ndarray
     params: NondimParams
     augmented: np.ndarray
 
@@ -124,6 +129,7 @@ def plant_matrices(p: NondimParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def build_closed_loop(p: NondimParams) -> ClosedLoopLqg:
     """Assemble the dense LQG loop for simulation and eigenvalue checks."""
+    n = p.n
     a, b, c = plant_matrices(p)
     gk = assemble_gains(lqr_spectral_gain(p), p)
     gl = assemble_gains(kf_spectral_gain(p), p)
@@ -139,8 +145,13 @@ def build_closed_loop(p: NondimParams) -> ClosedLoopLqg:
     if not top < 0.0:
         raise AssertionError(
             f"closed loop is not stable (abscissa {top:.3e}); assembly bug")
+    lap = a[n:, :n]  # the Laplacian block of A
+    qbar = np.block([[np.eye(n) - p.pi1 * lap, np.zeros((n, n))],
+                     [np.zeros((n, n)), p.pi2 * np.eye(n)]])
     return ClosedLoopLqg(a=a, b=b, c_meas=c, gain_k=gk, gain_l=gl,
-                         kmat=kmat, lmat=lmat, params=p, augmented=aug)
+                         kmat=kmat, lmat=lmat, qbar=qbar,
+                         krk=kmat.T @ kmat / p.pi3 ** 2, params=p,
+                         augmented=aug)
 
 
 @dataclass(frozen=True)

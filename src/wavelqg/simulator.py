@@ -33,6 +33,7 @@ from . import _kernels
 from .analysis import build_closed_loop, kf_cost, lqg_cost
 from .params import NondimParams
 from .spectral import laplacian_circulant, laplacian_spectrum
+from .synthesis import design_spectra
 
 __all__ = [
     "InstabilityError",
@@ -59,14 +60,32 @@ def kernel_backend() -> str:
     return _kernels.BACKEND
 
 
+def _euler_stability(p: NondimParams, dt: float) -> tuple[float, float]:
+    """Spectral radius of the loop's forward Euler map at step ``dt``, and
+    the largest step min(-2 Re lam / |lam|**2) that keeps it below 1."""
+    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
+    d = laplacian_spectrum(p.n)
+    ones, zeros = np.ones(p.n), np.zeros(p.n)
+    ctrl = np.stack([zeros, ones, d - s.k0, -s.kc], axis=-1)
+    filt = np.stack([-p.pi4 * s.lc, ones, d - p.pi4 * s.l0, zeros], axis=-1)
+    lam = np.linalg.eigvals(np.concatenate([ctrl, filt]).reshape(-1, 2, 2))
+    radius = float(np.abs(1.0 + dt * lam).max())
+    return radius, float(np.min(-2.0 * lam.real / np.abs(lam) ** 2))
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Monte Carlo run description.
 
-    ``dt`` must respect the explicit-integration guard
-    dt <= 0.1 / sqrt(4 + pi3 + pi4); the closed-loop frequencies grow with
-    the gains, and the guard keeps the forward Euler map comfortably inside
-    its stability region for this family.
+    ``dt`` must pass two checks.  The explicit-integration guard
+    dt <= 0.1 / sqrt(4 + pi3 + pi4) bounds the step by the closed-loop
+    frequencies, which grow with the gains.  The guard ignores pi1 and pi2,
+    so dt must also keep the forward Euler map I + dt M of the loop
+    generator M stable: max |1 + dt lam| < 1 over its eigenvalues lam.  In
+    (plant state, estimation error) coordinates M is block triangular, so
+    those are the eigenvalues of the per-frequency control blocks
+    [[0, 1], [d - k0, -kc]] and filter blocks
+    [[-pi4 lc, 1], [d - pi4 l0, 0]].
     """
 
     params: NondimParams
@@ -86,6 +105,12 @@ class SimConfig:
             raise ValueError(
                 f"dt={self.dt!r} exceeds the stability guard {guard:.6g} "
                 "= 0.1/sqrt(4 + pi3 + pi4) for these parameters")
+        radius, dt_max = _euler_stability(self.params, self.dt)
+        if radius >= 1.0:
+            raise ValueError(
+                f"dt={self.dt!r} makes the forward Euler map unstable "
+                f"(spectral radius {radius:.6g}); for these parameters it "
+                f"is stable only for dt < {dt_max:.6g}")
         if not (self.t_final > 0.0) or self.n_steps < 10:
             raise ValueError("t_final must cover at least 10 steps")
         if not (0.0 <= self.burn_in < 1.0):
@@ -140,7 +165,7 @@ def _noise_filter(pi1: float, n: int) -> np.ndarray | None:
     """Spectral scaling turning white noise into covariance (I-pi1 Lap)^-1."""
     if pi1 == 0.0:
         return None
-    d = laplacian_spectrum(n).values.real
+    d = laplacian_spectrum(n)
     return np.sqrt(1.0 / (1.0 - pi1 * d))
 
 
@@ -201,13 +226,9 @@ def simulate(cfg: SimConfig,
     n = p.n
     cl = build_closed_loop(p)
     m_aug = np.ascontiguousarray(cl.augmented)
-    lap = laplacian_circulant(n).dense()
-    qbar = np.block([[np.eye(n) - p.pi1 * lap, np.zeros((n, n))],
-                     [np.zeros((n, n)), p.pi2 * np.eye(n)]])
+    qbar = np.ascontiguousarray(cl.qbar)
+    krk = np.ascontiguousarray(cl.krk)
     kmat, lmat = cl.kmat, cl.lmat
-    krk = kmat.T @ kmat / p.pi3 ** 2
-    qbar = np.ascontiguousarray(qbar)
-    krk = np.ascontiguousarray(krk)
 
     n_steps = cfg.n_steps
     burn_step = int(round(cfg.burn_in * n_steps))

@@ -1,25 +1,25 @@
-"""Circulant-matrix algebra on the ring, built on the unitary DFT.
+"""Circulant-matrix algebra on the ring.
 
 Every operator this package manipulates -- the periodic finite-difference
 Laplacian and all regulator/filter gain blocks -- commutes with a cyclic
 shift of the grid sites, i.e. is circulant.  A circulant is determined by
 its first row and is diagonalized by the discrete Fourier transform, so all
-heavy lifting reduces to arithmetic on length-n eigenvalue sequences.  This
-module holds that shared machinery.
+heavy lifting reduces to arithmetic on length-n eigenvalue sequences, held
+as plain arrays indexed by frequency k = 0..n-1.
 
 Conventions
 -----------
-The DFT is the unitary one,
+A circulant's dense realization puts its first row in row 0 and cyclically
+shifts it right once per row, giving entry (i, j) = first_row[(j - i) mod n].
+The eigenvalue attached to frequency k is then
 
-    fhat[k] = n**-0.5 * sum_j f[j] * exp(-2j*pi*k*j/n),
+    vals[k] = sum_j first_row[j] * exp(+2j*pi*k*j/n),
 
-so Parseval/Plancherel holds without extra factors.  Frequencies are indexed
-k = 0..n-1.  A circulant's dense realization puts its first row in row 0 and
-cyclically shifts it right once per row, giving entry (i, j) = first_row[(j -
-i) mod n].  With F the unitary DFT matrix, F C F^-1 is then diagonal and its
-k-th entry is sum_j first_row[j] * exp(+2j*pi*k*j/n); for the symmetric first
-rows produced everywhere in this package the sign of the exponent is
-immaterial.
+the eigenvalue of the Fourier mode exp(+2j*pi*k*j/n).  This is the map
+:func:`spectrum_of_circulant` computes and :func:`circulant_rows` inverts.
+A real first row gives vals[k] == conj(vals[n-k]); for the symmetric first
+rows produced everywhere in this package the values are real and the sign
+of the exponent is immaterial.
 """
 
 from __future__ import annotations
@@ -31,15 +31,10 @@ import numpy as np
 __all__ = [
     "SymmetryError",
     "Circulant",
-    "Spectrum",
-    "dft_forward",
-    "dft_inverse",
-    "dft_matrix",
     "laplacian_spectrum",
     "laplacian_circulant",
     "spectrum_of_circulant",
     "circulant_rows",
-    "circulant_from_spectrum",
     "offdiag_masses",
     "offdiag_mass",
 ]
@@ -80,47 +75,6 @@ class Circulant:
         return self.first_row[idx]
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalues of a circulant, indexed by frequency k = 0..n-1."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.atleast_1d(np.asarray(self.values, dtype=complex))
-        if vals.ndim != 1:
-            raise ValueError("values must be one-dimensional")
-        if vals.size < 2:
-            raise ValueError("values needs n >= 2 entries")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-
-def dft_forward(f) -> np.ndarray:
-    """Unitary DFT: fhat[k] = n**-0.5 * sum_j f[j] exp(-2j*pi*k*j/n)."""
-    f = np.asarray(f)
-    return np.fft.fft(f) / np.sqrt(f.shape[-1])
-
-
-def dft_inverse(fhat) -> np.ndarray:
-    """Inverse of :func:`dft_forward` (also unitary)."""
-    fhat = np.asarray(fhat, dtype=complex)
-    return np.fft.ifft(fhat) * np.sqrt(fhat.shape[-1])
-
-
-def dft_matrix(n: int) -> np.ndarray:
-    """The unitary DFT matrix F with F[k, j] = n**-0.5 exp(-2j*pi*k*j/n)."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    k = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
-
-
 def laplacian_circulant(n: int) -> Circulant:
     """Periodic second-difference operator: first row [-2, 1, 0, ..., 0, 1]."""
     if n < 2:
@@ -132,7 +86,7 @@ def laplacian_circulant(n: int) -> Circulant:
     return Circulant(row)
 
 
-def laplacian_spectrum(n: int) -> Spectrum:
+def laplacian_spectrum(n: int) -> np.ndarray:
     """Eigenvalues -4 sin(pi*k/n)**2 of the periodic second difference.
 
     All values lie in [-4, 0]; the sequence is symmetric under k -> n - k,
@@ -141,17 +95,15 @@ def laplacian_spectrum(n: int) -> Spectrum:
     if n < 2:
         raise ValueError("n must be at least 2")
     k = np.arange(n)
-    return Spectrum(-4.0 * np.sin(np.pi * k / n) ** 2 + 0j)
+    return -4.0 * np.sin(np.pi * k / n) ** 2
 
 
-def spectrum_of_circulant(c: Circulant) -> Spectrum:
-    """Eigenvalues of ``c`` ordered so that F C F^-1 = diag(values).
-
-    With the first-row storage convention the eigenvalue attached to
-    frequency k is sum_j first_row[j] * exp(+2j*pi*k*j/n), the conjugate of
-    the forward DFT (they coincide for symmetric first rows).
+def spectrum_of_circulant(c: Circulant) -> np.ndarray:
+    """Complex eigenvalues of ``c`` indexed by frequency, in the convention
+    of the module docstring: the conjugate of numpy's forward FFT of the
+    first row (the two coincide for symmetric first rows).
     """
-    return Spectrum(np.conj(np.fft.fft(c.first_row)))
+    return np.conj(np.fft.fft(c.first_row))
 
 
 def circulant_rows(vals: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -171,12 +123,6 @@ def circulant_rows(vals: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     if np.any(np.abs(row.imag).max(axis=-1) > tol * scale):
         raise SymmetryError("inverse transform produced a non-real first row")
     return row.real
-
-
-def circulant_from_spectrum(s: Spectrum, tol: float = 1e-9) -> Circulant:
-    """The real circulant whose eigenvalue sequence is ``s``; see
-    :func:`circulant_rows`."""
-    return Circulant(circulant_rows(s.values, tol))
 
 
 def offdiag_masses(rows: np.ndarray) -> np.ndarray:

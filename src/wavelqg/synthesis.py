@@ -41,20 +41,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import NondimParams
-from .spectral import (Circulant, Spectrum, circulant_from_spectrum,
-                       laplacian_spectrum)
+from .spectral import Circulant, circulant_rows, laplacian_spectrum
 
 __all__ = [
     "GainKind",
-    "RiccatiKind",
-    "RiccatiSpectrum",
     "SpectralGain",
     "GainSet",
     "DesignSpectra",
     "design_spectra",
-    "lqr_riccati_spectrum",
     "lqr_spectral_gain",
-    "kf_riccati_spectrum",
     "kf_spectral_gain",
     "assemble_gains",
     "decentralization_tolerance",
@@ -71,30 +66,6 @@ IMAG_TOL = 1e-10
 class GainKind(str, enum.Enum):
     LQR = "lqr"
     KF = "kf"
-
-
-class RiccatiKind(str, enum.Enum):
-    CONTROL = "control"
-    FILTER = "filter"
-
-
-@dataclass(frozen=True, eq=False)
-class RiccatiSpectrum:
-    """Per-frequency 2x2 Riccati solutions [[diag1, p0], [p0, diag2]](k)."""
-
-    p0: np.ndarray
-    diag1: np.ndarray
-    diag2: np.ndarray
-    kind: RiccatiKind
-
-    @property
-    def n(self) -> int:
-        return self.p0.size
-
-    def block(self, k: int) -> np.ndarray:
-        """The dense 2x2 solution at frequency k."""
-        return np.array([[self.diag1[k], self.p0[k]],
-                         [self.p0[k], self.diag2[k]]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +124,7 @@ def design_spectra(pi1, pi2, pi3, pi4, n: int) -> DesignSpectra:
     root per frequency for the regulator and one for the filter."""
     pi1, pi2, pi3, pi4 = (np.asarray(x, dtype=float)[..., None]
                           for x in (pi1, pi2, pi3, pi4))
-    d = laplacian_spectrum(n).values.real
+    d = laplacian_spectrum(n)
     v = 1.0 - pi1 * d
     x = pi3 ** 2 * v
     k0 = x / (np.sqrt(d * d + x) - d)
@@ -167,24 +138,10 @@ def design_spectra(pi1, pi2, pi3, pi4, n: int) -> DesignSpectra:
         s0=s0, s1=s1, s2=s1 * (w * s0 - d), l0=w * s0 / pi4, lc=w * s1 / pi4)
 
 
-def lqr_riccati_spectrum(p: NondimParams) -> RiccatiSpectrum:
-    """Stabilizing control Riccati solution, one 2x2 block per frequency."""
-    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
-    return RiccatiSpectrum(p0=s.p0, diag1=s.p1, diag2=s.p2,
-                           kind=RiccatiKind.CONTROL)
-
-
 def lqr_spectral_gain(p: NondimParams) -> SpectralGain:
     """Optimal state-feedback gain spectra (k0, sqrt(2 k0 + pi2 pi3**2))."""
     s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
     return SpectralGain(k0=s.k0, companion=s.kc, kind=GainKind.LQR)
-
-
-def kf_riccati_spectrum(p: NondimParams) -> RiccatiSpectrum:
-    """Stabilizing filter error covariance, one 2x2 block per frequency."""
-    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
-    return RiccatiSpectrum(p0=s.s0, diag1=s.s1, diag2=s.s2,
-                           kind=RiccatiKind.FILTER)
 
 
 def kf_spectral_gain(p: NondimParams) -> SpectralGain:
@@ -208,8 +165,8 @@ def assemble_gains(g: SpectralGain, p: NondimParams) -> GainSet:
         # filter: block1 acts on the displacement estimate, and carries the
         # companion sequence; block2 carries l0
         spec1, spec2 = g.companion, g.k0
-    block1 = circulant_from_spectrum(Spectrum(spec1), IMAG_TOL)
-    block2 = circulant_from_spectrum(Spectrum(spec2), IMAG_TOL)
+    block1 = Circulant(circulant_rows(spec1, IMAG_TOL))
+    block2 = Circulant(circulant_rows(spec2, IMAG_TOL))
     return GainSet(block1=block1, block2=block2, kind=g.kind, params=p,
                    spectral=g)
 
@@ -223,7 +180,7 @@ def gain_are_residuals(gs: GainSet) -> np.ndarray:
     parameters) reports nonzero residuals.
     """
     p = gs.params
-    d = laplacian_spectrum(p.n).values.real
+    d = laplacian_spectrum(p.n)
     k0 = np.asarray(gs.spectral.k0, dtype=float)
     kc = np.asarray(gs.spectral.companion, dtype=float)
     if gs.kind is GainKind.LQR:

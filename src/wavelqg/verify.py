@@ -52,7 +52,7 @@ def verify_point(p: NondimParams) -> list[Check]:
     spectral abscissa of the assembled closed loop (strictly negative).
     Raises :class:`ConvergenceError` when the oracle does not converge.
     """
-    d = laplacian_spectrum(p.n).values.real
+    d = laplacian_spectrum(p.n)
     s = synthesis.design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
     gain_err = 0.0
     res_max = 0.0
@@ -98,7 +98,7 @@ def audit_gain_set(gs: synthesis.GainSet) -> list[Check]:
     expected2 = gs.spectral.companion if lqr else gs.spectral.k0
     for label, block, expected in (("block1", gs.block1, expected1),
                                    ("block2", gs.block2, expected2)):
-        got = spectrum_of_circulant(block).values
+        got = spectrum_of_circulant(block)
         dev = float(np.abs(got - expected).max())
         scale = 1.0 + float(np.abs(expected).max())
         checks.append(_at_most(f"{label}_rows_match_spectra", dev,

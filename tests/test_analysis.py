@@ -12,7 +12,7 @@ from wavelqg.oracle import DenseAreProblem, solve_care_dense, \
     solve_filter_are_dense, spectral_abscissa
 from wavelqg.params import NondimParams
 from wavelqg.spectral import laplacian_circulant
-from wavelqg.synthesis import kf_riccati_spectrum, lqr_riccati_spectrum
+from wavelqg.synthesis import design_spectra
 
 
 def params(pi1=0.5, pi2=1.0, pi3=4.0, pi4=4.0, n=30):
@@ -86,7 +86,7 @@ def test_lqg_dual_form_agreement():
 
 
 def test_error_covariance_shrinks_with_sensor_quality():
-    s0_at = [kf_riccati_spectrum(params(pi4=v)).p0[0]
+    s0_at = [design_spectra(0.5, 1.0, 4.0, v, 30).s0[0]
              for v in (0.5, 1.0, 2.0, 8.0)]
     assert all(b < a for a, b in zip(s0_at, s0_at[1:]))
     assert s0_at[-1] == pytest.approx(1.0 / 8.0, rel=1e-14)
@@ -95,9 +95,9 @@ def test_error_covariance_shrinks_with_sensor_quality():
 def test_per_frequency_summands_reflect():
     p = params(pi1=0.8, pi2=1.3, pi3=2.1, pi4=0.9, n=12)
     idx = (-np.arange(12)) % 12
-    for rs in (lqr_riccati_spectrum(p), kf_riccati_spectrum(p)):
-        for arr in (rs.p0, rs.diag1, rs.diag2):
-            np.testing.assert_allclose(arr, arr[idx], rtol=1e-12)
+    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
+    for arr in (s.p0, s.p1, s.p2, s.s0, s.s1, s.s2):
+        np.testing.assert_allclose(arr, arr[idx], rtol=1e-12)
 
 
 def test_plant_matrices_layout():

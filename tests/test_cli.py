@@ -288,6 +288,16 @@ def test_simulate_rejects_coarse_dt(capsys):
     assert "stability guard" in capsys.readouterr().err
 
 
+def test_simulate_rejects_unstable_euler_step(capsys):
+    # dt = 0.01 passes the guard here, but the Euler map has radius 3
+    argv = ["simulate", "--pi1", "0.5", "--pi2", "100", "--pi3", "40",
+            "--pi4", "4", "--n", "8", "--t-final", "20"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "forward Euler map unstable" in err
+
+
 # ------------------------------------------------------------------ report
 
 def test_report_to_stdout(capsys):

@@ -40,6 +40,15 @@ def test_config_enforces_stability_guard():
         SimConfig(params=MILD, dt=1.01 * guard)
 
 
+def test_config_rejects_unstable_euler_map():
+    # the guard ignores pi1 and pi2; the Euler radius check does not
+    p = NondimParams(pi1=0.5, pi2=100.0, pi3=40.0, pi4=4.0, n=8)
+    assert 0.0055 < 0.1 / np.sqrt(4.0 + p.pi3 + p.pi4)
+    SimConfig(params=p, dt=0.0049)
+    with pytest.raises(ValueError, match=r"stable only for dt < 0\.005\b"):
+        SimConfig(params=p, dt=0.0051)
+
+
 def test_config_requires_ten_steps():
     with pytest.raises(ValueError, match="at least 10 steps"):
         SimConfig(params=MILD, dt=0.01, t_final=0.05)
@@ -257,7 +266,7 @@ def test_correlated_noise_matches_dense_inverse():
 def test_site_variance_is_spectral_average():
     # Circulant stationarity: every site has variance (1/n) sum 1/(1-pi1 d).
     for pi1, n in [(1.0, 4), (0.3, 8), (2.5, 30)]:
-        d = laplacian_spectrum(n).values.real
+        d = laplacian_spectrum(n)
         expected = np.mean(1.0 / (1.0 - pi1 * d))
         assert np.diag(noise_covariance(pi1, n)) == pytest.approx(expected,
                                                                   rel=1e-12)

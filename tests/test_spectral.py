@@ -1,60 +1,14 @@
-"""DFT layer, circulant algebra, and Laplacian spectrum tests."""
+"""Circulant algebra and Laplacian spectrum tests."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavelqg.spectral import (Circulant, Spectrum, SymmetryError,
-                              circulant_from_spectrum, circulant_rows,
-                              dft_forward, dft_inverse, dft_matrix,
+from wavelqg.spectral import (Circulant, SymmetryError, circulant_rows,
                               laplacian_circulant, laplacian_spectrum,
                               offdiag_mass, offdiag_masses,
                               spectrum_of_circulant)
-
-
-def test_dft_impulse_maps_to_constant():
-    np.testing.assert_allclose(dft_forward([1, 0, 0, 0]),
-                               [0.5, 0.5, 0.5, 0.5], atol=1e-14)
-
-
-def test_dft_constant_maps_to_dc_only():
-    np.testing.assert_allclose(dft_forward([1, 1, 1, 1]),
-                               [2, 0, 0, 0], atol=1e-14)
-
-
-def test_dft_roundtrip():
-    f = np.array([3.0, 1.0, 4.0, 1.0])
-    np.testing.assert_allclose(dft_inverse(dft_forward(f)).real, f,
-                               atol=1e-12)
-
-
-def test_dft_inverse_dc_only():
-    np.testing.assert_allclose(dft_inverse([2, 0, 0, 0]).real,
-                               [1, 1, 1, 1], atol=1e-14)
-
-
-def test_conjugate_symmetric_input_gives_real_output():
-    rng = np.random.default_rng(7)
-    f = rng.standard_normal(12)
-    fhat = dft_forward(f)
-    assert np.abs(dft_inverse(fhat).imag).max() < 1e-12
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=2, max_value=256), st.integers())
-def test_plancherel(n, seed):
-    rng = np.random.default_rng(abs(seed) % 2**32)
-    f = rng.standard_normal(n)
-    g = rng.standard_normal(n)
-    lhs = np.dot(f, g)
-    rhs = np.vdot(dft_forward(f), dft_forward(g)).real
-    assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(f) * np.linalg.norm(g)
-
-
-def test_dft_matrix_is_unitary():
-    f = dft_matrix(16)
-    np.testing.assert_allclose(f @ f.conj().T, np.eye(16), atol=1e-12)
 
 
 def test_laplacian_first_row():
@@ -71,13 +25,12 @@ def test_laplacian_n2_folds_wraparound():
     (2, [0, -4]),
 ])
 def test_laplacian_spectrum_small(n, expected):
-    np.testing.assert_allclose(laplacian_spectrum(n).values.real, expected,
-                               atol=1e-14)
+    np.testing.assert_allclose(laplacian_spectrum(n), expected, atol=1e-14)
 
 
 def test_laplacian_spectrum_n30_k7():
     # cross-checked against a dense symmetric eigensolve below
-    val = laplacian_spectrum(30).values.real[7]
+    val = laplacian_spectrum(30)[7]
     assert val == pytest.approx(-1.7909430734646932, abs=1e-13)
     dense_eigs = np.linalg.eigvalsh(laplacian_circulant(30).dense())
     assert np.min(np.abs(dense_eigs - val)) < 1e-12
@@ -85,28 +38,28 @@ def test_laplacian_spectrum_n30_k7():
 
 def test_laplacian_spectrum_bounds_and_reflection():
     for n in (2, 3, 8, 31, 64):
-        vals = laplacian_spectrum(n).values
-        assert np.abs(vals.imag).max() == 0.0
-        re = vals.real
-        assert re.max() <= 0.0 and re.min() >= -4.0
-        np.testing.assert_allclose(re, re[(-np.arange(n)) % n], atol=1e-14)
+        vals = laplacian_spectrum(n)
+        assert vals.dtype == np.float64
+        assert vals.max() <= 0.0 and vals.min() >= -4.0
+        np.testing.assert_allclose(vals, vals[(-np.arange(n)) % n],
+                                   atol=1e-14)
 
 
 def test_spectrum_matches_laplacian_spectrum():
-    got = spectrum_of_circulant(laplacian_circulant(4)).values
+    got = spectrum_of_circulant(laplacian_circulant(4))
     np.testing.assert_allclose(got, [0, -2, -4, -2], atol=1e-14)
 
 
 def test_identity_circulant_has_unit_spectrum():
     c = Circulant(np.array([1.0, 0, 0, 0, 0]))
-    np.testing.assert_allclose(spectrum_of_circulant(c).values,
-                               np.ones(5), atol=1e-14)
+    np.testing.assert_allclose(spectrum_of_circulant(c), np.ones(5),
+                               atol=1e-14)
 
 
 def test_diagonalization_against_dense_eigensolver():
     rng = np.random.default_rng(3)
     c = Circulant(rng.standard_normal(8))
-    s = spectrum_of_circulant(c).values
+    s = spectrum_of_circulant(c)
     # eigenvalue multisets agree
     dense = np.linalg.eigvals(c.dense())
     key = lambda v: (np.round(v.real, 9), np.round(v.imag, 9))
@@ -118,20 +71,20 @@ def test_diagonalization_against_dense_eigensolver():
 def test_dft_diagonalizes_random_circulant(n):
     rng = np.random.default_rng(n)
     c = Circulant(rng.standard_normal(n))
-    f = dft_matrix(n)
+    k = np.arange(n)
+    f = np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)  # unitary DFT
     diag = f @ c.dense() @ f.conj().T
-    target = np.diag(spectrum_of_circulant(c).values)
+    target = np.diag(spectrum_of_circulant(c))
     assert np.abs(diag - target).max() <= 1e-10
 
 
 def test_constant_spectrum_is_scaled_identity():
-    s = Spectrum(np.full(6, 3.5, dtype=complex))
-    row = circulant_from_spectrum(s).first_row
+    row = circulant_rows(np.full(6, 3.5))
     np.testing.assert_allclose(row, [3.5, 0, 0, 0, 0, 0], atol=1e-13)
 
 
 def test_laplacian_spectrum_inverts_to_first_row():
-    row = circulant_from_spectrum(laplacian_spectrum(8)).first_row
+    row = circulant_rows(laplacian_spectrum(8))
     np.testing.assert_allclose(row, [-2, 1, 0, 0, 0, 0, 0, 1], atol=1e-13)
 
 
@@ -140,21 +93,21 @@ def test_laplacian_spectrum_inverts_to_first_row():
 def test_spectrum_roundtrip(seed):
     rng = np.random.default_rng(abs(seed) % 2**32)
     c = Circulant(rng.standard_normal(16))
-    back = circulant_from_spectrum(spectrum_of_circulant(c))
-    np.testing.assert_allclose(back.first_row, c.first_row, atol=1e-12)
+    back = circulant_rows(spectrum_of_circulant(c))
+    np.testing.assert_allclose(back, c.first_row, atol=1e-12)
 
 
 def test_non_mirror_spectrum_is_rejected():
     vals = np.zeros(4, dtype=complex)
     vals[1] = 1j  # would need vals[3] == -1j
     with pytest.raises(SymmetryError):
-        circulant_from_spectrum(Spectrum(vals))
+        circulant_rows(vals)
 
 
 def test_batched_rows_match_single_and_reject_one_bad_sequence():
     rng = np.random.default_rng(5)
     rows = rng.standard_normal((3, 8))
-    spectra = np.stack([spectrum_of_circulant(Circulant(r)).values
+    spectra = np.stack([spectrum_of_circulant(Circulant(r))
                         for r in rows])
     got = circulant_rows(spectra)
     np.testing.assert_allclose(got, rows, atol=1e-12)

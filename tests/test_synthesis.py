@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from wavelqg.params import NondimParams
 from wavelqg.spectral import SymmetryError, laplacian_spectrum, offdiag_mass
 from wavelqg.synthesis import (GainKind, SpectralGain, assemble_gains,
-                               decentralization_tolerance,
+                               decentralization_tolerance, design_spectra,
                                gain_are_residuals, gain_set_from_dict,
-                               gain_set_to_dict, kf_riccati_spectrum,
-                               kf_spectral_gain, lqr_riccati_spectrum,
+                               gain_set_to_dict, kf_spectral_gain,
                                lqr_spectral_gain)
 
 
@@ -25,24 +24,30 @@ def random_params(rng, n, lo=1e-2, hi=1e2):
     return NondimParams(pi1=pi[0], pi2=pi[1], pi3=pi[2], pi4=pi[3], n=n)
 
 
+def spectra(p):
+    return design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
+
+
 def control_residual(p, k):
     """Max-abs residual of the per-frequency control Riccati block k."""
-    d = laplacian_spectrum(p.n).values.real[k]
+    d = laplacian_spectrum(p.n)[k]
     a = np.array([[0.0, 1.0], [d, 0.0]])
     b = np.array([[0.0], [1.0]])
     q = np.diag([1.0 - p.pi1 * d, p.pi2])
-    pm = lqr_riccati_spectrum(p).block(k)
+    r = spectra(p)
+    pm = np.array([[r.p1[k], r.p0[k]], [r.p0[k], r.p2[k]]])
     res = a.T @ pm + pm @ a - p.pi3**2 * pm @ b @ b.T @ pm + q
     return np.abs(res).max()
 
 
 def filter_residual(p, k):
-    d = laplacian_spectrum(p.n).values.real[k]
+    d = laplacian_spectrum(p.n)[k]
     a = np.array([[0.0, 1.0], [d, 0.0]])
     c = np.array([[p.pi4, 0.0]])
     w = np.diag([0.0, 1.0])
     v_inv = 1.0 - p.pi1 * d
-    s = kf_riccati_spectrum(p).block(k)
+    r = spectra(p)
+    s = np.array([[r.s1[k], r.s0[k]], [r.s0[k], r.s2[k]]])
     res = a @ s + s @ a.T + w - v_inv * s @ c.T @ c @ s
     return np.abs(res).max()
 
@@ -67,11 +72,12 @@ def test_roots_match_50_digit_reference(pi1, pi3, pi4, n):
     # the textbook forms d + sqrt(d**2 + X) cancel in double precision when
     # X << d**2; evaluated with 50 digits they are an exact reference
     p = params(pi1=pi1, pi3=pi3, pi4=pi4, n=n)
-    got = {"k0": lqr_spectral_gain(p).k0, "p0": lqr_riccati_spectrum(p).p0,
-           "l0": kf_spectral_gain(p).k0, "s0": kf_riccati_spectrum(p).p0}
+    r = spectra(p)
+    got = {"k0": lqr_spectral_gain(p).k0, "p0": r.p0,
+           "l0": kf_spectral_gain(p).k0, "s0": r.s0}
     with mpmath.workdps(50):
         a1, a3, a4 = (mpmath.mpf(v) for v in (pi1, pi3, pi4))
-        for k, dk in enumerate(laplacian_spectrum(n).values.real):
+        for k, dk in enumerate(laplacian_spectrum(n)):
             d = mpmath.mpf(dk)
             w = a4 ** 2 * (1 - a1 * d)
             k0 = d + mpmath.sqrt(d ** 2 + a3 ** 2 * (1 - a1 * d))
@@ -88,7 +94,7 @@ def test_per_frequency_closed_loops_are_hurwitz():
     for _ in range(20):
         n = int(rng.choice([2, 4, 8, 16]))
         p = random_params(rng, n, lo=1e-1, hi=1e1)
-        d = laplacian_spectrum(n).values.real
+        d = laplacian_spectrum(n)
         kg = lqr_spectral_gain(p)
         fg = kf_spectral_gain(p)
         for k in range(n):
@@ -108,29 +114,27 @@ def test_gain_at_zero_frequency():
 
 def test_riccati_at_zero_frequency():
     p = params(pi1=0.3, pi2=2.0, pi3=1.7, pi4=0.6, n=12)
-    rc = lqr_riccati_spectrum(p)
-    assert rc.p0[0] == pytest.approx(1.0 / p.pi3, rel=1e-14)
-    assert rc.diag2[0] == pytest.approx(
+    r = spectra(p)
+    assert r.p0[0] == pytest.approx(1.0 / p.pi3, rel=1e-14)
+    assert r.p2[0] == pytest.approx(
         np.sqrt(2.0 / p.pi3 + p.pi2) / p.pi3, rel=1e-14)
-    rf = kf_riccati_spectrum(p)
-    assert rf.p0[0] == pytest.approx(1.0 / p.pi4, rel=1e-14)
-    assert rf.diag1[0] == pytest.approx(np.sqrt(2.0 / p.pi4**3), rel=1e-14)
+    assert r.s0[0] == pytest.approx(1.0 / p.pi4, rel=1e-14)
+    assert r.s1[0] == pytest.approx(np.sqrt(2.0 / p.pi4**3), rel=1e-14)
 
 
 def test_frozen_control_values_n4():
     # kappa=1 of n=4 has d = -2; independently pinned in the solver tests
     p = params(pi1=0.0, pi2=1.0, pi3=1.0, pi4=1.0, n=4)
-    rc = lqr_riccati_spectrum(p)
-    assert rc.p0[1] == pytest.approx(0.2360679774997898, abs=1e-14)
-    assert rc.diag2[1] == pytest.approx(1.2133160985495823, abs=1e-14)
+    r = spectra(p)
+    assert r.p0[1] == pytest.approx(0.2360679774997898, abs=1e-14)
+    assert r.p2[1] == pytest.approx(1.2133160985495823, abs=1e-14)
     assert lqr_spectral_gain(p).k0[1] == pytest.approx(np.sqrt(5) - 2,
                                                        abs=1e-14)
 
 
 def test_frozen_filter_values_n4():
     p = params(pi1=0.0, pi2=1.0, pi3=1.0, pi4=2.0, n=4)
-    rf = kf_riccati_spectrum(p)
-    assert rf.p0[1] == pytest.approx(0.20710678118654757, abs=1e-14)
+    assert spectra(p).s0[1] == pytest.approx(0.20710678118654757, abs=1e-14)
     g = kf_spectral_gain(p)
     assert g.k0[1] == pytest.approx(np.sqrt(2) - 1, abs=1e-14)
     assert g.companion[1] == pytest.approx(0.6435942529055827, abs=1e-14)
@@ -138,7 +142,7 @@ def test_frozen_filter_values_n4():
 
 def test_closed_form_gains_at_pi1_zero():
     p = params(pi1=0.0, pi2=1.0, pi3=2.3, pi4=1.7, n=16)
-    d = laplacian_spectrum(16).values.real
+    d = laplacian_spectrum(16)
     np.testing.assert_allclose(lqr_spectral_gain(p).k0,
                                d + np.sqrt(d**2 + p.pi3**2), rtol=1e-12)
     np.testing.assert_allclose(
@@ -152,9 +156,9 @@ def test_filter_gain_identity():
     rng = np.random.default_rng(31)
     for _ in range(20):
         p = random_params(rng, 12, lo=1e-1, hi=1e1)
-        d = laplacian_spectrum(12).values.real
+        d = laplacian_spectrum(12)
         w = p.pi4**2 * (1.0 - p.pi1 * d)
-        s1 = kf_riccati_spectrum(p).diag1
+        s1 = spectra(p).s1
         g = kf_spectral_gain(p)
         np.testing.assert_allclose(s1 * w / p.pi4, g.companion, rtol=1e-12)
         np.testing.assert_allclose(np.sqrt(2 * g.k0 / p.pi4), g.companion,
