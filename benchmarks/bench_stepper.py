@@ -1,10 +1,10 @@
-"""Time the Euler-Maruyama stepping kernel.
+"""Time the per-frequency Euler-Maruyama stepping kernel.
 
 Usage:
     python benchmarks/bench_stepper.py [--n 30] [--steps 20000] [--repeat 5]
 
 The timed region is what ``simulator.simulate`` spends its time on:
-``advance`` over a pre-drawn noise array, one call per consecutive segment
+``advance`` over a pre-filled work buffer, one call per consecutive segment
 of ``simulator._BLOCK`` steps, as ``simulate`` bounds its kernel calls.
 Reported numbers are the best of ``--repeat`` runs.
 """
@@ -15,20 +15,26 @@ import time
 import numpy as np
 
 from wavelqg import _kernels
-from wavelqg.analysis import build_closed_loop
 from wavelqg.params import NondimParams
-from wavelqg.simulator import _BLOCK
+from wavelqg.simulator import _BLOCK, frequency_blocks
+from wavelqg.synthesis import design_spectra
+
+DT = 0.005
 
 
 def build_workload(n: int, steps: int, seed: int = 0):
+    """``advance``'s inputs for one realization at ring size n:
+    (z0, [A B], cost weight factors, error weight factors, work buffer),
+    the buffer holding ``steps`` steps of white noise."""
     p = NondimParams(pi1=0.5, pi2=1.0, pi3=4.0, pi4=4.0, n=n)
-    cl = build_closed_loop(p)
-    m = np.ascontiguousarray(cl.augmented)
+    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, n)
+    a, b, w = frequency_blocks(p, s.k0, s.kc, s.l0, s.lc, DT)
+    bins = n // 2 + 1
     rng = np.random.default_rng(seed)
-    noise = 0.1 * rng.standard_normal((steps, 4 * n))
-    z0 = rng.standard_normal(4 * n)
-    return (z0, m, np.ascontiguousarray(cl.qbar),
-            np.ascontiguousarray(cl.krk), noise)
+    path = np.empty((steps, _kernels.ROWS, bins, 2))
+    path[:, _kernels.NOISE_ROWS] = rng.standard_normal((steps, 2, bins, 2))
+    z0 = rng.standard_normal((4, bins, 2))
+    return z0, np.concatenate([a, b], axis=-1), w[0], w[1], path
 
 
 def main(argv=None) -> int:
@@ -38,9 +44,8 @@ def main(argv=None) -> int:
     ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args(argv)
 
-    z0, m, qbar, krk, noise = build_workload(args.n, args.steps)
-    dt = 0.005
-    print(f"n={args.n}, steps={args.steps}, state dim {4 * args.n}, "
+    z0, m, w_cost, w_err, path = build_workload(args.n, args.steps)
+    print(f"n={args.n}, steps={args.steps}, {m.shape[0]} frequency bins, "
           f"backend: {_kernels.BACKEND}")
 
     best = np.inf
@@ -50,8 +55,8 @@ def main(argv=None) -> int:
         cost = 0.0
         t0 = time.perf_counter()
         for lo in range(0, args.steps, _BLOCK):
-            cost += _kernels.advance(z, m, qbar, krk,
-                                     noise[lo:lo + _BLOCK], dt)[0]
+            cost += _kernels.advance(z, m, w_cost, w_err,
+                                     path[lo:lo + _BLOCK], DT)[0][-1]
         best = min(best, time.perf_counter() - t0)
     rate = args.steps / best
     print(f"  {best * 1e3:9.2f} ms   {rate:12.0f} steps/s   "

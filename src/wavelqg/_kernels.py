@@ -1,56 +1,78 @@
-"""Euler-Maruyama stepping kernel of the Monte Carlo simulator.
+"""Per-frequency Euler-Maruyama stepping kernel of the Monte Carlo simulator.
 
-``advance`` steps any number of realizations at once: states carry the
-realizations on leading axes.  ``BACKEND`` names the kernel so runs can
-record it; there is one, in numpy.
+In rfft coordinates the ring's loop splits into one real 4-state block per
+frequency bin; a bin's real and imaginary parts are two columns stepped by
+the same map.  ``advance`` steps every (realization, bin) item with one
+stacked matmul per step.  ``BACKEND`` names the kernel so runs can record
+it; there is one, in numpy.
 """
 
 import numpy as np
 
 BACKEND = "python"
 
+# Rows of one step of the work buffer, each over (bins, re/im):
+FACTOR_ROWS = slice(0, 8)   # w_cost z (0:4), then w_err z (4:8)
+STATE_ROWS = slice(8, 12)   # z: plant (0:2), then estimate (2:4)
+NOISE_ROWS = slice(12, 14)  # white noise: force, then measurement
+ROWS = 14
 
-def _dot(a, b):
-    """Per-item dot product of column stacks (..., k, 1): one ddot each."""
-    return np.matmul(np.swapaxes(a, -1, -2), b)[..., 0, 0]
+
+def _bins_first(a):
+    """(..., rows, bins, 2) -> (..., bins, rows, 2) view: matmul items."""
+    return np.moveaxis(a, -3, -2)
 
 
-def advance(z, m, qbar, krk, noise, dt):
-    """Advance ``z`` through ``noise.shape[0]`` Euler-Maruyama steps.
+def advance(z, m, w_cost, w_err, path, dt):
+    """Advance ``z`` through ``path.shape[0]`` Euler-Maruyama steps.
 
-    z     : (..., 4n) joint (plant, estimate) states, updated in place
-    m     : (4n, 4n) closed-loop generator
-    qbar  : (2n, 2n) state cost weight, applied to the plant half
-    krk   : (2n, 2n) control cost weight K' R K, applied to the estimate half
-    noise : (steps, ..., 4n) pre-scaled additive increments (already
-            * sqrt(dt)), steps >= 1
-    dt    : step size
+    z      : (..., 4, bins, 2) states, updated in place: rows are the
+             (plant, estimate) coordinates, then bins, then real and
+             imaginary parts
+    m      : (bins, 4, 6) per-bin [A B]: Euler map A and noise injection B
+    w_cost : (bins, 4, 4) cost weight factors; a bin's cost integrand is
+             |w_cost z|**2 summed over its two columns
+    w_err  : (bins, 4, 4) estimation-error weight factors, likewise
+    path   : (steps, ..., ROWS, bins, 2) work buffer, steps >= 1.  Rows
+             12:14 hold each step's white noise on entry.  On return, rows
+             8:12 of entry t hold the state before step t and rows 0:8 its
+             weight factors, squared.
+    dt     : step size
 
-    Returns (cost_integral, err_integral, max_abs_state) for the chunk,
-    each of shape ``z.shape[:-1]``.  The integrands are evaluated at the
-    pre-update state, and max_abs_state covers every post-update state.
+    One stacked matmul per step maps [z; noise] to [w z'; z'] for the next
+    state z' = A z + B noise, with the (12, 6) matrix [[w A, w B], [A, B]].
+    The integrands are then squares of entries the steps already wrote,
+    so no temporary the size of the path is allocated.
+
+    Returns (cost, err, max_abs_state).  ``cost`` and ``err`` have shape
+    (steps, ...): entry t is dt times the sum of the integrands at the
+    states before steps 0..t.  ``max_abs_state`` has shape ``z.shape[:-3]``
+    and covers every state the call visits, the first and the last
+    included.
 
     Each item's results are bitwise what it gets when stepped alone: every
-    product is a stacked matmul (one gemv or ddot per item, never a gemm
-    across items), and the integrals are summed over steps in order.  The
-    whole path is held at once, so memory grows with the size of ``noise``
-    (a few times it); callers bound it by stepping in segments.
+    product is a stacked matmul with one item per (realization, bin),
+    never a gemm across realizations; each step's integrand is a sum over
+    one contiguous row, and the prefix sums run over steps in order.
     """
-    half = qbar.shape[0]
-    path = np.empty((noise.shape[0] + 1,) + z.shape)
-    path[0] = z
-    for t in range(noise.shape[0]):
-        path[t + 1] = path[t] + (dt * (m @ path[t, ..., None])[..., 0]
-                                 + noise[t])
-    z[...] = path[-1]
-    x = path[:-1, ..., :half, None]
-    xh = path[:-1, ..., half:, None]
-    e = x - xh
-    cost = _dot(x, qbar @ x) + _dot(xh, krk @ xh)
-    err = _dot(e, e)
-    mx = np.abs(path[1:]).max(axis=(0, -1))
-    return (np.add.accumulate(cost)[-1] * dt,
-            np.add.accumulate(err)[-1] * dt, mx)
+    w = np.concatenate([w_cost, w_err], axis=-2)
+    ext = np.concatenate([np.matmul(w, m), m], axis=-2)
+    src = _bins_first(path[..., STATE_ROWS.start:, :, :])
+    dst = _bins_first(path[..., :STATE_ROWS.stop, :, :])
+    path[0, ..., STATE_ROWS, :, :] = z
+    np.matmul(w, _bins_first(z), out=dst[0, ..., FACTOR_ROWS, :])
+    for t in range(path.shape[0] - 1):
+        np.matmul(ext, src[t], out=dst[t + 1])
+    z[...] = _bins_first(np.matmul(ext, src[-1])[..., STATE_ROWS, :])
+    f = path[..., FACTOR_ROWS, :, :]
+    np.square(f, out=f)
+    integrands = f.reshape(f.shape[:-3] + (2, -1)).sum(axis=-1)
+    sums = np.add.accumulate(integrands, axis=0) * dt
+    states = path[..., STATE_ROWS, :, :]
+    axes = (0, -3, -2, -1)
+    mx = np.maximum(np.maximum(states.max(axis=axes), -states.min(axis=axes)),
+                    np.abs(z).max(axis=(-3, -2, -1)))
+    return sums[..., 0], sums[..., 1], mx
 
 
 def available_backends() -> dict:

@@ -92,10 +92,8 @@ class ClosedLoopLqg:
 
         [[A, -B K], [L C, A - L C - B K]],
 
-    with the dense gains ``kmat`` = K = [K1 K2] and ``lmat`` = L = [L1; L2].
-    The running LQG cost is x' ``qbar`` x + xhat' ``krk`` xhat, with the
-    state weight ``qbar`` = [[I - pi1 Lap, 0], [0, pi2 I]] on the plant
-    state x and ``krk`` = K' R K = K' K / pi3**2 on the estimate xhat.
+    with the dense gains K = [K1 K2] and L = [L1; L2] assembled from
+    ``gain_k`` and ``gain_l``.
     """
 
     a: np.ndarray
@@ -103,10 +101,6 @@ class ClosedLoopLqg:
     c_meas: np.ndarray
     gain_k: GainSet
     gain_l: GainSet
-    kmat: np.ndarray
-    lmat: np.ndarray
-    qbar: np.ndarray
-    krk: np.ndarray
     params: NondimParams
     augmented: np.ndarray
 
@@ -128,8 +122,7 @@ def plant_matrices(p: NondimParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def build_closed_loop(p: NondimParams) -> ClosedLoopLqg:
-    """Assemble the dense LQG loop for simulation and eigenvalue checks."""
-    n = p.n
+    """Assemble the dense LQG loop for eigenvalue checks and tests."""
     a, b, c = plant_matrices(p)
     gk = assemble_gains(lqr_spectral_gain(p), p)
     gl = assemble_gains(kf_spectral_gain(p), p)
@@ -145,12 +138,7 @@ def build_closed_loop(p: NondimParams) -> ClosedLoopLqg:
     if not top < 0.0:
         raise AssertionError(
             f"closed loop is not stable (abscissa {top:.3e}); assembly bug")
-    lap = a[n:, :n]  # the Laplacian block of A
-    qbar = np.block([[np.eye(n) - p.pi1 * lap, np.zeros((n, n))],
-                     [np.zeros((n, n)), p.pi2 * np.eye(n)]])
-    return ClosedLoopLqg(a=a, b=b, c_meas=c, gain_k=gk, gain_l=gl,
-                         kmat=kmat, lmat=lmat, qbar=qbar,
-                         krk=kmat.T @ kmat / p.pi3 ** 2, params=p,
+    return ClosedLoopLqg(a=a, b=b, c_meas=c, gain_k=gk, gain_l=gl, params=p,
                          augmented=aug)
 
 

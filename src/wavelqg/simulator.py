@@ -1,25 +1,38 @@
 """Euler-Maruyama Monte Carlo validation of the closed-loop design.
 
-The loop simulated here is exactly the one ``analysis.build_closed_loop``
-assembles: plant driven by unit-intensity force disturbance, estimator
-driven by the measured displacements corrupted by spatially correlated
-noise with covariance (I - pi1 Lap)^-1, control u = -K (estimate).  The
-empirical time-averaged quadratic cost and estimation-error power then have
-closed-form predictions (``analysis.lqg_cost`` / ``analysis.kf_cost``),
-which is what makes the simulator a useful end-to-end check.
+The loop simulated here is the one ``analysis.build_closed_loop``
+assembles densely: plant driven by unit-intensity force disturbance,
+estimator driven by the measured displacements corrupted by spatially
+correlated noise with covariance (I - pi1 Lap)^-1, control u = -K
+(estimate).  The empirical time-averaged quadratic cost and
+estimation-error power then have closed-form predictions
+(``analysis.lqg_cost`` / ``analysis.kf_cost``), which is what makes the
+simulator a useful end-to-end check.
+
+Per-frequency stepping
+----------------------
+Every matrix of the loop is circulant, so the orthonormal real DFT
+(``numpy.fft.rfft`` with ``norm="ortho"``) splits it into independent real
+4x4 blocks, one per bin k = 0 .. n//2, in (plant, estimate) coordinates.
+A bin's real and imaginary parts are two columns driven by the same
+block; :func:`frequency_blocks` builds the blocks and the simulator never
+forms a 4n x 4n matrix.  By Parseval, a site-space quadratic form is the
+sum over bins of the per-bin forms, weighted 1 at k = 0 and at the
+Nyquist bin k = n/2 (even n) and 2 elsewhere.  Stored samples are taken
+back to sites with ``irfft``.
 
 Determinism
 -----------
 Realization i draws from numpy's PCG64 seeded with
 ``SeedSequence(seed, spawn_key=(i,))`` -- a documented, order-independent
 splitting rule.  Within a realization each step consumes 2n standard
-normals (n disturbance, n measurement) drawn row-wise, so the noise stream
-does not depend on internal chunk sizes and paths agree across chunkings
-to floating-point roundoff.  Realizations are stepped together in groups
-of ``max(1, 256 // 4n)``, yet every product is taken per realization, and
-the noise blocks and kernel segments depend only on the step count,
-``store_every`` and the burn-in, so realization i's results are bitwise the
-same whatever the number of realizations R.
+normals (n disturbance, n measurement) drawn row-wise in blocks of
+``_BLOCK`` steps, each block transformed on its own.  The kernel is called
+once per block, whatever ``store_every`` and the burn-in are, so results
+do not depend on them.  Realizations are stepped together in groups of
+``max(1, 512 // (8 (n//2 + 1)))``, yet every product is taken per
+realization and bin, so realization i's results are bitwise the same
+whatever the number of realizations R.
 """
 
 from __future__ import annotations
@@ -30,7 +43,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import _kernels
-from .analysis import build_closed_loop, kf_cost, lqg_cost
+from .analysis import kf_cost, lqg_cost
 from .params import NondimParams
 from .spectral import laplacian_circulant, laplacian_spectrum
 from .synthesis import design_spectra
@@ -40,6 +53,7 @@ __all__ = [
     "SimConfig",
     "Trajectory",
     "SimSummary",
+    "frequency_blocks",
     "sample_correlated_noise",
     "noise_covariance",
     "simulate",
@@ -47,8 +61,8 @@ __all__ = [
 ]
 
 _BLOWUP = 1e12
-_BLOCK = 256          # steps per noise block; bounds each kernel call
-_GROUP_ENTRIES = 256  # state entries (realizations x 4n) stepped together
+_BLOCK = 256          # steps per noise block and per kernel call
+_GROUP_ENTRIES = 512  # state entries (realizations x bins x 8) per group
 
 
 class InstabilityError(RuntimeError):
@@ -60,15 +74,85 @@ def kernel_backend() -> str:
     return _kernels.BACKEND
 
 
+def _generators(p: NondimParams, k0, kc, l0, lc) -> np.ndarray:
+    """Per-bin loop generators G_k, shape (n//2 + 1, 4, 4), in (plant x,
+    estimate xhat) coordinates for the gain spectra k0, kc (regulator) and
+    l0, lc (filter), each given over all n frequencies."""
+    m = p.n // 2 + 1
+    d = laplacian_spectrum(p.n)[:m]
+    k0, kc, l0, lc = (np.asarray(g, dtype=float)[:m] for g in (k0, kc, l0, lc))
+    g = np.zeros((m, 4, 4))
+    g[:, 0, 1] = 1.0
+    g[:, 1, 0] = d
+    g[:, 1, 2] = -k0
+    g[:, 1, 3] = -kc
+    g[:, 2, 0] = p.pi4 * lc
+    g[:, 2, 2] = -p.pi4 * lc
+    g[:, 2, 3] = 1.0
+    g[:, 3, 0] = p.pi4 * l0
+    g[:, 3, 2] = d - p.pi4 * l0 - k0
+    g[:, 3, 3] = -kc
+    return g
+
+
+def frequency_blocks(p: NondimParams, k0, kc, l0, lc, dt: float,
+                     noise_scale: float = 1.0
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The loop's per-bin Euler-Maruyama blocks for any gain spectra.
+
+    ``k0``, ``kc`` are the regulator spectra (u = -(K1 phi + K2 psi)) and
+    ``l0``, ``lc`` the filter's (L2 and L1), each over all n frequencies;
+    only the m = n//2 + 1 rfft bins are read.  Returns
+
+    a : (m, 4, 4) Euler maps I + dt G_k on (x, xhat);
+    b : (m, 4, 2) injection of a bin's (force, measurement) white noise:
+        sqrt(dt) noise_scale times the force column [0, 1, 0, 0] and the
+        filtered measurement column [0, 0, lc, l0] / sqrt(1 - pi1 d);
+    w : (2, m, 4, 4) cost and error weights as square-root factors: a
+        bin's running cost is |w[0] z|**2 and its squared estimation error
+        |w[1] z|**2, with w[0] = diag(sqrt(1 - pi1 d), sqrt(pi2)) on x next
+        to the row [k0, kc] / pi3 on xhat, and w[1] = [I, -I].  Both carry
+        the square root of the bin's Parseval weight (1 at k = 0 and at
+        k = n/2, else 2).
+    """
+    n = p.n
+    m = n // 2 + 1
+    d = laplacian_spectrum(n)[:m]
+    k0, kc, l0, lc = (np.asarray(g, dtype=float)[:m] for g in (k0, kc, l0, lc))
+    a = np.eye(4) + dt * _generators(p, k0, kc, l0, lc)
+    amp = math.sqrt(dt) * noise_scale
+    filt = amp / np.sqrt(1.0 - p.pi1 * d)
+    b = np.zeros((m, 4, 2))
+    b[:, 1, 0] = amp
+    b[:, 2, 1] = filt * lc
+    b[:, 3, 1] = filt * l0
+    weight = np.full(m, math.sqrt(2.0))
+    weight[0] = 1.0
+    if n % 2 == 0:
+        weight[-1] = 1.0
+    w = np.zeros((2, m, 4, 4))
+    w[0, :, 0, 0] = np.sqrt(1.0 - p.pi1 * d)
+    w[0, :, 1, 1] = math.sqrt(p.pi2)
+    w[0, :, 2, 2] = k0 / p.pi3
+    w[0, :, 2, 3] = kc / p.pi3
+    w[1, :, :2] = np.hstack([np.eye(2), -np.eye(2)])
+    return a, b, w * weight[:, None, None]
+
+
 def _euler_stability(p: NondimParams, dt: float) -> tuple[float, float]:
-    """Spectral radius of the loop's forward Euler map at step ``dt``, and
-    the largest step min(-2 Re lam / |lam|**2) that keeps it below 1."""
+    """Spectral radius of the loop's Euler maps I + dt G_k at step ``dt``,
+    and the largest step min(-2 Re lam / |lam|**2) that keeps it below 1,
+    over the eigenvalues lam of the optimal design's G_k.
+
+    Raises AssertionError if some G_k is not Hurwitz: Riccati theory
+    guarantees it is, so that would be an assembly bug.
+    """
     s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
-    d = laplacian_spectrum(p.n)
-    ones, zeros = np.ones(p.n), np.zeros(p.n)
-    ctrl = np.stack([zeros, ones, d - s.k0, -s.kc], axis=-1)
-    filt = np.stack([-p.pi4 * s.lc, ones, d - p.pi4 * s.l0, zeros], axis=-1)
-    lam = np.linalg.eigvals(np.concatenate([ctrl, filt]).reshape(-1, 2, 2))
+    lam = np.linalg.eigvals(_generators(p, s.k0, s.kc, s.l0, s.lc))
+    top = float(lam.real.max())
+    if not top < 0.0:
+        raise AssertionError(
+            f"closed loop is not stable (abscissa {top:.3e}); assembly bug")
     radius = float(np.abs(1.0 + dt * lam).max())
     return radius, float(np.min(-2.0 * lam.real / np.abs(lam) ** 2))
 
@@ -80,12 +164,12 @@ class SimConfig:
     ``dt`` must pass two checks.  The explicit-integration guard
     dt <= 0.1 / sqrt(4 + pi3 + pi4) bounds the step by the closed-loop
     frequencies, which grow with the gains.  The guard ignores pi1 and pi2,
-    so dt must also keep the forward Euler map I + dt M of the loop
-    generator M stable: max |1 + dt lam| < 1 over its eigenvalues lam.  In
-    (plant state, estimation error) coordinates M is block triangular, so
-    those are the eigenvalues of the per-frequency control blocks
-    [[0, 1], [d - k0, -kc]] and filter blocks
-    [[-pi4 lc, 1], [d - pi4 l0, 0]].
+    so dt must also keep the simulator's forward Euler maps I + dt G_k
+    stable: max |1 + dt lam| < 1 over the eigenvalues lam of the per-bin
+    generators G_k (see :func:`frequency_blocks`).  In (plant state,
+    estimation error) coordinates G_k is block triangular, so those are the
+    eigenvalues of the control blocks [[0, 1], [d - k0, -kc]] and filter
+    blocks [[-pi4 lc, 1], [d - pi4 l0, 0]].
     """
 
     params: NondimParams
@@ -161,20 +245,6 @@ class SimSummary:
         return asdict(self)
 
 
-def _noise_filter(pi1: float, n: int) -> np.ndarray | None:
-    """Spectral scaling turning white noise into covariance (I-pi1 Lap)^-1."""
-    if pi1 == 0.0:
-        return None
-    d = laplacian_spectrum(n)
-    return np.sqrt(1.0 / (1.0 - pi1 * d))
-
-
-def _correlate(white: np.ndarray, scaling: np.ndarray | None) -> np.ndarray:
-    if scaling is None:
-        return white
-    return np.fft.ifft(np.fft.fft(white, axis=-1) * scaling, axis=-1).real
-
-
 def sample_correlated_noise(pi1: float, n: int, rng: np.random.Generator,
                             size: int | None = None) -> np.ndarray:
     """Gaussian vector(s) with covariance (I - pi1 Lap)^-1.
@@ -190,7 +260,10 @@ def sample_correlated_noise(pi1: float, n: int, rng: np.random.Generator,
         raise ValueError("n must be at least 2")
     shape = (n,) if size is None else (int(size), n)
     white = rng.standard_normal(shape)
-    return _correlate(white, _noise_filter(pi1, n))
+    if pi1 == 0.0:
+        return white
+    scaling = np.sqrt(1.0 / (1.0 - pi1 * laplacian_spectrum(n)))
+    return np.fft.ifft(np.fft.fft(white, axis=-1) * scaling, axis=-1).real
 
 
 def noise_covariance(pi1: float, n: int) -> np.ndarray:
@@ -199,12 +272,16 @@ def noise_covariance(pi1: float, n: int) -> np.ndarray:
     return np.linalg.inv(np.eye(n) - pi1 * lap)
 
 
-def _segments(n_steps: int, store_every: int, burn_step: int) -> list[tuple[int, int]]:
-    """Split [0, n_steps) at stored samples, the burn-in boundary and the
-    noise blocks of ``_BLOCK`` steps; every boundary type is honored."""
-    cuts = set(range(0, n_steps, store_every)) | set(range(0, n_steps, _BLOCK))
-    ordered = sorted(cuts | {burn_step, n_steps})
-    return list(zip(ordered[:-1], ordered[1:]))
+def _to_bins(sites: np.ndarray) -> np.ndarray:
+    """Site rows (..., n) -> orthonormal rfft bins (..., n//2 + 1, 2) with
+    real and imaginary parts last."""
+    f = np.fft.rfft(sites, norm="ortho")
+    return f.view(float).reshape(f.shape + (2,))
+
+
+def _to_sites(bins: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`_to_bins`."""
+    return np.fft.irfft(bins[..., 0] + 1j * bins[..., 1], n=n, norm="ortho")
 
 
 def simulate(cfg: SimConfig,
@@ -219,89 +296,93 @@ def simulate(cfg: SimConfig,
     Raises
     ------
     InstabilityError
-        If any state magnitude exceeds 1e12, which for this always-stable
-        loop means the discretization, not the design, failed.
+        If any state coordinate exceeds 1e12 in magnitude, measured in the
+        orthonormal Fourier coordinates the loop is stepped in; for this
+        always-stable loop that means the discretization, not the design,
+        failed.
     """
     p = cfg.params
     n = p.n
-    cl = build_closed_loop(p)
-    m_aug = np.ascontiguousarray(cl.augmented)
-    qbar = np.ascontiguousarray(cl.qbar)
-    krk = np.ascontiguousarray(cl.krk)
-    kmat, lmat = cl.kmat, cl.lmat
+    bins = n // 2 + 1
+    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, n)
+    a, b, w = frequency_blocks(p, s.k0, s.kc, s.l0, s.lc, cfg.dt,
+                               cfg.noise_scale)
+    ab = np.concatenate([a, b], axis=-1)
 
     n_steps = cfg.n_steps
     burn_step = int(round(cfg.burn_in * n_steps))
-    segs = _segments(n_steps, cfg.store_every, burn_step)
-    stored_steps = sorted(set(range(0, n_steps + 1, cfg.store_every)) | {n_steps})
-    store_at = {s: i for i, s in enumerate(stored_steps)}
-    scaling = _noise_filter(p.pi1, n)
-
-    z0 = np.zeros(4 * n)
-    if x0 is not None:
-        z0[:2 * n] = np.asarray(x0, dtype=float).reshape(2 * n)
-    if xh0 is not None:
-        z0[2 * n:] = np.asarray(xh0, dtype=float).reshape(2 * n)
-
     t_post = (n_steps - burn_step) * cfg.dt
     if t_post <= 0.0:
         raise ValueError("burn_in leaves no post-burn-in samples")
+    stored = np.unique(np.append(np.arange(0, n_steps + 1, cfg.store_every),
+                                 n_steps))
+
+    sites0 = np.zeros((4, n))  # rows: phi, psi, phi hat, psi hat
+    if x0 is not None:
+        sites0[:2] = np.asarray(x0, dtype=float).reshape(2, n)
+    if xh0 is not None:
+        sites0[2:] = np.asarray(xh0, dtype=float).reshape(2, n)
+    z0 = _to_bins(sites0)
 
     n_real = cfg.n_realizations
-    group = max(1, _GROUP_ENTRIES // (4 * n))
-    amp = cfg.noise_scale * math.sqrt(cfg.dt)
+    group = max(1, _GROUP_ENTRIES // (8 * bins))
     costs = np.empty(n_real)
     errs = np.empty(n_real)
-    traj_states = np.empty((len(stored_steps), 4 * n))
-    traj_cost = np.empty(len(stored_steps))
-    traj_states[0] = z0
-    traj_cost[0] = 0.0
+    traj_bins = np.empty((stored.size, 4, bins, 2))
+    traj_bins[0] = z0
+    traj_cost = np.zeros(stored.size)
 
     for first in range(0, n_real, group):
         stop = min(first + group, n_real)
-        reals = range(first, stop)
         rngs = [np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(cfg.seed, spawn_key=(real,))))
-            for real in reals]
-        z = np.tile(z0, (len(reals), 1))
-        cum_cost = np.zeros(len(reals))
-        post_cost = np.zeros(len(reals))
-        post_err = np.zeros(len(reals))
-        for lo, hi in segs:
-            off = lo % _BLOCK
-            if off == 0:  # segments never straddle a block (see _segments)
-                steps = min(_BLOCK, n_steps - lo)
-                noise = np.zeros((steps, len(reals), 4 * n))
-                for i, rng in enumerate(rngs):
-                    raw = rng.standard_normal((steps, 2 * n))
-                    if cfg.noise_scale != 0.0:
-                        noise[:, i, n:2 * n] = amp * raw[:, :n]
-                        noise[:, i, 2 * n:] = amp * (
-                            _correlate(raw[:, n:], scaling) @ lmat.T)
-            c_int, e_int, mx = _kernels.advance(
-                z, m_aug, qbar, krk, noise[off:off + hi - lo], cfg.dt)
+            for real in range(first, stop)]
+        z = np.tile(z0, (len(rngs), 1, 1, 1))
+        path = np.empty((_BLOCK, len(rngs), _kernels.ROWS, bins, 2))
+        cum_cost = np.zeros(len(rngs))
+        post_cost = np.zeros(len(rngs))
+        post_err = np.zeros(len(rngs))
+        for lo in range(0, n_steps, _BLOCK):
+            hi = min(lo + _BLOCK, n_steps)
+            buf = path[:hi - lo]
+            for i, rng in enumerate(rngs):
+                raw = rng.standard_normal((hi - lo, 2, n))
+                buf[:, i, _kernels.NOISE_ROWS] = _to_bins(raw)
+            c_int, e_int, mx = _kernels.advance(z, ab, w[0], w[1], buf, cfg.dt)
             bad = np.flatnonzero(~(mx <= _BLOWUP))  # also catches nan
             if bad.size:
                 raise InstabilityError(
                     f"state magnitude exceeded {_BLOWUP:.0e} at "
-                    f"t ~ {hi * cfg.dt:.3g} (realization {reals[bad[0]]}); "
+                    f"t ~ {hi * cfg.dt:.3g} (realization {first + bad[0]}); "
                     f"reduce dt={cfg.dt!r}")
-            cum_cost += c_int
-            if lo >= burn_step:
-                post_cost += c_int
-                post_err += e_int
-            if first == 0 and hi in store_at:
-                idx = store_at[hi]
-                traj_states[idx] = z[0]
-                traj_cost[idx] = cum_cost[0]
+            if first == 0:
+                # stored steps in (lo, hi]; buf holds the states before
+                # steps lo .. hi-1, z the state after the last
+                sel = slice(*np.searchsorted(stored, [lo, hi], side="right"))
+                after = stored[sel] - lo
+                inner = after < hi - lo
+                traj_bins[sel][inner] = buf[after[inner], 0,
+                                            _kernels.STATE_ROWS]
+                traj_bins[sel][~inner] = z[0]
+                traj_cost[sel] = cum_cost[0] + c_int[after - 1, 0]
+            cum_cost += c_int[-1]
+            if burn_step <= lo:
+                post_cost += c_int[-1]
+                post_err += e_int[-1]
+            elif burn_step < hi:
+                post_cost += c_int[-1] - c_int[burn_step - lo - 1]
+                post_err += e_int[-1] - e_int[burn_step - lo - 1]
         costs[first:stop] = post_cost / t_post
         errs[first:stop] = post_err / t_post
 
-    times = np.array(stored_steps, dtype=float) * cfg.dt
-    plant = traj_states[:, :2 * n]
-    est = traj_states[:, 2 * n:]
-    control = -(est @ kmat.T)
-    traj = Trajectory(times=times, plant_state=plant, estimate=est,
+    sites = _to_sites(traj_bins, n)
+    sites[0] = sites0  # the given initial state, not its round trip
+    gain = np.stack([s.k0[:bins], s.kc[:bins]])[..., None]
+    control = _to_sites(-(traj_bins[:, 2] * gain[0]
+                          + traj_bins[:, 3] * gain[1]), n)
+    traj = Trajectory(times=stored * cfg.dt,
+                      plant_state=sites[:, :2].reshape(-1, 2 * n),
+                      estimate=sites[:, 2:].reshape(-1, 2 * n),
                       control=control, running_cost=traj_cost)
     summary = SimSummary(
         empirical_lqg_cost=float(np.mean(costs)),

@@ -8,18 +8,21 @@ is tuned to a lucky stream.
 import numpy as np
 import pytest
 
+from wavelqg import simulator
 from wavelqg.analysis import build_closed_loop
 from wavelqg.oracle import spectral_abscissa
 from wavelqg.params import NondimParams
 from wavelqg.simulator import (
     InstabilityError,
     SimConfig,
+    frequency_blocks,
     kernel_backend,
     noise_covariance,
     sample_correlated_noise,
     simulate,
 )
-from wavelqg.spectral import laplacian_circulant, laplacian_spectrum
+from wavelqg.spectral import (Circulant, circulant_rows, laplacian_circulant,
+                              laplacian_spectrum)
 
 MILD = NondimParams(pi1=0.0, pi2=1.0, pi3=1.0, pi4=1.0, n=4)
 # pi3 = pi4 = 2/pi1: the completely decentralized family at n=4.
@@ -47,6 +50,15 @@ def test_config_rejects_unstable_euler_map():
     SimConfig(params=p, dt=0.0049)
     with pytest.raises(ValueError, match=r"stable only for dt < 0\.005\b"):
         SimConfig(params=p, dt=0.0051)
+
+
+def test_config_asserts_hurwitz_generators(monkeypatch):
+    # Riccati theory makes every G_k Hurwitz; a generator with an unstable
+    # eigenvalue can only come from an assembly bug.
+    monkeypatch.setattr(simulator, "_generators",
+                        lambda p, *spectra: np.eye(4)[None] * 1e-3)
+    with pytest.raises(AssertionError, match="not stable"):
+        SimConfig(params=MILD)
 
 
 def test_config_requires_ten_steps():
@@ -102,22 +114,25 @@ def test_realizations_split_independently():
     assert batch.realization_err_traces[0] == solo.realization_err_traces[0]
     assert len(batch.realization_costs) == 3
 
-    # A run longer than one kernel segment with more realizations than one
-    # group (16 at n = 4): neither the grouping nor the segment cuts may
-    # change any realization's arithmetic.
-    kw = dict(params=MILD, dt=0.01, t_final=6.0, seed=4, store_every=1000)
-    many = simulate(SimConfig(n_realizations=18, **kw))[1]
-    for r in (3, 17):
+
+@pytest.mark.parametrize("n", [4, 8, 30])
+def test_realizations_split_independently_of_grouping(n):
+    # A run over several kernel blocks with more realizations than one
+    # group: the grouping may not change any realization's arithmetic.
+    group = simulator._GROUP_ENTRIES // (8 * (n // 2 + 1))
+    p = NondimParams(pi1=0.3, pi2=1.0, pi3=3.0, pi4=2.0, n=n)
+    kw = dict(params=p, dt=0.01, t_final=6.0, seed=4, store_every=1000)
+    many = simulate(SimConfig(n_realizations=group + 2, **kw))[1]
+    for r in (1, 3, group + 1):
         fewer = simulate(SimConfig(n_realizations=r, **kw))[1]
         assert many.realization_costs[:r] == fewer.realization_costs
         assert many.realization_err_traces[:r] == fewer.realization_err_traces
 
 
 def test_results_do_not_depend_on_chunking():
-    # Noise is drawn row-wise per step in fixed blocks of steps, so changing
-    # the internal segment layout (here via store_every) replays the
-    # identical noise: paths agree bitwise, and the cost, summed segment by
-    # segment, to roundoff.
+    # The kernel runs over fixed blocks of steps whatever store_every is,
+    # so changing it replays the identical arithmetic: states and costs
+    # agree bitwise.
     fine = SimConfig(params=MILD, dt=0.01, t_final=8.0, seed=11, store_every=1)
     coarse = SimConfig(params=MILD, dt=0.01, t_final=8.0, seed=11,
                        store_every=997)
@@ -125,8 +140,10 @@ def test_results_do_not_depend_on_chunking():
     traj_c, summ_c = simulate(coarse)
     assert np.array_equal(traj_f.plant_state[-1], traj_c.plant_state[-1])
     assert np.array_equal(traj_f.estimate[-1], traj_c.estimate[-1])
-    assert summ_f.empirical_lqg_cost == pytest.approx(
-        summ_c.empirical_lqg_cost, rel=1e-12)
+    assert traj_f.running_cost[-1] == traj_c.running_cost[-1]
+    assert summ_f.empirical_lqg_cost == summ_c.empirical_lqg_cost
+    assert (summ_f.empirical_est_err_cov_trace
+            == summ_c.empirical_est_err_cov_trace)
 
 
 def test_noise_scale_rescales_exactly():
@@ -136,6 +153,128 @@ def test_noise_scale_rescales_exactly():
     twice = simulate(SimConfig(params=MILD, dt=0.01, t_final=5.0, seed=5,
                                noise_scale=2.0))[1]
     assert twice.realization_costs[0] == 4.0 * base.realization_costs[0]
+
+
+# ------------------------------------------- per-frequency vs dense loop
+
+def _dense_gains(spectra, n):
+    """Dense K = [K1 K2] and L = [L1; L2] from (k0, kc, l0, lc) spectra."""
+    k0, kc, l0, lc = (Circulant(circulant_rows(g)).dense() for g in spectra)
+    return np.hstack([k0, kc]), np.vstack([lc, l0])
+
+
+def _sqrt_noise_covariance(pi1, n):
+    """Symmetric square root of (I - pi1 Lap)^-1, by eigendecomposition."""
+    lam, vec = np.linalg.eigh(np.eye(n) - pi1 * laplacian_circulant(n).dense())
+    return (vec / np.sqrt(lam)) @ vec.T
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8])
+def test_frequency_blocks_match_dense_loop_for_any_gains(n):
+    # Arbitrary positive symmetric gain spectra: one Euler step, the noise
+    # injection and both integrands agree with the dense 4n x 4n loop.
+    rng = np.random.default_rng(n)
+    p = NondimParams(pi1=0.6, pi2=1.7, pi3=2.5, pi4=1.5, n=n)
+    raw = rng.uniform(0.5, 2.0, (4, n))
+    spectra = (raw + np.roll(raw[:, ::-1], 1, axis=1)) / 2.0
+    dt, scale = 0.01, 1.3
+    a, b, w = frequency_blocks(p, *spectra, dt, noise_scale=scale)
+
+    kmat, lmat = _dense_gains(spectra, n)
+    lap = laplacian_circulant(n).dense()
+    zero, eye = np.zeros((n, n)), np.eye(n)
+    plant = np.block([[zero, eye], [lap, zero]])
+    bk = np.vstack([zero, eye]) @ kmat
+    lc = lmat @ np.hstack([p.pi4 * eye, zero])
+    gen = np.block([[plant, -bk], [lc, plant - lc - bk]])
+
+    def to_bins(x):  # (r, n) sites -> (bins, r, 2)
+        f = np.fft.rfft(x, norm="ortho")
+        return np.stack([f.real, f.imag], axis=-1).transpose(1, 0, 2)
+
+    def to_sites(zb):  # inverse of to_bins
+        f = zb[..., 0] + 1j * zb[..., 1]
+        return np.fft.irfft(f.T, n=n, norm="ortho")
+
+    x = rng.standard_normal(4 * n)
+    white = rng.standard_normal((2, n))
+    step = x + dt * gen @ x
+    step[n:2 * n] += np.sqrt(dt) * scale * white[0]
+    step[2 * n:] += np.sqrt(dt) * scale * (
+        lmat @ (_sqrt_noise_covariance(p.pi1, n) @ white[1]))
+    zb = a @ to_bins(x.reshape(4, n)) + b @ to_bins(white)
+    assert np.allclose(to_sites(zb).ravel(), step, rtol=0, atol=1e-12)
+
+    qbar = np.block([[eye - p.pi1 * lap, zero], [zero, p.pi2 * eye]])
+    cost = (x[:2 * n] @ qbar @ x[:2 * n]
+            + x[2 * n:] @ kmat.T @ kmat @ x[2 * n:] / p.pi3 ** 2)
+    err = np.sum((x[:2 * n] - x[2 * n:]) ** 2)
+    fz = w @ to_bins(x.reshape(4, n))
+    assert np.sum(fz[0] ** 2) == pytest.approx(cost, rel=1e-12)
+    assert np.sum(fz[1] ** 2) == pytest.approx(err, rel=1e-12)
+
+
+def _dense_simulation(cfg):
+    """Step the dense build_closed_loop generator on simulate's draws.
+
+    Returns per-realization (costs, error traces) and the first
+    realization's stored (plant, estimate, running cost) rows.
+    """
+    p = cfg.params
+    n, dt = p.n, cfg.dt
+    cl = build_closed_loop(p)
+    kmat = np.hstack([cl.gain_k.block1.dense(), cl.gain_k.block2.dense()])
+    lmat = np.vstack([cl.gain_l.block1.dense(), cl.gain_l.block2.dense()])
+    lap = laplacian_circulant(n).dense()
+    qbar = np.block([[np.eye(n) - p.pi1 * lap, np.zeros((n, n))],
+                     [np.zeros((n, n)), p.pi2 * np.eye(n)]])
+    krk = kmat.T @ kmat / p.pi3 ** 2
+    inject = np.zeros((4 * n, 2 * n))
+    inject[n:2 * n, :n] = np.eye(n)
+    inject[2 * n:, n:] = lmat @ _sqrt_noise_covariance(p.pi1, n)
+    inject *= np.sqrt(dt) * cfg.noise_scale
+    steps = cfg.n_steps
+    burn = int(round(cfg.burn_in * steps))
+    costs, errs, stored = [], [], []
+    for real in range(cfg.n_realizations):
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(cfg.seed, spawn_key=(real,))))
+        raw = rng.standard_normal((steps, 2 * n))
+        z = np.zeros(4 * n)
+        run = post_c = post_e = 0.0
+        for t in range(steps + 1):
+            if real == 0 and (t % cfg.store_every == 0 or t == steps):
+                stored.append(np.concatenate([z, [run]]))
+            if t == steps:
+                break
+            x, xh = z[:2 * n], z[2 * n:]
+            c = (x @ qbar @ x + xh @ krk @ xh) * dt
+            run += c
+            if t >= burn:
+                post_c += c
+                post_e += np.sum((x - xh) ** 2) * dt
+            z = z + dt * cl.augmented @ z + inject @ raw[t]
+        costs.append(post_c / ((steps - burn) * dt))
+        errs.append(post_e / ((steps - burn) * dt))
+    return np.array(costs), np.array(errs), np.array(stored)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8])
+@pytest.mark.parametrize("pi1", [0.0, 0.4])
+def test_simulation_matches_dense_reference(n, pi1):
+    # Odd n, n = 2 and even n with its Nyquist bin, with white and with
+    # correlated measurement noise; the run spans three kernel blocks.
+    p = NondimParams(pi1=pi1, pi2=1.3, pi3=3.0, pi4=2.0, n=n)
+    cfg = SimConfig(params=p, dt=0.01, t_final=6.0, seed=5,
+                    n_realizations=2, store_every=37)
+    traj, summ = simulate(cfg)
+    costs, errs, stored = _dense_simulation(cfg)
+    assert np.allclose(summ.realization_costs, costs, rtol=1e-12, atol=0)
+    assert np.allclose(summ.realization_err_traces, errs, rtol=1e-12, atol=0)
+    states = np.hstack([traj.plant_state, traj.estimate])
+    scale = np.abs(stored[:, :-1]).max()
+    assert np.allclose(states, stored[:, :-1], rtol=0, atol=1e-12 * scale)
+    assert np.allclose(traj.running_cost, stored[:, -1], rtol=1e-12, atol=0)
 
 
 # ----------------------------------------------------------- equilibria
