@@ -9,9 +9,8 @@ parameter groups, and a Monte Carlo simulator for end-to-end checks.
 
 from .params import DimensionalParams, NondimParams, locality_residuals, nondimensionalize
 from .spectral import Circulant, offdiag_mass
-from .synthesis import (DesignSpectra, GainKind, GainSet, SpectralGain,
-                        assemble_gains, design_spectra, kf_spectral_gain,
-                        lqr_spectral_gain)
+from .synthesis import (DesignSpectra, GainKind, GainSet, design_spectra,
+                        optimal_gains)
 from .analysis import (CostLocalityReport, SweepGrid, build_closed_loop,
                        curve_reports, kf_cost, lqg_cost, lqg_cost_dual,
                        lqr_cost, report, sweep)

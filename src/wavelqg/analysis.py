@@ -24,14 +24,15 @@ import numpy as np
 from .params import NondimParams, locality_residuals
 from .spectral import (circulant_rows, laplacian_circulant, laplacian_spectrum,
                        offdiag_masses)
-from .synthesis import (IMAG_TOL, DesignSpectra, GainSet, assemble_gains,
-                        design_spectra, kf_spectral_gain, lqr_spectral_gain)
+from .synthesis import (IMAG_TOL, DesignSpectra, GainSet, design_spectra,
+                        optimal_gains)
 
 __all__ = [
     "CostLocalityReport",
     "ClosedLoopLqg",
     "SweepGrid",
     "SweepRow",
+    "costs",
     "lqr_cost",
     "kf_cost",
     "lqg_cost",
@@ -48,7 +49,7 @@ CSV_HEADER = ("pi1,pi2,pi3,pi4,n,j_lqr,j_kf,j_lqg,offdiag_k1,offdiag_k2,"
               "offdiag_l1,offdiag_l2,res_k,res_l,on_curve")
 
 
-def _costs(s: DesignSpectra) -> np.ndarray:
+def costs(s: DesignSpectra) -> np.ndarray:
     """(j_lqr, j_kf, j_lqg) along a new last axis, per point of ``s``."""
     # trace(S K' R K): R = 1/pi3**2 is folded into p0 and p2
     ctrl = s.s1 * s.k0 * s.p0 + 2.0 * s.s0 * s.k0 * s.p2 + s.s2 * s.kc * s.p2
@@ -58,12 +59,12 @@ def _costs(s: DesignSpectra) -> np.ndarray:
 
 def lqr_cost(p: NondimParams) -> float:
     """trace of the control Riccati solution."""
-    return float(_costs(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n))[0])
+    return float(costs(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n))[0])
 
 
 def kf_cost(p: NondimParams) -> float:
     """trace of the steady-state estimation error covariance."""
-    return float(_costs(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n))[1])
+    return float(costs(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n))[1])
 
 
 def lqg_cost(p: NondimParams) -> float:
@@ -71,7 +72,7 @@ def lqg_cost(p: NondimParams) -> float:
 
     Per frequency: p2 + (s1 k0**2 + 2 s0 k0 kc + s2 kc**2) / pi3**2.
     """
-    return float(_costs(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n))[2])
+    return float(costs(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n))[2])
 
 
 def lqg_cost_dual(p: NondimParams) -> float:
@@ -122,22 +123,19 @@ def plant_matrices(p: NondimParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def build_closed_loop(p: NondimParams) -> ClosedLoopLqg:
-    """Assemble the dense LQG loop for eigenvalue checks and tests."""
+    """Assemble the dense LQG loop for eigenvalue checks and tests.
+
+    Its stability is not asserted here: ``verify`` reports the spectral
+    abscissa of ``augmented``, and the simulator checks the same loop
+    frequency by frequency.
+    """
     a, b, c = plant_matrices(p)
-    gk = assemble_gains(lqr_spectral_gain(p), p)
-    gl = assemble_gains(kf_spectral_gain(p), p)
+    gk, gl = optimal_gains(p)
     kmat = np.hstack([gk.block1.dense(), gk.block2.dense()])
     lmat = np.vstack([gl.block1.dense(), gl.block2.dense()])
     bk = b @ kmat
     lc = lmat @ c
     aug = np.block([[a, -bk], [lc, a - lc - bk]])
-    # Riccati theory guarantees both halves are Hurwitz; a violation here
-    # means the assembly is wrong, not the parameters.
-    top = max(np.linalg.eigvals(a - bk).real.max(),
-              np.linalg.eigvals(a - lc).real.max())
-    if not top < 0.0:
-        raise AssertionError(
-            f"closed loop is not stable (abscissa {top:.3e}); assembly bug")
     return ClosedLoopLqg(a=a, b=b, c_meas=c, gain_k=gk, gain_l=gl, params=p,
                          augmented=aug)
 
@@ -183,10 +181,8 @@ def _reports(points: list[NondimParams], n: int) -> list[CostLocalityReport]:
         chunk = points[i:i + step]
         pi = np.array([[pt.pi1, pt.pi2, pt.pi3, pt.pi4] for pt in chunk])
         s = design_spectra(*pi.T, n)
-        # K1, K2, L1, L2 spectra; the filter's block1 carries the companion
-        blocks = np.stack([s.k0, s.kc, s.lc, s.l0], axis=-2)
-        masses = offdiag_masses(circulant_rows(blocks, IMAG_TOL))
-        values = np.concatenate([_costs(s), masses], axis=-1).tolist()
+        masses = offdiag_masses(circulant_rows(s.blocks, IMAG_TOL))
+        values = np.concatenate([costs(s), masses], axis=-1).tolist()
         # positional in field order: point, costs, masses, residuals
         out += [CostLocalityReport(pt.pi1, pt.pi2, pt.pi3, pt.pi4, pt.n, *v,
                                    *locality_residuals(pt))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -124,21 +125,39 @@ def _verdict_lines(p: NondimParams) -> list[str]:
     return lines
 
 
+def _write_all(texts: dict[str, str]) -> None:
+    """Write each text to its path: first all of them to temporary files
+    beside their targets, then each into place with ``os.replace``.  A
+    failure removes the temporary files written so far."""
+    pending = []  # (temporary, target)
+    try:
+        for path, text in texts.items():
+            with open(f"{path}.tmp", "w") as fh:
+                pending.append((fh.name, path))
+                fh.write(text)
+        for tmp, path in pending:
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in pending:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+
+
+_BLOCK_NAMES = {synthesis.GainKind.LQR: ("K1", "K2"),
+                synthesis.GainKind.KF: ("L1", "L2")}
+
+
 def _cmd_synth(args) -> int:
     p, _ = _resolve_params(args)
-    kinds = {"lqr": [synthesis.GainKind.LQR], "kf": [synthesis.GainKind.KF],
-             "both": [synthesis.GainKind.LQR, synthesis.GainKind.KF]}[args.kind]
-    for kind in kinds:
-        if kind is synthesis.GainKind.LQR:
-            gs = synthesis.assemble_gains(synthesis.lqr_spectral_gain(p), p)
-        else:
-            gs = synthesis.assemble_gains(synthesis.kf_spectral_gain(p), p)
-        path = f"{args.out}_{kind.value}.json"
-        with open(path, "w") as fh:
-            json.dump(synthesis.gain_set_to_dict(gs), fh, indent=1)
+    sets = [gs for gs in synthesis.optimal_gains(p)
+            if args.kind in ("both", gs.kind.value)]
+    texts = {f"{args.out}_{gs.kind.value}.json":
+             json.dumps(synthesis.gain_set_to_dict(gs), indent=1)
+             for gs in sets}
+    _write_all(texts)
+    for path, gs in zip(texts, sets):
         print(f"wrote {path}")
-        names = ("K1", "K2") if kind is synthesis.GainKind.LQR else ("L1", "L2")
-        for name, block in zip(names, (gs.block1, gs.block2)):
+        for name, block in zip(_BLOCK_NAMES[gs.kind], (gs.block1, gs.block2)):
             print(f"  offdiag_mass({name}) = {offdiag_mass(block):.3e}")
     for line in _verdict_lines(p):
         print(line)

@@ -42,8 +42,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import _kernels
-from .analysis import kf_cost, lqg_cost
+from . import _kernels, analysis
 from .params import NondimParams
 from .spectral import laplacian_circulant, laplacian_spectrum
 from .synthesis import design_spectra
@@ -384,11 +383,12 @@ def simulate(cfg: SimConfig,
                       plant_state=sites[:, :2].reshape(-1, 2 * n),
                       estimate=sites[:, 2:].reshape(-1, 2 * n),
                       control=control, running_cost=traj_cost)
+    _, j_kf, j_lqg = analysis.costs(s).tolist()
     summary = SimSummary(
         empirical_lqg_cost=float(np.mean(costs)),
         empirical_est_err_cov_trace=float(np.mean(errs)),
-        predicted_lqg_cost=lqg_cost(p),
-        predicted_est_err_cov_trace=kf_cost(p),
+        predicted_lqg_cost=j_lqg,
+        predicted_est_err_cov_trace=j_kf,
         realization_costs=[float(c) for c in costs],
         realization_err_traces=[float(e) for e in errs],
         seed=cfg.seed, dt=cfg.dt, t_final=cfg.t_final, burn_in=cfg.burn_in,

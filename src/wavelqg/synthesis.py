@@ -31,6 +31,10 @@ and the injection gain L = [L1; L2] has spectra
 Both k0 and l0 become frequency-independent (all gains diagonal) exactly on
 pi1 = 2/pi3 resp. pi1 = 2/pi4, where the square roots collapse to perfect
 squares: k0 = pi3 and l0 = 1.
+
+:func:`design_spectra` evaluates all of these at a batch of points, and
+:func:`optimal_gains` turns one point's K1, K2, L1 and L2 spectra (in that
+order, :attr:`DesignSpectra.blocks`) into the circulant gain blocks.
 """
 
 from __future__ import annotations
@@ -45,13 +49,10 @@ from .spectral import Circulant, circulant_rows, laplacian_spectrum
 
 __all__ = [
     "GainKind",
-    "SpectralGain",
     "GainSet",
     "DesignSpectra",
     "design_spectra",
-    "lqr_spectral_gain",
-    "kf_spectral_gain",
-    "assemble_gains",
+    "optimal_gains",
     "decentralization_tolerance",
 ]
 
@@ -69,36 +70,19 @@ class GainKind(str, enum.Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralGain:
-    """Frequency-wise gain pair.
-
-    ``k0`` holds the primary sequence (regulator displacement gain, or
-    filter velocity-update gain l0), ``companion`` the other block's
-    sequence; both are real and strictly positive.
-    """
-
-    k0: np.ndarray
-    companion: np.ndarray
-    kind: GainKind
-
-    @property
-    def n(self) -> int:
-        return self.k0.size
-
-
-@dataclass(frozen=True, eq=False)
 class GainSet:
     """Assembled circulant gain blocks.
 
     For the regulator, u = -(block1 @ displacements + block2 @ velocities);
     for the filter, the injection is [block1; block2] @ innovation.
+    ``spectra`` has shape (2, n): row i is the spectrum of block i + 1.
     """
 
     block1: Circulant
     block2: Circulant
     kind: GainKind
     params: NondimParams
-    spectral: SpectralGain
+    spectra: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +101,13 @@ class DesignSpectra:
     s2: np.ndarray
     l0: np.ndarray
     lc: np.ndarray
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """The K1, K2, L1, L2 spectra, stacked along a new second-to-last
+        axis; the filter's L1 (acting on the displacement estimate) carries
+        lc and its L2 carries l0."""
+        return np.stack([self.k0, self.kc, self.lc, self.l0], axis=-2)
 
 
 def design_spectra(pi1, pi2, pi3, pi4, n: int) -> DesignSpectra:
@@ -138,37 +129,14 @@ def design_spectra(pi1, pi2, pi3, pi4, n: int) -> DesignSpectra:
         s0=s0, s1=s1, s2=s1 * (w * s0 - d), l0=w * s0 / pi4, lc=w * s1 / pi4)
 
 
-def lqr_spectral_gain(p: NondimParams) -> SpectralGain:
-    """Optimal state-feedback gain spectra (k0, sqrt(2 k0 + pi2 pi3**2))."""
-    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
-    return SpectralGain(k0=s.k0, companion=s.kc, kind=GainKind.LQR)
-
-
-def kf_spectral_gain(p: NondimParams) -> SpectralGain:
-    """Optimal injection gain spectra (l0, sqrt(2 l0 / pi4))."""
-    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
-    return SpectralGain(k0=s.l0, companion=s.lc, kind=GainKind.KF)
-
-
-def assemble_gains(g: SpectralGain, p: NondimParams) -> GainSet:
-    """Turn gain spectra into circulant first-row blocks.
-
-    The spectra must be symmetric under k -> n - k (true of everything this
-    module produces); otherwise the blocks would be complex and a
-    :class:`~wavelqg.spectral.SymmetryError` is raised.
-    """
-    if g.n != p.n:
-        raise ValueError(f"gain is for n={g.n}, parameters say n={p.n}")
-    if g.kind is GainKind.LQR:
-        spec1, spec2 = g.k0, g.companion
-    else:
-        # filter: block1 acts on the displacement estimate, and carries the
-        # companion sequence; block2 carries l0
-        spec1, spec2 = g.companion, g.k0
-    block1 = Circulant(circulant_rows(spec1, IMAG_TOL))
-    block2 = Circulant(circulant_rows(spec2, IMAG_TOL))
-    return GainSet(block1=block1, block2=block2, kind=g.kind, params=p,
-                   spectral=g)
+def optimal_gains(p: NondimParams) -> tuple[GainSet, GainSet]:
+    """The optimal (regulator, filter) gain sets at ``p``."""
+    spectra = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n).blocks
+    rows = circulant_rows(spectra, IMAG_TOL)
+    return tuple(GainSet(block1=Circulant(rows[i]),
+                         block2=Circulant(rows[i + 1]), kind=kind, params=p,
+                         spectra=spectra[i:i + 2])
+                 for i, kind in ((0, GainKind.LQR), (2, GainKind.KF)))
 
 
 def gain_are_residuals(gs: GainSet) -> np.ndarray:
@@ -181,24 +149,31 @@ def gain_are_residuals(gs: GainSet) -> np.ndarray:
     """
     p = gs.params
     d = laplacian_spectrum(p.n)
-    k0 = np.asarray(gs.spectral.k0, dtype=float)
-    kc = np.asarray(gs.spectral.companion, dtype=float)
     if gs.kind is GainKind.LQR:
+        k0, kc = gs.spectra
         p0 = k0 / p.pi3 ** 2
         p2 = kc / p.pi3 ** 2
         e11 = 2.0 * p0 * d - p.pi3 ** 2 * p0 ** 2 + (1.0 - p.pi1 * d)
         e22 = 2.0 * p0 - p.pi3 ** 2 * p2 ** 2 + p.pi2
     else:
+        lc, l0 = gs.spectra
         w = p.pi4 ** 2 * (1.0 - p.pi1 * d)
-        s0 = p.pi4 * k0 / w
-        s1 = p.pi4 * kc / w
+        s0 = p.pi4 * l0 / w
+        s1 = p.pi4 * lc / w
         e11 = 2.0 * s0 - w * s1 ** 2
         e22 = 2.0 * d * s0 + 1.0 - w * s0 ** 2
     return np.maximum(np.abs(e11), np.abs(e22))
 
 
+# The file stores each kind's primary spectrum (K1, or the filter's L2)
+# under "k0" and the other one under "companion"; this maps the file's
+# (k0, companion) to block order and back.
+_FILE_ORDER = {GainKind.LQR: [0, 1], GainKind.KF: [1, 0]}
+
+
 def gain_set_to_dict(gs: GainSet) -> dict:
     """JSON-ready description of a gain set (schema used by the CLI)."""
+    k0, companion = gs.spectra[_FILE_ORDER[gs.kind]]
     return {
         "kind": gs.kind.value,
         "n": gs.params.n,
@@ -207,25 +182,37 @@ def gain_set_to_dict(gs: GainSet) -> dict:
         "block1_first_row": [float(x) for x in gs.block1.first_row],
         "block2_first_row": [float(x) for x in gs.block2.first_row],
         "spectral": {
-            "k0": [float(x) for x in gs.spectral.k0],
-            "companion": [float(x) for x in gs.spectral.companion],
+            "k0": [float(x) for x in k0],
+            "companion": [float(x) for x in companion],
         },
     }
 
 
 def gain_set_from_dict(d: dict) -> GainSet:
-    """Inverse of :func:`gain_set_to_dict`."""
+    """Inverse of :func:`gain_set_to_dict`.
+
+    Raises ValueError naming the first array that does not hold ``n``
+    numbers.
+    """
     pi = d["pi"]
     p = NondimParams(pi1=pi["pi1"], pi2=pi["pi2"], pi3=pi["pi3"],
                      pi4=pi["pi4"], n=int(d["n"]))
     kind = GainKind(d["kind"])
-    g = SpectralGain(k0=np.asarray(d["spectral"]["k0"], dtype=float),
-                     companion=np.asarray(d["spectral"]["companion"],
-                                          dtype=float),
-                     kind=kind)
-    return GainSet(block1=Circulant(np.asarray(d["block1_first_row"], float)),
-                   block2=Circulant(np.asarray(d["block2_first_row"], float)),
-                   kind=kind, params=p, spectral=g)
+
+    def array(name: str, values) -> np.ndarray:
+        a = np.asarray(values, dtype=float)
+        if a.shape != (p.n,):
+            raise ValueError(f"gain file field {name} must hold n={p.n} "
+                             f"numbers, got shape {a.shape}")
+        return a
+
+    spec = d["spectral"]
+    spectra = np.stack([array("spectral.k0", spec["k0"]),
+                        array("spectral.companion", spec["companion"])])
+    return GainSet(
+        block1=Circulant(array("block1_first_row", d["block1_first_row"])),
+        block2=Circulant(array("block2_first_row", d["block2_first_row"])),
+        kind=kind, params=p, spectra=spectra[_FILE_ORDER[kind]])
 
 
 __all__ += ["gain_are_residuals", "gain_set_to_dict", "gain_set_from_dict"]

@@ -53,8 +53,7 @@ def test_02_decentralized_point_gains_are_scaled_identities():
     off-diagonal mass <= 1e-10, in under 1 s."""
     start = time.perf_counter()
     p = NondimParams(pi1=0.5, pi2=1.0, pi3=4.0, pi4=4.0, n=30)
-    gk = synthesis.assemble_gains(synthesis.lqr_spectral_gain(p), p)
-    gl = synthesis.assemble_gains(synthesis.kf_spectral_gain(p), p)
+    gk, gl = synthesis.optimal_gains(p)
     blocks = [
         (gk.block1, p.pi3),
         (gk.block2, np.sqrt(2.0 * p.pi3 + p.pi2 * p.pi3 ** 2)),
@@ -74,11 +73,11 @@ def test_03_no_parameter_decentralizes_pi1_zero():
     grid = np.logspace(-3, 3, 30)
     for pi3 in grid:
         p = NondimParams(pi1=0.0, pi2=1.0, pi3=float(pi3), pi4=1.0, n=30)
-        k0 = synthesis.lqr_spectral_gain(p).k0
+        k0 = synthesis.optimal_gains(p)[0].spectra[0]
         assert k0.max() - k0.min() > 0.0
     for pi4 in grid:
         p = NondimParams(pi1=0.0, pi2=1.0, pi3=1.0, pi4=float(pi4), n=30)
-        l0 = synthesis.kf_spectral_gain(p).k0
+        l0 = synthesis.optimal_gains(p)[1].spectra[1]
         assert l0.max() - l0.min() > 0.0
 
 

@@ -1,14 +1,16 @@
 """End-to-end command-line tests driving ``main`` directly."""
 
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from wavelqg import analysis
+from wavelqg import analysis, synthesis
 from wavelqg.cli import main
 from wavelqg.params import NondimParams
+from wavelqg.spectral import Circulant
 
 DECENTRAL = ["--pi1", "0.5", "--pi2", "1", "--pi3", "4", "--pi4", "4",
            "--n", "4"]
@@ -67,6 +69,32 @@ def test_synth_is_deterministic(tmp_path):
     assert (tmp_path / "g_lqr.json").read_bytes() == first
 
 
+def test_synth_writes_nothing_when_a_set_fails(tmp_path, monkeypatch,
+                                              capsys):
+    # both sets are serialized before any file is opened, so a failure on
+    # the filter set leaves no regulator file behind
+    to_dict = synthesis.gain_set_to_dict
+
+    def failing(gs):
+        if gs.kind is synthesis.GainKind.KF:
+            raise ValueError("cannot serialize")
+        return to_dict(gs)
+
+    monkeypatch.setattr(synthesis, "gain_set_to_dict", failing)
+    assert main(["synth", *DECENTRAL, "--out", str(tmp_path / "g")]) == 2
+    assert "cannot serialize" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_removes_temporary_files_when_a_write_fails(tmp_path, capsys):
+    # a directory blocks the filter's temporary file, so the write fails
+    # after the regulator's temporary file is written
+    (tmp_path / "g_kf.json.tmp").mkdir()
+    assert main(["synth", *DECENTRAL, "--out", str(tmp_path / "g")]) == 2
+    assert capsys.readouterr().out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["g_kf.json.tmp"]
+
+
 def test_verify_against_dense_oracle(capsys):
     assert main(["verify", *DECENTRAL]) == 0
     text = capsys.readouterr().out
@@ -120,6 +148,46 @@ def test_verify_flags_tampered_gains(tmp_path, capsys):
     rep = json.loads(report.read_text())
     assert rep["pass"] is False
     assert any(not c["ok"] for c in rep["checks"])
+
+
+@pytest.mark.parametrize("field", [
+    "block1_first_row", "block2_first_row", "spectral.k0",
+    "spectral.companion", "n"])
+def test_check_file_with_wrong_array_length_is_rejected(tmp_path, capsys,
+                                                       field):
+    main(["synth", *DECENTRAL, "--kind", "lqr", "--out", str(tmp_path / "g")])
+    path = tmp_path / "g_lqr.json"
+    payload = json.loads(path.read_text())
+    if field == "n":
+        payload["n"] += 1
+    elif field.startswith("spectral."):
+        payload["spectral"][field.split(".")[1]].pop()
+    else:
+        payload[field].pop()
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", "--check-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if field != "n":
+        assert field in err
+
+
+def test_verify_fails_on_an_unstable_assembly(monkeypatch, capsys):
+    # a sign error in the regulator blocks must surface as a FAIL record
+    optimal = analysis.optimal_gains
+
+    def broken(p):
+        gk, gl = optimal(p)
+        flipped = dataclasses.replace(
+            gk, block1=Circulant(-gk.block1.first_row))
+        return flipped, gl
+
+    monkeypatch.setattr(analysis, "optimal_gains", broken)
+    assert main(["verify", *DECENTRAL]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] closed_loop_spectral_abscissa" in out
+    assert "verify FAILED" in out
 
 
 # ------------------------------------------------------- parameter plumbing

@@ -10,7 +10,7 @@ from wavelqg.oracle import (ConvergenceError, DenseAreProblem,
                             spectral_abscissa)
 from wavelqg.params import NondimParams
 from wavelqg.spectral import laplacian_circulant
-from wavelqg.synthesis import assemble_gains, lqr_spectral_gain
+from wavelqg.synthesis import optimal_gains
 
 SQRT3 = np.sqrt(3.0)
 
@@ -201,6 +201,6 @@ def test_full_ring_dense_solve_matches_spectral_assembly():
                   [np.zeros((n, n)), p.pi2 * np.eye(n)]])
     prob = DenseAreProblem(a=a, b=b, q=q, r_inv=p.pi3**2 * np.eye(n))
     _, k_dense = solve_care_dense(prob)
-    gs = assemble_gains(lqr_spectral_gain(p), p)
+    gs, _ = optimal_gains(p)
     k_spectral = np.hstack([gs.block1.dense(), gs.block2.dense()])
     assert np.abs(k_dense - k_spectral).max() <= 1e-8 * (1 + np.abs(k_spectral).max())

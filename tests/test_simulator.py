@@ -8,7 +8,7 @@ is tuned to a lucky stream.
 import numpy as np
 import pytest
 
-from wavelqg import simulator
+from wavelqg import analysis, simulator, synthesis
 from wavelqg.analysis import build_closed_loop
 from wavelqg.oracle import spectral_abscissa
 from wavelqg.params import NondimParams
@@ -59,6 +59,26 @@ def test_config_asserts_hurwitz_generators(monkeypatch):
                         lambda p, *spectra: np.eye(4)[None] * 1e-3)
     with pytest.raises(AssertionError, match="not stable"):
         SimConfig(params=MILD)
+
+
+def test_one_run_evaluates_the_design_twice(monkeypatch):
+    # once for the config's Euler check, once for the run and its predictions
+    calls = []
+    design = simulator.design_spectra
+
+    def counted(*args):
+        calls.append(args)
+        return design(*args)
+
+    for module in (simulator, analysis, synthesis):
+        monkeypatch.setattr(module, "design_spectra", counted)
+    cfg = SimConfig(params=MILD, t_final=1.0)
+    assert len(calls) == 1
+    _, summ = simulate(cfg)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert summ.predicted_lqg_cost == analysis.lqg_cost(MILD)
+    assert summ.predicted_est_err_cov_trace == analysis.kf_cost(MILD)
 
 
 def test_config_requires_ten_steps():

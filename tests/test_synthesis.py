@@ -1,5 +1,7 @@
 """Closed-form spectral gains, Riccati spectra, and circulant assembly."""
 
+import json
+
 import mpmath
 import numpy as np
 import pytest
@@ -7,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavelqg.params import NondimParams
-from wavelqg.spectral import SymmetryError, laplacian_spectrum, offdiag_mass
-from wavelqg.synthesis import (GainKind, SpectralGain, assemble_gains,
-                               decentralization_tolerance, design_spectra,
-                               gain_are_residuals, gain_set_from_dict,
-                               gain_set_to_dict, kf_spectral_gain,
-                               lqr_spectral_gain)
+from wavelqg.spectral import (SymmetryError, circulant_rows,
+                              laplacian_spectrum, offdiag_mass)
+from wavelqg.synthesis import (IMAG_TOL, GainKind, decentralization_tolerance,
+                               design_spectra, gain_are_residuals,
+                               gain_set_from_dict, gain_set_to_dict,
+                               optimal_gains)
+from wavelqg.verify import audit_gain_set
 
 
 def params(pi1=0.5, pi2=1.0, pi3=4.0, pi4=4.0, n=30):
@@ -73,8 +76,7 @@ def test_roots_match_50_digit_reference(pi1, pi3, pi4, n):
     # X << d**2; evaluated with 50 digits they are an exact reference
     p = params(pi1=pi1, pi3=pi3, pi4=pi4, n=n)
     r = spectra(p)
-    got = {"k0": lqr_spectral_gain(p).k0, "p0": r.p0,
-           "l0": kf_spectral_gain(p).k0, "s0": r.s0}
+    got = {"k0": r.k0, "p0": r.p0, "l0": r.l0, "s0": r.s0}
     with mpmath.workdps(50):
         a1, a3, a4 = (mpmath.mpf(v) for v in (pi1, pi3, pi4))
         for k, dk in enumerate(laplacian_spectrum(n)):
@@ -95,21 +97,19 @@ def test_per_frequency_closed_loops_are_hurwitz():
         n = int(rng.choice([2, 4, 8, 16]))
         p = random_params(rng, n, lo=1e-1, hi=1e1)
         d = laplacian_spectrum(n)
-        kg = lqr_spectral_gain(p)
-        fg = kf_spectral_gain(p)
+        s = spectra(p)
         for k in range(n):
             a = np.array([[0.0, 1.0], [d[k], 0.0]])
-            a_ctrl = a - np.outer([0.0, 1.0], [kg.k0[k], kg.companion[k]])
-            a_filt = a - np.outer([fg.companion[k], fg.k0[k]],
-                                  [p.pi4, 0.0])
+            a_ctrl = a - np.outer([0.0, 1.0], [s.k0[k], s.kc[k]])
+            a_filt = a - np.outer([s.lc[k], s.l0[k]], [p.pi4, 0.0])
             assert np.linalg.eigvals(a_ctrl).real.max() < 0.0
             assert np.linalg.eigvals(a_filt).real.max() < 0.0
 
 
 def test_gain_at_zero_frequency():
     p = params(pi1=0.3, pi2=2.0, pi3=1.7, pi4=0.6, n=12)
-    assert lqr_spectral_gain(p).k0[0] == pytest.approx(p.pi3, rel=1e-14)
-    assert kf_spectral_gain(p).k0[0] == pytest.approx(1.0, rel=1e-14)
+    assert spectra(p).k0[0] == pytest.approx(p.pi3, rel=1e-14)
+    assert spectra(p).l0[0] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_riccati_at_zero_frequency():
@@ -128,26 +128,25 @@ def test_frozen_control_values_n4():
     r = spectra(p)
     assert r.p0[1] == pytest.approx(0.2360679774997898, abs=1e-14)
     assert r.p2[1] == pytest.approx(1.2133160985495823, abs=1e-14)
-    assert lqr_spectral_gain(p).k0[1] == pytest.approx(np.sqrt(5) - 2,
-                                                       abs=1e-14)
+    assert r.k0[1] == pytest.approx(np.sqrt(5) - 2, abs=1e-14)
 
 
 def test_frozen_filter_values_n4():
     p = params(pi1=0.0, pi2=1.0, pi3=1.0, pi4=2.0, n=4)
-    assert spectra(p).s0[1] == pytest.approx(0.20710678118654757, abs=1e-14)
-    g = kf_spectral_gain(p)
-    assert g.k0[1] == pytest.approx(np.sqrt(2) - 1, abs=1e-14)
-    assert g.companion[1] == pytest.approx(0.6435942529055827, abs=1e-14)
+    r = spectra(p)
+    assert r.s0[1] == pytest.approx(0.20710678118654757, abs=1e-14)
+    assert r.l0[1] == pytest.approx(np.sqrt(2) - 1, abs=1e-14)
+    assert r.lc[1] == pytest.approx(0.6435942529055827, abs=1e-14)
 
 
 def test_closed_form_gains_at_pi1_zero():
     p = params(pi1=0.0, pi2=1.0, pi3=2.3, pi4=1.7, n=16)
     d = laplacian_spectrum(16)
-    np.testing.assert_allclose(lqr_spectral_gain(p).k0,
-                               d + np.sqrt(d**2 + p.pi3**2), rtol=1e-12)
+    r = spectra(p)
+    np.testing.assert_allclose(r.k0, d + np.sqrt(d**2 + p.pi3**2),
+                               rtol=1e-12)
     np.testing.assert_allclose(
-        kf_spectral_gain(p).k0,
-        d / p.pi4 + np.sqrt(d**2 / p.pi4**2 + 1.0), rtol=1e-12)
+        r.l0, d / p.pi4 + np.sqrt(d**2 / p.pi4**2 + 1.0), rtol=1e-12)
 
 
 def test_filter_gain_identity():
@@ -158,33 +157,30 @@ def test_filter_gain_identity():
         p = random_params(rng, 12, lo=1e-1, hi=1e1)
         d = laplacian_spectrum(12)
         w = p.pi4**2 * (1.0 - p.pi1 * d)
-        s1 = spectra(p).s1
-        g = kf_spectral_gain(p)
-        np.testing.assert_allclose(s1 * w / p.pi4, g.companion, rtol=1e-12)
-        np.testing.assert_allclose(np.sqrt(2 * g.k0 / p.pi4), g.companion,
+        r = spectra(p)
+        np.testing.assert_allclose(r.s1 * w / p.pi4, r.lc, rtol=1e-12)
+        np.testing.assert_allclose(np.sqrt(2 * r.l0 / p.pi4), r.lc,
                                    rtol=1e-12)
 
 
 def test_decentral_point_constants():
     p = params()  # pi1=0.5, pi3=pi4=4, pi2=1
-    kg = lqr_spectral_gain(p)
-    np.testing.assert_allclose(kg.k0, 4.0, rtol=1e-13)
-    np.testing.assert_allclose(kg.companion, np.sqrt(24.0), rtol=1e-13)
-    p2 = params(pi1=1.0, pi4=2.0)
-    fg = kf_spectral_gain(p2)
-    np.testing.assert_allclose(fg.k0, 1.0, rtol=1e-13)
-    np.testing.assert_allclose(fg.companion, 1.0, rtol=1e-13)
+    r = spectra(p)
+    np.testing.assert_allclose(r.k0, 4.0, rtol=1e-13)
+    np.testing.assert_allclose(r.kc, np.sqrt(24.0), rtol=1e-13)
+    r2 = spectra(params(pi1=1.0, pi4=2.0))
+    np.testing.assert_allclose(r2.l0, 1.0, rtol=1e-13)
+    np.testing.assert_allclose(r2.lc, 1.0, rtol=1e-13)
 
 
 def test_decentral_point_assembled_blocks():
     p = params(n=8)
-    gk = assemble_gains(lqr_spectral_gain(p), p)
+    gk, _ = optimal_gains(p)
     np.testing.assert_allclose(gk.block1.dense(), 4.0 * np.eye(8),
                                atol=1e-12)
     np.testing.assert_allclose(gk.block2.dense(), np.sqrt(24) * np.eye(8),
                                atol=1e-12)
-    p2 = params(pi1=1.0, pi4=2.0, n=8)
-    gl = assemble_gains(kf_spectral_gain(p2), p2)
+    _, gl = optimal_gains(params(pi1=1.0, pi4=2.0, n=8))
     np.testing.assert_allclose(gl.block1.dense(), np.eye(8), atol=1e-12)
     np.testing.assert_allclose(gl.block2.dense(), np.eye(8), atol=1e-12)
 
@@ -192,8 +188,7 @@ def test_decentral_point_assembled_blocks():
 def test_decentralization_iff_condition():
     for pi1 in (0.3, 0.4, 0.5, 0.6, 0.9):
         p = params(pi1=pi1, n=16)
-        gk = assemble_gains(lqr_spectral_gain(p), p)
-        gl = assemble_gains(kf_spectral_gain(p), p)
+        gk, gl = optimal_gains(p)
         on_curve = abs(pi1 - 2.0 / 4.0) <= decentralization_tolerance
         for block in (gk.block1, gk.block2, gl.block1, gl.block2):
             if on_curve:
@@ -208,65 +203,86 @@ def test_offdiag_mass_vanishes_only_at_the_crossing():
     masses = {}
     for pi1 in (0.3, 0.45, 0.5, 0.55, 0.7):
         p = params(pi1=pi1, pi3=pi3, n=16)
-        gk = assemble_gains(lqr_spectral_gain(p), p)
+        gk, _ = optimal_gains(p)
         masses[pi1] = offdiag_mass(gk.block1)
     assert masses[0.5] <= 1e-12
     assert masses[0.45] > masses[0.5] and masses[0.55] > masses[0.5]
     assert masses[0.3] > masses[0.45] and masses[0.7] > masses[0.55]
 
 
-@pytest.mark.parametrize("make_gain,attr", [
-    (lqr_spectral_gain, "pi3"),
-    (kf_spectral_gain, "pi4"),
-])
-def test_pi1_zero_never_constant(make_gain, attr):
+@pytest.mark.parametrize("gain,attr", [("k0", "pi3"), ("l0", "pi4")])
+def test_pi1_zero_never_constant(gain, attr):
     # no pi3 (resp. pi4) flattens the gain spectrum when pi1 = 0
     for value in np.logspace(-3, 3, 30):
         p = params(pi1=0.0, n=30, **{attr: value})
-        k0 = make_gain(p).k0
-        assert k0.max() - k0.min() > 0.0
+        g = getattr(spectra(p), gain)
+        assert g.max() - g.min() > 0.0
 
 
 def test_pi1_zero_offdiag_is_substantial():
     p = params(pi1=0.0, pi3=1.0, n=8)
-    gk = assemble_gains(lqr_spectral_gain(p), p)
+    gk, _ = optimal_gains(p)
     assert offdiag_mass(gk.block1) > 0.01
 
 
-def test_assemble_rejects_asymmetric_spectra():
-    vals = np.arange(1.0, 9.0)  # not mirror symmetric
-    g = SpectralGain(k0=vals, companion=vals + 10.0, kind=GainKind.LQR)
+def test_optimal_gains_rows_equal_per_block_rows():
+    # the four blocks come from one batched transform; each must be the
+    # bitwise same row a lone transform of its spectrum gives
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        n = int(rng.choice([2, 3, 7, 8, 30, 64]))
+        p = random_params(rng, n, lo=1e-6, hi=1e6)
+        r = spectra(p)
+        gk, gl = optimal_gains(p)
+        got = (gk.block1, gk.block2, gl.block1, gl.block2)
+        for block, spec in zip(got, (r.k0, r.kc, r.lc, r.l0)):
+            np.testing.assert_array_equal(block.first_row,
+                                          circulant_rows(spec, IMAG_TOL))
+        np.testing.assert_array_equal(gk.spectra, r.blocks[:2])
+        np.testing.assert_array_equal(gl.spectra, r.blocks[2:])
+
+
+def test_batched_rows_reject_one_asymmetric_spectrum():
+    blocks = spectra(params(n=8)).blocks.copy()
+    blocks[2, 1] += 1.0  # L1 loses its k -> n - k mirror symmetry
     with pytest.raises(SymmetryError):
-        assemble_gains(g, params(n=8))
-
-
-def test_assemble_checks_grid_size():
-    p = params(n=8)
-    g = lqr_spectral_gain(p)
-    with pytest.raises(ValueError, match="n="):
-        assemble_gains(g, params(n=16))
+        circulant_rows(blocks, IMAG_TOL)
 
 
 def test_gain_set_json_roundtrip():
-    p = params(pi1=0.7, pi2=1.4, pi3=2.0, pi4=0.9, n=12)
-    for make in (lqr_spectral_gain, kf_spectral_gain):
-        gs = assemble_gains(make(p), p)
+    rng = np.random.default_rng(41)
+    for _ in range(100):
+        p = random_params(rng, int(rng.choice([2, 3, 7, 12, 30, 64])))
+        for gs in optimal_gains(p):
+            d = json.loads(json.dumps(gain_set_to_dict(gs)))
+            back = gain_set_from_dict(d)
+            assert back.kind == gs.kind
+            assert back.params == gs.params
+            for name in ("block1", "block2"):
+                np.testing.assert_array_equal(
+                    getattr(back, name).first_row,
+                    getattr(gs, name).first_row)
+            np.testing.assert_array_equal(back.spectra, gs.spectra)
+            assert all(c.ok for c in audit_gain_set(back)), (p, gs.kind)
+            # serialized form is plain JSON types
+            assert isinstance(d["block1_first_row"], list)
+            assert set(d["pi"]) == {"pi1", "pi2", "pi3", "pi4"}
+
+
+def test_gain_file_stores_primary_spectrum_as_k0():
+    # the file schema: "k0" holds K1 for the regulator and L2 for the filter
+    p = params(pi1=0.2, pi4=2.0, pi3=3.0, n=8)
+    r = spectra(p)
+    gk, gl = optimal_gains(p)
+    for gs, k0, companion in ((gk, r.k0, r.kc), (gl, r.l0, r.lc)):
         d = gain_set_to_dict(gs)
-        back = gain_set_from_dict(d)
-        assert back.kind == gs.kind
-        assert back.params == gs.params
-        np.testing.assert_array_equal(back.block1.first_row,
-                                      gs.block1.first_row)
-        np.testing.assert_array_equal(back.spectral.k0, gs.spectral.k0)
-        # serialized form is plain JSON types
-        assert isinstance(d["block1_first_row"], list)
-        assert set(d["pi"]) == {"pi1", "pi2", "pi3", "pi4"}
+        assert d["spectral"]["k0"] == k0.tolist()
+        assert d["spectral"]["companion"] == companion.tolist()
 
 
 def test_gain_are_residuals_clean_and_tampered():
     p = params(pi1=0.7, pi2=1.4, pi3=2.0, pi4=0.9, n=12)
-    for make in (lqr_spectral_gain, kf_spectral_gain):
-        gs = assemble_gains(make(p), p)
+    for gs in optimal_gains(p):
         assert gain_are_residuals(gs).max() <= 1e-10
         d = gain_set_to_dict(gs)
         d["spectral"]["k0"][3] *= 1.05
@@ -277,9 +293,11 @@ def test_gain_are_residuals_clean_and_tampered():
 def test_kf_blocks_are_ordered_companion_then_l0():
     # off the curve l0 and companion differ, so block order is observable
     p = params(pi1=0.2, pi4=2.0, pi3=3.0, n=8)
-    g = kf_spectral_gain(p)
-    gl = assemble_gains(g, p)
+    r = spectra(p)
+    _, gl = optimal_gains(p)
+    assert gl.kind is GainKind.KF
+    np.testing.assert_array_equal(gl.spectra, np.stack([r.lc, r.l0]))
     got1 = np.linalg.eigvals(gl.block1.dense())
     got2 = np.linalg.eigvals(gl.block2.dense())
-    assert np.isclose(np.sort(got1.real), np.sort(g.companion)).all()
-    assert np.isclose(np.sort(got2.real), np.sort(g.k0)).all()
+    assert np.isclose(np.sort(got1.real), np.sort(r.lc)).all()
+    assert np.isclose(np.sort(got2.real), np.sort(r.l0)).all()
