@@ -12,6 +12,10 @@ trace(S Qbar) + trace(P L V L') with Qbar the state weight and V =
 (I - pi1 Lap)**-1 the measurement noise covariance; both are computed here
 through independent per-frequency combinations and must agree, which the
 test suite and the ``verify`` command exercise.
+
+:func:`sweep` and :func:`curve_reports` return tables: a dict that maps
+each column of :data:`CSV_HEADER` (:data:`COLUMNS`) to a 1-D array, one
+entry per point, which :func:`rows_to_csv` renders as CSV.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .params import NondimParams, locality_residuals
+from .params import NondimParams
 from .spectral import (circulant_rows, laplacian_circulant, laplacian_spectrum,
                        offdiag_masses)
 from .synthesis import (IMAG_TOL, DesignSpectra, GainSet, design_spectra,
@@ -31,22 +35,25 @@ __all__ = [
     "CostLocalityReport",
     "ClosedLoopLqg",
     "SweepGrid",
-    "SweepRow",
     "costs",
     "lqr_cost",
     "kf_cost",
     "lqg_cost",
     "lqg_cost_dual",
+    "dual_lqg_cost",
     "build_closed_loop",
     "report",
     "sweep",
     "curve_reports",
     "rows_to_csv",
+    "COLUMNS",
     "CSV_HEADER",
 ]
 
-CSV_HEADER = ("pi1,pi2,pi3,pi4,n,j_lqr,j_kf,j_lqg,offdiag_k1,offdiag_k2,"
-              "offdiag_l1,offdiag_l2,res_k,res_l,on_curve")
+COLUMNS = ("pi1", "pi2", "pi3", "pi4", "n", "j_lqr", "j_kf", "j_lqg",
+           "offdiag_k1", "offdiag_k2", "offdiag_l1", "offdiag_l2",
+           "res_k", "res_l", "on_curve")
+CSV_HEADER = ",".join(COLUMNS)
 
 
 def costs(s: DesignSpectra) -> np.ndarray:
@@ -75,14 +82,19 @@ def lqg_cost(p: NondimParams) -> float:
     return float(costs(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n))[2])
 
 
-def lqg_cost_dual(p: NondimParams) -> float:
-    """Same cost through the dual form trace(S Qbar) + trace(P L V L')."""
-    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
+def dual_lqg_cost(s: DesignSpectra, p: NondimParams) -> float:
+    """The LQG cost through the dual form trace(S Qbar) + trace(P L V L'),
+    from the spectra ``s`` of the design at ``p``."""
     v_inv = 1.0 - p.pi1 * laplacian_spectrum(p.n)
     state = s.s1 * v_inv + s.s2 * p.pi2
     inject = (s.p1 * s.lc ** 2 + 2.0 * s.p0 * s.lc * s.l0
               + s.p2 * s.l0 ** 2) / v_inv
     return float(np.sum(state + inject))
+
+
+def lqg_cost_dual(p: NondimParams) -> float:
+    """Same cost through the dual form trace(S Qbar) + trace(P L V L')."""
+    return dual_lqg_cost(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n), p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,26 +185,35 @@ class CostLocalityReport:
 _CHUNK_CELLS = 1 << 12
 
 
-def _reports(points: list[NondimParams], n: int) -> list[CostLocalityReport]:
-    """:func:`report` at each point (all on n sites), chunk by chunk."""
+def _table(pi1, pi2, pi3, pi4, n: int) -> dict[str, np.ndarray]:
+    """Every column but ``on_curve`` at the points (pi1, pi2, pi3, pi4),
+    broadcast to one axis, all on n sites; the design is evaluated chunk
+    by chunk."""
+    pi = np.stack(np.broadcast_arrays(
+        *np.atleast_1d(pi1, pi2, pi3, pi4))).astype(float)
     step = max(1, _CHUNK_CELLS // n)
-    out = []
-    for i in range(0, len(points), step):
-        chunk = points[i:i + step]
-        pi = np.array([[pt.pi1, pt.pi2, pt.pi3, pt.pi4] for pt in chunk])
-        s = design_spectra(*pi.T, n)
+    values = []
+    for i in range(0, pi.shape[1], step):
+        s = design_spectra(*pi[:, i:i + step], n)
         masses = offdiag_masses(circulant_rows(s.blocks, IMAG_TOL))
-        values = np.concatenate([costs(s), masses], axis=-1).tolist()
-        # positional in field order: point, costs, masses, residuals
-        out += [CostLocalityReport(pt.pi1, pt.pi2, pt.pi3, pt.pi4, pt.n, *v,
-                                   *locality_residuals(pt))
-                for pt, v in zip(chunk, values)]
-    return out
+        values.append(np.concatenate([costs(s), masses], axis=-1))
+    residuals = pi[0] - 2.0 / pi[2:]  # locality_residuals, per point
+    return dict(zip(COLUMNS, (*pi, np.full(pi.shape[1], n),
+                              *np.concatenate(values).T, *residuals)))
 
 
 def report(p: NondimParams) -> CostLocalityReport:
     """Evaluate costs and locality measures at one parameter point."""
-    return _reports([p], p.n)[0]
+    table = _table(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
+    # the report's fields are the columns before on_curve, in order
+    return CostLocalityReport(*(table[c].item() for c in COLUMNS[:-1]))
+
+
+def _positive_values(name: str, values) -> np.ndarray:
+    vals = np.atleast_1d(np.asarray(values, dtype=float))
+    if vals.size < 1 or np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
+        raise ValueError(f"{name} must be positive and finite")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -213,74 +234,48 @@ class SweepGrid:
 
     def __post_init__(self):
         for name in ("pi1_values", "pi34_values"):
-            vals = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            if vals.size < 1 or np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
-                raise ValueError(f"{name} must be positive and finite")
-            object.__setattr__(self, name, vals)
-        if not (self.pi2 > 0.0 and self.pi3_fixed > 0.0):
-            raise ValueError("pi2 and pi3_fixed must be positive")
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
+            object.__setattr__(self, name,
+                               _positive_values(name, getattr(self, name)))
+        # the first point runs the checks on the values all points share
+        NondimParams(self.pi1_values[0], self.pi2, self.pi3_fixed,
+                     self.pi34_values[0], self.n)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    params: NondimParams
-    report: CostLocalityReport
-    on_curve: bool
+def sweep(grid: SweepGrid) -> dict[str, np.ndarray]:
+    """The table of :func:`report` columns on every grid point, plus
+    ``on_curve``, which tags the points near the decentralized curve.
 
-
-def _log_half_cell(values: np.ndarray) -> float:
-    if values.size < 2:
-        return 0.0
-    return 0.5 * float(np.max(np.diff(np.log(values))))
-
-
-def _near_curve(pi1: float, pi_other: float, half_cell: float) -> bool:
-    """Within half a grid cell (log space) of the set pi1 * pi_other = 2."""
-    dist = abs(math.log(pi1) + math.log(pi_other) - math.log(2.0)) / math.sqrt(2.0)
-    return dist <= max(half_cell, 1e-12)
-
-
-def sweep(grid: SweepGrid) -> list[SweepRow]:
-    """Evaluate :func:`report` on every grid point, tagging curve proximity.
-
-    Rows come back pi1-major: the outer loop walks pi1_values, the inner one
+    Rows come pi1-major: the outer loop walks pi1_values, the inner one
     pi34_values.
     """
-    half = max(_log_half_cell(grid.pi1_values),
-               _log_half_cell(grid.pi34_values))
-    points = [NondimParams(pi1=float(pi1), pi2=grid.pi2, n=grid.n,
-                           pi3=float(v if grid.tie_pi3_pi4
-                                     else grid.pi3_fixed), pi4=float(v))
-              for pi1 in grid.pi1_values for v in grid.pi34_values]
-    return [SweepRow(params=pt, report=rep,
-                     on_curve=(_near_curve(pt.pi1, pt.pi3, half)
-                               and _near_curve(pt.pi1, pt.pi4, half)))
-            for pt, rep in zip(points, _reports(points, grid.n))]
+    pi1 = np.repeat(grid.pi1_values, grid.pi34_values.size)
+    pi4 = np.tile(grid.pi34_values, grid.pi1_values.size)
+    pi3 = pi4 if grid.tie_pi3_pi4 else np.full_like(pi4, grid.pi3_fixed)
+    table = _table(pi1, grid.pi2, pi3, pi4, grid.n)
+    # on the curve: within half a grid cell (log space) of pi1 pi3 = 2
+    # and of pi1 pi4 = 2
+    half = 0.5 * max(np.max(np.diff(np.log(v)), initial=0.0)
+                     for v in (grid.pi1_values, grid.pi34_values))
+    dist = np.abs(np.log(pi1) + np.log([pi3, pi4])
+                  - math.log(2.0)) / math.sqrt(2.0)
+    table["on_curve"] = np.all(dist <= max(half, 1e-12), axis=0)
+    return table
 
 
 def curve_reports(pi1_values, pi2: float = 1.0, n: int = 30
-                  ) -> list[SweepRow]:
-    """Reports along the fully decentralized family pi3 = pi4 = 2/pi1."""
-    points = [NondimParams(pi1=float(pi1), pi2=pi2, pi3=2.0 / float(pi1),
-                           pi4=2.0 / float(pi1), n=n)
-              for pi1 in np.atleast_1d(np.asarray(pi1_values, dtype=float))]
-    return [SweepRow(params=pt, report=rep, on_curve=True)
-            for pt, rep in zip(points, _reports(points, n))]
+                  ) -> dict[str, np.ndarray]:
+    """The sweep table along the fully decentralized family
+    pi3 = pi4 = 2/pi1."""
+    pi1 = _positive_values("pi1_values", pi1_values)
+    pi34 = 2.0 / pi1
+    NondimParams(pi1[0], pi2, pi34[0], pi34[0], n)  # checks pi2 and n
+    table = _table(pi1, pi2, pi34, pi34, n)
+    table["on_curve"] = np.ones(pi1.size, dtype=bool)
+    return table
 
 
-def rows_to_csv(rows: list[SweepRow]) -> str:
-    """Render sweep rows with the fixed header; floats use shortest repr."""
-    lines = [CSV_HEADER]
-    for row in rows:
-        r = row.report
-        vals = [r.pi1, r.pi2, r.pi3, r.pi4]
-        cells = [repr(float(v)) for v in vals] + [str(r.n)]
-        cells += [repr(float(v)) for v in
-                  (r.j_lqr, r.j_kf, r.j_lqg, r.offdiag_k1, r.offdiag_k2,
-                   r.offdiag_l1, r.offdiag_l2, r.residual_lqr_decentral,
-                   r.residual_kf_decentral)]
-        cells.append("true" if row.on_curve else "false")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def rows_to_csv(table: dict[str, np.ndarray]) -> str:
+    """Render a sweep table under :data:`CSV_HEADER`, one line per row."""
+    # repr gives floats in shortest round-trip form, lower() bools as true
+    columns = [[repr(v).lower() for v in table[c].tolist()] for c in COLUMNS]
+    return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"

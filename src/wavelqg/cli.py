@@ -128,7 +128,11 @@ def _verdict_lines(p: NondimParams) -> list[str]:
 def _write_all(texts: dict[str, str]) -> None:
     """Write each text to its path: first all of them to temporary files
     beside their targets, then each into place with ``os.replace``.  A
-    failure removes the temporary files written so far."""
+    failure removes the temporary files written so far; a directory in
+    the way is rejected first, as ``os.replace`` would only refuse it late."""
+    for path in texts:
+        if os.path.isdir(path):
+            raise UsageError(f"cannot write {path}: it is a directory")
     pending = []  # (temporary, target)
     try:
         for path, text in texts.items():
@@ -205,29 +209,29 @@ def _log_grid(lo: float, hi: float, count: int) -> np.ndarray:
 
 
 def _cmd_sweep(args) -> int:
+    if args.curve_only and args.heatmap:
+        raise UsageError("--heatmap needs a 2-D sweep, not --curve-only")
+    if args.lineplot and not args.curve_only:
+        raise UsageError("--lineplot is for --curve-only sweeps")
+    pi1 = _log_grid(args.pi1_min, args.pi1_max, args.pi1_count)
     if args.curve_only:
-        pi1 = _log_grid(args.pi1_min, args.pi1_max, args.pi1_count)
-        rows = analysis.curve_reports(pi1, pi2=args.pi2, n=args.n)
+        table = analysis.curve_reports(pi1, pi2=args.pi2, n=args.n)
     else:
         grid = analysis.SweepGrid(
-            pi1_values=_log_grid(args.pi1_min, args.pi1_max, args.pi1_count),
+            pi1_values=pi1,
             pi34_values=_log_grid(args.pi34_min, args.pi34_max,
                                   args.pi34_count),
             pi2=args.pi2, n=args.n, tie_pi3_pi4=not args.untie,
             pi3_fixed=args.pi3_fixed)
-        rows = analysis.sweep(grid)
-    csv_text = analysis.rows_to_csv(rows)
+        table = analysis.sweep(grid)
     with open(args.out, "w") as fh:
-        fh.write(csv_text)
-    print(f"wrote {args.out} ({len(rows)} rows)")
+        fh.write(analysis.rows_to_csv(table))
+    print(f"wrote {args.out} ({table['n'].size} rows)")
     if args.heatmap:
-        if args.curve_only:
-            raise UsageError("--heatmap needs a 2-D sweep, not --curve-only")
         metric = {"lqr": "j_lqr", "kf": "j_kf", "lqg": "j_lqg"}[args.metric]
-        x = np.unique([r.params.pi1 for r in rows])
-        y = np.unique([r.params.pi4 for r in rows])
-        z = np.array([getattr(r.report, metric) for r in rows]).reshape(
-            x.size, y.size).T
+        x = np.unique(table["pi1"])
+        y = np.unique(table["pi4"])
+        z = table[metric].reshape(x.size, y.size).T
         cy = np.logspace(np.log10(y.min()), np.log10(y.max()), 200)
         svg = heatmap_svg(x, y, z, xlabel="pi1", ylabel="pi4",
                           title=f"{metric} (n={args.n}, pi2={args.pi2:g})",
@@ -236,13 +240,8 @@ def _cmd_sweep(args) -> int:
             fh.write(svg)
         print(f"wrote {args.heatmap}")
     if args.lineplot:
-        if not args.curve_only:
-            raise UsageError("--lineplot is for --curve-only sweeps")
-        x = np.array([r.params.pi1 for r in rows])
-        series = {"j_lqr": [r.report.j_lqr for r in rows],
-                  "j_kf": [r.report.j_kf for r in rows],
-                  "j_lqg": [r.report.j_lqg for r in rows]}
-        svg = line_plot_svg(x, series, xlabel="pi1", ylabel="cost",
+        series = {c: table[c] for c in ("j_lqr", "j_kf", "j_lqg")}
+        svg = line_plot_svg(table["pi1"], series, xlabel="pi1", ylabel="cost",
                             title=f"costs along pi3=pi4=2/pi1 (n={args.n})")
         with open(args.lineplot, "w") as fh:
             fh.write(svg)

@@ -75,7 +75,8 @@ def verify_point(p: NondimParams) -> list[Check]:
                                               [s.p0[k], s.p2[k]]]), ctrl),
                       care_residual(np.array([[s.s1[k], s.s0[k]],
                                               [s.s0[k], s.s2[k]]]), filt))
-    dual_dev = _rel_dev(analysis.lqg_cost(p), analysis.lqg_cost_dual(p))
+    dual_dev = _rel_dev(float(analysis.costs(s)[2]),
+                        analysis.dual_lqg_cost(s, p))
     absc = spectral_abscissa(analysis.build_closed_loop(p).augmented)
     return [
         _at_most("per_frequency_gain_vs_dense_oracle", gain_err, 1e-7),

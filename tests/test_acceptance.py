@@ -162,8 +162,8 @@ def test_08_sweep_reproduces_cost_landscape():
     grid = analysis.SweepGrid(pi1_values=pi1g,
                               pi34_values=np.logspace(-1, 1, 50), n=30)
     rows = analysis.sweep(grid)
-    j_kf = np.array([r.report.j_kf for r in rows]).reshape(50, 50)
-    j_lqr = np.array([r.report.j_lqr for r in rows]).reshape(50, 50)
+    j_kf = rows["j_kf"].reshape(50, 50)
+    j_lqr = rows["j_lqr"].reshape(50, 50)
     assert np.all(np.isfinite(j_kf)) and np.all(np.isfinite(j_lqr))
 
     for col, v in enumerate(np.logspace(-1, 1, 50)):
@@ -179,7 +179,7 @@ def test_08_sweep_reproduces_cost_landscape():
                     assert max(ratio, 1.0 / ratio) < 10.0
 
     ends = analysis.curve_reports(np.array([0.1, 10.0]), n=30)
-    assert ends[0].report.j_lqg < ends[1].report.j_lqg
+    assert ends["j_lqg"][0] < ends["j_lqg"][1]
     assert time.perf_counter() - start < 120.0
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from wavelqg import analysis
-from wavelqg.analysis import (CSV_HEADER, CostLocalityReport, SweepGrid,
-                              build_closed_loop, curve_reports, kf_cost,
-                              lqg_cost, lqg_cost_dual, lqr_cost,
+from wavelqg.analysis import (COLUMNS, CSV_HEADER, CostLocalityReport,
+                              SweepGrid, build_closed_loop, curve_reports,
+                              kf_cost, lqg_cost, lqg_cost_dual, lqr_cost,
                               plant_matrices, report, rows_to_csv, sweep)
 from wavelqg.oracle import DenseAreProblem, solve_care_dense, \
     solve_filter_are_dense, spectral_abscissa
@@ -157,73 +157,102 @@ def test_report_roundtrip():
 
 def test_sweep_orders_rows_pi1_major():
     grid = SweepGrid(pi1_values=[0.5, 1.0], pi34_values=[2.0, 4.0], n=4)
-    rows = sweep(grid)
-    got = [(r.params.pi1, r.params.pi4) for r in rows]
+    table = sweep(grid)
+    assert list(table) == list(COLUMNS)
+    got = list(zip(table["pi1"].tolist(), table["pi4"].tolist()))
     assert got == [(0.5, 2.0), (0.5, 4.0), (1.0, 2.0), (1.0, 4.0)]
-    assert all(r.params.pi3 == r.params.pi4 for r in rows)
+    assert np.array_equal(table["pi3"], table["pi4"])
+    assert table["n"].dtype.kind == "i" and table["on_curve"].dtype == bool
+    assert all(table[c].shape == (4,) for c in COLUMNS)
 
 
 def test_sweep_untied_holds_pi3():
     grid = SweepGrid(pi1_values=[0.5], pi34_values=[2.0, 4.0],
                      tie_pi3_pi4=False, pi3_fixed=1.5, n=4)
-    rows = sweep(grid)
-    assert [r.params.pi3 for r in rows] == [1.5, 1.5]
-    assert [r.params.pi4 for r in rows] == [2.0, 4.0]
+    table = sweep(grid)
+    assert table["pi3"].tolist() == [1.5, 1.5]
+    assert table["pi4"].tolist() == [2.0, 4.0]
 
 
 def test_sweep_tags_curve_points():
     grid = SweepGrid(pi1_values=np.logspace(-1, 1, 9),
                      pi34_values=np.logspace(-1, 1, 9), n=4)
-    rows = sweep(grid)
-    hits = [(r.params.pi1, r.params.pi4) for r in rows if r.on_curve]
-    assert hits, "grid must tag points near pi1*pi4 = 2"
-    for pi1, pi4 in hits:
-        assert abs(np.log(pi1 * pi4 / 2.0)) <= np.log(10) / 8 * np.sqrt(2) + 1e-9
+    table = sweep(grid)
+    hits = (table["pi1"] * table["pi4"])[table["on_curve"]]
+    assert hits.size, "grid must tag points near pi1*pi4 = 2"
+    assert np.all(np.abs(np.log(hits / 2.0))
+                  <= np.log(10) / 8 * np.sqrt(2) + 1e-9)
+
+
+_REPORT_NAMES = {"res_k": "residual_lqr_decentral",
+                 "res_l": "residual_kf_decentral"}
+
+
+def _rows(table):
+    """Each row of a sweep table as (point, report dict, on_curve)."""
+    for i in range(table["n"].size):
+        row = {_REPORT_NAMES.get(c, c): table[c][i].item() for c in COLUMNS}
+        on_curve = row.pop("on_curve")
+        point = NondimParams(**{k: row[k] for k in ("pi1", "pi2", "pi3",
+                                                   "pi4", "n")})
+        yield point, row, on_curve
 
 
 def test_single_point_sweep_equals_report(monkeypatch):
     grid = SweepGrid(pi1_values=[0.5], pi34_values=[4.0], n=8)
-    rows = sweep(grid)
-    assert len(rows) == 1
-    assert rows[0].report == report(params(n=8))
-    assert rows[0].on_curve  # exact curve point, zero-width cell
+    ((p, fields, on_curve),) = _rows(sweep(grid))
+    assert p == params(n=8)
+    assert fields == report(p).to_dict()
+    assert on_curve  # exact curve point, zero-width cell
     # batched 4x3 grids, tied and untied, and the batched curve reproduce
     # the single-point report exactly, in pi1-major order; chunks of 5
     # points cut across the pi1 rows
     monkeypatch.setattr(analysis, "_CHUNK_CELLS", 30)
     pi1s, pi34s = np.logspace(-1, 1, 4), np.logspace(-1, 1, 3)
     for tie in (True, False):
-        rows = sweep(SweepGrid(pi1_values=pi1s, pi34_values=pi34s, n=6,
-                               tie_pi3_pi4=tie, pi3_fixed=1.7))
+        rows = list(_rows(sweep(SweepGrid(pi1_values=pi1s, pi34_values=pi34s,
+                                          n=6, tie_pi3_pi4=tie,
+                                          pi3_fixed=1.7))))
         expected = [params(pi1=a, pi3=v if tie else 1.7, pi4=v, n=6)
                     for a in pi1s for v in pi34s]
-        assert [r.params for r in rows] == expected
-        assert [r.report for r in rows] == [report(p) for p in expected]
-    rows = curve_reports(pi1s, n=6)
-    assert [r.report for r in rows] == [report(r.params) for r in rows]
+        assert [p for p, _, _ in rows] == expected
+        assert [f for _, f, _ in rows] == [report(p).to_dict()
+                                           for p in expected]
+    rows = list(_rows(curve_reports(pi1s, n=6)))
+    assert len(rows) == 4
+    assert all(on for _, _, on in rows)
+    assert [f for _, f, _ in rows] == [report(p).to_dict()
+                                       for p, _, _ in rows]
 
 
 def test_csv_rendering_roundtrips():
-    grid = SweepGrid(pi1_values=[0.5, 1.0], pi34_values=[4.0], n=4)
-    rows = sweep(grid)
-    text = rows_to_csv(rows)
+    grid = SweepGrid(pi1_values=[0.5, 1.0], pi34_values=[4.0, 7.0], n=4)
+    table = sweep(grid)
+    text = rows_to_csv(table)
     lines = text.strip().split("\n")
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 3
-    cells = lines[1].split(",")
-    assert float(cells[0]) == rows[0].report.pi1
-    assert float(cells[5]) == rows[0].report.j_lqr  # shortest repr roundtrip
-    assert cells[-1] in ("true", "false")
+    assert lines[0] == CSV_HEADER == ",".join(COLUMNS)
+    assert len(lines) == 5
+    for i, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        assert len(cells) == len(COLUMNS)
+        for c, cell in zip(COLUMNS, cells):
+            value = table[c][i].item()
+            if c == "on_curve":
+                assert cell == ("true" if value else "false")
+            elif c == "n":
+                assert cell == str(int(cell)) and int(cell) == value
+            else:
+                assert float(cell) == value  # shortest repr roundtrip
+    assert "true" in text and "false" in text
 
 
 def test_curve_reports_follow_fig4_ordering():
-    rows = curve_reports(np.logspace(-1, 1, 12), pi2=1.0, n=30)
-    assert all(r.on_curve for r in rows)
-    for r in rows:
-        assert r.params.pi3 == pytest.approx(2.0 / r.params.pi1, rel=1e-14)
-        assert r.params.pi4 == r.params.pi3
-    j = [r.report.j_lqg for r in rows]
-    assert all(b > a for a, b in zip(j, j[1:]))  # smaller pi1, smaller cost
+    table = curve_reports(np.logspace(-1, 1, 12), pi2=1.0, n=30)
+    assert table["on_curve"].all()
+    np.testing.assert_allclose(table["pi3"], 2.0 / table["pi1"], rtol=1e-14)
+    assert np.array_equal(table["pi4"], table["pi3"])
+    j = table["j_lqg"]
+    assert np.all(np.diff(j) > 0)  # smaller pi1, smaller cost
 
 
 def test_sweep_grid_validation():
@@ -231,3 +260,21 @@ def test_sweep_grid_validation():
         SweepGrid(pi1_values=[0.0, 1.0], pi34_values=[1.0])
     with pytest.raises(ValueError, match="n"):
         SweepGrid(pi1_values=[1.0], pi34_values=[1.0], n=1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SweepGrid(pi1_values=[1.0], pi34_values=[1.0], pi2=np.inf),
+    lambda: SweepGrid(pi1_values=[1.0], pi34_values=[1.0],
+                      pi3_fixed=np.nan),
+    lambda: SweepGrid(pi1_values=[1.0], pi34_values=[1.0], n=8.0),
+    lambda: curve_reports([0.0]),
+    lambda: curve_reports([-1.0]),
+    lambda: curve_reports([np.inf]),
+    lambda: curve_reports([1.0], pi2=0),
+    lambda: curve_reports([1.0], n=1),
+], ids=["grid-pi2-inf", "grid-pi3-fixed-nan", "grid-n-float",
+        "curve-pi1-zero", "curve-pi1-negative", "curve-pi1-inf",
+        "curve-pi2-zero", "curve-n-1"])
+def test_sweep_inputs_are_validated(make):
+    with pytest.raises(ValueError):
+        make()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -93,6 +94,16 @@ def test_synth_removes_temporary_files_when_a_write_fails(tmp_path, capsys):
     assert main(["synth", *DECENTRAL, "--out", str(tmp_path / "g")]) == 2
     assert capsys.readouterr().out == ""
     assert [p.name for p in tmp_path.iterdir()] == ["g_kf.json.tmp"]
+
+
+def test_synth_rejects_a_directory_target_before_writing(tmp_path, capsys):
+    # os.replace would refuse the directory only after the regulator file
+    # had been moved into place
+    (tmp_path / "g_kf.json").mkdir()
+    assert main(["synth", *DECENTRAL, "--out", str(tmp_path / "g")]) == 2
+    assert "directory" in capsys.readouterr().err
+    assert not (tmp_path / "g_lqr.json").exists()
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_verify_against_dense_oracle(capsys):
@@ -293,14 +304,18 @@ def test_heatmap_needs_two_dimensional_sweep(tmp_path, capsys):
     assert main(["sweep", "--curve-only", "--out",
                  str(tmp_path / "c.csv"), "--heatmap",
                  str(tmp_path / "h.svg")]) == 2
-    assert "2-D sweep" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "2-D sweep" in err
+    assert out == "" and list(tmp_path.iterdir()) == []
 
 
 def test_lineplot_needs_curve_only(tmp_path, capsys):
     assert main(["sweep", "--pi1-count", "2", "--pi34-count", "2", "--n", "4",
                  "--out", str(tmp_path / "s.csv"), "--lineplot",
                  str(tmp_path / "l.svg")]) == 2
-    assert "curve-only" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "curve-only" in err
+    assert out == "" and list(tmp_path.iterdir()) == []
 
 
 def test_bad_grid_bounds(tmp_path, capsys):
@@ -382,3 +397,37 @@ def test_report_to_file(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
     payload = json.loads(out.read_text())
     assert payload["n"] == 4
+
+
+# ------------------------------------------------------ design recomputation
+
+@pytest.mark.parametrize("argv, expected", [
+    (["report", *DECENTRAL], 1),
+    (["synth", *DECENTRAL, "--out", "{tmp}/h"], 1),
+    (["verify", *DECENTRAL], 2),  # its own and build_closed_loop's
+    (["verify", "--check-file", "{tmp}/g_lqr.json"], 0),
+    (["simulate", *DECENTRAL, "--t-final", "1"], 2),  # SimConfig, simulate
+    # 12 points in chunks of _CHUNK_CELLS // n = 20 // 4 = 5 points
+    (["sweep", "--pi1-count", "4", "--pi34-count", "3", "--n", "4",
+      "--out", "{tmp}/s.csv"], 3),
+    (["sweep", "--curve-only", "--pi1-count", "5", "--n", "4",
+      "--out", "{tmp}/c.csv"], 1),
+], ids=["report", "synth", "verify", "verify-check-file", "simulate",
+        "sweep", "sweep-curve-only"])
+def test_design_evaluations_per_command(tmp_path, monkeypatch, capsys, argv,
+                                        expected):
+    assert main(["synth", *DECENTRAL, "--out", str(tmp_path / "g")]) == 0
+    original = synthesis.design_spectra
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "wavelqg"
+                and getattr(module, "design_spectra", None) is original):
+            monkeypatch.setattr(module, "design_spectra", counted)
+    monkeypatch.setattr(analysis, "_CHUNK_CELLS", 20)
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 0
+    assert len(calls) == expected
