@@ -8,7 +8,7 @@ parameter groups, and a Monte Carlo simulator for end-to-end checks.
 """
 
 from .params import DimensionalParams, NondimParams, locality_residuals, nondimensionalize
-from .spectral import Circulant, offdiag_mass
+from .spectral import circulant_dense, offdiag_masses
 from .synthesis import (DesignSpectra, GainKind, GainSet, design_spectra,
                         optimal_gains)
 from .analysis import (CostLocalityReport, SweepGrid, build_closed_loop,

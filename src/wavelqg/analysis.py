@@ -26,14 +26,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .params import NondimParams
-from .spectral import (circulant_rows, laplacian_circulant, laplacian_spectrum,
-                       offdiag_masses)
-from .synthesis import (IMAG_TOL, DesignSpectra, GainSet, design_spectra,
-                        optimal_gains)
+from .spectral import (circulant_dense, circulant_rows, laplacian_circulant,
+                       laplacian_spectrum, offdiag_masses)
+from .synthesis import IMAG_TOL, DesignSpectra, design_spectra, optimal_gains
 
 __all__ = [
     "CostLocalityReport",
-    "ClosedLoopLqg",
     "SweepGrid",
     "costs",
     "lqr_cost",
@@ -97,35 +95,10 @@ def lqg_cost_dual(p: NondimParams) -> float:
     return dual_lqg_cost(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n), p)
 
 
-@dataclass(frozen=True, eq=False)
-class ClosedLoopLqg:
-    """Dense realization of the output-feedback loop.
-
-    ``augmented`` is the 4n-by-4n generator of (plant state, estimate):
-
-        [[A, -B K], [L C, A - L C - B K]],
-
-    with the dense gains K = [K1 K2] and L = [L1; L2] assembled from
-    ``gain_k`` and ``gain_l``.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c_meas: np.ndarray
-    gain_k: GainSet
-    gain_l: GainSet
-    params: NondimParams
-    augmented: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.params.n
-
-
 def plant_matrices(p: NondimParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense (A, B, C): wave dynamics, force injection, displacement sensing."""
     n = p.n
-    lap = laplacian_circulant(n).dense()
+    lap = circulant_dense(laplacian_circulant(n))
     zero = np.zeros((n, n))
     eye = np.eye(n)
     a = np.block([[zero, eye], [lap, zero]])
@@ -134,22 +107,23 @@ def plant_matrices(p: NondimParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return a, b, c
 
 
-def build_closed_loop(p: NondimParams) -> ClosedLoopLqg:
-    """Assemble the dense LQG loop for eigenvalue checks and tests.
+def build_closed_loop(p: NondimParams) -> np.ndarray:
+    """The dense 4n-by-4n generator of the optimal LQG loop in (plant
+    state, estimate) coordinates, for eigenvalue checks and tests:
 
-    Its stability is not asserted here: ``verify`` reports the spectral
-    abscissa of ``augmented``, and the simulator checks the same loop
-    frequency by frequency.
+        [[A, -B K], [L C, A - L C - B K]],
+
+    with K = [K1 K2] and L = [L1; L2].  Its stability is not asserted
+    here: ``verify`` reports its spectral abscissa, and the simulator
+    checks the same loop frequency by frequency.
     """
     a, b, c = plant_matrices(p)
     gk, gl = optimal_gains(p)
-    kmat = np.hstack([gk.block1.dense(), gk.block2.dense()])
-    lmat = np.vstack([gl.block1.dense(), gl.block2.dense()])
+    kmat = np.hstack(circulant_dense(gk.rows))
+    lmat = np.vstack(circulant_dense(gl.rows))
     bk = b @ kmat
     lc = lmat @ c
-    aug = np.block([[a, -bk], [lc, a - lc - bk]])
-    return ClosedLoopLqg(a=a, b=b, c_meas=c, gain_k=gk, gain_l=gl, params=p,
-                         augmented=aug)
+    return np.block([[a, -bk], [lc, a - lc - bk]])
 
 
 @dataclass(frozen=True)
@@ -173,10 +147,6 @@ class CostLocalityReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CostLocalityReport":
-        return cls(**d)
 
 
 # Point-frequency cells per kernel call.  The kernel holds about 300 bytes

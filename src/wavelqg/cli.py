@@ -22,7 +22,7 @@ from . import analysis, synthesis
 from .params import (DimensionalParams, NondimParams, locality_residuals,
                      nondimensionalize)
 from .simulator import SimConfig, simulate
-from .spectral import offdiag_mass
+from .spectral import offdiag_masses
 from .svgplot import heatmap_svg, line_plot_svg
 
 _PI_KEYS = ("pi1", "pi2", "pi3", "pi4")
@@ -60,6 +60,14 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _number(merged: dict, key: str, default: float | None = None) -> float:
+    value = merged.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{key} must be a number, got {value!r}")
+
+
 def _resolve_params(args, require_matched_scaling: bool = False):
     """Merge --config with explicit flags and build the parameter set.
 
@@ -77,14 +85,14 @@ def _resolve_params(args, require_matched_scaling: bool = False):
     if pi_given and dim_given:
         raise UsageError("give either dimensionless or physical parameters, "
                          f"not both (got {pi_given + dim_given})")
-    n = int(merged.get("n", 30))
+    n = merged.get("n", 30)  # the parameter sets reject a non-integer
     try:
         if dim_given:
             missing = [k for k in _DIM_KEYS if k not in merged]
             if missing:
                 raise UsageError(
                     f"physical parameter set is incomplete; missing {missing}")
-            dim = DimensionalParams(n=n, **{k: float(merged[k])
+            dim = DimensionalParams(n=n, **{k: _number(merged, k)
                                             for k in _DIM_KEYS})
             if require_matched_scaling and dim.r != dim.sigma_d:
                 raise UsageError(
@@ -92,10 +100,10 @@ def _resolve_params(args, require_matched_scaling: bool = False):
                     "estimator scalings, which needs r == sigma_d "
                     f"(got r={dim.r!r}, sigma_d={dim.sigma_d!r})")
             return nondimensionalize(dim), dim
-        p = NondimParams(pi1=float(merged.get("pi1", 0.0)),
-                         pi2=float(merged.get("pi2", 1.0)),
-                         pi3=float(merged.get("pi3", 1.0)),
-                         pi4=float(merged.get("pi4", 1.0)),
+        p = NondimParams(pi1=_number(merged, "pi1", 0.0),
+                         pi2=_number(merged, "pi2", 1.0),
+                         pi3=_number(merged, "pi3", 1.0),
+                         pi4=_number(merged, "pi4", 1.0),
                          n=n)
         return p, None
     except ValueError as exc:
@@ -161,8 +169,8 @@ def _cmd_synth(args) -> int:
     _write_all(texts)
     for path, gs in zip(texts, sets):
         print(f"wrote {path}")
-        for name, block in zip(_BLOCK_NAMES[gs.kind], (gs.block1, gs.block2)):
-            print(f"  offdiag_mass({name}) = {offdiag_mass(block):.3e}")
+        for name, mass in zip(_BLOCK_NAMES[gs.kind], offdiag_masses(gs.rows)):
+            print(f"  offdiag_mass({name}) = {mass:.3e}")
     for line in _verdict_lines(p):
         print(line)
     return 0

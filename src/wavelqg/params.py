@@ -25,7 +25,9 @@ which involves neither dx nor n: decentralization survives grid refinement.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+import numbers
+from dataclasses import dataclass
 
 __all__ = [
     "DimensionalParams",
@@ -41,8 +43,8 @@ def _require_positive(name: str, value: float) -> None:
 
 
 def _require_finite(name: str, value: float) -> None:
-    if not (value == value and abs(value) != float("inf")):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -72,13 +74,6 @@ class DimensionalParams:
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DimensionalParams":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class NondimParams:
@@ -102,13 +97,6 @@ class NondimParams:
             raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NondimParams":
-        return cls(**d)
 
 
 def nondimensionalize(p: DimensionalParams) -> NondimParams:

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import _kernels, analysis
 from .params import NondimParams
-from .spectral import laplacian_circulant, laplacian_spectrum
+from .spectral import circulant_dense, laplacian_circulant, laplacian_spectrum
 from .synthesis import design_spectra
 
 __all__ = [
@@ -267,7 +267,7 @@ def sample_correlated_noise(pi1: float, n: int, rng: np.random.Generator,
 
 def noise_covariance(pi1: float, n: int) -> np.ndarray:
     """Dense (I - pi1 Lap)^-1, the measurement noise covariance."""
-    lap = laplacian_circulant(n).dense()
+    lap = circulant_dense(laplacian_circulant(n))
     return np.linalg.inv(np.eye(n) - pi1 * lap)
 
 

@@ -5,7 +5,10 @@ Laplacian and all regulator/filter gain blocks -- commutes with a cyclic
 shift of the grid sites, i.e. is circulant.  A circulant is determined by
 its first row and is diagonalized by the discrete Fourier transform, so all
 heavy lifting reduces to arithmetic on length-n eigenvalue sequences, held
-as plain arrays indexed by frequency k = 0..n-1.
+as plain arrays indexed by frequency k = 0..n-1.  A circulant itself is held
+as its first row, a plain array; every function here takes a batch of rows
+or spectra along the last axis.  :func:`circulant_dense` is the one place
+that builds the dense matrix, for the oracle and the tests.
 
 Conventions
 -----------
@@ -24,22 +27,19 @@ of the exponent is immaterial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "SymmetryError",
-    "Circulant",
     "laplacian_spectrum",
     "laplacian_circulant",
+    "circulant_dense",
     "spectrum_of_circulant",
     "circulant_rows",
     "offdiag_masses",
-    "offdiag_mass",
 ]
 
-# Floor for the norm in offdiag_mass, so an all-zero row reports mass 0
+# Floor for the norm in offdiag_masses, so an all-zero row reports mass 0
 # instead of dividing by zero.
 _NORM_FLOOR = 1e-300
 
@@ -48,42 +48,23 @@ class SymmetryError(ValueError):
     """A spectrum lacks the conjugate symmetry a real circulant requires."""
 
 
-@dataclass(frozen=True, eq=False)
-class Circulant:
-    """A real n-by-n circulant matrix stored by its first row."""
-
-    first_row: np.ndarray
-
-    def __post_init__(self):
-        row = np.atleast_1d(np.asarray(self.first_row, dtype=float))
-        if row.ndim != 1:
-            raise ValueError("first_row must be one-dimensional")
-        if row.size < 2:
-            raise ValueError("first_row needs n >= 2 entries")
-        row = row.copy()
-        row.flags.writeable = False
-        object.__setattr__(self, "first_row", row)
-
-    @property
-    def n(self) -> int:
-        return self.first_row.size
-
-    def dense(self) -> np.ndarray:
-        """Materialize the full matrix (tests, oracle checks, small n only)."""
-        n = self.n
-        idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-        return self.first_row[idx]
-
-
-def laplacian_circulant(n: int) -> Circulant:
-    """Periodic second-difference operator: first row [-2, 1, 0, ..., 0, 1]."""
+def laplacian_circulant(n: int) -> np.ndarray:
+    """First row [-2, 1, 0, ..., 0, 1] of the periodic second difference."""
     if n < 2:
         raise ValueError("n must be at least 2")
     row = np.zeros(n)
     row[0] = -2.0
     row[1] += 1.0
     row[-1] += 1.0  # n == 2 folds both neighbors onto the same site
-    return Circulant(row)
+    return row
+
+
+def circulant_dense(rows: np.ndarray) -> np.ndarray:
+    """Dense circulants from first rows along the last axis: entry (i, j)
+    of each matrix is rows[..., (j - i) mod n].  For the oracle and the
+    tests only."""
+    n = rows.shape[-1]
+    return rows[..., (np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
 
 
 def laplacian_spectrum(n: int) -> np.ndarray:
@@ -98,12 +79,13 @@ def laplacian_spectrum(n: int) -> np.ndarray:
     return -4.0 * np.sin(np.pi * k / n) ** 2
 
 
-def spectrum_of_circulant(c: Circulant) -> np.ndarray:
-    """Complex eigenvalues of ``c`` indexed by frequency, in the convention
-    of the module docstring: the conjugate of numpy's forward FFT of the
-    first row (the two coincide for symmetric first rows).
+def spectrum_of_circulant(rows: np.ndarray) -> np.ndarray:
+    """Complex eigenvalues, indexed by frequency, of the circulants whose
+    first rows run along the last axis, in the convention of the module
+    docstring: the conjugate of numpy's forward FFT of the first row (the
+    two coincide for symmetric first rows).
     """
-    return np.conj(np.fft.fft(c.first_row))
+    return np.conj(np.fft.fft(rows, axis=-1))
 
 
 def circulant_rows(vals: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -126,15 +108,11 @@ def circulant_rows(vals: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 
 def offdiag_masses(rows: np.ndarray) -> np.ndarray:
-    """:func:`offdiag_mass` of each first row along the last axis."""
-    off = np.sqrt(np.sum(rows[..., 1:] ** 2, axis=-1))
-    return off / np.maximum(np.sqrt(np.sum(rows ** 2, axis=-1)), _NORM_FLOOR)
-
-
-def offdiag_mass(c: Circulant) -> float:
-    """Relative l2 weight of the off-diagonal couplings of ``c``.
+    """Relative l2 weight of the off-diagonal couplings of each first row
+    along the last axis.
 
     Zero exactly when the matrix is a multiple of the identity, i.e. when
     the feedback it represents is completely decentralized.
     """
-    return float(offdiag_masses(c.first_row))
+    off = np.sqrt(np.sum(rows[..., 1:] ** 2, axis=-1))
+    return off / np.maximum(np.sqrt(np.sum(rows ** 2, axis=-1)), _NORM_FLOOR)

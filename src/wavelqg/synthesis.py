@@ -34,7 +34,8 @@ squares: k0 = pi3 and l0 = 1.
 
 :func:`design_spectra` evaluates all of these at a batch of points, and
 :func:`optimal_gains` turns one point's K1, K2, L1 and L2 spectra (in that
-order, :attr:`DesignSpectra.blocks`) into the circulant gain blocks.
+order, :attr:`DesignSpectra.blocks`) into the first rows of the circulant
+gain blocks.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import NondimParams
-from .spectral import Circulant, circulant_rows, laplacian_spectrum
+from .spectral import circulant_rows, laplacian_spectrum
 
 __all__ = [
     "GainKind",
@@ -71,15 +72,15 @@ class GainKind(str, enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class GainSet:
-    """Assembled circulant gain blocks.
+    """The two circulant gain blocks, as first rows.
 
-    For the regulator, u = -(block1 @ displacements + block2 @ velocities);
-    for the filter, the injection is [block1; block2] @ innovation.
-    ``spectra`` has shape (2, n): row i is the spectrum of block i + 1.
+    ``rows`` and ``spectra`` have shape (2, n): row i of each is the first
+    row, resp. the spectrum, of block i + 1.  For the regulator,
+    u = -(K1 @ displacements + K2 @ velocities); for the filter, the
+    injection is [L1; L2] @ innovation.
     """
 
-    block1: Circulant
-    block2: Circulant
+    rows: np.ndarray
     kind: GainKind
     params: NondimParams
     spectra: np.ndarray
@@ -133,8 +134,7 @@ def optimal_gains(p: NondimParams) -> tuple[GainSet, GainSet]:
     """The optimal (regulator, filter) gain sets at ``p``."""
     spectra = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n).blocks
     rows = circulant_rows(spectra, IMAG_TOL)
-    return tuple(GainSet(block1=Circulant(rows[i]),
-                         block2=Circulant(rows[i + 1]), kind=kind, params=p,
+    return tuple(GainSet(rows=rows[i:i + 2], kind=kind, params=p,
                          spectra=spectra[i:i + 2])
                  for i, kind in ((0, GainKind.LQR), (2, GainKind.KF)))
 
@@ -179,8 +179,8 @@ def gain_set_to_dict(gs: GainSet) -> dict:
         "n": gs.params.n,
         "pi": {"pi1": gs.params.pi1, "pi2": gs.params.pi2,
                "pi3": gs.params.pi3, "pi4": gs.params.pi4},
-        "block1_first_row": [float(x) for x in gs.block1.first_row],
-        "block2_first_row": [float(x) for x in gs.block2.first_row],
+        "block1_first_row": [float(x) for x in gs.rows[0]],
+        "block2_first_row": [float(x) for x in gs.rows[1]],
         "spectral": {
             "k0": [float(x) for x in k0],
             "companion": [float(x) for x in companion],
@@ -191,12 +191,19 @@ def gain_set_to_dict(gs: GainSet) -> dict:
 def gain_set_from_dict(d: dict) -> GainSet:
     """Inverse of :func:`gain_set_to_dict`.
 
-    Raises ValueError naming the first array that does not hold ``n``
-    numbers.
+    Raises ValueError naming a field that is not an object, a malformed
+    pi value or ``n``, or the first array that does not hold ``n`` numbers.
     """
-    pi = d["pi"]
+    def obj(name: str, value) -> dict:
+        if not isinstance(value, dict):
+            raise ValueError(f"{name} must be an object, "
+                             f"got {type(value).__name__}")
+        return value
+
+    d = obj("gain file", d)
+    pi = obj("gain file field pi", d["pi"])
     p = NondimParams(pi1=pi["pi1"], pi2=pi["pi2"], pi3=pi["pi3"],
-                     pi4=pi["pi4"], n=int(d["n"]))
+                     pi4=pi["pi4"], n=d["n"])
     kind = GainKind(d["kind"])
 
     def array(name: str, values) -> np.ndarray:
@@ -206,13 +213,13 @@ def gain_set_from_dict(d: dict) -> GainSet:
                              f"numbers, got shape {a.shape}")
         return a
 
-    spec = d["spectral"]
+    spec = obj("gain file field spectral", d["spectral"])
     spectra = np.stack([array("spectral.k0", spec["k0"]),
                         array("spectral.companion", spec["companion"])])
-    return GainSet(
-        block1=Circulant(array("block1_first_row", d["block1_first_row"])),
-        block2=Circulant(array("block2_first_row", d["block2_first_row"])),
-        kind=kind, params=p, spectra=spectra[_FILE_ORDER[kind]])
+    rows = np.stack([array("block1_first_row", d["block1_first_row"]),
+                     array("block2_first_row", d["block2_first_row"])])
+    return GainSet(rows=rows, kind=kind, params=p,
+                   spectra=spectra[_FILE_ORDER[kind]])
 
 
 __all__ += ["gain_are_residuals", "gain_set_to_dict", "gain_set_from_dict"]

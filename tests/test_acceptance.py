@@ -14,7 +14,7 @@ from wavelqg import analysis, synthesis
 from wavelqg.oracle import spectral_abscissa
 from wavelqg.params import DimensionalParams, NondimParams, locality_residuals, nondimensionalize
 from wavelqg.simulator import SimConfig, noise_covariance, sample_correlated_noise, simulate
-from wavelqg.spectral import offdiag_mass
+from wavelqg.spectral import circulant_dense, offdiag_masses
 from wavelqg.verify import verify_point
 
 N_CYCLE = (2, 4, 8, 16, 30)
@@ -55,14 +55,14 @@ def test_02_decentralized_point_gains_are_scaled_identities():
     p = NondimParams(pi1=0.5, pi2=1.0, pi3=4.0, pi4=4.0, n=30)
     gk, gl = synthesis.optimal_gains(p)
     blocks = [
-        (gk.block1, p.pi3),
-        (gk.block2, np.sqrt(2.0 * p.pi3 + p.pi2 * p.pi3 ** 2)),
-        (gl.block1, np.sqrt(2.0 / p.pi4)),
-        (gl.block2, 1.0),
+        (gk.rows[0], p.pi3),
+        (gk.rows[1], np.sqrt(2.0 * p.pi3 + p.pi2 * p.pi3 ** 2)),
+        (gl.rows[0], np.sqrt(2.0 / p.pi4)),
+        (gl.rows[1], 1.0),
     ]
-    for block, value in blocks:
-        assert offdiag_mass(block) <= 1e-10
-        assert block.first_row[0] == pytest.approx(value, rel=1e-12)
+    for row, value in blocks:
+        assert offdiag_masses(row) <= 1e-10
+        assert row[0] == pytest.approx(value, rel=1e-12)
     assert time.perf_counter() - start < 1.0
 
 
@@ -108,14 +108,16 @@ def test_05_closed_loop_is_stable_and_separates():
     """20 random points (n <= 16): augmented loop abscissa < 0 and its
     spectrum is the union of regulator and filter spectra to 1e-8."""
     for p in _draws(20, 1e-1, 1e1, seed=505, n_choices=(2, 4, 8, 16)):
-        cl = analysis.build_closed_loop(p)
-        assert spectral_abscissa(cl.augmented) < 0.0
-        kmat = np.hstack([cl.gain_k.block1.dense(), cl.gain_k.block2.dense()])
-        lmat = np.vstack([cl.gain_l.block1.dense(), cl.gain_l.block2.dense()])
+        aug = analysis.build_closed_loop(p)
+        assert spectral_abscissa(aug) < 0.0
+        a, b, c = analysis.plant_matrices(p)
+        gk, gl = synthesis.optimal_gains(p)
+        kmat = np.hstack(circulant_dense(gk.rows))
+        lmat = np.vstack(circulant_dense(gl.rows))
         expected = np.concatenate([
-            np.linalg.eigvals(cl.a - cl.b @ kmat),
-            np.linalg.eigvals(cl.a - lmat @ cl.c_meas)])
-        got = np.linalg.eigvals(cl.augmented)
+            np.linalg.eigvals(a - b @ kmat),
+            np.linalg.eigvals(a - lmat @ c)])
+        got = np.linalg.eigvals(aug)
         tol = 1e-8 * (1.0 + np.abs(expected).max())
         remaining = list(expected)
         for lam in got:

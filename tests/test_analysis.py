@@ -1,5 +1,7 @@
 """Trace costs, closed-loop assembly, reports, and parameter sweeps."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,8 @@ from wavelqg.analysis import (COLUMNS, CSV_HEADER, CostLocalityReport,
 from wavelqg.oracle import DenseAreProblem, solve_care_dense, \
     solve_filter_are_dense, spectral_abscissa
 from wavelqg.params import NondimParams
-from wavelqg.spectral import laplacian_circulant
-from wavelqg.synthesis import design_spectra
+from wavelqg.spectral import circulant_dense, laplacian_circulant
+from wavelqg.synthesis import design_spectra, optimal_gains
 
 
 def params(pi1=0.5, pi2=1.0, pi3=4.0, pi4=4.0, n=30):
@@ -21,7 +23,7 @@ def params(pi1=0.5, pi2=1.0, pi3=4.0, pi4=4.0, n=30):
 
 def dense_lqr_trace(p):
     n = p.n
-    lap = laplacian_circulant(n).dense()
+    lap = circulant_dense(laplacian_circulant(n))
     a = np.block([[np.zeros((n, n)), np.eye(n)], [lap, np.zeros((n, n))]])
     b = np.vstack([np.zeros((n, n)), np.eye(n)])
     q = np.block([[np.eye(n) - p.pi1 * lap, np.zeros((n, n))],
@@ -33,7 +35,7 @@ def dense_lqr_trace(p):
 
 def dense_kf_trace(p):
     n = p.n
-    lap = laplacian_circulant(n).dense()
+    lap = circulant_dense(laplacian_circulant(n))
     a = np.block([[np.zeros((n, n)), np.eye(n)], [lap, np.zeros((n, n))]])
     c = np.hstack([p.pi4 * np.eye(n), np.zeros((n, n))])
     w = np.block([[np.zeros((n, n)), np.zeros((n, n))],
@@ -103,7 +105,7 @@ def test_per_frequency_summands_reflect():
 def test_plant_matrices_layout():
     p = params(n=4)
     a, b, c = plant_matrices(p)
-    lap = laplacian_circulant(4).dense()
+    lap = circulant_dense(laplacian_circulant(4))
     np.testing.assert_array_equal(a[:4, 4:], np.eye(4))
     np.testing.assert_array_equal(a[4:, :4], lap)
     np.testing.assert_array_equal(b[4:], np.eye(4))
@@ -115,19 +117,18 @@ def test_plant_matrices_layout():
     params(pi1=0.0, pi3=1.0, pi4=1.0, n=4),
 ])
 def test_closed_loop_is_stable(p):
-    cl = build_closed_loop(p)
-    assert spectral_abscissa(cl.augmented) < 0.0
+    assert spectral_abscissa(build_closed_loop(p)) < 0.0
 
 
 def test_separation_spectrum():
     p = params(pi1=0.7, pi2=1.1, pi3=1.8, pi4=0.8, n=6)
-    cl = build_closed_loop(p)
-    a, b, c = cl.a, cl.b, cl.c_meas
-    kmat = np.hstack([cl.gain_k.block1.dense(), cl.gain_k.block2.dense()])
-    lmat = np.vstack([cl.gain_l.block1.dense(), cl.gain_l.block2.dense()])
+    a, b, c = plant_matrices(p)
+    gk, gl = optimal_gains(p)
+    kmat = np.hstack(circulant_dense(gk.rows))
+    lmat = np.vstack(circulant_dense(gl.rows))
     expected = np.concatenate([np.linalg.eigvals(a - b @ kmat),
                                np.linalg.eigvals(a - lmat @ c)])
-    got = list(np.linalg.eigvals(cl.augmented))
+    got = list(np.linalg.eigvals(build_closed_loop(p)))
     for lam in expected:
         j = int(np.argmin(np.abs(np.asarray(got) - lam)))
         assert abs(got[j] - lam) <= 1e-8 * (1 + abs(lam))
@@ -151,8 +152,9 @@ def test_report_at_pi1_zero():
 
 
 def test_report_roundtrip():
+    # the report JSON the CLI writes holds every field exactly
     r = report(params(pi1=0.3, pi2=2.0, pi3=1.5, pi4=0.7, n=8))
-    assert CostLocalityReport.from_dict(r.to_dict()) == r
+    assert CostLocalityReport(**json.loads(json.dumps(r.to_dict()))) == r
 
 
 def test_sweep_orders_rows_pi1_major():

@@ -11,7 +11,7 @@ import pytest
 from wavelqg import analysis, synthesis
 from wavelqg.cli import main
 from wavelqg.params import NondimParams
-from wavelqg.spectral import Circulant
+from wavelqg.spectral import circulant_dense
 
 DECENTRAL = ["--pi1", "0.5", "--pi2", "1", "--pi3", "4", "--pi4", "4",
            "--n", "4"]
@@ -184,14 +184,49 @@ def test_check_file_with_wrong_array_length_is_rejected(tmp_path, capsys,
         assert field in err
 
 
+@pytest.mark.parametrize("source, mutation, field", [
+    ("gain file", {"n": 4.9}, "n"),
+    ("gain file", {"n": [8]}, "n"),
+    ("gain file", {"pi": None}, "pi"),
+    ("gain file", {"spectral": None}, "spectral"),
+    ("gain file", {"pi": {"pi1": None, "pi2": 1, "pi3": 4, "pi4": 4}}, "pi1"),
+    ("config", {"n": 4.5}, "n"),
+    ("config", {"pi1": None}, "pi1"),
+    ("gain file", None, "gain file"),  # the gain object inside a list
+], ids=["file-n-fraction", "file-n-list", "file-pi-null",
+        "file-spectral-null", "file-pi1-null",
+        "config-n-fraction", "config-pi1-null", "file-not-an-object"])
+def test_malformed_parameters_are_usage_errors(tmp_path, capsys, source,
+                                               mutation, field):
+    # never truncated to a neighbouring n, never a traceback
+    main(["synth", *DECENTRAL, "--kind", "lqr", "--out", str(tmp_path / "g")])
+    if source == "gain file":
+        path = tmp_path / "g_lqr.json"
+        payload = json.loads(path.read_text())
+        argv = ["verify", "--check-file", str(path)]
+    else:
+        path = tmp_path / "cfg.json"
+        payload = {"pi1": 0.5, "pi3": 4.0, "pi4": 4.0, "n": 4}
+        argv = ["synth", "--config", str(path), "--out", str(tmp_path / "h")]
+    if mutation is None:
+        payload = [payload]
+    else:
+        payload.update(mutation)
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+
+
 def test_verify_fails_on_an_unstable_assembly(monkeypatch, capsys):
     # a sign error in the regulator blocks must surface as a FAIL record
     optimal = analysis.optimal_gains
 
     def broken(p):
         gk, gl = optimal(p)
-        flipped = dataclasses.replace(
-            gk, block1=Circulant(-gk.block1.first_row))
+        flipped = dataclasses.replace(gk, rows=gk.rows * [[-1.0], [1.0]])
         return flipped, gl
 
     monkeypatch.setattr(analysis, "optimal_gains", broken)
@@ -401,6 +436,22 @@ def test_report_to_file(tmp_path, capsys):
 
 # ------------------------------------------------------ design recomputation
 
+def _count_calls(monkeypatch, name, original):
+    """Wrap ``original`` under ``name`` in every wavelqg module that holds
+    it; returns the list the wrapper appends each call's arguments to."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for modname, module in list(sys.modules.items()):
+        if (modname.split(".")[0] == "wavelqg"
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["report", *DECENTRAL], 1),
     (["synth", *DECENTRAL, "--out", "{tmp}/h"], 1),
@@ -417,17 +468,30 @@ def test_report_to_file(tmp_path, capsys):
 def test_design_evaluations_per_command(tmp_path, monkeypatch, capsys, argv,
                                         expected):
     assert main(["synth", *DECENTRAL, "--out", str(tmp_path / "g")]) == 0
-    original = synthesis.design_spectra
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    for name, module in list(sys.modules.items()):
-        if (name.split(".")[0] == "wavelqg"
-                and getattr(module, "design_spectra", None) is original):
-            monkeypatch.setattr(module, "design_spectra", counted)
+    calls = _count_calls(monkeypatch, "design_spectra",
+                         synthesis.design_spectra)
     monkeypatch.setattr(analysis, "_CHUNK_CELLS", 20)
     assert main([a.format(tmp=tmp_path) for a in argv]) == 0
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["report", *DECENTRAL], 0),
+    (["synth", *DECENTRAL, "--out", "{tmp}/h"], 0),
+    (["verify", *DECENTRAL], 3),  # the Laplacian, K and L
+    (["verify", "--check-file", "{tmp}/g_lqr.json"], 0),
+    (["simulate", *DECENTRAL, "--t-final", "1"], 0),
+    (["sweep", "--pi1-count", "4", "--pi34-count", "3", "--n", "4",
+      "--out", "{tmp}/s.csv"], 0),
+    (["sweep", "--curve-only", "--pi1-count", "5", "--n", "4",
+      "--out", "{tmp}/c.csv"], 0),
+], ids=["report", "synth", "verify", "verify-check-file", "simulate",
+        "sweep", "sweep-curve-only"])
+def test_dense_circulants_per_command(tmp_path, monkeypatch, capsys, argv,
+                                      expected):
+    # dense matrices belong to the oracle: only verify at a point builds any
+    assert main(["synth", *DECENTRAL, "--out", str(tmp_path / "g")]) == 0
+    calls = _count_calls(monkeypatch, "circulant_dense", circulant_dense)
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 0
+    assert len(calls) == expected
+

@@ -9,7 +9,7 @@ from wavelqg.oracle import (ConvergenceError, DenseAreProblem,
                             solve_care_dense, solve_filter_are_dense,
                             spectral_abscissa)
 from wavelqg.params import NondimParams
-from wavelqg.spectral import laplacian_circulant
+from wavelqg.spectral import circulant_dense, laplacian_circulant
 from wavelqg.synthesis import optimal_gains
 
 SQRT3 = np.sqrt(3.0)
@@ -194,7 +194,7 @@ def test_full_ring_dense_solve_matches_spectral_assembly():
     # one 2n-by-2n Newton solve against the per-frequency construction
     p = NondimParams(pi1=0.8, pi2=1.3, pi3=2.1, pi4=1.0, n=8)
     n = p.n
-    lap = laplacian_circulant(n).dense()
+    lap = circulant_dense(laplacian_circulant(n))
     a = np.block([[np.zeros((n, n)), np.eye(n)], [lap, np.zeros((n, n))]])
     b = np.vstack([np.zeros((n, n)), np.eye(n)])
     q = np.block([[np.eye(n) - p.pi1 * lap, np.zeros((n, n))],
@@ -202,5 +202,5 @@ def test_full_ring_dense_solve_matches_spectral_assembly():
     prob = DenseAreProblem(a=a, b=b, q=q, r_inv=p.pi3**2 * np.eye(n))
     _, k_dense = solve_care_dense(prob)
     gs, _ = optimal_gains(p)
-    k_spectral = np.hstack([gs.block1.dense(), gs.block2.dense()])
+    k_spectral = np.hstack(circulant_dense(gs.rows))
     assert np.abs(k_dense - k_spectral).max() <= 1e-8 * (1 + np.abs(k_spectral).max())

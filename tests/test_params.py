@@ -1,5 +1,8 @@
 """Parameter groups, nondimensionalization, and locality residuals."""
 
+import json
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,10 +113,11 @@ def test_grid_size_validation(n):
 
 
 def test_dict_roundtrips():
+    # valid sets pass through JSON (configs, gain files) unchanged
     d = dims(alpha=0.3, sigma_d=2.5)
-    assert DimensionalParams.from_dict(d.to_dict()) == d
+    assert DimensionalParams(**json.loads(json.dumps(asdict(d)))) == d
     p = NondimParams(pi1=0.5, pi2=1.0, pi3=4.0, pi4=4.0, n=30)
-    assert NondimParams.from_dict(p.to_dict()) == p
+    assert NondimParams(**json.loads(json.dumps(asdict(p)))) == p
 
 
 def test_pi1_zero_admitted():

@@ -21,8 +21,8 @@ from wavelqg.simulator import (
     sample_correlated_noise,
     simulate,
 )
-from wavelqg.spectral import (Circulant, circulant_rows, laplacian_circulant,
-                              laplacian_spectrum)
+from wavelqg.spectral import (circulant_dense, circulant_rows,
+                              laplacian_circulant, laplacian_spectrum)
 
 MILD = NondimParams(pi1=0.0, pi2=1.0, pi3=1.0, pi4=1.0, n=4)
 # pi3 = pi4 = 2/pi1: the completely decentralized family at n=4.
@@ -179,13 +179,14 @@ def test_noise_scale_rescales_exactly():
 
 def _dense_gains(spectra, n):
     """Dense K = [K1 K2] and L = [L1; L2] from (k0, kc, l0, lc) spectra."""
-    k0, kc, l0, lc = (Circulant(circulant_rows(g)).dense() for g in spectra)
+    k0, kc, l0, lc = circulant_dense(circulant_rows(spectra))
     return np.hstack([k0, kc]), np.vstack([lc, l0])
 
 
 def _sqrt_noise_covariance(pi1, n):
     """Symmetric square root of (I - pi1 Lap)^-1, by eigendecomposition."""
-    lam, vec = np.linalg.eigh(np.eye(n) - pi1 * laplacian_circulant(n).dense())
+    lap = circulant_dense(laplacian_circulant(n))
+    lam, vec = np.linalg.eigh(np.eye(n) - pi1 * lap)
     return (vec / np.sqrt(lam)) @ vec.T
 
 
@@ -201,7 +202,7 @@ def test_frequency_blocks_match_dense_loop_for_any_gains(n):
     a, b, w = frequency_blocks(p, *spectra, dt, noise_scale=scale)
 
     kmat, lmat = _dense_gains(spectra, n)
-    lap = laplacian_circulant(n).dense()
+    lap = circulant_dense(laplacian_circulant(n))
     zero, eye = np.zeros((n, n)), np.eye(n)
     plant = np.block([[zero, eye], [lap, zero]])
     bk = np.vstack([zero, eye]) @ kmat
@@ -242,10 +243,11 @@ def _dense_simulation(cfg):
     """
     p = cfg.params
     n, dt = p.n, cfg.dt
-    cl = build_closed_loop(p)
-    kmat = np.hstack([cl.gain_k.block1.dense(), cl.gain_k.block2.dense()])
-    lmat = np.vstack([cl.gain_l.block1.dense(), cl.gain_l.block2.dense()])
-    lap = laplacian_circulant(n).dense()
+    aug = build_closed_loop(p)
+    gk, gl = synthesis.optimal_gains(p)
+    kmat = np.hstack(circulant_dense(gk.rows))
+    lmat = np.vstack(circulant_dense(gl.rows))
+    lap = circulant_dense(laplacian_circulant(n))
     qbar = np.block([[np.eye(n) - p.pi1 * lap, np.zeros((n, n))],
                      [np.zeros((n, n)), p.pi2 * np.eye(n)]])
     krk = kmat.T @ kmat / p.pi3 ** 2
@@ -273,7 +275,7 @@ def _dense_simulation(cfg):
             if t >= burn:
                 post_c += c
                 post_e += np.sum((x - xh) ** 2) * dt
-            z = z + dt * cl.augmented @ z + inject @ raw[t]
+            z = z + dt * aug @ z + inject @ raw[t]
         costs.append(post_c / ((steps - burn) * dt))
         errs.append(post_e / ((steps - burn) * dt))
     return np.array(costs), np.array(errs), np.array(stored)
@@ -313,9 +315,9 @@ def test_zero_noise_zero_state_stays_at_rest():
 def test_zero_noise_decay_rate_matches_filter_abscissa():
     # Without noise the estimation error follows e' = (A - LC)e, so its
     # asymptotic decay is at least as fast as the slowest filter mode.
-    cl = build_closed_loop(MILD)
-    lmat = np.vstack([cl.gain_l.block1.dense(), cl.gain_l.block2.dense()])
-    absc = spectral_abscissa(cl.a - lmat @ cl.c_meas)
+    a, _, c = analysis.plant_matrices(MILD)
+    _, gl = synthesis.optimal_gains(MILD)
+    absc = spectral_abscissa(a - np.vstack(circulant_dense(gl.rows)) @ c)
     assert absc < 0.0
 
     x0 = np.random.default_rng(7).standard_normal(2 * MILD.n)
@@ -360,8 +362,8 @@ def test_control_is_gain_times_estimate():
     cfg = SimConfig(params=DECENTRAL, dt=0.01, t_final=3.0, seed=9,
                     store_every=50)
     traj, _ = simulate(cfg)
-    cl = build_closed_loop(DECENTRAL)
-    kmat = np.hstack([cl.gain_k.block1.dense(), cl.gain_k.block2.dense()])
+    gk, _ = synthesis.optimal_gains(DECENTRAL)
+    kmat = np.hstack(circulant_dense(gk.rows))
     assert np.allclose(traj.control, -traj.estimate @ kmat.T, atol=1e-13)
 
 
@@ -411,7 +413,7 @@ def test_correlated_noise_matches_dense_inverse():
     # Covariance of the spectrally sampled noise is (I - pi1 Lap)^-1;
     # check empirically against the dense inverse, entrywise at 3 SE.
     cov = noise_covariance(1.0, 4)
-    lap = laplacian_circulant(4).dense()
+    lap = circulant_dense(laplacian_circulant(4))
     assert np.allclose((np.eye(4) - lap) @ cov, np.eye(4), atol=1e-12)
 
     rng = np.random.default_rng(0)
@@ -438,7 +440,7 @@ def test_cost_integrand_weights_potential_energy():
     # (phi, psi) it is the L2 terms plus pi1 times the discrete potential
     # energy -phi' Lap phi, exactly.
     n, pi1, pi2 = 6, 0.7, 1.3
-    lap = laplacian_circulant(n).dense()
+    lap = circulant_dense(laplacian_circulant(n))
     qbar = np.block([[np.eye(n) - pi1 * lap, np.zeros((n, n))],
                      [np.zeros((n, n)), pi2 * np.eye(n)]])
     rng = np.random.default_rng(4)

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavelqg.params import NondimParams
-from wavelqg.spectral import (SymmetryError, circulant_rows,
-                              laplacian_spectrum, offdiag_mass)
+from wavelqg.spectral import (SymmetryError, circulant_dense, circulant_rows,
+                              laplacian_spectrum, offdiag_masses)
 from wavelqg.synthesis import (IMAG_TOL, GainKind, decentralization_tolerance,
                                design_spectra, gain_are_residuals,
                                gain_set_from_dict, gain_set_to_dict,
@@ -176,13 +176,12 @@ def test_decentral_point_constants():
 def test_decentral_point_assembled_blocks():
     p = params(n=8)
     gk, _ = optimal_gains(p)
-    np.testing.assert_allclose(gk.block1.dense(), 4.0 * np.eye(8),
-                               atol=1e-12)
-    np.testing.assert_allclose(gk.block2.dense(), np.sqrt(24) * np.eye(8),
-                               atol=1e-12)
+    k1, k2 = circulant_dense(gk.rows)
+    np.testing.assert_allclose(k1, 4.0 * np.eye(8), atol=1e-12)
+    np.testing.assert_allclose(k2, np.sqrt(24) * np.eye(8), atol=1e-12)
     _, gl = optimal_gains(params(pi1=1.0, pi4=2.0, n=8))
-    np.testing.assert_allclose(gl.block1.dense(), np.eye(8), atol=1e-12)
-    np.testing.assert_allclose(gl.block2.dense(), np.eye(8), atol=1e-12)
+    np.testing.assert_allclose(circulant_dense(gl.rows), [np.eye(8)] * 2,
+                               atol=1e-12)
 
 
 def test_decentralization_iff_condition():
@@ -190,11 +189,11 @@ def test_decentralization_iff_condition():
         p = params(pi1=pi1, n=16)
         gk, gl = optimal_gains(p)
         on_curve = abs(pi1 - 2.0 / 4.0) <= decentralization_tolerance
-        for block in (gk.block1, gk.block2, gl.block1, gl.block2):
-            if on_curve:
-                assert offdiag_mass(block) <= 1e-10
-            else:
-                assert offdiag_mass(block) > 1e-10
+        masses = offdiag_masses(np.concatenate([gk.rows, gl.rows]))
+        if on_curve:
+            assert np.all(masses <= 1e-10)
+        else:
+            assert np.all(masses > 1e-10)
 
 
 def test_offdiag_mass_vanishes_only_at_the_crossing():
@@ -204,7 +203,7 @@ def test_offdiag_mass_vanishes_only_at_the_crossing():
     for pi1 in (0.3, 0.45, 0.5, 0.55, 0.7):
         p = params(pi1=pi1, pi3=pi3, n=16)
         gk, _ = optimal_gains(p)
-        masses[pi1] = offdiag_mass(gk.block1)
+        masses[pi1] = offdiag_masses(gk.rows[0])
     assert masses[0.5] <= 1e-12
     assert masses[0.45] > masses[0.5] and masses[0.55] > masses[0.5]
     assert masses[0.3] > masses[0.45] and masses[0.7] > masses[0.55]
@@ -222,7 +221,7 @@ def test_pi1_zero_never_constant(gain, attr):
 def test_pi1_zero_offdiag_is_substantial():
     p = params(pi1=0.0, pi3=1.0, n=8)
     gk, _ = optimal_gains(p)
-    assert offdiag_mass(gk.block1) > 0.01
+    assert offdiag_masses(gk.rows[0]) > 0.01
 
 
 def test_optimal_gains_rows_equal_per_block_rows():
@@ -234,10 +233,9 @@ def test_optimal_gains_rows_equal_per_block_rows():
         p = random_params(rng, n, lo=1e-6, hi=1e6)
         r = spectra(p)
         gk, gl = optimal_gains(p)
-        got = (gk.block1, gk.block2, gl.block1, gl.block2)
-        for block, spec in zip(got, (r.k0, r.kc, r.lc, r.l0)):
-            np.testing.assert_array_equal(block.first_row,
-                                          circulant_rows(spec, IMAG_TOL))
+        got = np.concatenate([gk.rows, gl.rows])
+        for row, spec in zip(got, (r.k0, r.kc, r.lc, r.l0)):
+            np.testing.assert_array_equal(row, circulant_rows(spec, IMAG_TOL))
         np.testing.assert_array_equal(gk.spectra, r.blocks[:2])
         np.testing.assert_array_equal(gl.spectra, r.blocks[2:])
 
@@ -258,10 +256,7 @@ def test_gain_set_json_roundtrip():
             back = gain_set_from_dict(d)
             assert back.kind == gs.kind
             assert back.params == gs.params
-            for name in ("block1", "block2"):
-                np.testing.assert_array_equal(
-                    getattr(back, name).first_row,
-                    getattr(gs, name).first_row)
+            np.testing.assert_array_equal(back.rows, gs.rows)
             np.testing.assert_array_equal(back.spectra, gs.spectra)
             assert all(c.ok for c in audit_gain_set(back)), (p, gs.kind)
             # serialized form is plain JSON types
@@ -297,7 +292,6 @@ def test_kf_blocks_are_ordered_companion_then_l0():
     _, gl = optimal_gains(p)
     assert gl.kind is GainKind.KF
     np.testing.assert_array_equal(gl.spectra, np.stack([r.lc, r.l0]))
-    got1 = np.linalg.eigvals(gl.block1.dense())
-    got2 = np.linalg.eigvals(gl.block2.dense())
+    got1, got2 = np.linalg.eigvals(circulant_dense(gl.rows))
     assert np.isclose(np.sort(got1.real), np.sort(r.lc)).all()
     assert np.isclose(np.sort(got2.real), np.sort(r.l0)).all()
