@@ -2,8 +2,8 @@
 
 The dynamics, costs and noise model are all circulant, so the optimal
 regulator and filter reduce to closed-form per-frequency Riccati roots.
-This package implements those closed forms, independent dense solvers to
-validate them, locality/performance analysis over the dimensionless
+This package implements those closed forms, an independent dense solver
+to validate them, locality/performance analysis over the dimensionless
 parameter groups, and a Monte Carlo simulator for end-to-end checks.
 """
 

@@ -28,7 +28,7 @@ import numpy as np
 from .params import NondimParams
 from .spectral import (circulant_dense, circulant_rows, laplacian_circulant,
                        laplacian_spectrum, offdiag_masses)
-from .synthesis import IMAG_TOL, DesignSpectra, design_spectra, optimal_gains
+from .synthesis import DesignSpectra, design_spectra, optimal_gains
 
 __all__ = [
     "CostLocalityReport",
@@ -165,7 +165,7 @@ def _table(pi1, pi2, pi3, pi4, n: int) -> dict[str, np.ndarray]:
     values = []
     for i in range(0, pi.shape[1], step):
         s = design_spectra(*pi[:, i:i + step], n)
-        masses = offdiag_masses(circulant_rows(s.blocks, IMAG_TOL))
+        masses = offdiag_masses(circulant_rows(s.blocks))
         values.append(np.concatenate([costs(s), masses], axis=-1))
     residuals = pi[0] - 2.0 / pi[2:]  # locality_residuals, per point
     return dict(zip(COLUMNS, (*pi, np.full(pi.shape[1], n),

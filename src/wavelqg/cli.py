@@ -86,28 +86,25 @@ def _resolve_params(args, require_matched_scaling: bool = False):
         raise UsageError("give either dimensionless or physical parameters, "
                          f"not both (got {pi_given + dim_given})")
     n = merged.get("n", 30)  # the parameter sets reject a non-integer
-    try:
-        if dim_given:
-            missing = [k for k in _DIM_KEYS if k not in merged]
-            if missing:
-                raise UsageError(
-                    f"physical parameter set is incomplete; missing {missing}")
-            dim = DimensionalParams(n=n, **{k: _number(merged, k)
-                                            for k in _DIM_KEYS})
-            if require_matched_scaling and dim.r != dim.sigma_d:
-                raise UsageError(
-                    "the output-feedback loop identifies the plant and "
-                    "estimator scalings, which needs r == sigma_d "
-                    f"(got r={dim.r!r}, sigma_d={dim.sigma_d!r})")
-            return nondimensionalize(dim), dim
-        p = NondimParams(pi1=_number(merged, "pi1", 0.0),
-                         pi2=_number(merged, "pi2", 1.0),
-                         pi3=_number(merged, "pi3", 1.0),
-                         pi4=_number(merged, "pi4", 1.0),
-                         n=n)
-        return p, None
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    if dim_given:
+        missing = [k for k in _DIM_KEYS if k not in merged]
+        if missing:
+            raise UsageError(
+                f"physical parameter set is incomplete; missing {missing}")
+        dim = DimensionalParams(n=n, **{k: _number(merged, k)
+                                        for k in _DIM_KEYS})
+        if require_matched_scaling and dim.r != dim.sigma_d:
+            raise UsageError(
+                "the output-feedback loop identifies the plant and "
+                "estimator scalings, which needs r == sigma_d "
+                f"(got r={dim.r!r}, sigma_d={dim.sigma_d!r})")
+        return nondimensionalize(dim), dim
+    p = NondimParams(pi1=_number(merged, "pi1", 0.0),
+                     pi2=_number(merged, "pi2", 1.0),
+                     pi3=_number(merged, "pi3", 1.0),
+                     pi4=_number(merged, "pi4", 1.0),
+                     n=n)
+    return p, None
 
 
 def _verdict_lines(p: NondimParams) -> list[str]:
@@ -259,14 +256,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_simulate(args) -> int:
     p, _ = _resolve_params(args, require_matched_scaling=True)
-    try:
-        cfg = SimConfig(params=p, dt=args.dt, t_final=args.t_final,
-                        seed=args.seed, burn_in=args.burn_in,
-                        n_realizations=args.realizations,
-                        noise_scale=0.0 if args.zero_noise else 1.0,
-                        store_every=args.store_every)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    cfg = SimConfig(params=p, dt=args.dt, t_final=args.t_final,
+                    seed=args.seed, burn_in=args.burn_in,
+                    n_realizations=args.realizations,
+                    noise_scale=0.0 if args.zero_noise else 1.0,
+                    store_every=args.store_every)
     traj, summary = simulate(cfg)
     print(f"empirical lqg cost:      {summary.empirical_lqg_cost:.6g}   "
           f"(predicted {summary.predicted_lqg_cost:.6g})")
@@ -380,10 +374,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (UsageError, OSError, ValueError, KeyError) as exc:
+        # ValueError covers json.JSONDecodeError and every parameter check
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,12 +1,11 @@
-"""Independent dense Riccati solvers used to cross-validate the closed forms.
+"""Independent dense Riccati solver used to cross-validate the closed forms.
 
-Nothing here shares a code path with the spectral synthesis.  The dense
-solver is a Newton iteration on the full matrix equation (Kleinman's scheme,
-bootstrapped by a shifted-Lyapunov stabilizing gain); the 2x2 solver works by
-direct elimination of the three scalar component equations and tries every
-sign combination.  Agreement between these and the per-frequency formulas is
-the package's main correctness evidence, so keeping the routes disjoint is
-the point.
+Nothing here shares a code path with the spectral synthesis.  The solver
+is a Newton iteration on the full matrix equation (Kleinman's scheme,
+bootstrapped by a shifted-Lyapunov stabilizing gain), run on the whole
+ring rather than per frequency.  Agreement between it and the
+per-frequency formulas is the package's main correctness evidence, so
+keeping the routes disjoint is the point.
 
 Dense solves are meant for modest sizes (n <= 64 grid sites, so state
 dimension <= 128); they are O(dim**3) per Newton step.
@@ -22,12 +21,10 @@ from scipy import linalg as sla
 __all__ = [
     "StabilizabilityError",
     "ConvergenceError",
-    "InfeasibilityError",
     "DenseAreProblem",
     "care_residual",
     "solve_care_dense",
     "solve_filter_are_dense",
-    "solve_care_bruteforce_2x2",
     "spectral_abscissa",
 ]
 
@@ -38,10 +35,6 @@ _RANK_TOL = 1e-8
 
 class StabilizabilityError(ValueError):
     """The (A, B) pair cannot be stabilized (or (A, Q^1/2) not detected)."""
-
-
-class InfeasibilityError(ValueError):
-    """No positive-definite stabilizing root exists among the candidates."""
 
 
 class ConvergenceError(RuntimeError):
@@ -206,98 +199,6 @@ def solve_filter_are_dense(a: np.ndarray, c: np.ndarray, w: np.ndarray,
     prob = DenseAreProblem(a=a.T, b=c.T, q=w, r_inv=v_inv)
     s, k_dual = solve_care_dense(prob)
     return s, k_dual.T
-
-
-def _candidate_roots_axis2(a, g, q):
-    """Elimination when the input enters the second coordinate (a11 == 0).
-
-    Component equations of a.T P + P a - g P e2 e2.T P + q = 0 with
-    P = [[p11, p12], [p12, p22]]:
-
-        (1,1)  2 a21 p12           - g p12**2   + q11 = 0
-        (2,2)  2 a12 p12 + 2 a22 p22 - g p22**2 + q22 = 0
-        (1,2)  a12 p11 + a22 p12 + a21 p22 - g p12 p22 + q12 = 0
-
-    (1,1) is a standalone quadratic in p12; for each root, (2,2) is a
-    quadratic in p22; (1,2) then gives p11 linearly (a12 != 0).
-    """
-    a12, a21, a22 = a[0, 1], a[1, 0], a[1, 1]
-    q11, q12, q22 = q[0, 0], q[0, 1], q[1, 1]
-    out = []
-    disc1 = a21 * a21 + g * q11
-    if disc1 < 0.0:
-        return out
-    for s1 in (1.0, -1.0):
-        p12 = (a21 + s1 * np.sqrt(disc1)) / g
-        disc2 = a22 * a22 + g * (2.0 * a12 * p12 + q22)
-        if disc2 < 0.0:
-            continue
-        for s2 in (1.0, -1.0):
-            p22 = (a22 + s2 * np.sqrt(disc2)) / g
-            p11 = (g * p12 * p22 - a22 * p12 - a21 * p22 - q12) / a12
-            out.append(np.array([[p11, p12], [p12, p22]]))
-    return out
-
-
-def solve_care_bruteforce_2x2(ahat, bhat, qhat, rhat_inv) -> np.ndarray:
-    """2x2 Riccati solution by scalar elimination and sign enumeration.
-
-    Supports the companion-type blocks this package produces: a rank-one
-    input along a coordinate axis, with a zero diagonal entry of ``ahat`` in
-    that coordinate (both the frequency-domain control block and the
-    transposed filter block have this shape).  All sign choices of the two
-    scalar square roots are enumerated and the symmetric positive-definite
-    stabilizing candidate is returned.
-
-    Raises
-    ------
-    InfeasibilityError
-        If no candidate is positive definite and stabilizing.
-    ValueError
-        If the data does not have the supported structure.
-    """
-    a = np.atleast_2d(np.asarray(ahat, dtype=float))
-    b = np.asarray(bhat, dtype=float).reshape(-1)
-    q = np.atleast_2d(np.asarray(qhat, dtype=float))
-    r_inv = float(np.asarray(rhat_inv).reshape(()))
-    if a.shape != (2, 2) or b.shape != (2,) or q.shape != (2, 2):
-        raise ValueError("expected 2x2 data with a length-2 input vector")
-    if r_inv <= 0.0:
-        raise ValueError("rhat_inv must be positive")
-
-    tiny = 1e-14 * (1.0 + np.abs(a).max() + np.abs(b).max())
-    if abs(b[0]) <= tiny and abs(b[1]) > tiny:
-        if abs(a[0, 0]) > tiny or abs(a[0, 1]) <= tiny:
-            raise ValueError("unsupported structure for axis-2 input")
-        g = r_inv * b[1] * b[1]
-        candidates = _candidate_roots_axis2(a, g, q)
-    elif abs(b[1]) <= tiny and abs(b[0]) > tiny:
-        if abs(a[1, 1]) > tiny or abs(a[1, 0]) <= tiny:
-            raise ValueError("unsupported structure for axis-1 input")
-        # Mirror the coordinates, solve, mirror back.
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        g = r_inv * b[0] * b[0]
-        candidates = [swap @ p @ swap
-                      for p in _candidate_roots_axis2(swap @ a @ swap, g,
-                                                      swap @ q @ swap)]
-    else:
-        raise ValueError("input vector must lie along a coordinate axis")
-
-    gmat = np.outer(b, b) * r_inv
-    best = None
-    best_res = np.inf
-    for p in candidates:
-        if not np.all(np.linalg.eigvalsh(p) > 0.0):
-            continue
-        if spectral_abscissa(a - gmat @ p) >= 0.0:
-            continue
-        res = np.abs(a.T @ p + p @ a - p @ gmat @ p + q).max()
-        if res < best_res:
-            best, best_res = p, res
-    if best is None:
-        raise InfeasibilityError(
-            "no positive-definite stabilizing root among the sign choices")
-    return best
 
 
 def spectral_abscissa(m) -> float:

@@ -15,11 +15,11 @@ Every matrix of the loop is circulant, so the orthonormal real DFT
 (``numpy.fft.rfft`` with ``norm="ortho"``) splits it into independent real
 4x4 blocks, one per bin k = 0 .. n//2, in (plant, estimate) coordinates.
 A bin's real and imaginary parts are two columns driven by the same
-block; :func:`frequency_blocks` builds the blocks and the simulator never
-forms a 4n x 4n matrix.  By Parseval, a site-space quadratic form is the
-sum over bins of the per-bin forms, weighted 1 at k = 0 and at the
-Nyquist bin k = n/2 (even n) and 2 elsewhere.  Stored samples are taken
-back to sites with ``irfft``.
+block; :func:`frequency_blocks` builds the blocks, once per run, and
+the simulator never forms a 4n x 4n matrix.  By Parseval, a site-space
+quadratic form is the sum over bins of the per-bin forms, weighted 1 at
+k = 0 and at the Nyquist bin k = n/2 (even n) and 2 elsewhere.  Stored
+samples are taken back to sites with ``irfft``.
 
 Determinism
 -----------
@@ -73,27 +73,6 @@ def kernel_backend() -> str:
     return _kernels.BACKEND
 
 
-def _generators(p: NondimParams, k0, kc, l0, lc) -> np.ndarray:
-    """Per-bin loop generators G_k, shape (n//2 + 1, 4, 4), in (plant x,
-    estimate xhat) coordinates for the gain spectra k0, kc (regulator) and
-    l0, lc (filter), each given over all n frequencies."""
-    m = p.n // 2 + 1
-    d = laplacian_spectrum(p.n)[:m]
-    k0, kc, l0, lc = (np.asarray(g, dtype=float)[:m] for g in (k0, kc, l0, lc))
-    g = np.zeros((m, 4, 4))
-    g[:, 0, 1] = 1.0
-    g[:, 1, 0] = d
-    g[:, 1, 2] = -k0
-    g[:, 1, 3] = -kc
-    g[:, 2, 0] = p.pi4 * lc
-    g[:, 2, 2] = -p.pi4 * lc
-    g[:, 2, 3] = 1.0
-    g[:, 3, 0] = p.pi4 * l0
-    g[:, 3, 2] = d - p.pi4 * l0 - k0
-    g[:, 3, 3] = -kc
-    return g
-
-
 def frequency_blocks(p: NondimParams, k0, kc, l0, lc, dt: float,
                      noise_scale: float = 1.0
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -103,7 +82,10 @@ def frequency_blocks(p: NondimParams, k0, kc, l0, lc, dt: float,
     ``l0``, ``lc`` the filter's (L2 and L1), each over all n frequencies;
     only the m = n//2 + 1 rfft bins are read.  Returns
 
-    a : (m, 4, 4) Euler maps I + dt G_k on (x, xhat);
+    a : (m, 4, 4) Euler maps I + dt G_k, with G_k bin k's loop generator
+        on (x, xhat): the plant [[0, 1], [d, 0]] under the control
+        -[k0, kc] xhat, and the estimate driven by the innovation
+        pi4 [lc, l0] (phi - phi hat);
     b : (m, 4, 2) injection of a bin's (force, measurement) white noise:
         sqrt(dt) noise_scale times the force column [0, 1, 0, 0] and the
         filtered measurement column [0, 0, lc, l0] / sqrt(1 - pi1 d);
@@ -118,7 +100,18 @@ def frequency_blocks(p: NondimParams, k0, kc, l0, lc, dt: float,
     m = n // 2 + 1
     d = laplacian_spectrum(n)[:m]
     k0, kc, l0, lc = (np.asarray(g, dtype=float)[:m] for g in (k0, kc, l0, lc))
-    a = np.eye(4) + dt * _generators(p, k0, kc, l0, lc)
+    g = np.zeros((m, 4, 4))  # the generators G_k on (x, xhat)
+    g[:, 0, 1] = 1.0
+    g[:, 1, 0] = d
+    g[:, 1, 2] = -k0
+    g[:, 1, 3] = -kc
+    g[:, 2, 0] = p.pi4 * lc
+    g[:, 2, 2] = -p.pi4 * lc
+    g[:, 2, 3] = 1.0
+    g[:, 3, 0] = p.pi4 * l0
+    g[:, 3, 2] = d - p.pi4 * l0 - k0
+    g[:, 3, 3] = -kc
+    a = np.eye(4) + dt * g
     amp = math.sqrt(dt) * noise_scale
     filt = amp / np.sqrt(1.0 - p.pi1 * d)
     b = np.zeros((m, 4, 2))
@@ -138,37 +131,16 @@ def frequency_blocks(p: NondimParams, k0, kc, l0, lc, dt: float,
     return a, b, w * weight[:, None, None]
 
 
-def _euler_stability(p: NondimParams, dt: float) -> tuple[float, float]:
-    """Spectral radius of the loop's Euler maps I + dt G_k at step ``dt``,
-    and the largest step min(-2 Re lam / |lam|**2) that keeps it below 1,
-    over the eigenvalues lam of the optimal design's G_k.
-
-    Raises AssertionError if some G_k is not Hurwitz: Riccati theory
-    guarantees it is, so that would be an assembly bug.
-    """
-    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
-    lam = np.linalg.eigvals(_generators(p, s.k0, s.kc, s.l0, s.lc))
-    top = float(lam.real.max())
-    if not top < 0.0:
-        raise AssertionError(
-            f"closed loop is not stable (abscissa {top:.3e}); assembly bug")
-    radius = float(np.abs(1.0 + dt * lam).max())
-    return radius, float(np.min(-2.0 * lam.real / np.abs(lam) ** 2))
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Monte Carlo run description.
 
-    ``dt`` must pass two checks.  The explicit-integration guard
-    dt <= 0.1 / sqrt(4 + pi3 + pi4) bounds the step by the closed-loop
-    frequencies, which grow with the gains.  The guard ignores pi1 and pi2,
-    so dt must also keep the simulator's forward Euler maps I + dt G_k
-    stable: max |1 + dt lam| < 1 over the eigenvalues lam of the per-bin
-    generators G_k (see :func:`frequency_blocks`).  In (plant state,
-    estimation error) coordinates G_k is block triangular, so those are the
-    eigenvalues of the control blocks [[0, 1], [d - k0, -kc]] and filter
-    blocks [[-pi4 lc, 1], [d - pi4 l0, 0]].
+    Construction checks the fields alone.  ``dt`` must pass the
+    explicit-integration guard dt <= 0.1 / sqrt(4 + pi3 + pi4), which
+    bounds the step by the closed-loop frequencies (they grow with the
+    gains); ``t_final`` must cover at least 10 steps, and the burn-in must
+    leave at least one of them.  The guard ignores pi1 and pi2, so
+    :func:`simulate` also checks the Euler maps it is about to step.
     """
 
     params: NondimParams
@@ -188,16 +160,12 @@ class SimConfig:
             raise ValueError(
                 f"dt={self.dt!r} exceeds the stability guard {guard:.6g} "
                 "= 0.1/sqrt(4 + pi3 + pi4) for these parameters")
-        radius, dt_max = _euler_stability(self.params, self.dt)
-        if radius >= 1.0:
-            raise ValueError(
-                f"dt={self.dt!r} makes the forward Euler map unstable "
-                f"(spectral radius {radius:.6g}); for these parameters it "
-                f"is stable only for dt < {dt_max:.6g}")
         if not (self.t_final > 0.0) or self.n_steps < 10:
             raise ValueError("t_final must cover at least 10 steps")
         if not (0.0 <= self.burn_in < 1.0):
             raise ValueError(f"burn_in must lie in [0, 1), got {self.burn_in!r}")
+        if self.burn_steps >= self.n_steps:
+            raise ValueError("burn_in leaves no post-burn-in samples")
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be at least 1")
         if self.store_every < 1:
@@ -208,6 +176,10 @@ class SimConfig:
     @property
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
+
+    @property
+    def burn_steps(self) -> int:
+        return int(round(self.burn_in * self.n_steps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,6 +266,17 @@ def simulate(cfg: SimConfig,
 
     Raises
     ------
+    ValueError
+        If ``cfg.dt`` makes a forward Euler map I + dt G_k of
+        :func:`frequency_blocks` unstable: max |1 + dt lam| >= 1 over the
+        eigenvalues lam of the generators G_k.  In (plant state,
+        estimation error) coordinates G_k is block triangular, so those
+        are the eigenvalues of the control blocks [[0, 1], [d - k0, -kc]]
+        and filter blocks [[-pi4 lc, 1], [d - pi4 l0, 0]].  The message
+        names the largest stable step, min(-2 Re lam / |lam|**2).
+    AssertionError
+        If some G_k is not Hurwitz.  Riccati theory guarantees it is, so
+        that would be an assembly bug.
     InstabilityError
         If any state coordinate exceeds 1e12 in magnitude, measured in the
         orthonormal Fourier coordinates the loop is stepped in; for this
@@ -306,13 +289,23 @@ def simulate(cfg: SimConfig,
     s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, n)
     a, b, w = frequency_blocks(p, s.k0, s.kc, s.l0, s.lc, cfg.dt,
                                cfg.noise_scale)
+    lam = (np.linalg.eigvals(a) - 1.0) / cfg.dt  # eigenvalues of the G_k
+    top = float(lam.real.max())
+    if not top < 0.0:
+        raise AssertionError(
+            f"closed loop is not stable (abscissa {top:.3e}); assembly bug")
+    radius = float(np.abs(1.0 + cfg.dt * lam).max())
+    if radius >= 1.0:
+        dt_max = float(np.min(-2.0 * lam.real / np.abs(lam) ** 2))
+        raise ValueError(
+            f"dt={cfg.dt!r} makes the forward Euler map unstable "
+            f"(spectral radius {radius:.6g}); for these parameters it "
+            f"is stable only for dt < {dt_max:.6g}")
     ab = np.concatenate([a, b], axis=-1)
 
     n_steps = cfg.n_steps
-    burn_step = int(round(cfg.burn_in * n_steps))
+    burn_step = cfg.burn_steps
     t_post = (n_steps - burn_step) * cfg.dt
-    if t_post <= 0.0:
-        raise ValueError("burn_in leaves no post-burn-in samples")
     stored = np.unique(np.append(np.arange(0, n_steps + 1, cfg.store_every),
                                  n_steps))
 

@@ -43,6 +43,10 @@ __all__ = [
 # instead of dividing by zero.
 _NORM_FLOOR = 1e-300
 
+# Asymmetry and imaginary leakage circulant_rows allows, relative to
+# 1 + max |vals| of each sequence.
+_SYMMETRY_TOL = 1e-10
+
 
 class SymmetryError(ValueError):
     """A spectrum lacks the conjugate symmetry a real circulant requires."""
@@ -88,7 +92,7 @@ def spectrum_of_circulant(rows: np.ndarray) -> np.ndarray:
     return np.conj(np.fft.fft(rows, axis=-1))
 
 
-def circulant_rows(vals: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def circulant_rows(vals: np.ndarray) -> np.ndarray:
     """First rows of the real circulants whose eigenvalues run along the
     last axis of ``vals`` (leading axes are a batch).
 
@@ -98,11 +102,11 @@ def circulant_rows(vals: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     n = vals.shape[-1]
     mirrored = np.conj(vals[..., (-np.arange(n)) % n])
     scale = 1.0 + np.abs(vals).max(axis=-1)
-    if np.any(np.abs(vals - mirrored).max(axis=-1) > tol * scale):
+    if np.any(np.abs(vals - mirrored).max(axis=-1) > _SYMMETRY_TOL * scale):
         raise SymmetryError(
             "spectrum is not conjugate-symmetric; no real circulant matches it")
     row = np.fft.ifft(np.conj(vals), axis=-1)
-    if np.any(np.abs(row.imag).max(axis=-1) > tol * scale):
+    if np.any(np.abs(row.imag).max(axis=-1) > _SYMMETRY_TOL * scale):
         raise SymmetryError("inverse transform produced a non-real first row")
     return row.real
 

@@ -61,9 +61,6 @@ __all__ = [
 # decentralization set when classifying parameter points.
 decentralization_tolerance = 1e-12
 
-# imaginary leakage allowed when turning symmetric spectra into first rows
-IMAG_TOL = 1e-10
-
 
 class GainKind(str, enum.Enum):
     LQR = "lqr"
@@ -133,7 +130,7 @@ def design_spectra(pi1, pi2, pi3, pi4, n: int) -> DesignSpectra:
 def optimal_gains(p: NondimParams) -> tuple[GainSet, GainSet]:
     """The optimal (regulator, filter) gain sets at ``p``."""
     spectra = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n).blocks
-    rows = circulant_rows(spectra, IMAG_TOL)
+    rows = circulant_rows(spectra)
     return tuple(GainSet(rows=rows[i:i + 2], kind=kind, params=p,
                          spectra=spectra[i:i + 2])
                  for i, kind in ((0, GainKind.LQR), (2, GainKind.KF)))
@@ -207,7 +204,11 @@ def gain_set_from_dict(d: dict) -> GainSet:
     kind = GainKind(d["kind"])
 
     def array(name: str, values) -> np.ndarray:
-        a = np.asarray(values, dtype=float)
+        try:
+            a = np.asarray(values, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"gain file field {name} must hold n={p.n} "
+                             f"numbers: {exc}") from None
         if a.shape != (p.n,):
             raise ValueError(f"gain file field {name} must hold n={p.n} "
                              f"numbers, got shape {a.shape}")

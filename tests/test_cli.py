@@ -161,15 +161,24 @@ def test_verify_flags_tampered_gains(tmp_path, capsys):
     assert any(not c["ok"] for c in rep["checks"])
 
 
-@pytest.mark.parametrize("field", [
-    "block1_first_row", "block2_first_row", "spectral.k0",
-    "spectral.companion", "n"])
+@pytest.mark.parametrize("field, value", [
+    ("block1_first_row", None), ("block2_first_row", None),
+    ("spectral.k0", None), ("spectral.companion", None), ("n", None),
+    ("block1_first_row", {"0": 1.0}),
+    ("block1_first_row", [[1.0, 2.0], [3.0]]),
+    ("block2_first_row", "abc"),
+], ids=["block1_first_row", "block2_first_row", "spectral.k0",
+        "spectral.companion", "n", "block1_first_row-object",
+        "block1_first_row-nested-list", "block2_first_row-string"])
 def test_check_file_with_wrong_array_length_is_rejected(tmp_path, capsys,
-                                                       field):
+                                                       field, value):
+    # value None drops the last entry of the field (n: adds one to it)
     main(["synth", *DECENTRAL, "--kind", "lqr", "--out", str(tmp_path / "g")])
     path = tmp_path / "g_lqr.json"
     payload = json.loads(path.read_text())
-    if field == "n":
+    if value is not None:
+        payload[field] = value
+    elif field == "n":
         payload["n"] += 1
     elif field.startswith("spectral."):
         payload["spectral"][field.split(".")[1]].pop()
@@ -457,7 +466,7 @@ def _count_calls(monkeypatch, name, original):
     (["synth", *DECENTRAL, "--out", "{tmp}/h"], 1),
     (["verify", *DECENTRAL], 2),  # its own and build_closed_loop's
     (["verify", "--check-file", "{tmp}/g_lqr.json"], 0),
-    (["simulate", *DECENTRAL, "--t-final", "1"], 2),  # SimConfig, simulate
+    (["simulate", *DECENTRAL, "--t-final", "1"], 1),
     # 12 points in chunks of _CHUNK_CELLS // n = 20 // 4 = 5 points
     (["sweep", "--pi1-count", "4", "--pi34-count", "3", "--n", "4",
       "--out", "{tmp}/s.csv"], 3),

@@ -1,11 +1,10 @@
-"""Independent Riccati solvers: Newton iteration, 2x2 elimination, checks."""
+"""Independent dense Riccati solver: Newton iteration and its checks."""
 
 import numpy as np
 import pytest
 
 from wavelqg.oracle import (ConvergenceError, DenseAreProblem,
-                            InfeasibilityError, StabilizabilityError,
-                            care_residual, solve_care_bruteforce_2x2,
+                            StabilizabilityError, care_residual,
                             solve_care_dense, solve_filter_are_dense,
                             spectral_abscissa)
 from wavelqg.params import NondimParams
@@ -112,67 +111,6 @@ def test_dense_size_guard():
                            r_inv=np.eye(m))
     with pytest.raises(ValueError, match="limited"):
         solve_care_dense(prob)
-
-
-def test_bruteforce_control_block():
-    # frequency block at d = -2 with pi1=0, pi2=1, pi3=1
-    a = np.array([[0.0, 1.0], [-2.0, 0.0]])
-    p = solve_care_bruteforce_2x2(a, [0.0, 1.0], np.eye(2), 1.0)
-    assert p[0, 1] == pytest.approx(0.2360679774997898, abs=1e-12)  # sqrt5-2
-    assert p[1, 1] == pytest.approx(1.2133160985495823, abs=1e-12)
-    prob = DenseAreProblem(a=a, b=[0.0, 1.0], q=np.eye(2), r_inv=[[1.0]])
-    assert care_residual(p, prob) <= 1e-12
-
-
-def test_bruteforce_filter_block():
-    # filter ARE at d = -2, pi4=2, pi1=0 in transposed-control form
-    a = np.array([[0.0, 1.0], [-2.0, 0.0]])
-    c = np.array([[2.0, 0.0]])
-    s = solve_care_bruteforce_2x2(a.T, c.ravel(), np.diag([0.0, 1.0]), 1.0)
-    assert s[0, 1] == pytest.approx(0.20710678118654757, abs=1e-12)
-    res = a @ s + s @ a.T + np.diag([0.0, 1.0]) - s @ c.T @ c @ s
-    assert np.abs(res).max() <= 1e-12
-
-
-def test_bruteforce_agrees_with_newton():
-    rng = np.random.default_rng(21)
-    for _ in range(20):
-        d = -4.0 * rng.random()
-        pi1, pi2, pi3 = rng.random(3) * 2 + 0.1
-        a = np.array([[0.0, 1.0], [d, 0.0]])
-        q = np.diag([1.0 - pi1 * d, pi2])
-        p_bf = solve_care_bruteforce_2x2(a, [0.0, 1.0], q, pi3**2)
-        prob = DenseAreProblem(a=a, b=[0.0, 1.0], q=q, r_inv=[[pi3**2]])
-        p_nk, _ = solve_care_dense(prob)
-        np.testing.assert_allclose(p_bf, p_nk, atol=1e-9 * (1 + np.abs(p_nk).max()))
-
-
-def test_minus_root_is_not_positive_definite():
-    # the other sign of the S0 square root goes negative at d = 0, so it can
-    # never be the covariance; the enumerator must discard it
-    pi4, pi1 = 2.0, 1.0
-    w = pi4**2 * (1.0 - pi1 * 0.0)
-    s0_minus = (0.0 - np.sqrt(w)) / w
-    assert s0_minus < 0.0
-    a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    c = np.array([[pi4, 0.0]])
-    s = solve_care_bruteforce_2x2(a.T, c.ravel(), np.diag([0.0, 1.0]), 1.0)
-    assert s[0, 1] == pytest.approx((0.0 + np.sqrt(w)) / w, abs=1e-12)
-    assert np.all(np.linalg.eigvalsh(s) > 0.0)
-
-
-def test_bruteforce_structure_errors():
-    a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    with pytest.raises(ValueError, match="axis"):
-        solve_care_bruteforce_2x2(a, [1.0, 1.0], np.eye(2), 1.0)
-    with pytest.raises(ValueError, match="structure"):
-        solve_care_bruteforce_2x2(np.eye(2), [0.0, 1.0], np.eye(2), 1.0)
-
-
-def test_bruteforce_infeasible():
-    a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(InfeasibilityError):
-        solve_care_bruteforce_2x2(a, [0.0, 1.0], np.zeros((2, 2)), 1.0)
 
 
 @pytest.mark.parametrize("m,expected", [

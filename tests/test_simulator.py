@@ -7,6 +7,7 @@ is tuned to a lucky stream.
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from wavelqg import analysis, simulator, synthesis
 from wavelqg.analysis import build_closed_loop
@@ -44,25 +45,30 @@ def test_config_enforces_stability_guard():
 
 
 def test_config_rejects_unstable_euler_map():
-    # the guard ignores pi1 and pi2; the Euler radius check does not
+    # the guard ignores pi1 and pi2; simulate's Euler radius check does not
     p = NondimParams(pi1=0.5, pi2=100.0, pi3=40.0, pi4=4.0, n=8)
     assert 0.0055 < 0.1 / np.sqrt(4.0 + p.pi3 + p.pi4)
-    SimConfig(params=p, dt=0.0049)
+    simulate(SimConfig(params=p, dt=0.0049, t_final=0.1))
+    cfg = SimConfig(params=p, dt=0.0051)  # the config checks its fields only
     with pytest.raises(ValueError, match=r"stable only for dt < 0\.005\b"):
-        SimConfig(params=p, dt=0.0051)
+        simulate(cfg)
 
 
 def test_config_asserts_hurwitz_generators(monkeypatch):
     # Riccati theory makes every G_k Hurwitz; a generator with an unstable
     # eigenvalue can only come from an assembly bug.
-    monkeypatch.setattr(simulator, "_generators",
-                        lambda p, *spectra: np.eye(4)[None] * 1e-3)
+    def unstable(p, k0, kc, l0, lc, dt, noise_scale=1.0):
+        return (np.eye(4)[None] * (1.0 + 1e-3 * dt), np.zeros((1, 4, 2)),
+                np.zeros((2, 1, 4, 4)))
+
+    monkeypatch.setattr(simulator, "frequency_blocks", unstable)
+    cfg = SimConfig(params=MILD)
     with pytest.raises(AssertionError, match="not stable"):
-        SimConfig(params=MILD)
+        simulate(cfg)
 
 
 def test_one_run_evaluates_the_design_twice(monkeypatch):
-    # once for the config's Euler check, once for the run and its predictions
+    # once: simulate checks, steps and predicts from one design
     calls = []
     design = simulator.design_spectra
 
@@ -73,9 +79,9 @@ def test_one_run_evaluates_the_design_twice(monkeypatch):
     for module in (simulator, analysis, synthesis):
         monkeypatch.setattr(module, "design_spectra", counted)
     cfg = SimConfig(params=MILD, t_final=1.0)
-    assert len(calls) == 1
+    assert len(calls) == 0
     _, summ = simulate(cfg)
-    assert len(calls) == 2
+    assert len(calls) == 1
     monkeypatch.undo()
     assert summ.predicted_lqg_cost == analysis.lqg_cost(MILD)
     assert summ.predicted_est_err_cov_trace == analysis.kf_cost(MILD)
@@ -104,9 +110,8 @@ def test_config_step_count():
 
 
 def test_burn_in_must_leave_samples():
-    cfg = SimConfig(params=MILD, dt=0.01, t_final=0.1, burn_in=0.99)
     with pytest.raises(ValueError, match="post-burn-in"):
-        simulate(cfg)
+        SimConfig(params=MILD, dt=0.01, t_final=0.1, burn_in=0.99)
 
 
 # ---------------------------------------------------------- determinism
@@ -233,6 +238,28 @@ def test_frequency_blocks_match_dense_loop_for_any_gains(n):
     fz = w @ to_bins(x.reshape(4, n))
     assert np.sum(fz[0] ** 2) == pytest.approx(cost, rel=1e-12)
     assert np.sum(fz[1] ** 2) == pytest.approx(err, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 30, 64])
+@pytest.mark.parametrize("pi", [(0.0, 1.0, 1.0, 1.0), (0.5, 1.0, 4.0, 4.0),
+                                (0.3, 2.0, 1.5, 0.7), (0.8, 1.3, 2.1, 1.0)],
+                         ids=["pi1-zero", "decentral", "generic-a",
+                              "generic-b"])
+def test_stepped_blocks_reproduce_the_closed_form_costs(pi, n):
+    # An independent route to the trace formulas: at dt = 1 the blocks
+    # simulate steps give each bin's generator G = a - I and noise input b.
+    # The stationary covariance solves G S + S G.T + b b.T = 0 per bin, and
+    # the Parseval-weighted w[i] turn it into the cost and error power.
+    # The points stay where scipy's solver is accurate: at harsher ones,
+    # such as pi = (3, 0.5, 0.02, 50), it alone drifts to ~1e-12.
+    p = NondimParams(*pi, n=n)
+    s = synthesis.design_spectra(*pi, n)
+    a, b, w = frequency_blocks(p, s.k0, s.kc, s.l0, s.lc, dt=1.0)
+    cov = np.stack([sla.solve_continuous_lyapunov(g, -bk @ bk.T)
+                    for g, bk in zip(a - np.eye(4), b)])
+    got = np.einsum("ibjk,ibjl,blk->i", w, w, cov)
+    want = [analysis.lqg_cost(p), analysis.kf_cost(p)]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def _dense_simulation(cfg):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from wavelqg.params import NondimParams
 from wavelqg.spectral import (SymmetryError, circulant_dense, circulant_rows,
                               laplacian_spectrum, offdiag_masses)
-from wavelqg.synthesis import (IMAG_TOL, GainKind, decentralization_tolerance,
+from wavelqg.synthesis import (GainKind, decentralization_tolerance,
                                design_spectra, gain_are_residuals,
                                gain_set_from_dict, gain_set_to_dict,
                                optimal_gains)
@@ -235,7 +235,7 @@ def test_optimal_gains_rows_equal_per_block_rows():
         gk, gl = optimal_gains(p)
         got = np.concatenate([gk.rows, gl.rows])
         for row, spec in zip(got, (r.k0, r.kc, r.lc, r.l0)):
-            np.testing.assert_array_equal(row, circulant_rows(spec, IMAG_TOL))
+            np.testing.assert_array_equal(row, circulant_rows(spec))
         np.testing.assert_array_equal(gk.spectra, r.blocks[:2])
         np.testing.assert_array_equal(gl.spectra, r.blocks[2:])
 
@@ -244,7 +244,7 @@ def test_batched_rows_reject_one_asymmetric_spectrum():
     blocks = spectra(params(n=8)).blocks.copy()
     blocks[2, 1] += 1.0  # L1 loses its k -> n - k mirror symmetry
     with pytest.raises(SymmetryError):
-        circulant_rows(blocks, IMAG_TOL)
+        circulant_rows(blocks)
 
 
 def test_gain_set_json_roundtrip():
