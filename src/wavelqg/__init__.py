@@ -2,9 +2,10 @@
 
 The dynamics, costs and noise model are all circulant, so the optimal
 regulator and filter reduce to closed-form per-frequency Riccati roots.
-This package implements those closed forms, an independent dense solver
-to validate them, locality/performance analysis over the dimensionless
-parameter groups, and a Monte Carlo simulator for end-to-end checks.
+This package implements those closed forms, an independent batched
+per-frequency Newton-Kleinman solver to validate them, locality/performance
+analysis over the dimensionless parameter groups, and a Monte Carlo
+simulator for end-to-end checks.
 """
 
 from .params import DimensionalParams, NondimParams, locality_residuals, nondimensionalize

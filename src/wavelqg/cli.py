@@ -5,8 +5,8 @@ either as the dimensionless groups (--pi1 .. --pi4, --n) or as the physical
 set (--c --dx --q1 --q2 --r --sigma-m --sigma-d --alpha), never mixed; a
 JSON --config file may supply the same keys, with explicit flags winning.
 
-Exit codes: 0 success, 1 verification failure (including a dense oracle
-that does not converge), 2 bad usage or configuration.
+Exit codes: 0 success, 1 verification failure (including a Newton-Kleinman
+oracle that does not converge), 2 bad usage or configuration.
 """
 
 from __future__ import annotations
@@ -174,7 +174,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # imported here: the dense oracle (and scipy) is needed by verify alone
+    # imported here: only verify needs the per-frequency Newton-Kleinman
+    # oracle, so the other commands start without it
     from . import verify
     if args.check_file:
         with open(args.check_file) as fh:
@@ -186,7 +187,7 @@ def _cmd_verify(args) -> int:
         try:
             checks = verify.verify_point(p)
         except verify.ConvergenceError as exc:
-            print(f"error: dense oracle did not converge: {exc}",
+            print(f"error: Newton-Kleinman oracle did not converge: {exc}",
                   file=sys.stderr)
             return 1
         source = (f"pi=({p.pi1:.6g}, {p.pi2:.6g}, {p.pi3:.6g}, {p.pi4:.6g}), "
@@ -321,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_synth)
 
     sp = sub.add_parser("verify",
-                        help="check closed forms against the dense oracle, "
-                             "or audit a gain file")
+                        help="check closed forms against the Newton-Kleinman "
+                             "oracle, or audit a gain file")
     _add_param_flags(sp)
     sp.add_argument("--check-file", help="GainSet JSON to audit")
     sp.add_argument("--report", help="write a JSON verification report here")

@@ -1,204 +1,162 @@
-"""Independent dense Riccati solver used to cross-validate the closed forms.
+"""Batched per-frequency Newton-Kleinman oracle for the ring's Riccati
+equations.
 
-Nothing here shares a code path with the spectral synthesis.  The solver
-is a Newton iteration on the full matrix equation (Kleinman's scheme,
-bootstrapped by a shifted-Lyapunov stabilizing gain), run on the whole
-ring rather than per frequency.  Agreement between it and the
-per-frequency formulas is the package's main correctness evidence, so
-keeping the routes disjoint is the point.
+The DFT splits each of the ring's two 2n-dimensional Riccati equations
+(the regulator's, and the filter's written as its dual control equation)
+into n independent 2x2 blocks, one per Laplacian eigenvalue d(k).  This
+module solves all 2n blocks at once by Kleinman's Newton iteration
+(IEEE TAC 13, 1968) on arrays whose leading axes are (kind, frequency):
+kind 0 is the regulator, kind 1 the filter's dual.  Each Newton step is
+one batched 2x2 symmetric Lyapunov solve, and the iteration starts from
+analytic stabilizing gains.
 
-Dense solves are meant for modest sizes (n <= 64 grid sites, so state
-dimension <= 128); they are O(dim**3) per Newton step.
+The oracle shares only :func:`~wavelqg.spectral.laplacian_spectrum` with
+the closed forms of :mod:`wavelqg.synthesis`; agreement between the two is
+the package's main correctness evidence, so keeping the routes disjoint
+is the point.  It needs numpy alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy import linalg as sla
+
+from .params import NondimParams
+from .spectral import laplacian_spectrum
 
 __all__ = [
-    "StabilizabilityError",
     "ConvergenceError",
-    "DenseAreProblem",
-    "care_residual",
-    "solve_care_dense",
-    "solve_filter_are_dense",
+    "MAX_NEWTON_STEPS",
+    "backward_error",
+    "newton_kleinman",
+    "ring_equations",
+    "solve_ring",
     "spectral_abscissa",
+    "symmetric_blocks",
 ]
 
-MAX_DENSE_SITES = 64  # dense helpers refuse larger rings
+# Newton steps allowed before the iteration is declared stuck.  From the
+# starts of solve_ring it took at most 66 steps on 400 random points with
+# every pi in [1e-8, 1e8]: far from the solution each step about halves
+# the gain, so the count grows with the log of the gains' size.
+MAX_NEWTON_STEPS = 100
 
-_RANK_TOL = 1e-8
-
-
-class StabilizabilityError(ValueError):
-    """The (A, B) pair cannot be stabilized (or (A, Q^1/2) not detected)."""
+# Once the relative gain step is below this, the iteration is in its
+# quadratic phase, so a step that does not shrink is roundoff.
+_SETTLED = 1e-6
 
 
 class ConvergenceError(RuntimeError):
-    """Newton iteration failed to converge; carries the residual history."""
+    """Newton iteration failed to converge; carries the history of its
+    relative gain steps."""
 
-    def __init__(self, message: str, residual_history):
+    def __init__(self, message: str, step_history):
         super().__init__(message)
-        self.residual_history = list(residual_history)
+        self.step_history = list(step_history)
 
 
-@dataclass(frozen=True, eq=False)
-class DenseAreProblem:
-    """Data (a, b, q, r_inv) of the algebraic Riccati equation
+def ring_equations(p: NondimParams):
+    """The 2n Riccati blocks a.T X + X a - X b r_inv b.T X + q = 0 at ``p``.
 
-        a.T P + P a - P b r_inv b.T P + q = 0.
-
-    Construction runs PBH rank tests: (a, b) must be stabilizable and
-    (a, q) detectable, otherwise no stabilizing solution exists and a
-    :class:`StabilizabilityError` is raised up front.
+    Returns ``(a, b, q, r_inv)`` with shapes (2, n, 2, 2), (2, n, 2),
+    (2, n, 2, 2) and (2, n).  With v = 1 - pi1 d, block k of kind 0 is
+    the regulator (a = [[0, 1], [d, 0]], b = [0, 1], q = diag(v, pi2),
+    r_inv = pi3**2) and block k of kind 1 the filter's dual (a transposed,
+    b = [pi4, 0], q = diag(0, 1), r_inv = v).
     """
-
-    a: np.ndarray
-    b: np.ndarray
-    q: np.ndarray
-    r_inv: np.ndarray
-
-    def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        b = np.asarray(self.b, dtype=float)
-        if b.ndim == 1:
-            b = b[:, None]
-        q = np.atleast_2d(np.asarray(self.q, dtype=float))
-        r_inv = np.atleast_2d(np.asarray(self.r_inv, dtype=float))
-        m = a.shape[0]
-        if a.shape != (m, m):
-            raise ValueError("a must be square")
-        if b.shape[0] != m:
-            raise ValueError("b must have as many rows as a")
-        p = b.shape[1]
-        if q.shape != (m, m):
-            raise ValueError("q must match the state dimension")
-        if r_inv.shape != (p, p):
-            raise ValueError("r_inv must match the input dimension")
-        if not np.allclose(q, q.T, atol=1e-12 * (1.0 + np.abs(q).max())):
-            raise ValueError("q must be symmetric")
-        if np.any(np.linalg.eigvalsh(0.5 * (q + q.T)) < -1e-10 * (1.0 + np.abs(q).max())):
-            raise ValueError("q must be positive semidefinite")
-        if np.any(np.linalg.eigvalsh(0.5 * (r_inv + r_inv.T)) <= 0.0):
-            raise ValueError("r_inv must be positive definite")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r_inv", r_inv)
-        _check_stabilizable(a, b)
-        _check_detectable(a, q)
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
+    d = laplacian_spectrum(p.n)
+    zero, one = np.zeros_like(d), np.ones_like(d)
+    v = 1.0 - p.pi1 * d
+    a_reg = np.stack([np.stack([zero, one], -1), np.stack([d, zero], -1)], -2)
+    a = np.stack([a_reg, np.swapaxes(a_reg, -1, -2)])
+    b = np.stack([np.stack([zero, one], -1),
+                  np.stack([p.pi4 * one, zero], -1)])
+    q = np.zeros_like(a)
+    q[0, :, 0, 0] = v
+    q[0, :, 1, 1] = p.pi2
+    q[1, :, 1, 1] = 1.0
+    return a, b, q, np.stack([p.pi3 ** 2 * one, v])
 
 
-def _check_stabilizable(a: np.ndarray, b: np.ndarray) -> None:
-    """PBH: rank [a - lam I, b] must be full for every unstable mode."""
-    m = a.shape[0]
-    scale = 1.0 + np.abs(a).max() + np.abs(b).max()
-    for lam in np.linalg.eigvals(a):
-        if lam.real < -_RANK_TOL * scale:
-            continue
-        pencil = np.hstack([a - lam * np.eye(m), b.astype(complex)])
-        if np.linalg.matrix_rank(pencil, tol=_RANK_TOL * scale) < m:
-            raise StabilizabilityError(
-                f"(a, b) is not stabilizable: uncontrollable mode at {lam:.6g}")
+def solve_ring(p: NondimParams) -> tuple[np.ndarray, np.ndarray]:
+    """Stabilizing solutions and gains of :func:`ring_equations` at ``p``.
 
-
-def _check_detectable(a: np.ndarray, q: np.ndarray) -> None:
-    """PBH on (a, q^1/2): every unstable mode must be visible in the cost."""
-    m = a.shape[0]
-    w, v = np.linalg.eigh(0.5 * (q + q.T))
-    w = np.clip(w, 0.0, None)
-    c = (v * np.sqrt(w)) @ v.T  # symmetric square root
-    scale = 1.0 + np.abs(a).max() + np.abs(c).max()
-    for lam in np.linalg.eigvals(a):
-        if lam.real < -_RANK_TOL * scale:
-            continue
-        pencil = np.vstack([a - lam * np.eye(m), c.astype(complex)])
-        if np.linalg.matrix_rank(pencil, tol=_RANK_TOL * scale) < m:
-            raise StabilizabilityError(
-                f"(a, q) is not detectable: invisible mode at {lam:.6g}")
-
-
-def care_residual(p_mat: np.ndarray, prob: DenseAreProblem) -> float:
-    """Max-abs entry of a.T P + P a - P b r_inv b.T P + q."""
-    a, b, q, r_inv = prob.a, prob.b, prob.q, prob.r_inv
-    res = a.T @ p_mat + p_mat @ a - p_mat @ b @ r_inv @ b.T @ p_mat + q
-    return float(np.abs(res).max())
-
-
-def _bass_stabilizing_gain(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A gain K0 with a - b K0 Hurwitz, via one shifted Lyapunov solve.
-
-    For beta exceeding the spectral abscissa of -a, the solution Z of
-
-        (a + beta I) Z + Z (a + beta I).T = 2 b b.T
-
-    is positive definite when (a, b) is controllable, and K0 = b.T Z^-1
-    stabilizes: (a - b K0) Z + Z (a - b K0).T = -2 beta Z < 0.  When (a, b)
-    is merely stabilizable Z can be singular on the uncontrollable (already
-    stable) subspace, so a tiny regularization keeps the inverse defined;
-    the Newton iteration only needs *some* stabilizing start.
+    Returns ``(x, k)``: x (2, n, 2, 2) holds the control Riccati blocks and
+    the filter error covariances, k (2, n, 2) the regulator gains [k0, kc]
+    and the filter's dual gains [lc, l0].  Both starts give every block the
+    closed-loop polynomial s**2 + 2 s + 1.
     """
-    m = a.shape[0]
-    beta = float(np.linalg.norm(a, 2)) + 1.0
-    z = sla.solve_continuous_lyapunov(-(a + beta * np.eye(m)), -2.0 * b @ b.T)
-    z = 0.5 * (z + z.T)
-    z += 1e-13 * (1.0 + np.abs(z).max()) * np.eye(m)
-    return b.T @ np.linalg.inv(z)
+    d = laplacian_spectrum(p.n)
+    start = np.stack([np.stack([1.0 + d, np.full_like(d, 2.0)], -1),
+                      np.stack([np.full_like(d, 2.0), 1.0 + d], -1) / p.pi4])
+    return newton_kleinman(*ring_equations(p), start)
 
 
-def solve_care_dense(prob: DenseAreProblem,
-                     tol: float = 1e-12,
-                     max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
-    """Stabilizing solution of the Riccati equation by Newton iteration.
+def newton_kleinman(a, b, q, r_inv, k) -> tuple[np.ndarray, np.ndarray]:
+    """Stabilizing solutions of a batch of 2x2 single-input Riccati
+    equations a.T X + X a - X b r_inv b.T X + q = 0, by Newton iteration
+    from gains ``k`` (shape (..., 2)) with a - b k Hurwitz in every block.
 
-    Returns ``(p, k)`` with ``k = r_inv @ b.T @ p`` the optimal gain.  Each
-    Newton step solves one Lyapunov equation for the current closed loop;
-    starting from a stabilizing gain the iterates decrease monotonically to
-    the stabilizing solution, so the residual history is a useful
-    diagnostic and is attached to :class:`ConvergenceError` on failure.
+    Each step solves (a - b k).T X + X (a - b k) + q + k.T k / r_inv = 0
+    and sets k = r_inv b.T X.  The iteration stops once the relative gain
+    step (max-abs change of each block's gain over its max-abs size, worst
+    over the batch) is small and stops shrinking.  Returns ``(x, k)``.
+    Raises :class:`ConvergenceError` after :data:`MAX_NEWTON_STEPS` steps
+    or on a non-finite iterate.
     """
-    a, b, q, r_inv = prob.a, prob.b, prob.q, prob.r_inv
-    if prob.dim > 2 * MAX_DENSE_SITES:
-        raise ValueError(
-            f"dense solve limited to state dimension {2 * MAX_DENSE_SITES}")
-    r = np.linalg.inv(r_inv)
-    k = _bass_stabilizing_gain(a, b)
-    history = []
-    p_mat = None
-    for _ in range(max_iter):
-        a_cl = a - b @ k
-        rhs = -(q + k.T @ r @ k)
-        p_mat = sla.solve_continuous_lyapunov(a_cl.T, rhs)
-        p_mat = 0.5 * (p_mat + p_mat.T)
-        res = care_residual(p_mat, prob)
-        history.append(res)
-        k = r_inv @ b.T @ p_mat
-        if res <= tol * (1.0 + float(np.abs(p_mat).max())):
-            return p_mat, k
+    r_inv = np.asarray(r_inv, dtype=float)[..., None]
+    steps = []
+    for _ in range(MAX_NEWTON_STEPS):
+        f = a - b[..., :, None] * k[..., None, :]
+        x = _lyapunov(f, q + k[..., :, None] * k[..., None, :]
+                      / r_inv[..., None])
+        k_next = r_inv * np.einsum("...ij,...i->...j", x, b)
+        step = float(np.max(np.abs(k_next - k).max(axis=-1)
+                            / np.abs(k_next).max(axis=-1)))
+        k = k_next
+        steps.append(step)
+        if not np.isfinite(step):
+            break
+        if step == 0.0 or (step < _SETTLED and len(steps) > 1
+                            and step >= steps[-2]):
+            return x, k
     raise ConvergenceError(
-        f"Newton iteration did not reach tolerance {tol} in {max_iter} steps "
-        f"(last residual {history[-1]:.3e})", history)
+        f"Newton iteration did not settle in {len(steps)} steps "
+        f"(last relative gain step {steps[-1]:.3e})",
+        steps)
 
 
-def solve_filter_are_dense(a: np.ndarray, c: np.ndarray, w: np.ndarray,
-                           v_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stabilizing solution S of a S + S a.T + w - S c.T v_inv c S = 0.
+def _lyapunov(f: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Symmetric X with f.T X + X f + c = 0 for a batch of 2x2 blocks, as
+    one batched 3x3 solve for (x11, x12, x22)."""
+    f11, f12, f21, f22 = f[..., 0, 0], f[..., 0, 1], f[..., 1, 0], f[..., 1, 1]
+    zero = np.zeros_like(f11)
+    m = np.stack([np.stack([2.0 * f11, 2.0 * f21, zero], -1),
+                  np.stack([f12, f11 + f22, f21], -1),
+                  np.stack([zero, 2.0 * f12, 2.0 * f22], -1)], -2)
+    rhs = -np.stack([c[..., 0, 0], c[..., 0, 1], c[..., 1, 1]], -1)
+    x = np.linalg.solve(m, rhs[..., None])[..., 0]
+    return symmetric_blocks(x[..., 0], x[..., 1], x[..., 2])
 
-    Solved through the dual control equation on transposed data.  Returns
-    ``(s, l)`` with ``l = s @ c.T @ v_inv`` the filter gain.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    c = np.atleast_2d(np.asarray(c, dtype=float))
-    prob = DenseAreProblem(a=a.T, b=c.T, q=w, r_inv=v_inv)
-    s, k_dual = solve_care_dense(prob)
-    return s, k_dual.T
+
+def symmetric_blocks(x11, x12, x22) -> np.ndarray:
+    """Symmetric 2x2 blocks [[x11, x12], [x12, x22]] from batched entries."""
+    return np.stack([np.stack([x11, x12], -1), np.stack([x12, x22], -1)], -2)
+
+
+def backward_error(a, b, q, r_inv, x) -> np.ndarray:
+    """Relative residual of X in each block of a.T X + X a - X b r_inv b.T X
+    + q = 0: ||res|| / (||a.T X|| + ||X a|| + ||X b r_inv b.T X|| + ||q||)
+    in the max-abs norm (Higham, *Accuracy and Stability of Numerical
+    Algorithms*), one value per block."""
+    def size(m):
+        return np.abs(m).max(axis=(-2, -1))
+
+    at_x = np.swapaxes(a, -1, -2) @ x
+    x_a = x @ a
+    xb = np.einsum("...ij,...j->...i", x, b)
+    quad = np.asarray(r_inv)[..., None, None] * xb[..., :, None] * xb[..., None, :]
+    res = at_x + x_a - quad + q
+    return size(res) / (size(at_x) + size(x_a) + size(quad) + size(q))
 
 
 def spectral_abscissa(m) -> float:

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from wavelqg import analysis, synthesis
+from wavelqg import analysis, oracle, synthesis
 from wavelqg.cli import main
 from wavelqg.params import NondimParams
 from wavelqg.spectral import circulant_dense
@@ -46,6 +46,14 @@ def test_synth_at_tiny_pi3_pi4_writes_both_files(tmp_path):
 def test_verify_passes_at_small_pi3_pi4():
     assert main(["verify", "--pi1", "0", "--pi3", "1e-3",
                  "--pi4", "1e-3"]) == 0
+
+
+def test_verify_passes_at_pi3_pi4_1e_6(capsys):
+    # the closed forms' absolute Riccati residual is about 1.04e-9 here;
+    # their backward error, which the check scores, is at roundoff
+    assert main(["verify", "--pi1", "0", "--pi3", "1e-6", "--pi4", "1e-6",
+                 "--n", "30"]) == 0
+    assert capsys.readouterr().out.count("[ok ]") == 4
 
 
 def test_synth_reports_non_decentralizable_at_pi1_zero(tmp_path, capsys):
@@ -127,7 +135,10 @@ def test_verify_report_schema(tmp_path, capsys):
         assert c["ok"] is True
 
 
-def test_verify_oracle_non_convergence_exits_1(capsys):
+def test_verify_oracle_non_convergence_exits_1(monkeypatch, capsys):
+    # the oracle settles here in about 45 steps; a cap of one forces the
+    # failure path
+    monkeypatch.setattr(oracle, "MAX_NEWTON_STEPS", 1)
     assert main(["verify", "--pi1", "1e-8", "--pi3", "1e8", "--pi4", "1e8",
                  "--n", "2"]) == 1
     err = capsys.readouterr().err
@@ -498,7 +509,8 @@ def test_design_evaluations_per_command(tmp_path, monkeypatch, capsys, argv,
         "sweep", "sweep-curve-only"])
 def test_dense_circulants_per_command(tmp_path, monkeypatch, capsys, argv,
                                       expected):
-    # dense matrices belong to the oracle: only verify at a point builds any
+    # dense matrices belong to verify's closed-loop check: only verify at a
+    # point builds any
     assert main(["synth", *DECENTRAL, "--out", str(tmp_path / "g")]) == 0
     calls = _count_calls(monkeypatch, "circulant_dense", circulant_dense)
     assert main([a.format(tmp=tmp_path) for a in argv]) == 0

@@ -20,13 +20,33 @@ def test_all_names_exist(name):
     assert not missing, f"wavelqg.{name}.__all__ names {missing}"
 
 
-def test_cli_start_up_does_not_import_scipy():
-    # only ``verify`` needs the dense oracle, and with it scipy
-    code = ("import sys, wavelqg.cli; wavelqg.cli.build_parser(); "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
+def _imported_after(statement: str, prefixes) -> str:
+    """Modules named with one of ``prefixes`` that a fresh interpreter has
+    loaded after running ``statement``."""
+    code = (f"import sys; {statement}; print(sorted(m for m in sys.modules "
+            f"if m.startswith({tuple(prefixes)!r})))")
     src = os.path.dirname(os.path.dirname(wavelqg.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env).stdout.strip()
+
+
+CLI_START_UP = "import wavelqg.cli; wavelqg.cli.build_parser()"
+
+
+def test_cli_start_up_does_not_import_scipy():
+    assert _imported_after(CLI_START_UP, ["scipy"]) == "[]"
+
+
+def test_cli_start_up_does_not_import_the_oracle():
+    # only ``verify`` needs the oracle, and it imports it on demand
+    assert _imported_after(CLI_START_UP,
+                           ["wavelqg.verify", "wavelqg.oracle"]) == "[]"
+
+
+def test_package_does_not_import_scipy():
+    # scipy is a test dependency: no module of the package may import it
+    every_module = ("import importlib, pkgutil, wavelqg; "
+                    "[importlib.import_module('wavelqg.' + m.name) "
+                    "for m in pkgutil.iter_modules(wavelqg.__path__)]")
+    assert _imported_after(every_module, ["scipy"]) == "[]"
