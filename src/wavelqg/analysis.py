@@ -40,6 +40,7 @@ __all__ = [
     "lqg_cost_dual",
     "dual_lqg_cost",
     "build_closed_loop",
+    "loop_poles",
     "report",
     "sweep",
     "curve_reports",
@@ -96,7 +97,7 @@ def lqg_cost_dual(p: NondimParams) -> float:
 
 
 def plant_matrices(p: NondimParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense (A, B, C): wave dynamics, force injection, displacement sensing."""
+    """Dense (A, B, C) for the tests: wave dynamics, forcing, sensing."""
     n = p.n
     lap = circulant_dense(laplacian_circulant(n))
     zero = np.zeros((n, n))
@@ -109,13 +110,12 @@ def plant_matrices(p: NondimParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def build_closed_loop(p: NondimParams) -> np.ndarray:
     """The dense 4n-by-4n generator of the optimal LQG loop in (plant
-    state, estimate) coordinates, for eigenvalue checks and tests:
+    state, estimate) coordinates, the dense reference for the tests:
 
         [[A, -B K], [L C, A - L C - B K]],
 
-    with K = [K1 K2] and L = [L1; L2].  Its stability is not asserted
-    here: ``verify`` reports its spectral abscissa, and the simulator
-    checks the same loop frequency by frequency.
+    with K = [K1 K2] and L = [L1; L2].  The commands take its eigenvalues
+    frequency by frequency, from :func:`loop_poles`.
     """
     a, b, c = plant_matrices(p)
     gk, gl = optimal_gains(p)
@@ -124,6 +124,23 @@ def build_closed_loop(p: NondimParams) -> np.ndarray:
     bk = b @ kmat
     lc = lmat @ c
     return np.block([[a, -bk], [lc, a - lc - bk]])
+
+
+def loop_poles(s: DesignSpectra, pi4) -> np.ndarray:
+    """Closed-loop poles of the designs in ``s``, shape (..., 2, n, 2).
+
+    Frequency k's loop is block triangular in (state, estimation error)
+    coordinates: its poles are the roots of s**2 + kc s + (k0 - d) (index
+    0 of axis -3) and of s**2 + pi4 lc s + (pi4 l0 - d) (index 1), each
+    pair as r1 = -(t + sqrt(t**2 - 4 delta)) / 2 and r2 = delta / r1, so
+    no root cancels.  ``pi4`` broadcasts against the points of ``s``.
+    """
+    d = laplacian_spectrum(s.k0.shape[-1])
+    pi4 = np.asarray(pi4, dtype=float)[..., None]
+    t = np.stack([s.kc, pi4 * s.lc], axis=-2)
+    delta = np.stack([s.k0 - d, pi4 * s.l0 - d], axis=-2)
+    r1 = -0.5 * (t + np.sqrt(t * t - 4.0 * delta + 0j))
+    return np.stack([r1, delta / r1], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ set (--c --dx --q1 --q2 --r --sigma-m --sigma-d --alpha), never mixed; a
 JSON --config file may supply the same keys, with explicit flags winning.
 
 Exit codes: 0 success, 1 verification failure (including a Newton-Kleinman
-oracle that does not converge), 2 bad usage or configuration.
+oracle that does not converge), 2 bad usage or configuration, including a
+simulate --dt that fails a step-size check or makes the run blow up.
 """
 
 from __future__ import annotations

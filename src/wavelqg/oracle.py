@@ -160,7 +160,7 @@ def backward_error(a, b, q, r_inv, x) -> np.ndarray:
 
 
 def spectral_abscissa(m) -> float:
-    """Largest real part of the eigenvalues of a dense matrix."""
+    """Largest real part of a dense matrix's eigenvalues, for the tests."""
     m = np.atleast_2d(np.asarray(m))
     if m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")

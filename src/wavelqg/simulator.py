@@ -64,8 +64,8 @@ _BLOCK = 256          # steps per noise block and per kernel call
 _GROUP_ENTRIES = 512  # state entries (realizations x bins x 8) per group
 
 
-class InstabilityError(RuntimeError):
-    """The discretized loop blew up; the step size is too coarse."""
+class InstabilityError(ValueError):
+    """The discretized loop blew up; the step size ``dt`` is too coarse."""
 
 
 def kernel_backend() -> str:
@@ -268,20 +268,17 @@ def simulate(cfg: SimConfig,
     ------
     ValueError
         If ``cfg.dt`` makes a forward Euler map I + dt G_k of
-        :func:`frequency_blocks` unstable: max |1 + dt lam| >= 1 over the
-        eigenvalues lam of the generators G_k.  In (plant state,
-        estimation error) coordinates G_k is block triangular, so those
-        are the eigenvalues of the control blocks [[0, 1], [d - k0, -kc]]
-        and filter blocks [[-pi4 lc, 1], [d - pi4 l0, 0]].  The message
-        names the largest stable step, min(-2 Re lam / |lam|**2).
+        :func:`frequency_blocks` unstable.  The eigenvalues lam of G_k are
+        bin k's poles from :func:`~wavelqg.analysis.loop_poles`, and
+        |1 + dt lam| < 1 exactly when dt < -2 Re lam / |lam|**2; the
+        message names the radius and the largest stable step.
     AssertionError
-        If some G_k is not Hurwitz.  Riccati theory guarantees it is, so
-        that would be an assembly bug.
+        If some pole is not in the open left half plane, which Riccati
+        theory rules out: it would be a bug in the closed forms.
     InstabilityError
-        If any state coordinate exceeds 1e12 in magnitude, measured in the
-        orthonormal Fourier coordinates the loop is stepped in; for this
-        always-stable loop that means the discretization, not the design,
-        failed.
+        (a ``ValueError``) If any state coordinate exceeds 1e12 in
+        magnitude, measured in the orthonormal Fourier coordinates the
+        loop is stepped in: the discretization, not the design, failed.
     """
     p = cfg.params
     n = p.n
@@ -289,14 +286,14 @@ def simulate(cfg: SimConfig,
     s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, n)
     a, b, w = frequency_blocks(p, s.k0, s.kc, s.l0, s.lc, cfg.dt,
                                cfg.noise_scale)
-    lam = (np.linalg.eigvals(a) - 1.0) / cfg.dt  # eigenvalues of the G_k
+    lam = analysis.loop_poles(s, p.pi4)[..., :bins, :]  # poles of the G_k
     top = float(lam.real.max())
     if not top < 0.0:
         raise AssertionError(
             f"closed loop is not stable (abscissa {top:.3e}); assembly bug")
-    radius = float(np.abs(1.0 + cfg.dt * lam).max())
-    if radius >= 1.0:
-        dt_max = float(np.min(-2.0 * lam.real / np.abs(lam) ** 2))
+    dt_max = float(np.min(-2.0 * lam.real / np.abs(lam) ** 2))
+    if not cfg.dt < dt_max:
+        radius = float(np.abs(1.0 + cfg.dt * lam).max())
         raise ValueError(
             f"dt={cfg.dt!r} makes the forward Euler map unstable "
             f"(spectral radius {radius:.6g}); for these parameters it "

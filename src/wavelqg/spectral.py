@@ -8,7 +8,7 @@ heavy lifting reduces to arithmetic on length-n eigenvalue sequences, held
 as plain arrays indexed by frequency k = 0..n-1.  A circulant itself is held
 as its first row, a plain array; every function here takes a batch of rows
 or spectra along the last axis.  :func:`circulant_dense` is the one place
-that builds the dense matrix, for the dense checks and the tests.
+that builds the dense matrix, for the tests.
 
 Conventions
 -----------
@@ -65,8 +65,7 @@ def laplacian_circulant(n: int) -> np.ndarray:
 
 def circulant_dense(rows: np.ndarray) -> np.ndarray:
     """Dense circulants from first rows along the last axis: entry (i, j)
-    of each matrix is rows[..., (j - i) mod n].  For the dense checks and
-    the tests only."""
+    of each matrix is rows[..., (j - i) mod n].  For the tests only."""
     n = rows.shape[-1]
     return rows[..., (np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
 

@@ -136,32 +136,6 @@ def optimal_gains(p: NondimParams) -> tuple[GainSet, GainSet]:
                  for i, kind in ((0, GainKind.LQR), (2, GainKind.KF)))
 
 
-def gain_are_residuals(gs: GainSet) -> np.ndarray:
-    """Per-frequency Riccati residual of the gains in ``gs``.
-
-    Reconstructs the 2x2 Riccati block each frequency's gain pair implies
-    and returns the max-abs residual of its algebraic equation, so a gain
-    file whose numbers were tampered with (or computed for other
-    parameters) reports nonzero residuals.
-    """
-    p = gs.params
-    d = laplacian_spectrum(p.n)
-    if gs.kind is GainKind.LQR:
-        k0, kc = gs.spectra
-        p0 = k0 / p.pi3 ** 2
-        p2 = kc / p.pi3 ** 2
-        e11 = 2.0 * p0 * d - p.pi3 ** 2 * p0 ** 2 + (1.0 - p.pi1 * d)
-        e22 = 2.0 * p0 - p.pi3 ** 2 * p2 ** 2 + p.pi2
-    else:
-        lc, l0 = gs.spectra
-        w = p.pi4 ** 2 * (1.0 - p.pi1 * d)
-        s0 = p.pi4 * l0 / w
-        s1 = p.pi4 * lc / w
-        e11 = 2.0 * s0 - w * s1 ** 2
-        e22 = 2.0 * d * s0 + 1.0 - w * s0 ** 2
-    return np.maximum(np.abs(e11), np.abs(e22))
-
-
 # The file stores each kind's primary spectrum (K1, or the filter's L2)
 # under "k0" and the other one under "companion"; this maps the file's
 # (k0, companion) to block order and back.
@@ -223,4 +197,4 @@ def gain_set_from_dict(d: dict) -> GainSet:
                    spectra=spectra[_FILE_ORDER[kind]])
 
 
-__all__ += ["gain_are_residuals", "gain_set_to_dict", "gain_set_from_dict"]
+__all__ += ["gain_set_to_dict", "gain_set_from_dict"]

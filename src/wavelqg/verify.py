@@ -17,9 +17,9 @@ import numpy as np
 
 from . import analysis, synthesis
 from .oracle import (ConvergenceError, backward_error, ring_equations,
-                     solve_ring, spectral_abscissa, symmetric_blocks)
+                     solve_ring, symmetric_blocks)
 from .params import NondimParams
-from .spectral import spectrum_of_circulant
+from .spectral import laplacian_spectrum, spectrum_of_circulant
 
 __all__ = ["Check", "ConvergenceError", "verify_point", "audit_gain_set"]
 
@@ -53,8 +53,9 @@ def verify_point(p: NondimParams) -> list[Check]:
     the worst backward error of the closed-form Riccati blocks (control
     and filter, see :func:`~wavelqg.oracle.backward_error`), the relative
     agreement of the primal and dual LQG cost forms, and the spectral
-    abscissa of the assembled closed loop (strictly negative).  Raises
-    :class:`ConvergenceError` when the oracle does not converge.
+    abscissa of the closed loop (strictly negative), the largest real part
+    of the per-frequency poles of :func:`~wavelqg.analysis.loop_poles`.
+    Raises :class:`ConvergenceError` when the oracle does not converge.
     """
     s = synthesis.design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
     _, k = solve_ring(p)
@@ -66,7 +67,7 @@ def verify_point(p: NondimParams) -> list[Check]:
     res_max = backward_error(*ring_equations(p), closed_x).max()
     dual_dev = _rel_dev(float(analysis.costs(s)[2]),
                         analysis.dual_lqg_cost(s, p))
-    absc = spectral_abscissa(analysis.build_closed_loop(p))
+    absc = float(analysis.loop_poles(s, p.pi4).real.max())
     return [
         _at_most("per_frequency_gain_vs_dense_oracle",
                  _rel_dev(k, closed_k).max(), 1e-7),
@@ -79,10 +80,20 @@ def verify_point(p: NondimParams) -> list[Check]:
 def audit_gain_set(gs: synthesis.GainSet) -> list[Check]:
     """Consistency of a gain set with its own parameters.
 
-    Checks the Riccati residual its gain spectra imply, then that each
-    block's first row carries the spectrum the set claims for it.
+    Checks the worst backward error of the 2x2 Riccati blocks its gain
+    spectra imply (see :func:`~wavelqg.oracle.backward_error`), then that
+    each block's first row carries the spectrum the set claims for it.
     """
-    res = synthesis.gain_are_residuals(gs)
+    p = gs.params
+    d = laplacian_spectrum(p.n)
+    if gs.kind is synthesis.GainKind.LQR:  # the control Riccati blocks
+        kind, (p0, p2) = 0, gs.spectra / p.pi3 ** 2  # from [k0, kc]
+        x = symmetric_blocks(p2 * (gs.spectra[0] - d), p0, p2)
+    else:  # the filter's dual: error covariances from [lc, l0]
+        w = p.pi4 ** 2 * (1.0 - p.pi1 * d)
+        kind, (s1, s0) = 1, p.pi4 * gs.spectra / w
+        x = symmetric_blocks(s1, s0, s1 * (w * s0 - d))
+    res = backward_error(*(e[kind] for e in ring_equations(p)), x)
     devs = np.abs(spectrum_of_circulant(gs.rows) - gs.spectra).max(axis=-1)
     scales = 1.0 + np.abs(gs.spectra).max(axis=-1)
     return [_at_most("spectral_gain_riccati_residual", res.max(), 1e-9),

@@ -9,8 +9,9 @@ from scipy import linalg as sla
 from wavelqg import analysis
 from wavelqg.analysis import (COLUMNS, CSV_HEADER, CostLocalityReport,
                               SweepGrid, build_closed_loop, curve_reports,
-                              kf_cost, lqg_cost, lqg_cost_dual, lqr_cost,
-                              plant_matrices, report, rows_to_csv, sweep)
+                              kf_cost, lqg_cost, lqg_cost_dual, loop_poles,
+                              lqr_cost, plant_matrices, report, rows_to_csv,
+                              sweep)
 from wavelqg.oracle import spectral_abscissa
 from wavelqg.params import NondimParams
 from wavelqg.spectral import circulant_dense, laplacian_circulant
@@ -121,19 +122,26 @@ def test_closed_loop_is_stable(p):
 
 
 def test_separation_spectrum():
-    p = params(pi1=0.7, pi2=1.1, pi3=1.8, pi4=0.8, n=6)
-    a, b, c = plant_matrices(p)
-    gk, gl = optimal_gains(p)
-    kmat = np.hstack(circulant_dense(gk.rows))
-    lmat = np.vstack(circulant_dense(gl.rows))
-    expected = np.concatenate([np.linalg.eigvals(a - b @ kmat),
-                               np.linalg.eigvals(a - lmat @ c)])
-    got = list(np.linalg.eigvals(build_closed_loop(p)))
-    for lam in expected:
-        j = int(np.argmin(np.abs(np.asarray(got) - lam)))
-        assert abs(got[j] - lam) <= 1e-8 * (1 + abs(lam))
-        got.pop(j)
-    assert not got
+    # the dense loop's eigenvalues are those of the regulator and the
+    # filter loops, and the per-frequency poles of loop_poles
+    for n in (2, 3, 6, 7, 8):
+        p = params(pi1=0.7, pi2=1.1, pi3=1.8, pi4=0.8, n=n)
+        a, b, c = plant_matrices(p)
+        gk, gl = optimal_gains(p)
+        kmat = np.hstack(circulant_dense(gk.rows))
+        lmat = np.vstack(circulant_dense(gl.rows))
+        separated = np.concatenate([np.linalg.eigvals(a - b @ kmat),
+                                    np.linalg.eigvals(a - lmat @ c)])
+        poles = loop_poles(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, n),
+                           p.pi4).ravel()
+        dense = np.linalg.eigvals(build_closed_loop(p))
+        for expected in (separated, poles):
+            got = list(dense)
+            for lam in expected:
+                j = int(np.argmin(np.abs(np.asarray(got) - lam)))
+                assert abs(got[j] - lam) <= 1e-8 * (1 + abs(lam)), (n, lam)
+                got.pop(j)
+            assert not got
 
 
 def test_report_at_decentral_point():

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from wavelqg import analysis, oracle, synthesis
+from wavelqg import analysis, oracle, simulator, synthesis
 from wavelqg.cli import main
 from wavelqg.params import NondimParams
 from wavelqg.spectral import circulant_dense
@@ -54,6 +54,27 @@ def test_verify_passes_at_pi3_pi4_1e_6(capsys):
     assert main(["verify", "--pi1", "0", "--pi3", "1e-6", "--pi4", "1e-6",
                  "--n", "30"]) == 0
     assert capsys.readouterr().out.count("[ok ]") == 4
+
+
+def test_verify_passes_where_dense_eigenvalues_misread_the_loop(capsys):
+    # eigenvalues of the dense 4n x 4n loop read an abscissa of +4.5e-2
+    # here; the per-frequency poles give -4.0e-3
+    assert main(["verify", "--pi1", "0", "--pi2", "5740", "--pi3", "9.2e5",
+                 "--pi4", "0.016", "--n", "52"]) == 0
+    assert capsys.readouterr().out.count("[ok ]") == 4
+
+
+def test_check_file_passes_at_an_extreme_point(tmp_path, capsys):
+    # the absolute Riccati residual of the LQR file is 1.4e-9 here; its
+    # backward error, which the audit scores, is at roundoff
+    out = str(tmp_path / "g")
+    assert main(["synth", "--pi1", "933016.9844489184",
+                 "--pi2", "0.002590554118736111",
+                 "--pi3", "0.747505060083648",
+                 "--pi4", "160.64235925620508", "--n", "39",
+                 "--out", out]) == 0
+    for kind in ("lqr", "kf"):
+        assert main(["verify", "--check-file", f"{out}_{kind}.json"]) == 0
 
 
 def test_synth_reports_non_decentralizable_at_pi1_zero(tmp_path, capsys):
@@ -241,15 +262,14 @@ def test_malformed_parameters_are_usage_errors(tmp_path, capsys, source,
 
 
 def test_verify_fails_on_an_unstable_assembly(monkeypatch, capsys):
-    # a sign error in the regulator blocks must surface as a FAIL record
-    optimal = analysis.optimal_gains
+    # a sign error in the regulator spectra must surface as a FAIL record
+    spectra = synthesis.design_spectra
 
-    def broken(p):
-        gk, gl = optimal(p)
-        flipped = dataclasses.replace(gk, rows=gk.rows * [[-1.0], [1.0]])
-        return flipped, gl
+    def broken(*args):
+        s = spectra(*args)
+        return dataclasses.replace(s, kc=-s.kc)
 
-    monkeypatch.setattr(analysis, "optimal_gains", broken)
+    monkeypatch.setattr(synthesis, "design_spectra", broken)
     assert main(["verify", *DECENTRAL]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] closed_loop_spectral_abscissa" in out
@@ -436,6 +456,26 @@ def test_simulate_rejects_unstable_euler_step(capsys):
     assert "forward Euler map unstable" in err
 
 
+def test_simulate_rejects_dt_at_a_stiff_stable_design(capsys):
+    # a stable design whose control pole is about -1.0e11: the step size
+    # is rejected, the design is not
+    argv = ["simulate", "--pi1", "1e6", "--pi2", "2.3e6", "--pi3", "6.7e7",
+            "--pi4", "0.0022", "--n", "7", "--dt", "3e-6",
+            "--t-final", "1e-4"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "stable only for dt < 1.968" in err
+
+
+def test_simulate_blow_up_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(simulator, "_BLOWUP", 1e-6)
+    assert main(["simulate", *DECENTRAL, "--t-final", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "reduce dt" in err and "Traceback" not in err
+
+
 # ------------------------------------------------------------------ report
 
 def test_report_to_stdout(capsys):
@@ -456,6 +496,26 @@ def test_report_to_file(tmp_path, capsys):
 
 # ------------------------------------------------------ design recomputation
 
+# one command line per path through the CLI; {tmp} holds g_lqr.json
+COMMANDS = {
+    "report": ["report", *DECENTRAL],
+    "synth": ["synth", *DECENTRAL, "--out", "{tmp}/h"],
+    "verify": ["verify", *DECENTRAL],
+    "verify-check-file": ["verify", "--check-file", "{tmp}/g_lqr.json"],
+    "simulate": ["simulate", *DECENTRAL, "--t-final", "1"],
+    "sweep": ["sweep", "--pi1-count", "4", "--pi34-count", "3", "--n", "4",
+              "--out", "{tmp}/s.csv"],
+    "sweep-curve-only": ["sweep", "--curve-only", "--pi1-count", "5",
+                         "--n", "4", "--out", "{tmp}/c.csv"],
+}
+
+
+def _command(tmp_path, command):
+    """Write the gain files ``COMMANDS`` reads; return the command line."""
+    assert main(["synth", *DECENTRAL, "--out", str(tmp_path / "g")]) == 0
+    return [a.format(tmp=tmp_path) for a in COMMANDS[command]]
+
+
 def _count_calls(monkeypatch, name, original):
     """Wrap ``original`` under ``name`` in every wavelqg module that holds
     it; returns the list the wrapper appends each call's arguments to."""
@@ -472,47 +532,44 @@ def _count_calls(monkeypatch, name, original):
     return calls
 
 
-@pytest.mark.parametrize("argv, expected", [
-    (["report", *DECENTRAL], 1),
-    (["synth", *DECENTRAL, "--out", "{tmp}/h"], 1),
-    (["verify", *DECENTRAL], 2),  # its own and build_closed_loop's
-    (["verify", "--check-file", "{tmp}/g_lqr.json"], 0),
-    (["simulate", *DECENTRAL, "--t-final", "1"], 1),
+@pytest.mark.parametrize("command, expected", [
+    ("report", 1), ("synth", 1), ("verify", 1), ("verify-check-file", 0),
+    ("simulate", 1),
     # 12 points in chunks of _CHUNK_CELLS // n = 20 // 4 = 5 points
-    (["sweep", "--pi1-count", "4", "--pi34-count", "3", "--n", "4",
-      "--out", "{tmp}/s.csv"], 3),
-    (["sweep", "--curve-only", "--pi1-count", "5", "--n", "4",
-      "--out", "{tmp}/c.csv"], 1),
-], ids=["report", "synth", "verify", "verify-check-file", "simulate",
-        "sweep", "sweep-curve-only"])
-def test_design_evaluations_per_command(tmp_path, monkeypatch, capsys, argv,
-                                        expected):
-    assert main(["synth", *DECENTRAL, "--out", str(tmp_path / "g")]) == 0
+    ("sweep", 3), ("sweep-curve-only", 1),
+], ids=list(COMMANDS))
+def test_design_evaluations_per_command(tmp_path, monkeypatch, capsys,
+                                        command, expected):
+    argv = _command(tmp_path, command)
     calls = _count_calls(monkeypatch, "design_spectra",
                          synthesis.design_spectra)
     monkeypatch.setattr(analysis, "_CHUNK_CELLS", 20)
-    assert main([a.format(tmp=tmp_path) for a in argv]) == 0
+    assert main(argv) == 0
     assert len(calls) == expected
 
 
-@pytest.mark.parametrize("argv, expected", [
-    (["report", *DECENTRAL], 0),
-    (["synth", *DECENTRAL, "--out", "{tmp}/h"], 0),
-    (["verify", *DECENTRAL], 3),  # the Laplacian, K and L
-    (["verify", "--check-file", "{tmp}/g_lqr.json"], 0),
-    (["simulate", *DECENTRAL, "--t-final", "1"], 0),
-    (["sweep", "--pi1-count", "4", "--pi34-count", "3", "--n", "4",
-      "--out", "{tmp}/s.csv"], 0),
-    (["sweep", "--curve-only", "--pi1-count", "5", "--n", "4",
-      "--out", "{tmp}/c.csv"], 0),
-], ids=["report", "synth", "verify", "verify-check-file", "simulate",
-        "sweep", "sweep-curve-only"])
-def test_dense_circulants_per_command(tmp_path, monkeypatch, capsys, argv,
-                                      expected):
-    # dense matrices belong to verify's closed-loop check: only verify at a
-    # point builds any
-    assert main(["synth", *DECENTRAL, "--out", str(tmp_path / "g")]) == 0
+@pytest.mark.parametrize("command", COMMANDS)
+def test_dense_circulants_per_command(tmp_path, monkeypatch, capsys,
+                                      command):
+    # no command builds a dense matrix
+    argv = _command(tmp_path, command)
     calls = _count_calls(monkeypatch, "circulant_dense", circulant_dense)
-    assert main([a.format(tmp=tmp_path) for a in argv]) == 0
-    assert len(calls) == expected
+    assert main(argv) == 0
+    assert len(calls) == 0
 
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_eigenvalue_solves_per_command(tmp_path, monkeypatch, capsys,
+                                       command):
+    # stability comes from analysis.loop_poles, never from np.linalg.eigvals
+    argv = _command(tmp_path, command)
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(*args):
+        calls.append(args)
+        return eigvals(*args)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    assert main(argv) == 0
+    assert len(calls) == 0

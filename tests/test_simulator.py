@@ -7,6 +7,8 @@ is tuned to a lucky stream.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import linalg as sla
 
 from wavelqg import analysis, simulator, synthesis
@@ -55,16 +57,34 @@ def test_config_rejects_unstable_euler_map():
 
 
 def test_config_asserts_hurwitz_generators(monkeypatch):
-    # Riccati theory makes every G_k Hurwitz; a generator with an unstable
-    # eigenvalue can only come from an assembly bug.
-    def unstable(p, k0, kc, l0, lc, dt, noise_scale=1.0):
-        return (np.eye(4)[None] * (1.0 + 1e-3 * dt), np.zeros((1, 4, 2)),
-                np.zeros((2, 1, 4, 4)))
+    # Riccati theory makes every G_k Hurwitz; a pole off the open left
+    # half plane can only come from a bug in the closed forms.
+    poles = analysis.loop_poles
 
-    monkeypatch.setattr(simulator, "frequency_blocks", unstable)
+    def unstable(s, pi4):
+        return -poles(s, pi4)  # mirrored into the right half plane
+
+    monkeypatch.setattr(analysis, "loop_poles", unstable)
     cfg = SimConfig(params=MILD)
     with pytest.raises(AssertionError, match="not stable"):
         simulate(cfg)
+
+
+_PI = st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pi1=_PI, pi2=_PI, pi3=_PI, pi4=_PI, n=st.integers(2, 16))
+def test_stability_check_never_asserts_over_the_wide_range(pi1, pi2, pi3,
+                                                           pi4, n):
+    # the closed forms are Hurwitz everywhere; at half the guard a run
+    # completes or rejects its dt (Euler map or blow-up), never asserts
+    p = NondimParams(pi1=pi1, pi2=pi2, pi3=pi3, pi4=pi4, n=n)
+    dt = 0.05 / np.sqrt(4.0 + pi3 + pi4)
+    try:
+        simulate(SimConfig(params=p, dt=dt, t_final=12 * dt))
+    except ValueError:
+        pass
 
 
 def test_one_run_evaluates_the_design_twice(monkeypatch):

@@ -12,9 +12,8 @@ from wavelqg.params import NondimParams
 from wavelqg.spectral import (SymmetryError, circulant_dense, circulant_rows,
                               laplacian_spectrum, offdiag_masses)
 from wavelqg.synthesis import (GainKind, decentralization_tolerance,
-                               design_spectra, gain_are_residuals,
-                               gain_set_from_dict, gain_set_to_dict,
-                               optimal_gains)
+                               design_spectra, gain_set_from_dict,
+                               gain_set_to_dict, optimal_gains)
 from wavelqg.verify import audit_gain_set
 
 
@@ -275,14 +274,16 @@ def test_gain_file_stores_primary_spectrum_as_k0():
         assert d["spectral"]["companion"] == companion.tolist()
 
 
-def test_gain_are_residuals_clean_and_tampered():
+def test_audit_riccati_residual_clean_and_tampered():
     p = params(pi1=0.7, pi2=1.4, pi3=2.0, pi4=0.9, n=12)
     for gs in optimal_gains(p):
-        assert gain_are_residuals(gs).max() <= 1e-10
+        check = audit_gain_set(gs)[0]
+        assert check.name == "spectral_gain_riccati_residual"
+        assert check.ok and check.value <= 1e-15
         d = gain_set_to_dict(gs)
         d["spectral"]["k0"][3] *= 1.05
-        bad = gain_set_from_dict(d)
-        assert gain_are_residuals(bad).max() > 1e-4
+        bad = audit_gain_set(gain_set_from_dict(d))[0]
+        assert not bad.ok and bad.value > 1e-4
 
 
 def test_kf_blocks_are_ordered_companion_then_l0():
