@@ -21,7 +21,7 @@ entry per point, which :func:`rows_to_csv` renders as CSV.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,9 +161,6 @@ class CostLocalityReport:
     offdiag_l2: float
     residual_lqr_decentral: float
     residual_kf_decentral: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # Point-frequency cells per kernel call.  The kernel holds about 300 bytes

@@ -5,9 +5,12 @@ either as the dimensionless groups (--pi1 .. --pi4, --n) or as the physical
 set (--c --dx --q1 --q2 --r --sigma-m --sigma-d --alpha), never mixed; a
 JSON --config file may supply the same keys, with explicit flags winning.
 
+Each command builds its output files, then ``_write_all`` writes all or none.
+
 Exit codes: 0 success, 1 verification failure (including a Newton-Kleinman
 oracle that does not converge), 2 bad usage or configuration, including a
-simulate --dt that fails a step-size check or makes the run blow up.
+simulate --dt that fails a step-size check or makes the run blow up, a
+design that is not finite, and output files that cannot all be written.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable
+from dataclasses import asdict
 
 import numpy as np
 
@@ -26,7 +31,7 @@ from .simulator import SimConfig, simulate
 from .spectral import offdiag_masses
 from .svgplot import heatmap_svg, line_plot_svg
 
-_PI_KEYS = ("pi1", "pi2", "pi3", "pi4")
+_PI_DEFAULTS = {"pi1": 0.0, "pi2": 1.0, "pi3": 1.0, "pi4": 1.0}
 _DIM_KEYS = ("c", "dx", "q1", "q2", "r", "sigma_m", "sigma_d", "alpha")
 
 
@@ -36,7 +41,7 @@ class UsageError(Exception):
 
 def _add_param_flags(sp: argparse.ArgumentParser) -> None:
     g = sp.add_argument_group("dimensionless parameters")
-    for key in _PI_KEYS:
+    for key in _PI_DEFAULTS:
         g.add_argument(f"--{key}", type=float)
     d = sp.add_argument_group("physical parameters (mapped through "
                               "nondimensionalize; all eight required)")
@@ -64,9 +69,11 @@ def _load_config(path: str) -> dict:
 def _number(merged: dict, key: str, default: float | None = None) -> float:
     value = merged.get(key, default)
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{key} must be a number, got {value!r}")
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise UsageError(f"{key} must be a number, got {value!r}")
 
 
 def _resolve_params(args, require_matched_scaling: bool = False):
@@ -77,11 +84,11 @@ def _resolve_params(args, require_matched_scaling: bool = False):
     merged: dict = {}
     if args.config:
         merged.update(_load_config(args.config))
-    for key in _PI_KEYS + _DIM_KEYS + ("n",):
+    for key in (*_PI_DEFAULTS, *_DIM_KEYS, "n"):
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
-    pi_given = [k for k in _PI_KEYS if k in merged]
+    pi_given = [k for k in _PI_DEFAULTS if k in merged]
     dim_given = [k for k in _DIM_KEYS if k in merged]
     if pi_given and dim_given:
         raise UsageError("give either dimensionless or physical parameters, "
@@ -100,51 +107,48 @@ def _resolve_params(args, require_matched_scaling: bool = False):
                 "estimator scalings, which needs r == sigma_d "
                 f"(got r={dim.r!r}, sigma_d={dim.sigma_d!r})")
         return nondimensionalize(dim), dim
-    p = NondimParams(pi1=_number(merged, "pi1", 0.0),
-                     pi2=_number(merged, "pi2", 1.0),
-                     pi3=_number(merged, "pi3", 1.0),
-                     pi4=_number(merged, "pi4", 1.0),
-                     n=n)
-    return p, None
+    return NondimParams(n=n, **{k: _number(merged, k, v)
+                                for k, v in _PI_DEFAULTS.items()}), None
 
 
 def _verdict_lines(p: NondimParams) -> list[str]:
-    res_k, res_l = locality_residuals(p)
-    tol = synthesis.decentralization_tolerance
-    lines = []
     if p.pi1 == 0.0:
-        lines.append("verdict: not decentralizable (pi1=0); every choice of "
-                     "pi3, pi4 leaves frequency-dependent gains")
-        return lines
-    k_on = abs(res_k) <= tol
-    l_on = abs(res_l) <= tol
-    lines.append(f"regulator: {'completely decentralized' if k_on else 'not decentralized'}"
-                 f" (pi1 - 2/pi3 = {res_k:.6g})")
-    lines.append(f"filter:    {'completely decentralized' if l_on else 'not decentralized'}"
-                 f" (pi1 - 2/pi4 = {res_l:.6g})")
-    if k_on and l_on:
-        lines.append("verdict: completely decentralized output feedback")
-    elif k_on or l_on:
-        lines.append("verdict: partially decentralized")
-    else:
-        lines.append("verdict: not decentralized at these parameters")
-    return lines
+        return ["verdict: not decentralizable (pi1=0); every choice of "
+                "pi3, pi4 leaves frequency-dependent gains"]
+    res_k, res_l = locality_residuals(p)
+    k_on, l_on = (abs(r) <= synthesis.decentralization_tolerance
+                  for r in (res_k, res_l))
+    state = {True: "completely decentralized", False: "not decentralized"}
+    verdict = ("completely decentralized output feedback" if k_on and l_on
+               else "partially decentralized" if k_on or l_on
+               else "not decentralized at these parameters")
+    return [f"regulator: {state[k_on]} (pi1 - 2/pi3 = {res_k:.6g})",
+            f"filter:    {state[l_on]} (pi1 - 2/pi4 = {res_l:.6g})",
+            f"verdict: {verdict}"]
 
 
-def _write_all(texts: dict[str, str]) -> None:
-    """Write each text to its path: first all of them to temporary files
-    beside their targets, then each into place with ``os.replace``.  A
-    failure removes the temporary files written so far; a directory in
-    the way is rejected first, as ``os.replace`` would only refuse it late."""
-    for path in texts:
+def _write_all(outputs: list[tuple[str, Iterable[str]]]) -> None:
+    """Write each (path, pieces) pair's pieces to ``<path>.tmp``, then move
+    every file into place with ``os.replace``; a failure removes the
+    temporary files.  Rejected first: a directory target, which os.replace
+    would refuse only late, and two targets or temporaries that resolve to
+    one file, where the later would silently replace the earlier."""
+    seen = set()
+    for path, _ in outputs:
         if os.path.isdir(path):
             raise UsageError(f"cannot write {path}: it is a directory")
+        for name in (path, f"{path}.tmp"):
+            real = os.path.realpath(name)
+            if real in seen:
+                raise UsageError(f"cannot write {path}: two outputs or "
+                                 f"their temporary files resolve to {name}")
+            seen.add(real)
     pending = []  # (temporary, target)
     try:
-        for path, text in texts.items():
+        for path, pieces in outputs:
             with open(f"{path}.tmp", "w") as fh:
                 pending.append((fh.name, path))
-                fh.write(text)
+                fh.writelines(pieces)
         for tmp, path in pending:
             os.replace(tmp, path)
     finally:
@@ -161,23 +165,20 @@ def _cmd_synth(args) -> int:
     p, _ = _resolve_params(args)
     sets = [gs for gs in synthesis.optimal_gains(p)
             if args.kind in ("both", gs.kind.value)]
-    texts = {f"{args.out}_{gs.kind.value}.json":
-             json.dumps(synthesis.gain_set_to_dict(gs), indent=1)
-             for gs in sets}
-    _write_all(texts)
-    for path, gs in zip(texts, sets):
+    outputs = [(f"{args.out}_{gs.kind.value}.json",
+                [json.dumps(synthesis.gain_set_to_dict(gs), indent=1)])
+               for gs in sets]
+    _write_all(outputs)
+    for (path, _), gs in zip(outputs, sets):
         print(f"wrote {path}")
         for name, mass in zip(_BLOCK_NAMES[gs.kind], offdiag_masses(gs.rows)):
             print(f"  offdiag_mass({name}) = {mass:.3e}")
-    for line in _verdict_lines(p):
-        print(line)
+    print(*_verdict_lines(p), sep="\n")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    # imported here: only verify needs the per-frequency Newton-Kleinman
-    # oracle, so the other commands start without it
-    from . import verify
+    from . import verify  # imported here: only verify needs the oracle
     if args.check_file:
         with open(args.check_file) as fh:
             gs = synthesis.gain_set_from_dict(json.load(fh))
@@ -199,9 +200,9 @@ def _cmd_verify(args) -> int:
         print(f"[{status}] {c.name}: {c.value:.3e} (tol {c.tol:.0e})")
     print(f"verify {'passed' if ok else 'FAILED'} for {source}")
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump({"pass": ok, "source": source,
-                       "checks": [c.to_dict() for c in checks]}, fh, indent=1)
+        _write_all([(args.report, [json.dumps(
+            {"pass": ok, "source": source,
+             "checks": [asdict(c) for c in checks]}, indent=1)])])
     return 0 if ok else 1
 
 
@@ -231,9 +232,7 @@ def _cmd_sweep(args) -> int:
             pi2=args.pi2, n=args.n, tie_pi3_pi4=not args.untie,
             pi3_fixed=args.pi3_fixed)
         table = analysis.sweep(grid)
-    with open(args.out, "w") as fh:
-        fh.write(analysis.rows_to_csv(table))
-    print(f"wrote {args.out} ({table['n'].size} rows)")
+    outputs = [(args.out, [analysis.rows_to_csv(table)])]
     if args.heatmap:
         metric = {"lqr": "j_lqr", "kf": "j_kf", "lqg": "j_lqg"}[args.metric]
         x = np.unique(table["pi1"])
@@ -243,16 +242,16 @@ def _cmd_sweep(args) -> int:
         svg = heatmap_svg(x, y, z, xlabel="pi1", ylabel="pi4",
                           title=f"{metric} (n={args.n}, pi2={args.pi2:g})",
                           curve_xy=(2.0 / cy, cy))
-        with open(args.heatmap, "w") as fh:
-            fh.write(svg)
-        print(f"wrote {args.heatmap}")
+        outputs.append((args.heatmap, [svg]))
     if args.lineplot:
         series = {c: table[c] for c in ("j_lqr", "j_kf", "j_lqg")}
         svg = line_plot_svg(table["pi1"], series, xlabel="pi1", ylabel="cost",
                             title=f"costs along pi3=pi4=2/pi1 (n={args.n})")
-        with open(args.lineplot, "w") as fh:
-            fh.write(svg)
-        print(f"wrote {args.lineplot}")
+        outputs.append((args.lineplot, [svg]))
+    _write_all(outputs)
+    print(f"wrote {args.out} ({table['n'].size} rows)")
+    for path, _ in outputs[1:]:
+        print(f"wrote {path}")
     return 0
 
 
@@ -270,38 +269,33 @@ def _cmd_simulate(args) -> int:
           f"   (predicted {summary.predicted_est_err_cov_trace:.6g})")
     print(f"backend: {summary.backend}, rng: {summary.generator}, "
           f"seed: {summary.seed}, realizations: {summary.n_realizations}")
+    outputs = []
     if args.summary_json:
-        with open(args.summary_json, "w") as fh:
-            json.dump(summary.to_dict(), fh, indent=1)
-        print(f"wrote {args.summary_json}")
+        outputs.append((args.summary_json,
+                        [json.dumps(asdict(summary), indent=1)]))
     if args.traj_csv:
-        n = p.n
-        cols = (["time"]
-                + [f"pos_{i}" for i in range(n)]
-                + [f"vel_{i}" for i in range(n)]
-                + [f"est_pos_{i}" for i in range(n)]
-                + [f"est_vel_{i}" for i in range(n)]
-                + [f"u_{i}" for i in range(n)]
-                + ["running_cost"])
-        with open(args.traj_csv, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for i in range(traj.times.size):
-                row = np.concatenate([[traj.times[i]], traj.plant_state[i],
-                                      traj.estimate[i], traj.control[i],
-                                      [traj.running_cost[i]]])
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-        print(f"wrote {args.traj_csv}")
+        outputs.append((args.traj_csv, _trajectory_lines(traj, p.n)))
+    _write_all(outputs)
+    for path, _ in outputs:
+        print(f"wrote {path}")
     return 0
+
+
+def _trajectory_lines(traj, n: int) -> Iterable[str]:
+    """The trajectory CSV line by line, one row per stored step."""
+    yield ",".join(["time", *(f"{name}_{i}" for name in (
+        "pos", "vel", "est_pos", "est_vel", "u") for i in range(n)),
+        "running_cost"]) + "\n"
+    for row in zip(traj.times, traj.plant_state, traj.estimate,
+                   traj.control, traj.running_cost):
+        yield ",".join(repr(float(v)) for v in np.hstack(row)) + "\n"
 
 
 def _cmd_report(args) -> int:
     p, _ = _resolve_params(args, require_matched_scaling=True)
-    rep = analysis.report(p)
-    payload = rep.to_dict()
-    text = json.dumps(payload, indent=1)
+    text = json.dumps(asdict(analysis.report(p)), indent=1)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write_all([(args.out, [text, "\n"])])
         print(f"wrote {args.out}")
     else:
         print(text)

@@ -43,7 +43,8 @@ def _require_positive(name: str, value: float) -> None:
 
 
 def _require_finite(name: str, value: float) -> None:
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not math.isfinite(value)):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 

@@ -38,7 +38,7 @@ whatever the number of realizations R.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -160,7 +160,7 @@ class SimConfig:
             raise ValueError(
                 f"dt={self.dt!r} exceeds the stability guard {guard:.6g} "
                 "= 0.1/sqrt(4 + pi3 + pi4) for these parameters")
-        if not (self.t_final > 0.0) or self.n_steps < 10:
+        if not (0.0 < self.t_final < math.inf) or self.n_steps < 10:
             raise ValueError("t_final must cover at least 10 steps")
         if not (0.0 <= self.burn_in < 1.0):
             raise ValueError(f"burn_in must lie in [0, 1), got {self.burn_in!r}")
@@ -211,9 +211,6 @@ class SimSummary:
     noise_scale: float = 1.0
     generator: str = "pcg64"
     backend: str = ""
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def sample_correlated_noise(pi1: float, n: int, rng: np.random.Generator,

@@ -110,21 +110,34 @@ class DesignSpectra:
 
 def design_spectra(pi1, pi2, pi3, pi4, n: int) -> DesignSpectra:
     """Every spectrum for pi values broadcast over a batch, from one square
-    root per frequency for the regulator and one for the filter."""
+    root per frequency for the regulator and one for the filter.  Raises
+    ValueError naming the first point whose spectra are not finite: pi3 or
+    pi4 above about 1e151, pi3 below 1e-161 or pi4 below 1e-102."""
     pi1, pi2, pi3, pi4 = (np.asarray(x, dtype=float)[..., None]
                           for x in (pi1, pi2, pi3, pi4))
     d = laplacian_spectrum(n)
-    v = 1.0 - pi1 * d
-    x = pi3 ** 2 * v
-    k0 = x / (np.sqrt(d * d + x) - d)
-    kc = np.sqrt(2.0 * k0 + pi2 * pi3 ** 2)
-    p2 = kc / pi3 ** 2
-    w = pi4 ** 2 * v
-    s0 = 1.0 / (np.sqrt(d * d + w) - d)
-    s1 = np.sqrt(2.0 * s0 / w)
-    return DesignSpectra(
-        p0=k0 / pi3 ** 2, p1=p2 * (k0 - d), p2=p2, k0=k0, kc=kc,
-        s0=s0, s1=s1, s2=s1 * (w * s0 - d), l0=w * s0 / pi4, lc=w * s1 / pi4)
+    with np.errstate(all="ignore"):
+        v = 1.0 - pi1 * d
+        x = pi3 ** 2 * v
+        k0 = x / (np.sqrt(d * d + x) - d)
+        kc = np.sqrt(2.0 * k0 + pi2 * pi3 ** 2)
+        p2 = kc / pi3 ** 2
+        w = pi4 ** 2 * v
+        s0 = 1.0 / (np.sqrt(d * d + w) - d)
+        s1 = np.sqrt(2.0 * s0 / w)
+        s = DesignSpectra(
+            p0=k0 / pi3 ** 2, p1=p2 * (k0 - d), p2=p2, k0=k0, kc=kc,
+            s0=s0, s1=s1, s2=s1 * (w * s0 - d), l0=w * s0 / pi4,
+            lc=w * s1 / pi4)
+    ok = np.logical_and.reduce([np.isfinite(a).all(axis=-1)
+                                for a in vars(s).values()])
+    if not ok.all():
+        pi = [np.broadcast_to(a[..., 0], ok.shape)[~ok][0]
+              for a in (pi1, pi2, pi3, pi4)]
+        raise ValueError("the design is not finite in floating point at "
+                         "pi=({:.6g}, {:.6g}, {:.6g}, {:.6g}), n={}"
+                         .format(*pi, n))
+    return s
 
 
 def optimal_gains(p: NondimParams) -> tuple[GainSet, GainSet]:

@@ -11,7 +11,7 @@ its JSON report.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,9 +32,6 @@ class Check:
     value: float
     tol: float
     ok: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _at_most(name: str, value: float, tol: float) -> Check:

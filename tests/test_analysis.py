@@ -1,6 +1,7 @@
 """Trace costs, closed-loop assembly, reports, and parameter sweeps."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -162,7 +163,7 @@ def test_report_at_pi1_zero():
 def test_report_roundtrip():
     # the report JSON the CLI writes holds every field exactly
     r = report(params(pi1=0.3, pi2=2.0, pi3=1.5, pi4=0.7, n=8))
-    assert CostLocalityReport(**json.loads(json.dumps(r.to_dict()))) == r
+    assert CostLocalityReport(**json.loads(json.dumps(asdict(r)))) == r
 
 
 def test_sweep_orders_rows_pi1_major():
@@ -212,7 +213,7 @@ def test_single_point_sweep_equals_report(monkeypatch):
     grid = SweepGrid(pi1_values=[0.5], pi34_values=[4.0], n=8)
     ((p, fields, on_curve),) = _rows(sweep(grid))
     assert p == params(n=8)
-    assert fields == report(p).to_dict()
+    assert fields == asdict(report(p))
     assert on_curve  # exact curve point, zero-width cell
     # batched 4x3 grids, tied and untied, and the batched curve reproduce
     # the single-point report exactly, in pi1-major order; chunks of 5
@@ -226,12 +227,12 @@ def test_single_point_sweep_equals_report(monkeypatch):
         expected = [params(pi1=a, pi3=v if tie else 1.7, pi4=v, n=6)
                     for a in pi1s for v in pi34s]
         assert [p for p, _, _ in rows] == expected
-        assert [f for _, f, _ in rows] == [report(p).to_dict()
+        assert [f for _, f, _ in rows] == [asdict(report(p))
                                            for p in expected]
     rows = list(_rows(curve_reports(pi1s, n=6)))
     assert len(rows) == 4
     assert all(on for _, _, on in rows)
-    assert [f for _, f, _ in rows] == [report(p).to_dict()
+    assert [f for _, f, _ in rows] == [asdict(report(p))
                                        for p, _, _ in rows]
 
 

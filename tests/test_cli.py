@@ -116,23 +116,87 @@ def test_synth_writes_nothing_when_a_set_fails(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_synth_removes_temporary_files_when_a_write_fails(tmp_path, capsys):
-    # a directory blocks the filter's temporary file, so the write fails
-    # after the regulator's temporary file is written
-    (tmp_path / "g_kf.json.tmp").mkdir()
-    assert main(["synth", *DECENTRAL, "--out", str(tmp_path / "g")]) == 2
-    assert capsys.readouterr().out == ""
-    assert [p.name for p in tmp_path.iterdir()] == ["g_kf.json.tmp"]
+# one run per command that writes two outputs, with the names of the
+# first and the second; {tmp} is the test's directory
+WRITERS = {
+    "synth": (["synth", *DECENTRAL, "--out", "{tmp}/g"],
+              "g_lqr.json", "g_kf.json"),
+    "sweep": (["sweep", "--pi1-count", "3", "--pi34-count", "3", "--n", "4",
+               "--out", "{tmp}/s.csv", "--heatmap", "{tmp}/h.svg"],
+              "s.csv", "h.svg"),
+    "simulate": (["simulate", *DECENTRAL, "--t-final", "1",
+                  "--summary-json", "{tmp}/s.json", "--traj-csv",
+                  "{tmp}/t.csv"],
+                 "s.json", "t.csv"),
+}
 
 
-def test_synth_rejects_a_directory_target_before_writing(tmp_path, capsys):
-    # os.replace would refuse the directory only after the regulator file
+def _writer(tmp_path, command):
+    argv, first, second = WRITERS[command]
+    return [a.format(tmp=tmp_path) for a in argv], first, second
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_failed_write_removes_temporary_files(tmp_path, capsys, command):
+    # a directory blocks the second output's temporary file, so the write
+    # fails after the first output's temporary file is written
+    argv, _, second = _writer(tmp_path, command)
+    (tmp_path / f"{second}.tmp").mkdir()
+    assert main(argv) == 2
+    assert "wrote" not in capsys.readouterr().out
+    assert [p.name for p in tmp_path.iterdir()] == [f"{second}.tmp"]
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_directory_target_is_rejected_before_writing(tmp_path, capsys,
+                                                     command):
+    # os.replace would refuse the directory only after the first output
     # had been moved into place
-    (tmp_path / "g_kf.json").mkdir()
-    assert main(["synth", *DECENTRAL, "--out", str(tmp_path / "g")]) == 2
-    assert "directory" in capsys.readouterr().err
-    assert not (tmp_path / "g_lqr.json").exists()
+    argv, first, second = _writer(tmp_path, command)
+    (tmp_path / second).mkdir()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert "directory" in err and "wrote" not in out
+    assert not (tmp_path / first).exists()
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_failed_run_keeps_an_existing_target(tmp_path, capsys):
+    argv, first, second = _writer(tmp_path, "sweep")
+    (tmp_path / first).write_text("old\n")
+    (tmp_path / f"{second}.tmp").mkdir()
+    assert main(argv) == 2
+    assert (tmp_path / first).read_text() == "old\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--pi1-count", "3", "--pi34-count", "3", "--n", "4",
+     "--out", "{x}", "--heatmap", "{x}"],
+    ["simulate", *DECENTRAL, "--t-final", "1", "--summary-json", "{x}",
+     "--traj-csv", "{x}"],
+    ["sweep", "--pi1-count", "3", "--pi34-count", "3", "--n", "4",
+     "--out", "{x}.tmp", "--heatmap", "{x}"],
+], ids=["sweep", "simulate", "sweep-temporary"])
+def test_one_path_for_two_outputs_is_rejected(tmp_path, capsys, argv):
+    # the second output, or its temporary file, would silently replace the
+    # first
+    x = str(tmp_path / "x")
+    assert main([a.format(x=x) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert x in err and "wrote" not in out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_design_is_a_usage_error(tmp_path, capsys):
+    # pi3**2 underflows to 0, and the spectra turn NaN
+    assert main(["synth", "--pi3", "1e-200", "--pi4", "1e-200", "--n", "4",
+                 "--out", str(tmp_path / "g")]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "pi=(0, 1, 1e-200, 1e-200), n=4" in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+    assert main(["report", "--pi3", "1e160"]) == 2
 
 
 def test_verify_against_dense_oracle(capsys):
@@ -234,9 +298,13 @@ def test_check_file_with_wrong_array_length_is_rejected(tmp_path, capsys,
     ("config", {"n": 4.5}, "n"),
     ("config", {"pi1": None}, "pi1"),
     ("gain file", None, "gain file"),  # the gain object inside a list
+    ("config", {"pi3": True}, "pi3"),
+    ("config", {"pi1": "0.5"}, "pi1"),
+    ("gain file", {"pi": {"pi1": True, "pi2": 1, "pi3": 4, "pi4": 4}}, "pi1"),
 ], ids=["file-n-fraction", "file-n-list", "file-pi-null",
         "file-spectral-null", "file-pi1-null",
-        "config-n-fraction", "config-pi1-null", "file-not-an-object"])
+        "config-n-fraction", "config-pi1-null", "file-not-an-object",
+        "config-pi3-bool", "config-pi1-string", "file-pi1-bool"])
 def test_malformed_parameters_are_usage_errors(tmp_path, capsys, source,
                                                mutation, field):
     # never truncated to a neighbouring n, never a traceback

@@ -5,6 +5,9 @@ with healthy margin for typical draws (z-tests at 3-4 sigma); nothing here
 is tuned to a lucky stream.
 """
 
+import math
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +121,7 @@ def test_config_requires_ten_steps():
     {"n_realizations": 0},
     {"store_every": 0},
     {"noise_scale": -1.0},
+    {"t_final": math.inf},
 ])
 def test_config_field_validation(kw):
     with pytest.raises(ValueError):
@@ -428,7 +432,7 @@ def test_summary_records_backend_and_generator():
     assert summ.backend == kernel_backend()
     assert summ.generator == "pcg64"
     assert summ.seed == 8
-    d = summ.to_dict()
+    d = asdict(summ)
     assert d["dt"] == 0.01 and d["backend"] == summ.backend
 
 
