@@ -15,6 +15,6 @@ from .synthesis import (DesignSpectra, GainKind, GainSet, design_spectra,
 from .analysis import (CostLocalityReport, SweepGrid, build_closed_loop,
                        curve_reports, kf_cost, lqg_cost, lqg_cost_dual,
                        lqr_cost, report, sweep)
-from .simulator import SimConfig, SimSummary, Trajectory, sample_correlated_noise, simulate
+from .simulator import SimConfig, SimSummary, Trajectory, simulate
 
 __version__ = "0.1.0"

@@ -4,7 +4,10 @@ The loop simulated here is the one ``analysis.build_closed_loop``
 assembles densely: plant driven by unit-intensity force disturbance,
 estimator driven by the measured displacements corrupted by spatially
 correlated noise with covariance (I - pi1 Lap)^-1, control u = -K
-(estimate).  The empirical time-averaged quadratic cost and
+(estimate).  :func:`frequency_blocks` is the one implementation of that
+noise law: it scales each bin's white measurement noise by
+1/sqrt(1 - pi1 d(k)), the square root of the law's per-frequency
+variance.  The empirical time-averaged quadratic cost and
 estimation-error power then have closed-form predictions
 (``analysis.lqg_cost`` / ``analysis.kf_cost``), which is what makes the
 simulator a useful end-to-end check.
@@ -53,7 +56,6 @@ __all__ = [
     "Trajectory",
     "SimSummary",
     "frequency_blocks",
-    "sample_correlated_noise",
     "noise_covariance",
     "simulate",
     "kernel_backend",
@@ -138,9 +140,10 @@ class SimConfig:
     Construction checks the fields alone.  ``dt`` must pass the
     explicit-integration guard dt <= 0.1 / sqrt(4 + pi3 + pi4), which
     bounds the step by the closed-loop frequencies (they grow with the
-    gains); ``t_final`` must cover at least 10 steps, and the burn-in must
-    leave at least one of them.  The guard ignores pi1 and pi2, so
-    :func:`simulate` also checks the Euler maps it is about to step.
+    gains); ``t_final`` must cover a finite number of steps, at least 10,
+    and the burn-in must leave at least one of them.  The guard ignores
+    pi1 and pi2, so :func:`simulate` also checks the Euler maps it is
+    about to step.
     """
 
     params: NondimParams
@@ -160,7 +163,12 @@ class SimConfig:
             raise ValueError(
                 f"dt={self.dt!r} exceeds the stability guard {guard:.6g} "
                 "= 0.1/sqrt(4 + pi3 + pi4) for these parameters")
-        if not (0.0 < self.t_final < math.inf) or self.n_steps < 10:
+        if not (0.0 < self.t_final < math.inf):
+            raise ValueError("t_final must cover at least 10 steps")
+        if not math.isfinite(self.t_final / self.dt):
+            raise ValueError(f"t_final={self.t_final!r} / dt={self.dt!r} is "
+                             "not a finite number of steps")
+        if self.n_steps < 10:
             raise ValueError("t_final must cover at least 10 steps")
         if not (0.0 <= self.burn_in < 1.0):
             raise ValueError(f"burn_in must lie in [0, 1), got {self.burn_in!r}")
@@ -213,29 +221,9 @@ class SimSummary:
     backend: str = ""
 
 
-def sample_correlated_noise(pi1: float, n: int, rng: np.random.Generator,
-                            size: int | None = None) -> np.ndarray:
-    """Gaussian vector(s) with covariance (I - pi1 Lap)^-1.
-
-    Sampling is spectral: scale the DFT of white noise by the square root
-    of the per-frequency variance 1/(1 - pi1 d(k)) and transform back; the
-    filter is real and symmetric so the output is real.  With ``size`` an
-    (size, n) array of independent draws is returned.
-    """
-    if pi1 < 0.0:
-        raise ValueError("pi1 must be nonnegative")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    shape = (n,) if size is None else (int(size), n)
-    white = rng.standard_normal(shape)
-    if pi1 == 0.0:
-        return white
-    scaling = np.sqrt(1.0 / (1.0 - pi1 * laplacian_spectrum(n)))
-    return np.fft.ifft(np.fft.fft(white, axis=-1) * scaling, axis=-1).real
-
-
 def noise_covariance(pi1: float, n: int) -> np.ndarray:
-    """Dense (I - pi1 Lap)^-1, the measurement noise covariance."""
+    """Dense (I - pi1 Lap)^-1, the measurement noise covariance: the
+    reference the tests hold :func:`frequency_blocks`' filter to."""
     lap = circulant_dense(laplacian_circulant(n))
     return np.linalg.inv(np.eye(n) - pi1 * lap)
 

@@ -13,7 +13,7 @@ import pytest
 from wavelqg import analysis, synthesis
 from wavelqg.oracle import spectral_abscissa
 from wavelqg.params import DimensionalParams, NondimParams, locality_residuals, nondimensionalize
-from wavelqg.simulator import SimConfig, noise_covariance, sample_correlated_noise, simulate
+from wavelqg.simulator import SimConfig, frequency_blocks, noise_covariance, simulate
 from wavelqg.spectral import circulant_dense, offdiag_masses
 from wavelqg.verify import verify_point
 
@@ -104,9 +104,21 @@ def test_04_dimensional_locality_condition_is_resolution_free():
         assert abs(res_l) <= tol
 
 
+def _match_one_to_one(got, expected, tol):
+    remaining = list(expected)
+    for lam in got:
+        dist = [abs(lam - mu) for mu in remaining]
+        j = int(np.argmin(dist))
+        assert dist[j] <= tol
+        remaining.pop(j)
+    assert not remaining
+
+
 def test_05_closed_loop_is_stable_and_separates():
-    """20 random points (n <= 16): augmented loop abscissa < 0 and its
-    spectrum is the union of regulator and filter spectra to 1e-8."""
+    """20 random points (n <= 16): augmented loop abscissa < 0, its
+    spectrum is the union of regulator and filter spectra to 1e-8, and
+    ``analysis.loop_poles`` (the stability route of ``verify`` and
+    ``simulate``) gives the same 4n poles to 1e-8."""
     for p in _draws(20, 1e-1, 1e1, seed=505, n_choices=(2, 4, 8, 16)):
         aug = analysis.build_closed_loop(p)
         assert spectral_abscissa(aug) < 0.0
@@ -119,13 +131,9 @@ def test_05_closed_loop_is_stable_and_separates():
             np.linalg.eigvals(a - lmat @ c)])
         got = np.linalg.eigvals(aug)
         tol = 1e-8 * (1.0 + np.abs(expected).max())
-        remaining = list(expected)
-        for lam in got:
-            dist = [abs(lam - mu) for mu in remaining]
-            j = int(np.argmin(dist))
-            assert dist[j] <= tol
-            remaining.pop(j)
-        assert not remaining
+        _match_one_to_one(got, expected, tol)
+        s = synthesis.design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
+        _match_one_to_one(analysis.loop_poles(s, p.pi4).ravel(), got, tol)
 
 
 def test_06_lqg_cost_trace_forms_agree():
@@ -186,12 +194,16 @@ def test_08_sweep_reproduces_cost_landscape():
 
 
 def test_09_correlated_noise_has_the_advertised_covariance():
-    """Empirical covariance of 1e5 samples at pi1 = 1, n = 8 matches
-    (I - pi1 Lap)^-1 entrywise within 3 standard errors."""
-    cov = noise_covariance(1.0, 8)
-    rng = np.random.default_rng(0)
-    x = sample_correlated_noise(1.0, 8, rng, size=100_000)
-    emp = np.cov(x.T, ddof=1)
-    var = np.diag(cov)
-    se = np.sqrt((np.outer(var, var) + cov ** 2) / x.shape[0])
-    assert np.all(np.abs(emp - cov) <= 3.0 * se)
+    """The measurement noise ``simulate`` injects (white site noise taken to
+    orthonormal rfft bins and scaled by ``frequency_blocks``' filter) has
+    covariance exactly (I - pi1 Lap)^-1, within 1e-12 of its largest entry,
+    at pi1 = 1, n = 8, at white noise with odd n and at a Nyquist bin."""
+    for pi1, n in [(1.0, 8), (0.0, 7), (2.5, 30)]:
+        p = NondimParams(pi1=pi1, pi2=1.0, pi3=1.0, pi4=1.0, n=n)
+        one, zero = np.ones(n), np.zeros(n)
+        _, b, _ = frequency_blocks(p, k0=one, kc=one, l0=zero, lc=one, dt=1.0)
+        bins = b[:, 2, 1] * np.fft.rfft(np.eye(n), norm="ortho")
+        noise_of_sites = np.fft.irfft(bins, n=n, norm="ortho")
+        cov = noise_covariance(pi1, n)
+        gap = np.abs(noise_of_sites @ noise_of_sites.T - cov).max()
+        assert gap <= 1e-12 * np.abs(cov).max(), (pi1, n, gap)

@@ -24,7 +24,6 @@ from wavelqg.simulator import (
     frequency_blocks,
     kernel_backend,
     noise_covariance,
-    sample_correlated_noise,
     simulate,
 )
 from wavelqg.spectral import (circulant_dense, circulant_rows,
@@ -49,7 +48,7 @@ def test_config_enforces_stability_guard():
         SimConfig(params=MILD, dt=1.01 * guard)
 
 
-def test_config_rejects_unstable_euler_map():
+def test_simulate_rejects_unstable_euler_map():
     # the guard ignores pi1 and pi2; simulate's Euler radius check does not
     p = NondimParams(pi1=0.5, pi2=100.0, pi3=40.0, pi4=4.0, n=8)
     assert 0.0055 < 0.1 / np.sqrt(4.0 + p.pi3 + p.pi4)
@@ -59,7 +58,7 @@ def test_config_rejects_unstable_euler_map():
         simulate(cfg)
 
 
-def test_config_asserts_hurwitz_generators(monkeypatch):
+def test_simulate_asserts_hurwitz_poles(monkeypatch):
     # Riccati theory makes every G_k Hurwitz; a pole off the open left
     # half plane can only come from a bug in the closed forms.
     poles = analysis.loop_poles
@@ -90,7 +89,7 @@ def test_stability_check_never_asserts_over_the_wide_range(pi1, pi2, pi3,
         pass
 
 
-def test_one_run_evaluates_the_design_twice(monkeypatch):
+def test_one_run_evaluates_the_design_once(monkeypatch):
     # once: simulate checks, steps and predicts from one design
     calls = []
     design = simulator.design_spectra
@@ -122,6 +121,7 @@ def test_config_requires_ten_steps():
     {"store_every": 0},
     {"noise_scale": -1.0},
     {"t_final": math.inf},
+    {"dt": 1e-320, "t_final": 1.0},  # t_final / dt overflows
 ])
 def test_config_field_validation(kw):
     with pytest.raises(ValueError):
@@ -438,45 +438,12 @@ def test_summary_records_backend_and_generator():
 
 # ----------------------------------------------------------- noise law
 
-def test_correlated_noise_validation():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="pi1"):
-        sample_correlated_noise(-0.5, 4, rng)
-    with pytest.raises(ValueError, match="n"):
-        sample_correlated_noise(1.0, 1, rng)
-
-
-def test_correlated_noise_shapes():
-    rng = np.random.default_rng(1)
-    assert sample_correlated_noise(1.0, 6, rng).shape == (6,)
-    assert sample_correlated_noise(1.0, 6, rng, size=17).shape == (17, 6)
-
-
-def test_white_noise_at_pi1_zero():
-    rng = np.random.default_rng(0)
-    x = sample_correlated_noise(0.0, 4, rng, size=100_000)
-    emp = np.cov(x.T, ddof=1)
-    se = np.sqrt((np.eye(4) + np.eye(4) ** 2 + 1.0) / x.shape[0])  # C = I
-    assert np.all(np.abs(emp - np.eye(4)) <= 3.0 * se)
-
-
-def test_correlated_noise_matches_dense_inverse():
-    # Covariance of the spectrally sampled noise is (I - pi1 Lap)^-1;
-    # check empirically against the dense inverse, entrywise at 3 SE.
-    cov = noise_covariance(1.0, 4)
-    lap = circulant_dense(laplacian_circulant(4))
-    assert np.allclose((np.eye(4) - lap) @ cov, np.eye(4), atol=1e-12)
-
-    rng = np.random.default_rng(0)
-    x = sample_correlated_noise(1.0, 4, rng, size=100_000)
-    emp = np.cov(x.T, ddof=1)
-    var = np.diag(cov)
-    se = np.sqrt((np.outer(var, var) + cov ** 2) / x.shape[0])
-    assert np.all(np.abs(emp - cov) <= 3.0 * se)
-
-
 def test_site_variance_is_spectral_average():
-    # Circulant stationarity: every site has variance (1/n) sum 1/(1-pi1 d).
+    # The dense reference is (I - pi1 Lap)^-1; by circulant stationarity
+    # every site has variance (1/n) sum 1/(1-pi1 d).
+    lap = circulant_dense(laplacian_circulant(4))
+    assert np.allclose((np.eye(4) - lap) @ noise_covariance(1.0, 4), np.eye(4),
+                       atol=1e-12)
     for pi1, n in [(1.0, 4), (0.3, 8), (2.5, 30)]:
         d = laplacian_spectrum(n)
         expected = np.mean(1.0 / (1.0 - pi1 * d))
