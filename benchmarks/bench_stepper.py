@@ -16,7 +16,7 @@ import numpy as np
 
 from wavelqg import _kernels
 from wavelqg.params import NondimParams
-from wavelqg.simulator import _BLOCK, frequency_blocks
+from wavelqg.simulator import _BLOCK, _KB, frequency_blocks
 from wavelqg.synthesis import design_spectra
 
 DT = 0.005
@@ -25,16 +25,20 @@ DT = 0.005
 def build_workload(n: int, steps: int, seed: int = 0):
     """``advance``'s inputs for one realization at ring size n:
     (z0, [A B], cost weight factors, error weight factors, work buffer),
-    the buffer holding ``steps`` steps of white noise."""
+    the buffer holding ``steps`` steps of white noise in chunks of
+    ``simulator._KB`` steps (a last partial chunk is padded with zero
+    noise, so a call without a step count runs a whole number of chunks).
+    """
     p = NondimParams(pi1=0.5, pi2=1.0, pi3=4.0, pi4=4.0, n=n)
     s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, n)
     a, b, w = frequency_blocks(p, s.k0, s.kc, s.l0, s.lc, DT)
     bins = n // 2 + 1
     rng = np.random.default_rng(seed)
-    path = np.empty((steps, _kernels.ROWS, bins, 2))
-    path[:, _kernels.NOISE_ROWS] = rng.standard_normal((steps, 2, bins, 2))
+    work = _kernels.work_buffer(_KB, -(-steps // _KB), (), bins)
+    work[..., _kernels.NOISE_ROWS, :, :, :, :] = 0.0
+    _kernels.put_noise(work, rng.standard_normal((steps, 2, bins, 2)))
     z0 = rng.standard_normal((4, bins, 2))
-    return z0, np.concatenate([a, b], axis=-1), w[0], w[1], path
+    return z0, np.concatenate([a, b], axis=-1), w[0], w[1], work
 
 
 def main(argv=None) -> int:
@@ -44,7 +48,8 @@ def main(argv=None) -> int:
     ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args(argv)
 
-    z0, m, w_cost, w_err, path = build_workload(args.n, args.steps)
+    z0, m, w_cost, w_err, work = build_workload(args.n, args.steps)
+    per_call = _BLOCK // _KB  # chunks per kernel call
     print(f"n={args.n}, steps={args.steps}, {m.shape[0]} frequency bins, "
           f"backend: {_kernels.BACKEND}")
 
@@ -55,8 +60,10 @@ def main(argv=None) -> int:
         cost = 0.0
         t0 = time.perf_counter()
         for lo in range(0, args.steps, _BLOCK):
-            cost += _kernels.advance(z, m, w_cost, w_err,
-                                     path[lo:lo + _BLOCK], DT)[0][-1]
+            hi = min(lo + _BLOCK, args.steps)
+            buf = work[..., lo // _KB:lo // _KB + per_call, :]
+            cost += _kernels.advance(z, m, w_cost, w_err, buf, DT,
+                                     hi - lo)[0][-1]
         best = min(best, time.perf_counter() - t0)
     rate = args.steps / best
     print(f"  {best * 1e3:9.2f} ms   {rate:12.0f} steps/s   "

@@ -30,12 +30,17 @@ Realization i draws from numpy's PCG64 seeded with
 ``SeedSequence(seed, spawn_key=(i,))`` -- a documented, order-independent
 splitting rule.  Within a realization each step consumes 2n standard
 normals (n disturbance, n measurement) drawn row-wise in blocks of
-``_BLOCK`` steps, each block transformed on its own.  The kernel is called
-once per block, whatever ``store_every`` and the burn-in are, so results
-do not depend on them.  Realizations are stepped together in groups of
+``_BLOCK`` = 256 steps, each block transformed on its own.  The kernel is
+called once per block, whatever ``store_every`` and the burn-in are, so
+results do not depend on them.  It scans the block in chunks of ``_KB``
+= sqrt(``_BLOCK``) = 16 steps (see :mod:`wavelqg._kernels`), so states and
+costs agree with step-by-step Euler to roundoff, not bitwise.
+Realizations are stepped together in groups of
 ``max(1, 512 // (8 (n//2 + 1)))``, yet every product is taken per
 realization and bin, so realization i's results are bitwise the same
-whatever the number of realizations R.
+whatever the number of realizations R and however they are grouped; the
+loop is linear, so scaling the noise by a power of two scales them
+exactly.
 """
 
 from __future__ import annotations
@@ -63,7 +68,9 @@ __all__ = [
 
 _BLOWUP = 1e12
 _BLOCK = 256          # steps per noise block and per kernel call
+_KB = math.isqrt(_BLOCK)  # steps per chunk of the kernel's scan
 _GROUP_ENTRIES = 512  # state entries (realizations x bins x 8) per group
+_MAX_STORED = 2 ** 27  # float64 values a stored trajectory may hold (1 GiB)
 
 
 class InstabilityError(ValueError):
@@ -141,9 +148,11 @@ class SimConfig:
     explicit-integration guard dt <= 0.1 / sqrt(4 + pi3 + pi4), which
     bounds the step by the closed-loop frequencies (they grow with the
     gains); ``t_final`` must cover a finite number of steps, at least 10,
-    and the burn-in must leave at least one of them.  The guard ignores
-    pi1 and pi2, so :func:`simulate` also checks the Euler maps it is
-    about to step.
+    and the burn-in must leave at least one of them.  The stored
+    trajectory, every ``store_every``-th step, may hold at most
+    ``_MAX_STORED`` values, so a run too long for memory fails here, not
+    in :func:`simulate`.  The guard ignores pi1 and pi2, so
+    :func:`simulate` also checks the Euler maps it is about to step.
     """
 
     params: NondimParams
@@ -178,6 +187,19 @@ class SimConfig:
             raise ValueError("n_realizations must be at least 1")
         if self.store_every < 1:
             raise ValueError("store_every must be at least 1")
+        # stored samples: every store_every-th step, the last, and t = 0;
+        # each holds a time, 2n plant and 2n estimate states, n controls
+        # and a running cost
+        stored = -(-self.n_steps // self.store_every) + 1
+        per_row = 5 * self.params.n + 2
+        if stored * per_row > _MAX_STORED:
+            fits = _MAX_STORED // per_row - 1  # stored intervals that fit
+            hint = (f"use store_every >= {-(-self.n_steps // fits)}"
+                    if fits > 0 else "no store_every fits at this n")
+            raise ValueError(
+                f"the stored trajectory would hold {stored} samples of "
+                f"{per_row} values ({stored * per_row * 8 / 1e9:.3g} GB), "
+                f"over the cap of {_MAX_STORED} values; {hint}")
         if not (self.noise_scale >= 0.0):
             raise ValueError("noise_scale must be nonnegative")
 
@@ -312,17 +334,18 @@ def simulate(cfg: SimConfig,
             np.random.SeedSequence(cfg.seed, spawn_key=(real,))))
             for real in range(first, stop)]
         z = np.tile(z0, (len(rngs), 1, 1, 1))
-        path = np.empty((_BLOCK, len(rngs), _kernels.ROWS, bins, 2))
+        work = _kernels.work_buffer(_KB, _BLOCK // _KB, (len(rngs),), bins)
         cum_cost = np.zeros(len(rngs))
         post_cost = np.zeros(len(rngs))
         post_err = np.zeros(len(rngs))
         for lo in range(0, n_steps, _BLOCK):
             hi = min(lo + _BLOCK, n_steps)
-            buf = path[:hi - lo]
+            buf = work[..., :-(-(hi - lo) // _KB), :]  # the chunks it fills
             for i, rng in enumerate(rngs):
-                raw = rng.standard_normal((hi - lo, 2, n))
-                buf[:, i, _kernels.NOISE_ROWS] = _to_bins(raw)
-            c_int, e_int, mx = _kernels.advance(z, ab, w[0], w[1], buf, cfg.dt)
+                _kernels.put_noise(buf[i], _to_bins(
+                    rng.standard_normal((hi - lo, 2, n))))
+            c_int, e_int, mx = _kernels.advance(z, ab, w[0], w[1], buf, cfg.dt,
+                                                hi - lo)
             bad = np.flatnonzero(~(mx <= _BLOWUP))  # also catches nan
             if bad.size:
                 raise InstabilityError(
@@ -335,8 +358,8 @@ def simulate(cfg: SimConfig,
                 sel = slice(*np.searchsorted(stored, [lo, hi], side="right"))
                 after = stored[sel] - lo
                 inner = after < hi - lo
-                traj_bins[sel][inner] = buf[after[inner], 0,
-                                            _kernels.STATE_ROWS]
+                c, j = np.divmod(after[inner], _KB)
+                traj_bins[sel][inner] = buf[0, _kernels.STATE_ROWS, j, :, c]
                 traj_bins[sel][~inner] = z[0]
                 traj_cost[sel] = cum_cost[0] + c_int[after - 1, 0]
             cum_cost += c_int[-1]

@@ -1,30 +1,53 @@
 """The stepping kernel honors one contract, for one realization or many."""
 
 import numpy as np
+import pytest
 
 from wavelqg import _kernels
-from wavelqg._kernels import NOISE_ROWS, ROWS
-from wavelqg.simulator import kernel_backend
+from wavelqg._kernels import NOISE_ROWS, STATE_ROWS
+from wavelqg.simulator import _KB, kernel_backend
 
 
 def _random_problem(rng, bins=3, steps=40, batch=()):
+    # Euler maps A = I + h G of a stable G, as simulate steps: a state
+    # remembers its chunk's start for many steps, so the carries matter
     z = rng.standard_normal(batch + (4, bins, 2))
-    m = rng.standard_normal((bins, 4, 6)) * 0.3
+    g = rng.standard_normal((bins, 4, 4)) - 3.0 * np.eye(4)
+    b = 0.3 * rng.standard_normal((bins, 4, 2))
+    m = np.concatenate([np.eye(4) + 0.02 * g, b], axis=-1)
     w_cost = rng.standard_normal((bins, 4, 4))
     w_err = rng.standard_normal((bins, 4, 4))
-    path = np.empty((steps,) + batch + (ROWS, bins, 2))
-    path[..., NOISE_ROWS, :, :] = 0.05 * rng.standard_normal(
-        (steps,) + batch + (2, bins, 2))
-    return z, m, w_cost, w_err, path
+    noise = rng.standard_normal((steps,) + batch + (2, bins, 2))
+    return z, m, w_cost, w_err, noise
 
 
-def test_python_kernel_matches_reference_loop():
-    rng = np.random.default_rng(0)
-    z, m, w_cost, w_err, path = _random_problem(rng)
-    noise = path[:, NOISE_ROWS].copy()
-    dt = 0.01
+def _work(noise, fill=np.nan):
+    """A work buffer holding step-major ``noise`` (steps, ..., 2, bins, 2),
+    every other entry set to ``fill``."""
+    steps, batch, bins = noise.shape[0], noise.shape[1:-3], noise.shape[-2]
+    work = _kernels.work_buffer(_KB, -(-steps // _KB), batch, bins)
+    work.fill(fill)
+    _kernels.put_noise(work, noise)
+    return work
+
+
+def _rows(work, rows, steps):
+    """Step-major (steps, ..., len(rows), bins, 2) view of ``rows``."""
+    c, j = np.divmod(np.arange(steps), _KB)
+    return work[..., rows, j, :, c, :]
+
+
+def _rel(x, ref):
+    return np.abs(np.asarray(x) - ref).max() / np.abs(ref).max()
+
+
+def _matches_reference_loop(rng, steps, dt=0.01):
+    # A chunked scan rounds differently from the step-by-step loop, so the
+    # two agree to roundoff, not bitwise.
+    z, m, w_cost, w_err, noise = _random_problem(rng, steps=steps)
+    work = _work(noise)
     zk = z.copy()
-    cost, err, mx = _kernels.advance(zk, m, w_cost, w_err, path, dt)
+    cost, err, mx = _kernels.advance(zk, m, w_cost, w_err, work, dt, steps)
 
     # the same ops, one step at a time, on per-bin (rows, re/im) blocks
     w = np.concatenate([w_cost, w_err], axis=1)
@@ -32,9 +55,10 @@ def test_python_kernel_matches_reference_loop():
     zr = z.transpose(1, 0, 2).copy()             # (bins, 4, 2)
     f = w @ zr
     c = e = x = 0.0
-    ref_cost, ref_err = [], []
-    for t in range(noise.shape[0]):
+    ref_cost, ref_err, ref_states = [], [], []
+    for t in range(steps):
         x = max(x, float(np.abs(zr).max()))
+        ref_states.append(zr.transpose(1, 0, 2))
         sq = np.square(f.transpose(1, 0, 2)).reshape(2, -1)
         c += float(sq[0].sum())
         e += float(sq[1].sum())
@@ -43,44 +67,107 @@ def test_python_kernel_matches_reference_loop():
         out = ext @ np.concatenate([zr, noise[t].transpose(1, 0, 2)], axis=1)
         f, zr = out[:, :8], out[:, 8:]
     x = max(x, float(np.abs(zr).max()))
-    assert np.array_equal(cost, ref_cost)
-    assert np.array_equal(err, ref_err)
-    assert mx == x
-    assert np.array_equal(zk, zr.transpose(1, 0, 2))
-    assert np.array_equal(path[:, NOISE_ROWS], noise)  # noise is read only
+    assert _rel(cost, ref_cost) <= 1e-12
+    assert _rel(err, ref_err) <= 1e-12
+    assert _rel(mx, x) <= 1e-12
+    assert _rel(zk, zr.transpose(1, 0, 2)) <= 1e-12
+    assert _rel(_rows(work, STATE_ROWS, steps), ref_states) <= 1e-12
+    # noise is read only
+    assert np.array_equal(_rows(work, NOISE_ROWS, steps), noise)
 
+
+def _realizations_match_solo_runs(rng, steps, dt=0.01):
     # a batch of realizations: each row is bitwise its own 1-D run
-    z, m, w_cost, w_err, path = _random_problem(rng, batch=(5,))
+    z, m, w_cost, w_err, noise = _random_problem(rng, steps=steps,
+                                                 batch=(5,))
     zb = z.copy()
-    batched = _kernels.advance(zb, m, w_cost, w_err, path.copy(), dt)
+    batched = _kernels.advance(zb, m, w_cost, w_err, _work(noise), dt, steps)
     for i in range(z.shape[0]):
         zi = z[i].copy()
         single = _kernels.advance(zi, m, w_cost, w_err,
-                                  np.ascontiguousarray(path[:, i]), dt)
+                                  _work(np.ascontiguousarray(noise[:, i])),
+                                  dt, steps)
         assert np.array_equal(batched[0][:, i], single[0])
         assert np.array_equal(batched[1][:, i], single[1])
         assert batched[2][i] == single[2]
         assert np.array_equal(zb[i], zi)
 
 
+def test_python_kernel_matches_reference_loop():
+    rng = np.random.default_rng(0)
+    _matches_reference_loop(rng, 40)
+    _realizations_match_solo_runs(rng, 40)
+
+
+@pytest.mark.parametrize("steps", [1, 15, 16, 17, 2000])
+def test_partial_and_long_calls_match_reference_loop(steps):
+    # a call shorter than one chunk, one chunk, one step into a second,
+    # and many chunks
+    rng = np.random.default_rng(steps)
+    _matches_reference_loop(rng, steps)
+    _realizations_match_solo_runs(rng, steps)
+
+
+def test_steps_default_to_the_whole_buffer():
+    rng = np.random.default_rng(2)
+    z, m, w_cost, w_err, noise = _random_problem(rng, steps=2 * _KB)
+    za, zb = z.copy(), z.copy()
+    whole = _kernels.advance(za, m, w_cost, w_err, _work(noise), 0.01)
+    given = _kernels.advance(zb, m, w_cost, w_err, _work(noise), 0.01,
+                             2 * _KB)
+    assert np.array_equal(za, zb)
+    for a, b in zip(whole, given):
+        assert np.array_equal(a, b)
+    for steps in (_KB, 2 * _KB + 1):  # the last chunk empty, or one over
+        with pytest.raises(ValueError, match="chunks"):
+            _kernels.advance(z.copy(), m, w_cost, w_err, _work(noise), 0.01,
+                             steps)
+
+
+@pytest.mark.parametrize("steps", [1, 9, 17])
+def test_padding_past_the_last_step_is_ignored(steps):
+    # An expanding map with huge values in every unused slot: the states
+    # the scan computes past the last step dwarf the real ones, and must
+    # reach neither the maximum, the sums nor the final state.
+    bins = 2
+    m = np.concatenate([np.broadcast_to(1.5 * np.eye(4), (bins, 4, 4)),
+                        np.ones((bins, 4, 2))], axis=-1)
+    w_cost = np.broadcast_to(np.eye(4), (bins, 4, 4))
+    w_err = np.zeros((bins, 4, 4))
+    noise = np.ones((steps, 2, bins, 2))
+    work = _work(noise, fill=1e6)
+    z = np.ones((4, bins, 2))
+    cost, err, mx = _kernels.advance(z, m, w_cost, w_err, work, 1.0, steps)
+    state = 1.0
+    expected = [state]
+    for _ in range(steps):  # every entry evolves as x -> 1.5 x + 2
+        state = 1.5 * state + 2.0
+        expected.append(state)
+    assert np.allclose(z, state, rtol=1e-14, atol=0)
+    assert mx == pytest.approx(state, rel=1e-14)
+    assert np.allclose(cost, 16 * np.cumsum(np.square(expected[:-1])),
+                       rtol=1e-14, atol=0)
+    assert not err.any()
+
+
 def test_zero_generator_accumulates_noise_exactly():
     # A zero generator (Euler map A = I) with each state row picking up
-    # exactly one noise row: every step is one exact-rounded addition, as
-    # in a plain running sum.
+    # exactly one noise row, on small-integer states and noise: every sum
+    # is exact whatever its order, so the scan equals a plain running sum.
     rng = np.random.default_rng(1)
     bins, steps = 2, 25
-    z0 = rng.standard_normal((4, bins, 2))
+    z0 = rng.integers(-4, 5, (4, bins, 2)).astype(float)
     m = np.zeros((bins, 4, 6))
     m[:, :, :4] = np.eye(4)
     m[:, [0, 1, 2, 3], [4, 5, 4, 5]] = 1.0
-    path = np.empty((steps, ROWS, bins, 2))
-    path[:, NOISE_ROWS] = rng.standard_normal((steps, 2, bins, 2))
+    noise = rng.integers(-3, 4, (steps, 2, bins, 2)).astype(float)
     z = z0.copy()
     cost, err, mx = _kernels.advance(z, m, np.eye(4)[None].repeat(bins, 0),
-                                     np.zeros((bins, 4, 4)), path, 0.5)
+                                     np.zeros((bins, 4, 4)), _work(noise),
+                                     0.5, steps)
     expected = z0.copy()
     for t in range(steps):
-        expected += path[t, NOISE_ROWS][[0, 1, 0, 1]]
+        expected += noise[t][[0, 1, 0, 1]]
     assert np.array_equal(z, expected)
     assert not err.any()
     assert np.all(np.diff(cost) > 0.0) and mx > 0.0
