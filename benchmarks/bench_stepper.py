@@ -16,7 +16,7 @@ import numpy as np
 
 from wavelqg import _kernels
 from wavelqg.params import NondimParams
-from wavelqg.simulator import _BLOCK, _KB, frequency_blocks
+from wavelqg.simulator import _BLOCK, _KB, _bin_law, frequency_blocks
 from wavelqg.synthesis import design_spectra
 
 DT = 0.005
@@ -26,8 +26,10 @@ def build_workload(n: int, steps: int, seed: int = 0):
     """``advance``'s inputs for one realization at ring size n:
     (z0, [A B], cost weight factors, error weight factors, work buffer),
     the buffer holding ``steps`` steps of white noise in chunks of
-    ``simulator._KB`` steps (a last partial chunk is padded with zero
-    noise, so a call without a step count runs a whole number of chunks).
+    ``simulator._KB`` steps, drawn in bin coordinates and scaled by
+    ``simulator._bin_law`` as ``simulate`` draws it (a last partial chunk
+    is padded with zero noise, so a call without a step count runs a whole
+    number of chunks).
     """
     p = NondimParams(pi1=0.5, pi2=1.0, pi3=4.0, pi4=4.0, n=n)
     s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, n)
@@ -35,8 +37,10 @@ def build_workload(n: int, steps: int, seed: int = 0):
     bins = n // 2 + 1
     rng = np.random.default_rng(seed)
     work = _kernels.work_buffer(_KB, -(-steps // _KB), (), bins)
-    work[..., _kernels.NOISE_ROWS, :, :, :, :] = 0.0
-    _kernels.put_noise(work, rng.standard_normal((steps, 2, bins, 2)))
+    noise = work[_kernels.NOISE_ROWS]
+    rng.standard_normal(out=noise)
+    noise *= _bin_law(n)
+    noise[:, steps % _KB or _KB:, :, -1, :] = 0.0
     z0 = rng.standard_normal((4, bins, 2))
     return z0, np.concatenate([a, b], axis=-1), w[0], w[1], work
 

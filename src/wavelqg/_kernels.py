@@ -35,18 +35,6 @@ def work_buffer(kb, chunks, batch, bins):
     return np.empty(tuple(batch) + (ROWS, kb, bins, chunks, 2))
 
 
-def put_noise(work, noise):
-    """Write step-major white noise (steps, ..., 2, bins, 2) into the noise
-    rows of the first ``steps`` steps of ``work``."""
-    kb = work.shape[-4]
-    full, rest = divmod(noise.shape[0], kb)
-    dst = work[..., NOISE_ROWS, :, :, :, :]
-    head = noise[:full * kb].reshape((full, kb) + noise.shape[1:])
-    dst[..., :full, :] = np.moveaxis(head, (0, 1), (-2, -4))
-    if rest:
-        dst[..., :rest, :, full, :] = np.moveaxis(noise[full * kb:], 0, -3)
-
-
 def _lifted(a, b, kb):
     """A**kb and [A**(kb-1) B, ..., A B, B], by doubling (kb a power of 2),
     the latter's columns ordered (noise, power)."""
@@ -71,9 +59,9 @@ def advance(z, m, w_cost, w_err, work, dt, steps=None):
     work   : (..., ROWS, kb, bins, chunks, 2) work buffer from
              :func:`work_buffer`, kb a power of two; step t = kb c + j is
              slot j of chunk c.  Rows 12:14 hold each step's white noise
-             on entry (see :func:`put_noise`); those past the last step
-             are zeroed.  On return, rows 8:12 of slot j, chunk c hold the
-             state before step kb c + j, for every step of the call.
+             on entry; those past the last step are zeroed.  On return,
+             rows 8:12 of slot j, chunk c hold the state before step
+             kb c + j, for every step of the call.
     dt     : step size
     steps  : number of steps, kb (chunks - 1) < steps <= kb chunks;
              default kb chunks

@@ -28,12 +28,16 @@ Determinism
 -----------
 Realization i draws from numpy's PCG64 seeded with
 ``SeedSequence(seed, spawn_key=(i,))`` -- a documented, order-independent
-splitting rule.  Within a realization each step consumes 2n standard
-normals (n disturbance, n measurement) drawn row-wise in blocks of
-``_BLOCK`` = 256 steps, each block transformed on its own.  The kernel is
-called once per block, whatever ``store_every`` and the burn-in are, so
-results do not depend on them.  It scans the block in chunks of ``_KB``
-= sqrt(``_BLOCK``) = 16 steps (see :mod:`wavelqg._kernels`), so states and
+splitting rule.  Within a realization, each block of ``_BLOCK`` = 256 steps
+fills its noise rows of the kernel's work buffer with one
+``standard_normal`` call, 4 (n//2 + 1) normals per step, scaled by
+:func:`_bin_law`.  The orthonormal rfft of 2n white site normals per
+step has independent N(0, 1/2) real and imaginary parts inside and a
+real N(0, 1) at k = 0 and at the Nyquist bin, and Gaussian noise with
+these variances has exactly its law.  The kernel is called once per
+block, whatever ``store_every`` and the burn-in are, so results do not
+depend on them.  It scans the block in chunks of ``_KB`` =
+sqrt(``_BLOCK``) = 16 steps (see :mod:`wavelqg._kernels`), so states and
 costs agree with step-by-step Euler to roundoff, not bitwise.
 Realizations are stepped together in groups of
 ``max(1, 512 // (8 (n//2 + 1)))``, yet every product is taken per
@@ -46,6 +50,7 @@ exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,6 +207,10 @@ class SimConfig:
                 f"over the cap of {_MAX_STORED} values; {hint}")
         if not (self.noise_scale >= 0.0):
             raise ValueError("noise_scale must be nonnegative")
+        if not (isinstance(self.seed, numbers.Integral)
+                and not isinstance(self.seed, bool) and self.seed >= 0):
+            raise ValueError(
+                f"seed must be a nonnegative integer, got {self.seed!r}")
 
     @property
     def n_steps(self) -> int:
@@ -248,6 +257,16 @@ def noise_covariance(pi1: float, n: int) -> np.ndarray:
     reference the tests hold :func:`frequency_blocks`' filter to."""
     lap = circulant_dense(laplacian_circulant(n))
     return np.linalg.inv(np.eye(n) - pi1 * lap)
+
+
+def _bin_law(n: int) -> np.ndarray:
+    """Per-bin scale (n//2 + 1, 1, 2) of the standard normals simulate
+    draws: 1/sqrt(2) inside, (1, 0) at k = 0 and at the Nyquist bin."""
+    law = np.full((n // 2 + 1, 1, 2), math.sqrt(0.5))
+    law[0] = (1.0, 0.0)
+    if n % 2 == 0:
+        law[-1] = (1.0, 0.0)
+    return law
 
 
 def _to_bins(sites: np.ndarray) -> np.ndarray:
@@ -319,6 +338,9 @@ def simulate(cfg: SimConfig,
     if xh0 is not None:
         sites0[2:] = np.asarray(xh0, dtype=float).reshape(2, n)
     z0 = _to_bins(sites0)
+    # spelled out over the chunks: a broadcast (bins, 1, 2) factor makes
+    # numpy's multiply loop over pairs, about 5x slower
+    law = np.repeat(_bin_law(n), _BLOCK // _KB, axis=1)
 
     n_real = cfg.n_realizations
     group = max(1, _GROUP_ENTRIES // (8 * bins))
@@ -340,10 +362,10 @@ def simulate(cfg: SimConfig,
         post_err = np.zeros(len(rngs))
         for lo in range(0, n_steps, _BLOCK):
             hi = min(lo + _BLOCK, n_steps)
-            buf = work[..., :-(-(hi - lo) // _KB), :]  # the chunks it fills
-            for i, rng in enumerate(rngs):
-                _kernels.put_noise(buf[i], _to_bins(
-                    rng.standard_normal((hi - lo, 2, n))))
+            for i, rng in enumerate(rngs):  # contiguous slabs
+                rng.standard_normal(out=work[i, _kernels.NOISE_ROWS])
+            work[:, _kernels.NOISE_ROWS] *= law
+            buf = work[..., :-(-(hi - lo) // _KB), :]  # the chunks it steps
             c_int, e_int, mx = _kernels.advance(z, ab, w[0], w[1], buf, cfg.dt,
                                                 hi - lo)
             bad = np.flatnonzero(~(mx <= _BLOWUP))  # also catches nan

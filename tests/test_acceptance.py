@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from wavelqg import analysis, synthesis
+from wavelqg import _kernels, analysis, simulator, synthesis
+from wavelqg._kernels import NOISE_ROWS, advance
 from wavelqg.oracle import spectral_abscissa
 from wavelqg.params import DimensionalParams, NondimParams, locality_residuals, nondimensionalize
 from wavelqg.simulator import SimConfig, frequency_blocks, noise_covariance, simulate
@@ -193,17 +194,41 @@ def test_08_sweep_reproduces_cost_landscape():
     assert time.perf_counter() - start < 120.0
 
 
-def test_09_correlated_noise_has_the_advertised_covariance():
-    """The measurement noise ``simulate`` injects (white site noise taken to
-    orthonormal rfft bins and scaled by ``frequency_blocks``' filter) has
-    covariance exactly (I - pi1 Lap)^-1, within 1e-12 of its largest entry,
-    at pi1 = 1, n = 8, at white noise with odd n and at a Nyquist bin."""
+def test_09_correlated_noise_has_the_advertised_covariance(monkeypatch):
+    """The measurement noise ``simulate`` injects (standard normals drawn in
+    orthonormal rfft bins, scaled by ``_bin_law`` and by ``frequency_blocks``'
+    filter) has covariance exactly (I - pi1 Lap)^-1 at the sites, within
+    1e-12 of its largest entry, and its force noise is white, at pi1 = 1,
+    n = 8, at white noise with odd n and at a Nyquist bin.  The drawn
+    imaginary parts at k = 0 and at the Nyquist bin are exactly zero."""
+    drawn = []
+
+    def recording(z, m, w_cost, w_err, work, dt, steps=None):
+        drawn.append(work[0, NOISE_ROWS].copy())
+        return advance(z, m, w_cost, w_err, work, dt, steps)
+
+    monkeypatch.setattr(_kernels, "advance", recording)
     for pi1, n in [(1.0, 8), (0.0, 7), (2.5, 30)]:
         p = NondimParams(pi1=pi1, pi2=1.0, pi3=1.0, pi4=1.0, n=n)
+        bins = n // 2 + 1
+        law = simulator._bin_law(n)
+        drawn.clear()
+        simulate(SimConfig(params=p, dt=0.01, t_final=simulator._BLOCK / 100,
+                           seed=9))  # one full block
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(9, spawn_key=(0,))))
+        live = rng.standard_normal(drawn[0].shape)
+        assert np.array_equal(drawn[0], live * law)
+        imag = drawn[0][..., [0, -1] if n % 2 == 0 else [0], :, 1]
+        assert not imag.any()
+
+        # site noise of each live normal: through the law, b and irfft
         one, zero = np.ones(n), np.zeros(n)
         _, b, _ = frequency_blocks(p, k0=one, kc=one, l0=zero, lc=one, dt=1.0)
-        bins = b[:, 2, 1] * np.fft.rfft(np.eye(n), norm="ortho")
-        noise_of_sites = np.fft.irfft(bins, n=n, norm="ortho")
-        cov = noise_covariance(pi1, n)
-        gap = np.abs(noise_of_sites @ noise_of_sites.T - cov).max()
-        assert gap <= 1e-12 * np.abs(cov).max(), (pi1, n, gap)
+        unit = np.eye(2 * bins).reshape(2 * bins, bins, 2) * law[:, 0]
+        for col, cov in [(b[:, 1, 0], np.eye(n)),
+                         (b[:, 2, 1], noise_covariance(pi1, n))]:
+            f = unit * col[:, None]
+            sites = np.fft.irfft(f[..., 0] + 1j * f[..., 1], n=n, norm="ortho")
+            gap = np.abs(sites.T @ sites - cov).max()
+            assert gap <= 1e-12 * np.abs(cov).max(), (pi1, n, gap)

@@ -514,6 +514,13 @@ def test_simulate_rejects_coarse_dt(capsys):
     assert "stability guard" in capsys.readouterr().err
 
 
+def test_simulate_rejects_a_negative_seed(capsys):
+    assert main(["simulate", *DECENTRAL, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "seed must be a nonnegative integer" in err
+
+
 def test_simulate_rejects_unstable_euler_step(capsys):
     # dt = 0.01 passes the guard here, but the Euler map has radius 3
     argv = ["simulate", "--pi1", "0.5", "--pi2", "100", "--pi3", "40",

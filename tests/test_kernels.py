@@ -21,13 +21,25 @@ def _random_problem(rng, bins=3, steps=40, batch=()):
     return z, m, w_cost, w_err, noise
 
 
+def _put_noise(work, noise):
+    """Write step-major white noise (steps, ..., 2, bins, 2) into the noise
+    rows of the first ``steps`` steps of ``work``."""
+    kb = work.shape[-4]
+    full, rest = divmod(noise.shape[0], kb)
+    dst = work[..., NOISE_ROWS, :, :, :, :]
+    head = noise[:full * kb].reshape((full, kb) + noise.shape[1:])
+    dst[..., :full, :] = np.moveaxis(head, (0, 1), (-2, -4))
+    if rest:
+        dst[..., :rest, :, full, :] = np.moveaxis(noise[full * kb:], 0, -3)
+
+
 def _work(noise, fill=np.nan):
     """A work buffer holding step-major ``noise`` (steps, ..., 2, bins, 2),
     every other entry set to ``fill``."""
     steps, batch, bins = noise.shape[0], noise.shape[1:-3], noise.shape[-2]
     work = _kernels.work_buffer(_KB, -(-steps // _KB), batch, bins)
     work.fill(fill)
-    _kernels.put_noise(work, noise)
+    _put_noise(work, noise)
     return work
 
 

@@ -128,6 +128,12 @@ def test_config_field_validation(kw):
         SimConfig(params=MILD, **kw)
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.0, "3", None])
+def test_config_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ValueError, match="seed"):
+        SimConfig(params=MILD, seed=seed)
+
+
 def test_config_step_count():
     cfg = SimConfig(params=MILD, dt=0.01, t_final=2.0)
     assert cfg.n_steps == 200
@@ -286,6 +292,24 @@ def test_stepped_blocks_reproduce_the_closed_form_costs(pi, n):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
+def _site_noise(rng, n, steps):
+    """One realization's noise as simulate draws it, as step-major site
+    noise (steps, 2n), force then measurement.  Per block: the noise rows
+    of a work buffer filled by one standard_normal call and scaled by
+    _bin_law, reordered step-major and taken to sites by the orthonormal
+    irfft."""
+    kb, bins = simulator._KB, n // 2 + 1
+    blocks = []
+    for _ in range(-(-steps // simulator._BLOCK)):
+        rows = rng.standard_normal((2, kb, bins, simulator._BLOCK // kb, 2))
+        rows *= simulator._bin_law(n)
+        # slot j of chunk c is step kb c + j
+        f = rows.transpose(3, 1, 0, 2, 4).reshape(-1, 2, bins, 2)
+        blocks.append(np.fft.irfft(f[..., 0] + 1j * f[..., 1], n=n,
+                                   norm="ortho"))
+    return np.concatenate(blocks)[:steps].reshape(steps, 2 * n)
+
+
 def _dense_simulation(cfg):
     """Step the dense build_closed_loop generator on simulate's draws.
 
@@ -312,7 +336,7 @@ def _dense_simulation(cfg):
     for real in range(cfg.n_realizations):
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(cfg.seed, spawn_key=(real,))))
-        raw = rng.standard_normal((steps, 2 * n))
+        raw = _site_noise(rng, n, steps)
         z = np.zeros(4 * n)
         run = post_c = post_e = 0.0
         for t in range(steps + 1):
