@@ -9,12 +9,11 @@ simulator for end-to-end checks.
 """
 
 from .params import DimensionalParams, NondimParams, locality_residuals, nondimensionalize
-from .spectral import circulant_dense, offdiag_masses
+from .spectral import offdiag_masses
 from .synthesis import (DesignSpectra, GainKind, GainSet, design_spectra,
                         optimal_gains)
-from .analysis import (CostLocalityReport, SweepGrid, build_closed_loop,
-                       curve_reports, kf_cost, lqg_cost, lqg_cost_dual,
-                       lqr_cost, report, sweep)
+from .analysis import (CostLocalityReport, SweepGrid, curve_reports, kf_cost,
+                       lqg_cost, lqg_cost_dual, lqr_cost, report, sweep)
 from .simulator import SimConfig, SimSummary, Trajectory, simulate
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Cost evaluation, closed-loop assembly and locality sweeps.
+"""Cost evaluation, closed-loop poles and locality sweeps.
 
 All steady-state costs reduce to sums over the per-frequency Riccati
 solutions because traces are invariant under the DFT:
@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import NondimParams
-from .spectral import (circulant_dense, circulant_rows, laplacian_circulant,
-                       laplacian_spectrum, offdiag_masses)
-from .synthesis import DesignSpectra, design_spectra, optimal_gains
+from .spectral import circulant_rows, laplacian_spectrum, offdiag_masses
+from .synthesis import DesignSpectra, design_spectra
 
 __all__ = [
     "CostLocalityReport",
@@ -39,7 +38,6 @@ __all__ = [
     "lqg_cost",
     "lqg_cost_dual",
     "dual_lqg_cost",
-    "build_closed_loop",
     "loop_poles",
     "report",
     "sweep",
@@ -94,36 +92,6 @@ def dual_lqg_cost(s: DesignSpectra, p: NondimParams) -> float:
 def lqg_cost_dual(p: NondimParams) -> float:
     """Same cost through the dual form trace(S Qbar) + trace(P L V L')."""
     return dual_lqg_cost(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n), p)
-
-
-def plant_matrices(p: NondimParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense (A, B, C) for the tests: wave dynamics, forcing, sensing."""
-    n = p.n
-    lap = circulant_dense(laplacian_circulant(n))
-    zero = np.zeros((n, n))
-    eye = np.eye(n)
-    a = np.block([[zero, eye], [lap, zero]])
-    b = np.vstack([zero, eye])
-    c = np.hstack([p.pi4 * eye, zero])
-    return a, b, c
-
-
-def build_closed_loop(p: NondimParams) -> np.ndarray:
-    """The dense 4n-by-4n generator of the optimal LQG loop in (plant
-    state, estimate) coordinates, the dense reference for the tests:
-
-        [[A, -B K], [L C, A - L C - B K]],
-
-    with K = [K1 K2] and L = [L1; L2].  The commands take its eigenvalues
-    frequency by frequency, from :func:`loop_poles`.
-    """
-    a, b, c = plant_matrices(p)
-    gk, gl = optimal_gains(p)
-    kmat = np.hstack(circulant_dense(gk.rows))
-    lmat = np.vstack(circulant_dense(gl.rows))
-    bk = b @ kmat
-    lc = lmat @ c
-    return np.block([[a, -bk], [lc, a - lc - bk]])
 
 
 def loop_poles(s: DesignSpectra, pi4) -> np.ndarray:

@@ -77,10 +77,8 @@ def _number(merged: dict, key: str, default: float | None = None) -> float:
 
 
 def _resolve_params(args, require_matched_scaling: bool = False):
-    """Merge --config with explicit flags and build the parameter set.
-
-    Returns (NondimParams, DimensionalParams | None).
-    """
+    """Merge --config with explicit flags and build the dimensionless
+    parameter set, from physical parameters when those are given."""
     merged: dict = {}
     if args.config:
         merged.update(_load_config(args.config))
@@ -106,9 +104,9 @@ def _resolve_params(args, require_matched_scaling: bool = False):
                 "the output-feedback loop identifies the plant and "
                 "estimator scalings, which needs r == sigma_d "
                 f"(got r={dim.r!r}, sigma_d={dim.sigma_d!r})")
-        return nondimensionalize(dim), dim
+        return nondimensionalize(dim)
     return NondimParams(n=n, **{k: _number(merged, k, v)
-                                for k, v in _PI_DEFAULTS.items()}), None
+                                for k, v in _PI_DEFAULTS.items()})
 
 
 def _verdict_lines(p: NondimParams) -> list[str]:
@@ -162,7 +160,7 @@ _BLOCK_NAMES = {synthesis.GainKind.LQR: ("K1", "K2"),
 
 
 def _cmd_synth(args) -> int:
-    p, _ = _resolve_params(args)
+    p = _resolve_params(args)
     sets = [gs for gs in synthesis.optimal_gains(p)
             if args.kind in ("both", gs.kind.value)]
     outputs = [(f"{args.out}_{gs.kind.value}.json",
@@ -185,7 +183,7 @@ def _cmd_verify(args) -> int:
         checks = verify.audit_gain_set(gs)
         source = args.check_file
     else:
-        p, _ = _resolve_params(args)
+        p = _resolve_params(args)
         try:
             checks = verify.verify_point(p)
         except verify.ConvergenceError as exc:
@@ -207,9 +205,8 @@ def _cmd_verify(args) -> int:
 
 
 def _log_grid(lo: float, hi: float, count: int) -> np.ndarray:
-    if count == 1 and lo > 0.0 and hi == lo:
-        return np.array([lo])
-    if not (lo > 0.0 and hi > lo and count >= 1):
+    if not (lo > 0.0 and count >= 1
+            and (hi > lo or (hi == lo and count == 1))):
         raise UsageError("grid bounds must satisfy 0 < min < max, count >= 1")
     if count == 1:
         return np.array([lo])
@@ -256,7 +253,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    p, _ = _resolve_params(args, require_matched_scaling=True)
+    p = _resolve_params(args, require_matched_scaling=True)
     cfg = SimConfig(params=p, dt=args.dt, t_final=args.t_final,
                     seed=args.seed, burn_in=args.burn_in,
                     n_realizations=args.realizations,
@@ -292,7 +289,7 @@ def _trajectory_lines(traj, n: int) -> Iterable[str]:
 
 
 def _cmd_report(args) -> int:
-    p, _ = _resolve_params(args, require_matched_scaling=True)
+    p = _resolve_params(args, require_matched_scaling=True)
     text = json.dumps(asdict(analysis.report(p)), indent=1)
     if args.out:
         _write_all([(args.out, [text, "\n"])])

@@ -30,7 +30,6 @@ __all__ = [
     "newton_kleinman",
     "ring_equations",
     "solve_ring",
-    "spectral_abscissa",
     "symmetric_blocks",
 ]
 
@@ -157,13 +156,3 @@ def backward_error(a, b, q, r_inv, x) -> np.ndarray:
     quad = np.asarray(r_inv)[..., None, None] * xb[..., :, None] * xb[..., None, :]
     res = at_x + x_a - quad + q
     return size(res) / (size(at_x) + size(x_a) + size(quad) + size(q))
-
-
-def spectral_abscissa(m) -> float:
-    """Largest real part of a dense matrix's eigenvalues, for the tests."""
-    m = np.atleast_2d(np.asarray(m))
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
-    return float(np.linalg.eigvals(m).real.max())

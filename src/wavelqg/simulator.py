@@ -1,16 +1,15 @@
 """Euler-Maruyama Monte Carlo validation of the closed-loop design.
 
-The loop simulated here is the one ``analysis.build_closed_loop``
-assembles densely: plant driven by unit-intensity force disturbance,
-estimator driven by the measured displacements corrupted by spatially
-correlated noise with covariance (I - pi1 Lap)^-1, control u = -K
-(estimate).  :func:`frequency_blocks` is the one implementation of that
-noise law: it scales each bin's white measurement noise by
-1/sqrt(1 - pi1 d(k)), the square root of the law's per-frequency
-variance.  The empirical time-averaged quadratic cost and
-estimation-error power then have closed-form predictions
-(``analysis.lqg_cost`` / ``analysis.kf_cost``), which is what makes the
-simulator a useful end-to-end check.
+The loop simulated here is the optimal output-feedback loop on the
+ring: plant driven by unit-intensity force disturbance, estimator driven
+by the measured displacements corrupted by spatially correlated noise
+with covariance (I - pi1 Lap)^-1, control u = -K (estimate).
+:func:`frequency_blocks` is the one implementation of that noise law: it
+scales each bin's white measurement noise by 1/sqrt(1 - pi1 d(k)), the
+square root of the law's per-frequency variance.  The empirical
+time-averaged quadratic cost and estimation-error power then have
+closed-form predictions (``analysis.lqg_cost`` / ``analysis.kf_cost``),
+which is what makes the simulator a useful end-to-end check.
 
 Per-frequency stepping
 ----------------------
@@ -57,7 +56,7 @@ import numpy as np
 
 from . import _kernels, analysis
 from .params import NondimParams
-from .spectral import circulant_dense, laplacian_circulant, laplacian_spectrum
+from .spectral import laplacian_spectrum
 from .synthesis import design_spectra
 
 __all__ = [
@@ -66,7 +65,6 @@ __all__ = [
     "Trajectory",
     "SimSummary",
     "frequency_blocks",
-    "noise_covariance",
     "simulate",
     "kernel_backend",
 ]
@@ -156,8 +154,10 @@ class SimConfig:
     and the burn-in must leave at least one of them.  The stored
     trajectory, every ``store_every``-th step, may hold at most
     ``_MAX_STORED`` values, so a run too long for memory fails here, not
-    in :func:`simulate`.  The guard ignores pi1 and pi2, so
-    :func:`simulate` also checks the Euler maps it is about to step.
+    in :func:`simulate`.  ``n_realizations`` and ``store_every`` must be
+    positive integers and ``seed`` a nonnegative one; bools are refused.
+    The guard ignores pi1 and pi2, so :func:`simulate` also checks the
+    Euler maps it is about to step.
     """
 
     params: NondimParams
@@ -188,10 +188,14 @@ class SimConfig:
             raise ValueError(f"burn_in must lie in [0, 1), got {self.burn_in!r}")
         if self.burn_steps >= self.n_steps:
             raise ValueError("burn_in leaves no post-burn-in samples")
-        if self.n_realizations < 1:
-            raise ValueError("n_realizations must be at least 1")
-        if self.store_every < 1:
-            raise ValueError("store_every must be at least 1")
+        for name, least in (("n_realizations", 1), ("store_every", 1),
+                            ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral)
+                    and not isinstance(value, bool) and value >= least):
+                kind = "positive" if least else "nonnegative"
+                raise ValueError(
+                    f"{name} must be a {kind} integer, got {value!r}")
         # stored samples: every store_every-th step, the last, and t = 0;
         # each holds a time, 2n plant and 2n estimate states, n controls
         # and a running cost
@@ -207,10 +211,6 @@ class SimConfig:
                 f"over the cap of {_MAX_STORED} values; {hint}")
         if not (self.noise_scale >= 0.0):
             raise ValueError("noise_scale must be nonnegative")
-        if not (isinstance(self.seed, numbers.Integral)
-                and not isinstance(self.seed, bool) and self.seed >= 0):
-            raise ValueError(
-                f"seed must be a nonnegative integer, got {self.seed!r}")
 
     @property
     def n_steps(self) -> int:
@@ -250,13 +250,6 @@ class SimSummary:
     noise_scale: float = 1.0
     generator: str = "pcg64"
     backend: str = ""
-
-
-def noise_covariance(pi1: float, n: int) -> np.ndarray:
-    """Dense (I - pi1 Lap)^-1, the measurement noise covariance: the
-    reference the tests hold :func:`frequency_blocks`' filter to."""
-    lap = circulant_dense(laplacian_circulant(n))
-    return np.linalg.inv(np.eye(n) - pi1 * lap)
 
 
 def _bin_law(n: int) -> np.ndarray:

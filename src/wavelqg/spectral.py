@@ -7,8 +7,8 @@ its first row and is diagonalized by the discrete Fourier transform, so all
 heavy lifting reduces to arithmetic on length-n eigenvalue sequences, held
 as plain arrays indexed by frequency k = 0..n-1.  A circulant itself is held
 as its first row, a plain array; every function here takes a batch of rows
-or spectra along the last axis.  :func:`circulant_dense` is the one place
-that builds the dense matrix, for the tests.
+or spectra along the last axis.  No function here builds a dense matrix;
+the dense references live with the tests.
 
 Conventions
 -----------
@@ -32,8 +32,6 @@ import numpy as np
 __all__ = [
     "SymmetryError",
     "laplacian_spectrum",
-    "laplacian_circulant",
-    "circulant_dense",
     "spectrum_of_circulant",
     "circulant_rows",
     "offdiag_masses",
@@ -50,24 +48,6 @@ _SYMMETRY_TOL = 1e-10
 
 class SymmetryError(ValueError):
     """A spectrum lacks the conjugate symmetry a real circulant requires."""
-
-
-def laplacian_circulant(n: int) -> np.ndarray:
-    """First row [-2, 1, 0, ..., 0, 1] of the periodic second difference."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    row = np.zeros(n)
-    row[0] = -2.0
-    row[1] += 1.0
-    row[-1] += 1.0  # n == 2 folds both neighbors onto the same site
-    return row
-
-
-def circulant_dense(rows: np.ndarray) -> np.ndarray:
-    """Dense circulants from first rows along the last axis: entry (i, j)
-    of each matrix is rows[..., (j - i) mod n].  For the tests only."""
-    n = rows.shape[-1]
-    return rows[..., (np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
 
 
 def laplacian_spectrum(n: int) -> np.ndarray:

@@ -14,6 +14,8 @@ import numpy as np
 __all__ = ["heatmap_svg", "line_plot_svg"]
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62, 96, 34, 48
+# canvas sizes in px
+_WIDTH, _HEATMAP_HEIGHT, _LINE_PLOT_HEIGHT = 640, 520, 480
 
 # compact perceptual ramp, dark blue -> green -> yellow
 _STOPS = [
@@ -93,12 +95,13 @@ def _frame(ax: _LogAxes, xlabel: str, ylabel: str, title: str,
 
 
 def heatmap_svg(x, y, z, xlabel: str, ylabel: str, title: str,
-                curve_xy=None, width: int = 640, height: int = 520) -> str:
+                curve_xy) -> str:
     """Log-log heatmap of z[j, i] over (x[i], y[j]), colored by log10(z).
 
-    ``curve_xy``, if given, is an (x, y) pair of arrays drawn as a black
-    overlay line (clipped to the axes box).
+    ``curve_xy`` is an (x, y) pair of arrays drawn as a black overlay line;
+    only its points inside the axes box are kept.
     """
+    width, height = _WIDTH, _HEATMAP_HEIGHT
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -128,13 +131,12 @@ def heatmap_svg(x, y, z, xlabel: str, ylabel: str, title: str,
             parts.append(f'<rect x="{px0:.2f}" y="{py0:.2f}" '
                          f'width="{px1 - px0:.2f}" height="{py1 - py0:.2f}" '
                          f'fill="{c}"/>')
-    if curve_xy is not None:
-        cx, cy = (np.asarray(v, dtype=float) for v in curve_xy)
-        pts = [f"{ax.x(a):.2f},{ax.y(b):.2f}" for a, b in zip(cx, cy)
-               if x.min() <= a <= x.max() and y.min() <= b <= y.max()]
-        if len(pts) >= 2:
-            parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
-                         'stroke="black" stroke-width="2"/>')
+    cx, cy = (np.asarray(v, dtype=float) for v in curve_xy)
+    pts = [f"{ax.x(a):.2f},{ax.y(b):.2f}" for a, b in zip(cx, cy)
+           if x.min() <= a <= x.max() and y.min() <= b <= y.max()]
+    if len(pts) >= 2:
+        parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
+                     'stroke="black" stroke-width="2"/>')
     parts += _frame(ax, xlabel, ylabel, title, _decade_ticks(x.min(), x.max()),
                     _decade_ticks(y.min(), y.max()), width, height)
     # colorbar
@@ -155,9 +157,10 @@ def heatmap_svg(x, y, z, xlabel: str, ylabel: str, title: str,
 _SERIES_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
 
 
-def line_plot_svg(x, series: dict, xlabel: str, ylabel: str, title: str,
-                  width: int = 640, height: int = 480) -> str:
+def line_plot_svg(x, series: dict, xlabel: str, ylabel: str,
+                  title: str) -> str:
     """Log-log polyline plot of each named series against x."""
+    width, height = _WIDTH, _LINE_PLOT_HEIGHT
     x = np.asarray(x, dtype=float)
     ylo = min(float(np.min(v)) for v in series.values())
     yhi = max(float(np.max(v)) for v in series.values())

@@ -1,0 +1,164 @@
+"""Dense references for the tests: one builder per dense object of the
+ring's LQG loop.
+
+The package works on first rows and per-frequency blocks and never forms
+a dense matrix.  These builders realize the same operators densely, in
+site coordinates, so that the tests can hold the spectral routes to
+textbook linear algebra.  Gain spectra come in ``DesignSpectra.blocks``
+order (K1, K2, L1, L2); the filter's L1 carries lc and its L2 carries l0.
+"""
+
+import numpy as np
+from scipy import linalg as sla
+
+from wavelqg import simulator
+from wavelqg.params import NondimParams
+from wavelqg.spectral import circulant_rows
+from wavelqg.synthesis import design_spectra
+
+
+def circulant(rows):
+    """Dense circulants from first rows along the last axis: entry (i, j)
+    of each matrix is rows[..., (j - i) mod n]."""
+    n = rows.shape[-1]
+    return rows[..., (np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+
+
+def laplacian(n):
+    """The periodic second difference, first row [-2, 1, 0, ..., 0, 1]."""
+    row = np.zeros(n)
+    row[0] = -2.0
+    row[1] += 1.0
+    row[-1] += 1.0  # n == 2 folds both neighbors onto the same site
+    return circulant(row)
+
+
+def plant(p: NondimParams):
+    """(A, B, C): wave dynamics on (phi, psi), forcing, scaled sensing."""
+    n = p.n
+    zero, eye = np.zeros((n, n)), np.eye(n)
+    a = np.block([[zero, eye], [laplacian(n), zero]])
+    return a, np.vstack([zero, eye]), np.hstack([p.pi4 * eye, zero])
+
+
+def state_weight(p: NondimParams):
+    """Qbar = [[I - pi1 Lap, 0], [0, pi2 I]]."""
+    n = p.n
+    zero, eye = np.zeros((n, n)), np.eye(n)
+    return np.block([[eye - p.pi1 * laplacian(n), zero],
+                     [zero, p.pi2 * eye]])
+
+
+def gains(blocks):
+    """Dense K = [K1 K2] and L = [L1; L2] from the four block spectra."""
+    k1, k2, l1, l2 = circulant(circulant_rows(blocks))
+    return np.hstack([k1, k2]), np.vstack([l1, l2])
+
+
+def closed_loop(p: NondimParams, blocks):
+    """The 4n x 4n loop generator [[A, -B K], [L C, A - L C - B K]] on
+    (plant state, estimate) for the gains with spectra ``blocks``."""
+    a, b, c = plant(p)
+    kmat, lmat = gains(blocks)
+    bk = b @ kmat
+    lc = lmat @ c
+    return np.block([[a, -bk], [lc, a - lc - bk]])
+
+
+def noise_covariance(pi1, n):
+    """(I - pi1 Lap)^-1, the measurement noise covariance."""
+    return np.linalg.inv(np.eye(n) - pi1 * laplacian(n))
+
+
+def noise_covariance_sqrt(pi1, n):
+    """Symmetric square root of :func:`noise_covariance`, by
+    eigendecomposition."""
+    lam, vec = np.linalg.eigh(np.eye(n) - pi1 * laplacian(n))
+    return (vec / np.sqrt(lam)) @ vec.T
+
+
+def spectral_abscissa(m) -> float:
+    """Largest real part of a dense matrix's eigenvalues."""
+    m = np.atleast_2d(np.asarray(m))
+    if m.shape[0] != m.shape[1]:
+        raise ValueError("matrix must be square")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix has non-finite entries")
+    return float(np.linalg.eigvals(m).real.max())
+
+
+def regulator_care(p: NondimParams):
+    """P of the full-ring regulator equation, one 2n x 2n Schur solve."""
+    a, b, _ = plant(p)
+    return sla.solve_continuous_are(a, b, state_weight(p),
+                                    np.eye(p.n) / p.pi3 ** 2)
+
+
+def filter_care(p: NondimParams):
+    """S of the full-ring filter equation, solved as the control equation
+    of the dual pair (A', C') with force intensity diag(0, I)."""
+    a, _, c = plant(p)
+    w = np.diag(np.repeat([0.0, 1.0], p.n))
+    return sla.solve_continuous_are(a.T, c.T, w,
+                                    noise_covariance(p.pi1, p.n))
+
+
+def site_noise(rng, n, steps):
+    """One realization's noise as simulate draws it, as step-major site
+    noise (steps, 2n), force then measurement.  Per block: the noise rows
+    of a work buffer filled by one standard_normal call and scaled by
+    _bin_law, reordered step-major and taken to sites by the orthonormal
+    irfft."""
+    kb, bins = simulator._KB, n // 2 + 1
+    blocks = []
+    for _ in range(-(-steps // simulator._BLOCK)):
+        rows = rng.standard_normal((2, kb, bins, simulator._BLOCK // kb, 2))
+        rows *= simulator._bin_law(n)
+        # slot j of chunk c is step kb c + j
+        f = rows.transpose(3, 1, 0, 2, 4).reshape(-1, 2, bins, 2)
+        blocks.append(np.fft.irfft(f[..., 0] + 1j * f[..., 1], n=n,
+                                   norm="ortho"))
+    return np.concatenate(blocks)[:steps].reshape(steps, 2 * n)
+
+
+def simulation(cfg):
+    """Step the dense optimal loop on simulate's draws.
+
+    Returns per-realization (costs, error traces) and the first
+    realization's stored (plant, estimate, running cost) rows.
+    """
+    p = cfg.params
+    n, dt = p.n, cfg.dt
+    blocks = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, n).blocks
+    aug = closed_loop(p, blocks)
+    kmat, lmat = gains(blocks)
+    qbar = state_weight(p)
+    krk = kmat.T @ kmat / p.pi3 ** 2
+    inject = np.zeros((4 * n, 2 * n))
+    inject[n:2 * n, :n] = np.eye(n)
+    inject[2 * n:, n:] = lmat @ noise_covariance_sqrt(p.pi1, n)
+    inject *= np.sqrt(dt) * cfg.noise_scale
+    steps = cfg.n_steps
+    burn = int(round(cfg.burn_in * steps))
+    costs, errs, stored = [], [], []
+    for real in range(cfg.n_realizations):
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(cfg.seed, spawn_key=(real,))))
+        raw = site_noise(rng, n, steps)
+        z = np.zeros(4 * n)
+        run = post_c = post_e = 0.0
+        for t in range(steps + 1):
+            if real == 0 and (t % cfg.store_every == 0 or t == steps):
+                stored.append(np.concatenate([z, [run]]))
+            if t == steps:
+                break
+            x, xh = z[:2 * n], z[2 * n:]
+            c = (x @ qbar @ x + xh @ krk @ xh) * dt
+            run += c
+            if t >= burn:
+                post_c += c
+                post_e += np.sum((x - xh) ** 2) * dt
+            z = z + dt * aug @ z + inject @ raw[t]
+        costs.append(post_c / ((steps - burn) * dt))
+        errs.append(post_e / ((steps - burn) * dt))
+    return np.array(costs), np.array(errs), np.array(stored)

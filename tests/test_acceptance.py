@@ -10,12 +10,13 @@ import time
 import numpy as np
 import pytest
 
+from dense import (closed_loop, gains, noise_covariance, plant,
+                   spectral_abscissa)
 from wavelqg import _kernels, analysis, simulator, synthesis
 from wavelqg._kernels import NOISE_ROWS, advance
-from wavelqg.oracle import spectral_abscissa
 from wavelqg.params import DimensionalParams, NondimParams, locality_residuals, nondimensionalize
-from wavelqg.simulator import SimConfig, frequency_blocks, noise_covariance, simulate
-from wavelqg.spectral import circulant_dense, offdiag_masses
+from wavelqg.simulator import SimConfig, frequency_blocks, simulate
+from wavelqg.spectral import offdiag_masses
 from wavelqg.verify import verify_point
 
 N_CYCLE = (2, 4, 8, 16, 30)
@@ -121,19 +122,17 @@ def test_05_closed_loop_is_stable_and_separates():
     ``analysis.loop_poles`` (the stability route of ``verify`` and
     ``simulate``) gives the same 4n poles to 1e-8."""
     for p in _draws(20, 1e-1, 1e1, seed=505, n_choices=(2, 4, 8, 16)):
-        aug = analysis.build_closed_loop(p)
+        s = synthesis.design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
+        aug = closed_loop(p, s.blocks)
         assert spectral_abscissa(aug) < 0.0
-        a, b, c = analysis.plant_matrices(p)
-        gk, gl = synthesis.optimal_gains(p)
-        kmat = np.hstack(circulant_dense(gk.rows))
-        lmat = np.vstack(circulant_dense(gl.rows))
+        a, b, c = plant(p)
+        kmat, lmat = gains(s.blocks)
         expected = np.concatenate([
             np.linalg.eigvals(a - b @ kmat),
             np.linalg.eigvals(a - lmat @ c)])
         got = np.linalg.eigvals(aug)
         tol = 1e-8 * (1.0 + np.abs(expected).max())
         _match_one_to_one(got, expected, tol)
-        s = synthesis.design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
         _match_one_to_one(analysis.loop_poles(s, p.pi4).ravel(), got, tol)
 
 

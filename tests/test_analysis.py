@@ -1,50 +1,23 @@
-"""Trace costs, closed-loop assembly, reports, and parameter sweeps."""
+"""Trace costs, closed-loop poles, reports, and parameter sweeps."""
 
 import json
 from dataclasses import asdict
 
 import numpy as np
 import pytest
-from scipy import linalg as sla
 
+import dense
 from wavelqg import analysis
 from wavelqg.analysis import (COLUMNS, CSV_HEADER, CostLocalityReport,
-                              SweepGrid, build_closed_loop, curve_reports,
-                              kf_cost, lqg_cost, lqg_cost_dual, loop_poles,
-                              lqr_cost, plant_matrices, report, rows_to_csv,
-                              sweep)
-from wavelqg.oracle import spectral_abscissa
+                              SweepGrid, curve_reports, kf_cost, lqg_cost,
+                              lqg_cost_dual, loop_poles, lqr_cost, report,
+                              rows_to_csv, sweep)
 from wavelqg.params import NondimParams
-from wavelqg.spectral import circulant_dense, laplacian_circulant
-from wavelqg.synthesis import design_spectra, optimal_gains
+from wavelqg.synthesis import design_spectra
 
 
 def params(pi1=0.5, pi2=1.0, pi3=4.0, pi4=4.0, n=30):
     return NondimParams(pi1=pi1, pi2=pi2, pi3=pi3, pi4=pi4, n=n)
-
-
-def dense_lqr_trace(p):
-    n = p.n
-    lap = circulant_dense(laplacian_circulant(n))
-    a = np.block([[np.zeros((n, n)), np.eye(n)], [lap, np.zeros((n, n))]])
-    b = np.vstack([np.zeros((n, n)), np.eye(n)])
-    q = np.block([[np.eye(n) - p.pi1 * lap, np.zeros((n, n))],
-                  [np.zeros((n, n)), p.pi2 * np.eye(n)]])
-    sol = sla.solve_continuous_are(a, b, q, np.eye(n) / p.pi3 ** 2)
-    return float(np.trace(sol))
-
-
-def dense_kf_trace(p):
-    n = p.n
-    lap = circulant_dense(laplacian_circulant(n))
-    a = np.block([[np.zeros((n, n)), np.eye(n)], [lap, np.zeros((n, n))]])
-    c = np.hstack([p.pi4 * np.eye(n), np.zeros((n, n))])
-    w = np.block([[np.zeros((n, n)), np.zeros((n, n))],
-                  [np.zeros((n, n)), np.eye(n)]])
-    v_inv = np.eye(n) - p.pi1 * lap
-    # the filter equation is the control equation of the dual pair
-    s = sla.solve_continuous_are(a.T, c.T, w, np.linalg.inv(v_inv))
-    return float(np.trace(s))
 
 
 def test_lqr_cost_frozen_n2():
@@ -61,8 +34,10 @@ def test_kf_cost_frozen_n2():
 @pytest.mark.parametrize("n", [2, 6, 16])
 def test_spectral_costs_match_dense_traces(n):
     p = params(pi1=0.8, pi2=1.3, pi3=2.1, pi4=0.9, n=n)
-    assert lqr_cost(p) == pytest.approx(dense_lqr_trace(p), rel=1e-7)
-    assert kf_cost(p) == pytest.approx(dense_kf_trace(p), rel=1e-7)
+    assert lqr_cost(p) == pytest.approx(np.trace(dense.regulator_care(p)),
+                                        rel=1e-7)
+    assert kf_cost(p) == pytest.approx(np.trace(dense.filter_care(p)),
+                                       rel=1e-7)
 
 
 def test_costs_scale_linearly_in_n_when_decentralized():
@@ -106,8 +81,8 @@ def test_per_frequency_summands_reflect():
 
 def test_plant_matrices_layout():
     p = params(n=4)
-    a, b, c = plant_matrices(p)
-    lap = circulant_dense(laplacian_circulant(4))
+    a, b, c = dense.plant(p)
+    lap = dense.laplacian(4)
     np.testing.assert_array_equal(a[:4, 4:], np.eye(4))
     np.testing.assert_array_equal(a[4:, :4], lap)
     np.testing.assert_array_equal(b[4:], np.eye(4))
@@ -119,7 +94,8 @@ def test_plant_matrices_layout():
     params(pi1=0.0, pi3=1.0, pi4=1.0, n=4),
 ])
 def test_closed_loop_is_stable(p):
-    assert spectral_abscissa(build_closed_loop(p)) < 0.0
+    blocks = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n).blocks
+    assert dense.spectral_abscissa(dense.closed_loop(p, blocks)) < 0.0
 
 
 def test_separation_spectrum():
@@ -127,17 +103,15 @@ def test_separation_spectrum():
     # filter loops, and the per-frequency poles of loop_poles
     for n in (2, 3, 6, 7, 8):
         p = params(pi1=0.7, pi2=1.1, pi3=1.8, pi4=0.8, n=n)
-        a, b, c = plant_matrices(p)
-        gk, gl = optimal_gains(p)
-        kmat = np.hstack(circulant_dense(gk.rows))
-        lmat = np.vstack(circulant_dense(gl.rows))
+        a, b, c = dense.plant(p)
+        s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, n)
+        kmat, lmat = dense.gains(s.blocks)
         separated = np.concatenate([np.linalg.eigvals(a - b @ kmat),
                                     np.linalg.eigvals(a - lmat @ c)])
-        poles = loop_poles(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, n),
-                           p.pi4).ravel()
-        dense = np.linalg.eigvals(build_closed_loop(p))
+        poles = loop_poles(s, p.pi4).ravel()
+        loop = np.linalg.eigvals(dense.closed_loop(p, s.blocks))
         for expected in (separated, poles):
-            got = list(dense)
+            got = list(loop)
             for lam in expected:
                 j = int(np.argmin(np.abs(np.asarray(got) - lam)))
                 assert abs(got[j] - lam) <= 1e-8 * (1 + abs(lam)), (n, lam)

@@ -11,7 +11,6 @@ import pytest
 from wavelqg import analysis, oracle, simulator, synthesis
 from wavelqg.cli import main
 from wavelqg.params import NondimParams
-from wavelqg.spectral import circulant_dense
 
 DECENTRAL = ["--pi1", "0.5", "--pi2", "1", "--pi3", "4", "--pi4", "4",
            "--n", "4"]
@@ -579,9 +578,10 @@ COMMANDS = {
     "verify-check-file": ["verify", "--check-file", "{tmp}/g_lqr.json"],
     "simulate": ["simulate", *DECENTRAL, "--t-final", "1"],
     "sweep": ["sweep", "--pi1-count", "4", "--pi34-count", "3", "--n", "4",
-              "--out", "{tmp}/s.csv"],
+              "--out", "{tmp}/s.csv", "--heatmap", "{tmp}/s.svg"],
     "sweep-curve-only": ["sweep", "--curve-only", "--pi1-count", "5",
-                         "--n", "4", "--out", "{tmp}/c.csv"],
+                         "--n", "4", "--out", "{tmp}/c.csv",
+                         "--lineplot", "{tmp}/c.svg"],
 }
 
 
@@ -624,27 +624,25 @@ def test_design_evaluations_per_command(tmp_path, monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_dense_circulants_per_command(tmp_path, monkeypatch, capsys,
-                                      command):
-    # no command builds a dense matrix
-    argv = _command(tmp_path, command)
-    calls = _count_calls(monkeypatch, "circulant_dense", circulant_dense)
-    assert main(argv) == 0
-    assert len(calls) == 0
-
-
-@pytest.mark.parametrize("command", COMMANDS)
 def test_eigenvalue_solves_per_command(tmp_path, monkeypatch, capsys,
                                        command):
-    # stability comes from analysis.loop_poles, never from np.linalg.eigvals
+    # no command assembles a dense matrix (np.block), inverts one, or takes
+    # its eigenvalues: stability comes from analysis.loop_poles
     argv = _command(tmp_path, command)
-    calls = []
-    eigvals = np.linalg.eigvals
+    calls = {}
 
-    def counted(*args):
-        calls.append(args)
-        return eigvals(*args)
+    def count(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(np.linalg, "eigvals", counted)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        calls[name] = 0
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((np, "block"), (np.linalg, "inv"),
+                         (np.linalg, "eigvals")):
+        count(module, name)
     assert main(argv) == 0
-    assert len(calls) == 0
+    assert calls == {"block": 0, "inv": 0, "eigvals": 0}

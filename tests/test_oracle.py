@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg as sla
 
+from dense import gains, regulator_care, spectral_abscissa
 from wavelqg import oracle
 from wavelqg.oracle import (ConvergenceError, backward_error, newton_kleinman,
-                            ring_equations, solve_ring, spectral_abscissa)
+                            ring_equations, solve_ring)
 from wavelqg.params import NondimParams
-from wavelqg.spectral import circulant_dense, laplacian_circulant
-from wavelqg.synthesis import optimal_gains
+from wavelqg.synthesis import design_spectra
 from wavelqg.verify import verify_point
 
 SQRT3 = np.sqrt(3.0)
@@ -137,14 +137,8 @@ def test_spectral_abscissa_validation():
 def test_full_ring_dense_solve_matches_spectral_assembly():
     # one 2n-by-2n Schur solve against the per-frequency construction
     p = NondimParams(pi1=0.8, pi2=1.3, pi3=2.1, pi4=1.0, n=8)
-    n = p.n
-    lap = circulant_dense(laplacian_circulant(n))
-    a = np.block([[np.zeros((n, n)), np.eye(n)], [lap, np.zeros((n, n))]])
-    b = np.vstack([np.zeros((n, n)), np.eye(n)])
-    q = np.block([[np.eye(n) - p.pi1 * lap, np.zeros((n, n))],
-                  [np.zeros((n, n)), p.pi2 * np.eye(n)]])
-    sol = sla.solve_continuous_are(a, b, q, np.eye(n) / p.pi3 ** 2)
-    k_dense = p.pi3 ** 2 * b.T @ sol
-    gs, _ = optimal_gains(p)
-    k_spectral = np.hstack(circulant_dense(gs.rows))
+    # B' P picks the velocity rows of P
+    k_dense = p.pi3 ** 2 * regulator_care(p)[p.n:]
+    k_spectral, _ = gains(
+        design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n).blocks)
     assert np.abs(k_dense - k_spectral).max() <= 1e-8 * (1 + np.abs(k_spectral).max())

@@ -20,6 +20,19 @@ def test_all_names_exist(name):
     assert not missing, f"wavelqg.{name}.__all__ names {missing}"
 
 
+# dense references that live in tests/dense.py, not in the package
+DENSE_REFERENCES = ("plant_matrices", "build_closed_loop",
+                    "laplacian_circulant", "circulant_dense",
+                    "noise_covariance", "spectral_abscissa")
+
+
+@pytest.mark.parametrize("name", ["", *MODULES])
+def test_no_module_defines_a_dense_reference(name):
+    mod = importlib.import_module(f"wavelqg.{name}" if name else "wavelqg")
+    found = [n for n in DENSE_REFERENCES if hasattr(mod, n)]
+    assert not found, f"{mod.__name__} defines {found}"
+
+
 def _imported_after(statement: str, prefixes) -> str:
     """Modules named with one of ``prefixes`` that a fresh interpreter has
     loaded after running ``statement``."""

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from test_simulator import _dense_simulation
+import dense
 from wavelqg import simulator
 from wavelqg.cli import main
 from wavelqg.params import NondimParams
@@ -26,7 +26,7 @@ def test_short_last_block_matches_dense_reference(tail):
                     seed=5, n_realizations=2)
     assert cfg.n_steps % simulator._BLOCK == tail
     traj, summ = simulate(cfg)
-    costs, errs, stored = _dense_simulation(cfg)
+    costs, errs, stored = dense.simulation(cfg)
     assert np.allclose(summ.realization_costs, costs, rtol=1e-12, atol=0)
     assert np.allclose(summ.realization_err_traces, errs, rtol=1e-12, atol=0)
     states = np.hstack([traj.plant_state, traj.estimate])

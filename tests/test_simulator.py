@@ -14,20 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg as sla
 
+import dense
 from wavelqg import analysis, simulator, synthesis
-from wavelqg.analysis import build_closed_loop
-from wavelqg.oracle import spectral_abscissa
 from wavelqg.params import NondimParams
 from wavelqg.simulator import (
     InstabilityError,
     SimConfig,
     frequency_blocks,
     kernel_backend,
-    noise_covariance,
     simulate,
 )
-from wavelqg.spectral import (circulant_dense, circulant_rows,
-                              laplacian_circulant, laplacian_spectrum)
+from wavelqg.spectral import laplacian_spectrum
 
 MILD = NondimParams(pi1=0.0, pi2=1.0, pi3=1.0, pi4=1.0, n=4)
 # pi3 = pi4 = 2/pi1: the completely decentralized family at n=4.
@@ -122,9 +119,15 @@ def test_config_requires_ten_steps():
     {"noise_scale": -1.0},
     {"t_final": math.inf},
     {"dt": 1e-320, "t_final": 1.0},  # t_final / dt overflows
+    {"store_every": 2.5},
+    {"store_every": True},
+    {"n_realizations": 1.5},
+    {"n_realizations": 2.0},
+    {"n_realizations": True},
 ])
 def test_config_field_validation(kw):
-    with pytest.raises(ValueError):
+    # the message names the field at fault
+    with pytest.raises(ValueError, match="|".join(kw)):
         SimConfig(params=MILD, **kw)
 
 
@@ -212,19 +215,6 @@ def test_noise_scale_rescales_exactly():
 
 # ------------------------------------------- per-frequency vs dense loop
 
-def _dense_gains(spectra, n):
-    """Dense K = [K1 K2] and L = [L1; L2] from (k0, kc, l0, lc) spectra."""
-    k0, kc, l0, lc = circulant_dense(circulant_rows(spectra))
-    return np.hstack([k0, kc]), np.vstack([lc, l0])
-
-
-def _sqrt_noise_covariance(pi1, n):
-    """Symmetric square root of (I - pi1 Lap)^-1, by eigendecomposition."""
-    lap = circulant_dense(laplacian_circulant(n))
-    lam, vec = np.linalg.eigh(np.eye(n) - pi1 * lap)
-    return (vec / np.sqrt(lam)) @ vec.T
-
-
 @pytest.mark.parametrize("n", [2, 3, 7, 8])
 def test_frequency_blocks_match_dense_loop_for_any_gains(n):
     # Arbitrary positive symmetric gain spectra: one Euler step, the noise
@@ -232,17 +222,13 @@ def test_frequency_blocks_match_dense_loop_for_any_gains(n):
     rng = np.random.default_rng(n)
     p = NondimParams(pi1=0.6, pi2=1.7, pi3=2.5, pi4=1.5, n=n)
     raw = rng.uniform(0.5, 2.0, (4, n))
-    spectra = (raw + np.roll(raw[:, ::-1], 1, axis=1)) / 2.0
+    blocks = (raw + np.roll(raw[:, ::-1], 1, axis=1)) / 2.0  # K1 K2 L1 L2
     dt, scale = 0.01, 1.3
-    a, b, w = frequency_blocks(p, *spectra, dt, noise_scale=scale)
+    k0, kc, lc, l0 = blocks
+    a, b, w = frequency_blocks(p, k0, kc, l0, lc, dt, noise_scale=scale)
 
-    kmat, lmat = _dense_gains(spectra, n)
-    lap = circulant_dense(laplacian_circulant(n))
-    zero, eye = np.zeros((n, n)), np.eye(n)
-    plant = np.block([[zero, eye], [lap, zero]])
-    bk = np.vstack([zero, eye]) @ kmat
-    lc = lmat @ np.hstack([p.pi4 * eye, zero])
-    gen = np.block([[plant, -bk], [lc, plant - lc - bk]])
+    kmat, lmat = dense.gains(blocks)
+    gen = dense.closed_loop(p, blocks)
 
     def to_bins(x):  # (r, n) sites -> (bins, r, 2)
         f = np.fft.rfft(x, norm="ortho")
@@ -257,11 +243,11 @@ def test_frequency_blocks_match_dense_loop_for_any_gains(n):
     step = x + dt * gen @ x
     step[n:2 * n] += np.sqrt(dt) * scale * white[0]
     step[2 * n:] += np.sqrt(dt) * scale * (
-        lmat @ (_sqrt_noise_covariance(p.pi1, n) @ white[1]))
+        lmat @ (dense.noise_covariance_sqrt(p.pi1, n) @ white[1]))
     zb = a @ to_bins(x.reshape(4, n)) + b @ to_bins(white)
     assert np.allclose(to_sites(zb).ravel(), step, rtol=0, atol=1e-12)
 
-    qbar = np.block([[eye - p.pi1 * lap, zero], [zero, p.pi2 * eye]])
+    qbar = dense.state_weight(p)
     cost = (x[:2 * n] @ qbar @ x[:2 * n]
             + x[2 * n:] @ kmat.T @ kmat @ x[2 * n:] / p.pi3 ** 2)
     err = np.sum((x[:2 * n] - x[2 * n:]) ** 2)
@@ -292,70 +278,6 @@ def test_stepped_blocks_reproduce_the_closed_form_costs(pi, n):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
-def _site_noise(rng, n, steps):
-    """One realization's noise as simulate draws it, as step-major site
-    noise (steps, 2n), force then measurement.  Per block: the noise rows
-    of a work buffer filled by one standard_normal call and scaled by
-    _bin_law, reordered step-major and taken to sites by the orthonormal
-    irfft."""
-    kb, bins = simulator._KB, n // 2 + 1
-    blocks = []
-    for _ in range(-(-steps // simulator._BLOCK)):
-        rows = rng.standard_normal((2, kb, bins, simulator._BLOCK // kb, 2))
-        rows *= simulator._bin_law(n)
-        # slot j of chunk c is step kb c + j
-        f = rows.transpose(3, 1, 0, 2, 4).reshape(-1, 2, bins, 2)
-        blocks.append(np.fft.irfft(f[..., 0] + 1j * f[..., 1], n=n,
-                                   norm="ortho"))
-    return np.concatenate(blocks)[:steps].reshape(steps, 2 * n)
-
-
-def _dense_simulation(cfg):
-    """Step the dense build_closed_loop generator on simulate's draws.
-
-    Returns per-realization (costs, error traces) and the first
-    realization's stored (plant, estimate, running cost) rows.
-    """
-    p = cfg.params
-    n, dt = p.n, cfg.dt
-    aug = build_closed_loop(p)
-    gk, gl = synthesis.optimal_gains(p)
-    kmat = np.hstack(circulant_dense(gk.rows))
-    lmat = np.vstack(circulant_dense(gl.rows))
-    lap = circulant_dense(laplacian_circulant(n))
-    qbar = np.block([[np.eye(n) - p.pi1 * lap, np.zeros((n, n))],
-                     [np.zeros((n, n)), p.pi2 * np.eye(n)]])
-    krk = kmat.T @ kmat / p.pi3 ** 2
-    inject = np.zeros((4 * n, 2 * n))
-    inject[n:2 * n, :n] = np.eye(n)
-    inject[2 * n:, n:] = lmat @ _sqrt_noise_covariance(p.pi1, n)
-    inject *= np.sqrt(dt) * cfg.noise_scale
-    steps = cfg.n_steps
-    burn = int(round(cfg.burn_in * steps))
-    costs, errs, stored = [], [], []
-    for real in range(cfg.n_realizations):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(cfg.seed, spawn_key=(real,))))
-        raw = _site_noise(rng, n, steps)
-        z = np.zeros(4 * n)
-        run = post_c = post_e = 0.0
-        for t in range(steps + 1):
-            if real == 0 and (t % cfg.store_every == 0 or t == steps):
-                stored.append(np.concatenate([z, [run]]))
-            if t == steps:
-                break
-            x, xh = z[:2 * n], z[2 * n:]
-            c = (x @ qbar @ x + xh @ krk @ xh) * dt
-            run += c
-            if t >= burn:
-                post_c += c
-                post_e += np.sum((x - xh) ** 2) * dt
-            z = z + dt * aug @ z + inject @ raw[t]
-        costs.append(post_c / ((steps - burn) * dt))
-        errs.append(post_e / ((steps - burn) * dt))
-    return np.array(costs), np.array(errs), np.array(stored)
-
-
 @pytest.mark.parametrize("n", [2, 3, 7, 8])
 @pytest.mark.parametrize("pi1", [0.0, 0.4])
 def test_simulation_matches_dense_reference(n, pi1):
@@ -365,7 +287,7 @@ def test_simulation_matches_dense_reference(n, pi1):
     cfg = SimConfig(params=p, dt=0.01, t_final=6.0, seed=5,
                     n_realizations=2, store_every=37)
     traj, summ = simulate(cfg)
-    costs, errs, stored = _dense_simulation(cfg)
+    costs, errs, stored = dense.simulation(cfg)
     assert np.allclose(summ.realization_costs, costs, rtol=1e-12, atol=0)
     assert np.allclose(summ.realization_err_traces, errs, rtol=1e-12, atol=0)
     states = np.hstack([traj.plant_state, traj.estimate])
@@ -390,9 +312,10 @@ def test_zero_noise_zero_state_stays_at_rest():
 def test_zero_noise_decay_rate_matches_filter_abscissa():
     # Without noise the estimation error follows e' = (A - LC)e, so its
     # asymptotic decay is at least as fast as the slowest filter mode.
-    a, _, c = analysis.plant_matrices(MILD)
-    _, gl = synthesis.optimal_gains(MILD)
-    absc = spectral_abscissa(a - np.vstack(circulant_dense(gl.rows)) @ c)
+    a, _, c = dense.plant(MILD)
+    _, lmat = dense.gains(synthesis.design_spectra(
+        MILD.pi1, MILD.pi2, MILD.pi3, MILD.pi4, MILD.n).blocks)
+    absc = dense.spectral_abscissa(a - lmat @ c)
     assert absc < 0.0
 
     x0 = np.random.default_rng(7).standard_normal(2 * MILD.n)
@@ -437,8 +360,9 @@ def test_control_is_gain_times_estimate():
     cfg = SimConfig(params=DECENTRAL, dt=0.01, t_final=3.0, seed=9,
                     store_every=50)
     traj, _ = simulate(cfg)
-    gk, _ = synthesis.optimal_gains(DECENTRAL)
-    kmat = np.hstack(circulant_dense(gk.rows))
+    kmat, _ = dense.gains(synthesis.design_spectra(
+        DECENTRAL.pi1, DECENTRAL.pi2, DECENTRAL.pi3, DECENTRAL.pi4,
+        DECENTRAL.n).blocks)
     assert np.allclose(traj.control, -traj.estimate @ kmat.T, atol=1e-13)
 
 
@@ -465,14 +389,14 @@ def test_summary_records_backend_and_generator():
 def test_site_variance_is_spectral_average():
     # The dense reference is (I - pi1 Lap)^-1; by circulant stationarity
     # every site has variance (1/n) sum 1/(1-pi1 d).
-    lap = circulant_dense(laplacian_circulant(4))
-    assert np.allclose((np.eye(4) - lap) @ noise_covariance(1.0, 4), np.eye(4),
-                       atol=1e-12)
+    lap = dense.laplacian(4)
+    assert np.allclose((np.eye(4) - lap) @ dense.noise_covariance(1.0, 4),
+                       np.eye(4), atol=1e-12)
     for pi1, n in [(1.0, 4), (0.3, 8), (2.5, 30)]:
         d = laplacian_spectrum(n)
         expected = np.mean(1.0 / (1.0 - pi1 * d))
-        assert np.diag(noise_covariance(pi1, n)) == pytest.approx(expected,
-                                                                  rel=1e-12)
+        assert np.diag(dense.noise_covariance(pi1, n)) == pytest.approx(
+            expected, rel=1e-12)
 
 
 # ------------------------------------------------------ cost statistics
@@ -482,9 +406,9 @@ def test_cost_integrand_weights_potential_energy():
     # (phi, psi) it is the L2 terms plus pi1 times the discrete potential
     # energy -phi' Lap phi, exactly.
     n, pi1, pi2 = 6, 0.7, 1.3
-    lap = circulant_dense(laplacian_circulant(n))
-    qbar = np.block([[np.eye(n) - pi1 * lap, np.zeros((n, n))],
-                     [np.zeros((n, n)), pi2 * np.eye(n)]])
+    lap = dense.laplacian(n)
+    qbar = dense.state_weight(NondimParams(pi1=pi1, pi2=pi2, pi3=1.0,
+                                           pi4=1.0, n=n))
     rng = np.random.default_rng(4)
     for _ in range(10):
         phi, psi = rng.standard_normal(n), rng.standard_normal(n)

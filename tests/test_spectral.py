@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavelqg.spectral import (SymmetryError, circulant_dense, circulant_rows,
-                              laplacian_circulant, laplacian_spectrum,
-                              offdiag_masses, spectrum_of_circulant)
+from dense import circulant, laplacian
+from wavelqg.spectral import (SymmetryError, circulant_rows,
+                              laplacian_spectrum, offdiag_masses,
+                              spectrum_of_circulant)
 
 
 def test_laplacian_first_row():
-    row = laplacian_circulant(8)
+    row = laplacian(8)[0]
     np.testing.assert_array_equal(row, [-2, 1, 0, 0, 0, 0, 0, 1])
 
 
 def test_laplacian_n2_folds_wraparound():
-    np.testing.assert_array_equal(laplacian_circulant(2), [-2, 2])
+    np.testing.assert_array_equal(laplacian(2), [[-2, 2], [2, -2]])
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -31,7 +32,7 @@ def test_laplacian_spectrum_n30_k7():
     # cross-checked against a dense symmetric eigensolve below
     val = laplacian_spectrum(30)[7]
     assert val == pytest.approx(-1.7909430734646932, abs=1e-13)
-    dense_eigs = np.linalg.eigvalsh(circulant_dense(laplacian_circulant(30)))
+    dense_eigs = np.linalg.eigvalsh(laplacian(30))
     assert np.min(np.abs(dense_eigs - val)) < 1e-12
 
 
@@ -45,7 +46,7 @@ def test_laplacian_spectrum_bounds_and_reflection():
 
 
 def test_spectrum_matches_laplacian_spectrum():
-    got = spectrum_of_circulant(laplacian_circulant(4))
+    got = spectrum_of_circulant(laplacian(4)[0])
     np.testing.assert_allclose(got, [0, -2, -4, -2], atol=1e-14)
 
 
@@ -60,7 +61,7 @@ def test_diagonalization_against_dense_eigensolver():
     row = rng.standard_normal(8)
     s = spectrum_of_circulant(row)
     # eigenvalue multisets agree
-    dense = np.linalg.eigvals(circulant_dense(row))
+    dense = np.linalg.eigvals(circulant(row))
     key = lambda v: (np.round(v.real, 9), np.round(v.imag, 9))
     for a, b in zip(sorted(s, key=key), sorted(dense, key=key)):
         assert abs(a - b) < 1e-10
@@ -72,7 +73,7 @@ def test_dft_diagonalizes_random_circulant(n):
     row = rng.standard_normal(n)
     k = np.arange(n)
     f = np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)  # unitary DFT
-    diag = f @ circulant_dense(row) @ f.conj().T
+    diag = f @ circulant(row) @ f.conj().T
     target = np.diag(spectrum_of_circulant(row))
     assert np.abs(diag - target).max() <= 1e-10
 
@@ -110,7 +111,7 @@ def test_batched_rows_match_single_and_reject_one_bad_sequence():
     np.testing.assert_array_equal(
         spectra, np.stack([spectrum_of_circulant(r) for r in rows]))
     np.testing.assert_array_equal(
-        circulant_dense(rows), np.stack([circulant_dense(r) for r in rows]))
+        circulant(rows), np.stack([circulant(r) for r in rows]))
     got = circulant_rows(spectra)
     np.testing.assert_allclose(got, rows, atol=1e-12)
     np.testing.assert_allclose(
@@ -136,7 +137,7 @@ def test_offdiag_mass_zero_matrix():
 
 def test_circulant_commutes_with_cyclic_shift():
     rng = np.random.default_rng(11)
-    c = circulant_dense(rng.standard_normal(6))
+    c = circulant(rng.standard_normal(6))
     shift = np.roll(np.eye(6), 1, axis=1)
     np.testing.assert_allclose(c @ shift, shift @ c, atol=1e-14)
 
@@ -145,4 +146,4 @@ def test_dense_layout():
     row = np.array([10.0, 20.0, 30.0])
     expected = np.array([[10, 20, 30], [30, 10, 20], [20, 30, 10]],
                         dtype=float)
-    np.testing.assert_array_equal(circulant_dense(row), expected)
+    np.testing.assert_array_equal(circulant(row), expected)
