@@ -226,8 +226,20 @@ def curve_reports(pi1_values, pi2: float = 1.0, n: int = 30
     return table
 
 
+def _reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of each entry, called once per distinct bit pattern (so
+    0.0 and -0.0, and NaNs, keep their own text)."""
+    bits = values.view(f"u{values.itemsize}")
+    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+    text = np.array([repr(v) for v in values[first].tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
 def rows_to_csv(table: dict[str, np.ndarray]) -> str:
     """Render a sweep table under :data:`CSV_HEADER`, one line per row."""
-    # repr gives floats in shortest round-trip form, lower() bools as true
-    columns = [[repr(v).lower() for v in table[c].tolist()] for c in COLUMNS]
+    # repr gives floats in shortest round-trip form, lower() bools as true;
+    # the parameter columns pi1..n repeat or tile their few values
+    columns = [_reprs(table[c]) for c in COLUMNS[:5]]
+    columns += [list(map(repr, table[c].tolist())) for c in COLUMNS[5:-1]]
+    columns.append([repr(v).lower() for v in table["on_curve"].tolist()])
     return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"

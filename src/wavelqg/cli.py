@@ -16,6 +16,7 @@ design that is not finite, and output files that cannot all be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -232,8 +233,7 @@ def _cmd_sweep(args) -> int:
     outputs = [(args.out, [analysis.rows_to_csv(table)])]
     if args.heatmap:
         metric = {"lqr": "j_lqr", "kf": "j_kf", "lqg": "j_lqg"}[args.metric]
-        x = np.unique(table["pi1"])
-        y = np.unique(table["pi4"])
+        x, y = grid.pi1_values, grid.pi34_values  # y is pi4, tied or not
         z = table[metric].reshape(x.size, y.size).T
         cy = np.logspace(np.log10(y.min()), np.log10(y.max()), 200)
         svg = heatmap_svg(x, y, z, xlabel="pi1", ylabel="pi4",
@@ -362,9 +362,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on its first call: parsing
+    leaves no state in it, and building it costs far more than parsing."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, OSError, ValueError, KeyError) as exc:

@@ -3,6 +3,10 @@
 Only needs two shapes: a log-log heatmap with the decentralization curve
 overlaid, and a log-log multi-line plot.  No plotting dependency is worth
 carrying for that.
+
+The heatmap maps each column and row edge to pixels, and formats it, once
+per axis, and colours every cell with one vectorized pass of the ramp
+(:func:`_colors`); the per-cell loop only joins the prebuilt pieces.
 """
 
 from __future__ import annotations
@@ -18,23 +22,29 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62, 96, 34, 48
 _WIDTH, _HEATMAP_HEIGHT, _LINE_PLOT_HEIGHT = 640, 520, 480
 
 # compact perceptual ramp, dark blue -> green -> yellow
-_STOPS = [
+_STOPS = np.array([
     (0.267, 0.005, 0.329),
     (0.254, 0.265, 0.530),
     (0.164, 0.471, 0.558),
     (0.135, 0.659, 0.518),
     (0.478, 0.821, 0.318),
     (0.993, 0.906, 0.144),
-]
+])
 
 
-def _color(t: float) -> str:
-    t = min(max(t, 0.0), 1.0)
+def _colors(t) -> np.ndarray:
+    """The ramp's "#rrggbb" colours at each t, clamped to [0, 1]: stop
+    interval i, (1 - f) a + f b per channel, rounded half to even."""
+    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    if np.isnan(t).any():
+        raise ValueError("cannot colour NaN")
     pos = t * (len(_STOPS) - 1)
-    i = min(int(pos), len(_STOPS) - 2)
-    f = pos - i
-    rgb = [(1 - f) * a + f * b for a, b in zip(_STOPS[i], _STOPS[i + 1])]
-    return "#" + "".join(f"{int(round(255 * v)):02x}" for v in rgb)
+    i = np.minimum(pos.astype(int), len(_STOPS) - 2)
+    f = (pos - i)[..., None]
+    rgb = np.rint(255 * ((1 - f) * _STOPS[i] + f * _STOPS[i + 1])).astype(int)
+    code = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+    return np.array([f"#{c:06x}" for c in code.ravel().tolist()],
+                    dtype=object).reshape(code.shape)
 
 
 def _decade_ticks(lo: float, hi: float) -> list[float]:
@@ -107,7 +117,8 @@ def heatmap_svg(x, y, z, xlabel: str, ylabel: str, title: str,
     z = np.asarray(z, dtype=float)
     if z.shape != (y.size, x.size):
         raise ValueError("z must have shape (len(y), len(x))")
-    ax = _LogAxes(x.min(), x.max(), y.min(), y.max(), width, height)
+    (xlo, xhi), (ylo, yhi) = (x.min(), x.max()), (y.min(), y.max())
+    ax = _LogAxes(xlo, xhi, ylo, yhi, width, height)
     logz = np.log10(np.maximum(z, 1e-300))
     zlo, zhi = float(logz.min()), float(logz.max())
     span = max(zhi - zlo, 1e-12)
@@ -119,33 +130,33 @@ def heatmap_svg(x, y, z, xlabel: str, ylabel: str, title: str,
         last = lv[-1] + (lv[-1] - mids[-1]) if vals.size > 1 else lv[0] + 0.1
         return 10.0 ** np.concatenate([[first], mids, [last]])
 
-    xe, ye = edges(x), edges(y)
+    # each column's x and width and each row's y and height, formatted once
+    px = [ax.x(v) for v in edges(x)]
+    py = [ax.y(v) for v in edges(y)]
+    cols = [(f"{a:.2f}", f"{b - a:.2f}") for a, b in zip(px, px[1:])]
+    rows = [(f"{b:.2f}", f"{a - b:.2f}") for a, b in zip(py, py[1:])]
+    fills = _colors((logz - zlo) / span).tolist()
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">',
              f'<rect width="{width}" height="{height}" fill="white"/>']
-    for j in range(y.size):
-        for i in range(x.size):
-            px0, px1 = ax.x(xe[i]), ax.x(xe[i + 1])
-            py0, py1 = ax.y(ye[j + 1]), ax.y(ye[j])
-            c = _color((logz[j, i] - zlo) / span)
-            parts.append(f'<rect x="{px0:.2f}" y="{py0:.2f}" '
-                         f'width="{px1 - px0:.2f}" height="{py1 - py0:.2f}" '
-                         f'fill="{c}"/>')
+    for (cell_y, cell_h), row_fills in zip(rows, fills):
+        parts += [f'<rect x="{cell_x}" y="{cell_y}" width="{cell_w}" '
+                  f'height="{cell_h}" fill="{c}"/>'
+                  for (cell_x, cell_w), c in zip(cols, row_fills)]
     cx, cy = (np.asarray(v, dtype=float) for v in curve_xy)
     pts = [f"{ax.x(a):.2f},{ax.y(b):.2f}" for a, b in zip(cx, cy)
-           if x.min() <= a <= x.max() and y.min() <= b <= y.max()]
+           if xlo <= a <= xhi and ylo <= b <= yhi]
     if len(pts) >= 2:
         parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
                      'stroke="black" stroke-width="2"/>')
-    parts += _frame(ax, xlabel, ylabel, title, _decade_ticks(x.min(), x.max()),
-                    _decade_ticks(y.min(), y.max()), width, height)
+    parts += _frame(ax, xlabel, ylabel, title, _decade_ticks(xlo, xhi),
+                    _decade_ticks(ylo, yhi), width, height)
     # colorbar
     bx = width - _MARGIN_R + 22
-    for s in range(60):
-        t = 1.0 - s / 59.0
+    for s, c in enumerate(_colors(1.0 - np.arange(60) / 59.0)):
         parts.append(f'<rect x="{bx}" y="{_MARGIN_T + s * (height - 120) / 60:.2f}" '
                      f'width="14" height="{(height - 120) / 60 + 0.5:.2f}" '
-                     f'fill="{_color(t)}"/>')
+                     f'fill="{c}"/>')
     parts.append(f'<text x="{bx + 18}" y="{_MARGIN_T + 8}" font-size="10">'
                  f'1e{zhi:.1f}</text>')
     parts.append(f'<text x="{bx + 18}" y="{_MARGIN_T + height - 120}" '

@@ -231,6 +231,40 @@ def test_csv_rendering_roundtrips():
     assert "true" in text and "false" in text
 
 
+def _csv_ref(table):
+    """rows_to_csv one cell at a time: repr, then lower() for the bools."""
+    rows = zip(*(table[c].tolist() for c in COLUMNS))
+    return "".join([CSV_HEADER + "\n", *(",".join(repr(v).lower()
+                                                  for v in row) + "\n"
+                                         for row in rows)])
+
+
+def _hand_table(rows, rng):
+    """A table of ``rows`` rows whose parameter columns repeat values and
+    hold 0.0 beside -0.0, nan and inf."""
+    special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 0.5,
+                        0.5, 1e-300, 7.25e12])
+    table = {c: rng.choice(special, rows) for c in COLUMNS[:4]}
+    table["pi4"][:2] = special[:min(rows, 2)]
+    table["pi2"] = np.repeat(special, 60)[::2][:rows]  # a strided view
+    table["n"] = rng.choice([4, 30, -1], rows)
+    for c in COLUMNS[5:-1]:
+        table[c] = rng.choice([*special, *rng.normal(size=6)], rows)
+    table["on_curve"] = rng.random(rows) < 0.5
+    return table
+
+
+def test_csv_rendering_matches_the_cell_by_cell_reference():
+    rng = np.random.default_rng(8)
+    for rows in (1, 2, 10, 300):
+        table = _hand_table(rows, rng)
+        assert rows_to_csv(table) == _csv_ref(table)
+    pi4 = [line.split(",")[3] for line in rows_to_csv(table).splitlines()]
+    assert pi4[1:3] == ["0.0", "-0.0"]
+    grid = SweepGrid(pi1_values=[0.5, 1.0, 2.0], pi34_values=[4.0, 7.0], n=4)
+    assert rows_to_csv(sweep(grid)) == _csv_ref(sweep(grid))
+
+
 def test_curve_reports_follow_fig4_ordering():
     table = curve_reports(np.logspace(-1, 1, 12), pi2=1.0, n=30)
     assert table["on_curve"].all()

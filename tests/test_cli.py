@@ -8,10 +8,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from wavelqg import analysis, oracle, simulator, synthesis
+from wavelqg import analysis, cli, oracle, simulator, synthesis
 from wavelqg.cli import main
 from wavelqg.params import NondimParams
 
+SVG = "{http://www.w3.org/2000/svg}"
 DECENTRAL = ["--pi1", "0.5", "--pi2", "1", "--pi3", "4", "--pi4", "4",
            "--n", "4"]
 
@@ -432,6 +433,19 @@ def test_sweep_heatmap_svg(tmp_path, capsys):
     assert out.read_text().count("\n") == 13  # header + 12 rows
 
 
+def test_heatmap_takes_the_grid_axes_not_the_distinct_values(tmp_path,
+                                                              capsys):
+    # a pi1 grid whose points round to two distinct floats
+    svg = tmp_path / "hm.svg"
+    assert main(["sweep", "--pi1-min", "1", "--pi1-max", "1.0000000000000002",
+                 "--pi1-count", "3", "--pi34-min", "1", "--pi34-max", "2",
+                 "--pi34-count", "3", "--n", "4", "--out",
+                 str(tmp_path / "s.csv"), "--heatmap", str(svg)]) == 0
+    cells = [r for r in ET.fromstring(svg.read_text()).iter(f"{SVG}rect")
+             if r.get("fill").startswith("#") and r.get("width") != "14"]
+    assert len(cells) == 9
+
+
 def test_curve_only_sweep_with_lineplot(tmp_path, capsys):
     out = tmp_path / "curve.csv"
     svg = tmp_path / "curve.svg"
@@ -566,6 +580,43 @@ def test_report_to_file(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
     payload = json.loads(out.read_text())
     assert payload["n"] == 4
+
+
+# ---------------------------------------------------------- parser reuse
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    built, original = [], cli.build_parser
+
+    def build():
+        built.append(original())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", build)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(10):
+            assert main(["report", *DECENTRAL]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_back_to_back_calls_share_no_flags(tmp_path, capsys):
+    grid = ["--pi1-count", "2", "--pi34-count", "2", "--n", "4"]
+    untied, tied = tmp_path / "u.csv", tmp_path / "t.csv"
+    assert main(["sweep", *grid, "--untie", "--pi3-fixed", "3",
+                 "--out", str(untied)]) == 0
+    assert main(["sweep", *grid, "--out", str(tied)]) == 0
+    for path, is_tied in ((untied, False), (tied, True)):
+        rows = [dict(zip(analysis.COLUMNS, line.split(",")))
+                for line in path.read_text().splitlines()[1:]]
+        assert all((r["pi3"] == r["pi4"]) == is_tied for r in rows)
+    capsys.readouterr()
+    costs = []
+    for flags in (["--zero-noise"], []):
+        assert main(["simulate", *DECENTRAL, "--t-final", "2", *flags]) == 0
+        costs.append(float(capsys.readouterr().out.split()[3]))
+    assert costs[0] == 0.0 < costs[1]
 
 
 # ------------------------------------------------------ design recomputation
