@@ -17,6 +17,7 @@ import numpy as np
 from wavelqg import _kernels
 from wavelqg.params import NondimParams
 from wavelqg.simulator import _BLOCK, _KB, _bin_law, frequency_blocks
+from wavelqg.spectral import laplacian_spectrum
 from wavelqg.synthesis import design_spectra
 
 DT = 0.005
@@ -32,7 +33,7 @@ def build_workload(n: int, steps: int, seed: int = 0):
     number of chunks).
     """
     p = NondimParams(pi1=0.5, pi2=1.0, pi3=4.0, pi4=4.0, n=n)
-    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, n)
+    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, laplacian_spectrum(n))
     a, b, w = frequency_blocks(p, s.k0, s.kc, s.l0, s.lc, DT)
     bins = n // 2 + 1
     rng = np.random.default_rng(seed)

@@ -15,7 +15,10 @@ test suite and the ``verify`` command exercise.
 
 :func:`sweep` and :func:`curve_reports` return tables: a dict that maps
 each column of :data:`CSV_HEADER` (:data:`COLUMNS`) to a 1-D array, one
-entry per point, which :func:`rows_to_csv` renders as CSV.
+entry per point, which :func:`rows_to_csv` renders as CSV.  Frequencies k
+and n - k share every summand, so a table's costs are multiplicity-weighted
+sums over the rfft half k = 0 .. n//2 of the spectrum, and its off-diagonal
+masses come from that half by Parseval, with no transform.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import NondimParams
-from .spectral import circulant_rows, laplacian_spectrum, offdiag_masses
+from .spectral import laplacian_spectrum, offdiag_masses, rfft_multiplicities
 from .synthesis import DesignSpectra, design_spectra
 
 __all__ = [
@@ -53,22 +56,27 @@ COLUMNS = ("pi1", "pi2", "pi3", "pi4", "n", "j_lqr", "j_kf", "j_lqg",
 CSV_HEADER = ",".join(COLUMNS)
 
 
-def costs(s: DesignSpectra) -> np.ndarray:
-    """(j_lqr, j_kf, j_lqg) along a new last axis, per point of ``s``."""
+def costs(s: DesignSpectra, mult) -> np.ndarray:
+    """(j_lqr, j_kf, j_lqg) along a new last axis, per point of ``s``, each
+    frequency of ``s`` counted ``mult`` times (1 for a full spectrum)."""
     # trace(S K' R K): R = 1/pi3**2 is folded into p0 and p2
     ctrl = s.s1 * s.k0 * s.p0 + 2.0 * s.s0 * s.k0 * s.p2 + s.s2 * s.kc * s.p2
-    return np.sum(np.stack([s.p1 + s.p2, s.s1 + s.s2, s.p2 + ctrl], axis=-2),
-                  axis=-1)
+    return np.sum(np.stack([s.p1 + s.p2, s.s1 + s.s2, s.p2 + ctrl], axis=-2)
+                  * mult, axis=-1)
+
+
+def _design(p: NondimParams) -> DesignSpectra:
+    return design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, laplacian_spectrum(p.n))
 
 
 def lqr_cost(p: NondimParams) -> float:
     """trace of the control Riccati solution."""
-    return float(costs(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n))[0])
+    return float(costs(_design(p), 1.0)[0])
 
 
 def kf_cost(p: NondimParams) -> float:
     """trace of the steady-state estimation error covariance."""
-    return float(costs(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n))[1])
+    return float(costs(_design(p), 1.0)[1])
 
 
 def lqg_cost(p: NondimParams) -> float:
@@ -76,7 +84,7 @@ def lqg_cost(p: NondimParams) -> float:
 
     Per frequency: p2 + (s1 k0**2 + 2 s0 k0 kc + s2 kc**2) / pi3**2.
     """
-    return float(costs(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n))[2])
+    return float(costs(_design(p), 1.0)[2])
 
 
 def dual_lqg_cost(s: DesignSpectra, p: NondimParams) -> float:
@@ -91,7 +99,7 @@ def dual_lqg_cost(s: DesignSpectra, p: NondimParams) -> float:
 
 def lqg_cost_dual(p: NondimParams) -> float:
     """Same cost through the dual form trace(S Qbar) + trace(P L V L')."""
-    return dual_lqg_cost(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n), p)
+    return dual_lqg_cost(_design(p), p)
 
 
 def loop_poles(s: DesignSpectra, pi4) -> np.ndarray:
@@ -140,15 +148,16 @@ _CHUNK_CELLS = 1 << 12
 def _table(pi1, pi2, pi3, pi4, n: int) -> dict[str, np.ndarray]:
     """Every column but ``on_curve`` at the points (pi1, pi2, pi3, pi4),
     broadcast to one axis, all on n sites; the design is evaluated chunk
-    by chunk."""
+    by chunk, on the rfft half of the spectrum."""
     pi = np.stack(np.broadcast_arrays(
         *np.atleast_1d(pi1, pi2, pi3, pi4))).astype(float)
     step = max(1, _CHUNK_CELLS // n)
+    d, mult = laplacian_spectrum(n)[:n // 2 + 1], rfft_multiplicities(n)
     values = []
     for i in range(0, pi.shape[1], step):
-        s = design_spectra(*pi[:, i:i + step], n)
-        masses = offdiag_masses(circulant_rows(s.blocks))
-        values.append(np.concatenate([costs(s), masses], axis=-1))
+        s = design_spectra(*pi[:, i:i + step], d, n)
+        values.append(np.concatenate(
+            [costs(s, mult), offdiag_masses(s.blocks, mult)], axis=-1))
     residuals = pi[0] - 2.0 / pi[2:]  # locality_residuals, per point
     return dict(zip(COLUMNS, (*pi, np.full(pi.shape[1], n),
                               *np.concatenate(values).T, *residuals)))

@@ -170,7 +170,8 @@ def _cmd_synth(args) -> int:
     _write_all(outputs)
     for (path, _), gs in zip(outputs, sets):
         print(f"wrote {path}")
-        for name, mass in zip(_BLOCK_NAMES[gs.kind], offdiag_masses(gs.rows)):
+        masses = offdiag_masses(gs.spectra, 1.0)
+        for name, mass in zip(_BLOCK_NAMES[gs.kind], masses):
             print(f"  offdiag_mass({name}) = {mass:.3e}")
     print(*_verdict_lines(p), sep="\n")
     return 0

@@ -19,8 +19,9 @@ Every matrix of the loop is circulant, so the orthonormal real DFT
 A bin's real and imaginary parts are two columns driven by the same
 block; :func:`frequency_blocks` builds the blocks, once per run, and
 the simulator never forms a 4n x 4n matrix.  By Parseval, a site-space
-quadratic form is the sum over bins of the per-bin forms, weighted 1 at
-k = 0 and at the Nyquist bin k = n/2 (even n) and 2 elsewhere.  Stored
+quadratic form is the sum over bins of the per-bin forms, each weighted
+by its multiplicity (:func:`~wavelqg.spectral.rfft_multiplicities`: 1 at
+k = 0 and at the Nyquist bin k = n/2 of an even ring, 2 elsewhere).  Stored
 samples are taken back to sites with ``irfft``.
 
 Determinism
@@ -56,7 +57,7 @@ import numpy as np
 
 from . import _kernels, analysis
 from .params import NondimParams
-from .spectral import laplacian_spectrum
+from .spectral import laplacian_spectrum, rfft_multiplicities
 from .synthesis import design_spectra
 
 __all__ = [
@@ -105,8 +106,8 @@ def frequency_blocks(p: NondimParams, k0, kc, l0, lc, dt: float,
         bin's running cost is |w[0] z|**2 and its squared estimation error
         |w[1] z|**2, with w[0] = diag(sqrt(1 - pi1 d), sqrt(pi2)) on x next
         to the row [k0, kc] / pi3 on xhat, and w[1] = [I, -I].  Both carry
-        the square root of the bin's Parseval weight (1 at k = 0 and at
-        k = n/2, else 2).
+        the square root of the bin's Parseval weight, its multiplicity
+        from :func:`~wavelqg.spectral.rfft_multiplicities`.
     """
     n = p.n
     m = n // 2 + 1
@@ -130,17 +131,13 @@ def frequency_blocks(p: NondimParams, k0, kc, l0, lc, dt: float,
     b[:, 1, 0] = amp
     b[:, 2, 1] = filt * lc
     b[:, 3, 1] = filt * l0
-    weight = np.full(m, math.sqrt(2.0))
-    weight[0] = 1.0
-    if n % 2 == 0:
-        weight[-1] = 1.0
     w = np.zeros((2, m, 4, 4))
     w[0, :, 0, 0] = np.sqrt(1.0 - p.pi1 * d)
     w[0, :, 1, 1] = math.sqrt(p.pi2)
     w[0, :, 2, 2] = k0 / p.pi3
     w[0, :, 2, 3] = kc / p.pi3
     w[1, :, :2] = np.hstack([np.eye(2), -np.eye(2)])
-    return a, b, w * weight[:, None, None]
+    return a, b, w * np.sqrt(rfft_multiplicities(n))[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -302,7 +299,7 @@ def simulate(cfg: SimConfig,
     p = cfg.params
     n = p.n
     bins = n // 2 + 1
-    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, n)
+    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, laplacian_spectrum(n))
     a, b, w = frequency_blocks(p, s.k0, s.kc, s.l0, s.lc, cfg.dt,
                                cfg.noise_scale)
     lam = analysis.loop_poles(s, p.pi4)[..., :bins, :]  # poles of the G_k
@@ -396,7 +393,7 @@ def simulate(cfg: SimConfig,
                       plant_state=sites[:, :2].reshape(-1, 2 * n),
                       estimate=sites[:, 2:].reshape(-1, 2 * n),
                       control=control, running_cost=traj_cost)
-    _, j_kf, j_lqg = analysis.costs(s).tolist()
+    _, j_kf, j_lqg = analysis.costs(s, 1.0).tolist()
     summary = SimSummary(
         empirical_lqg_cost=float(np.mean(costs)),
         empirical_est_err_cov_trace=float(np.mean(errs)),

@@ -22,7 +22,8 @@ the eigenvalue of the Fourier mode exp(+2j*pi*k*j/n).  This is the map
 :func:`spectrum_of_circulant` computes and :func:`circulant_rows` inverts.
 A real first row gives vals[k] == conj(vals[n-k]); for the symmetric first
 rows produced everywhere in this package the values are real and the sign
-of the exponent is immaterial.
+of the exponent is immaterial.  Such a spectrum is fixed by its rfft half
+k = 0 .. n//2, each k weighted by :func:`rfft_multiplicities` in sums.
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ __all__ = [
     "laplacian_spectrum",
     "spectrum_of_circulant",
     "circulant_rows",
+    "rfft_multiplicities",
     "offdiag_masses",
 ]
 
-# Floor for the norm in offdiag_masses, so an all-zero row reports mass 0
-# instead of dividing by zero.
+# Floor for the norm in offdiag_masses, so an all-zero spectrum reports
+# mass 0 instead of dividing by zero.
 _NORM_FLOOR = 1e-300
 
 # Asymmetry and imaginary leakage circulant_rows allows, relative to
@@ -90,12 +92,23 @@ def circulant_rows(vals: np.ndarray) -> np.ndarray:
     return row.real
 
 
-def offdiag_masses(rows: np.ndarray) -> np.ndarray:
-    """Relative l2 weight of the off-diagonal couplings of each first row
-    along the last axis.
+def rfft_multiplicities(n: int) -> np.ndarray:
+    """How many of the n frequencies each of k = 0 .. n//2 stands for (k
+    and n - k): (1, 2, ..., 2, 1) for even n and (1, 2, ..., 2) for odd n."""
+    k = np.arange(n // 2 + 1)
+    return np.where((k == 0) | (2 * k == n), 1.0, 2.0)
 
-    Zero exactly when the matrix is a multiple of the identity, i.e. when
-    the feedback it represents is completely decentralized.
-    """
-    off = np.sqrt(np.sum(rows[..., 1:] ** 2, axis=-1))
-    return off / np.maximum(np.sqrt(np.sum(rows ** 2, axis=-1)), _NORM_FLOOR)
+
+def offdiag_masses(vals: np.ndarray, mult) -> np.ndarray:
+    """Relative l2 weight of the off-diagonal couplings of the circulants
+    whose real eigenvalues run along the last axis of ``vals``, each
+    counted ``mult`` times (1 for a full spectrum).  By Parseval, with
+    mu = sum(mult vals) / n the diagonal entry, the first row r has
+    n |r[1:]|**2 = off**2 = sum(mult (vals - mu)**2) and n |r|**2 =
+    off**2 + n mu**2, so the mass is zero exactly when the feedback is
+    decentralized.  Sums run along the last axis, so a row's mass does not
+    depend on the batch, and only deviations from mu are squared."""
+    n = np.broadcast_to(mult, vals.shape[-1:]).sum()
+    mu = np.sum(mult * vals, axis=-1) / n
+    off = np.sqrt(np.sum(mult * (vals - mu[..., None]) ** 2, axis=-1))
+    return off / np.hypot(off, np.sqrt(n) * mu).clip(_NORM_FLOOR)

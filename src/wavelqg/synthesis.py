@@ -32,10 +32,10 @@ Both k0 and l0 become frequency-independent (all gains diagonal) exactly on
 pi1 = 2/pi3 resp. pi1 = 2/pi4, where the square roots collapse to perfect
 squares: k0 = pi3 and l0 = 1.
 
-:func:`design_spectra` evaluates all of these at a batch of points, and
-:func:`optimal_gains` turns one point's K1, K2, L1 and L2 spectra (in that
-order, :attr:`DesignSpectra.blocks`) into the first rows of the circulant
-gain blocks.
+:func:`design_spectra` evaluates all of these at a batch of points and
+any Laplacian eigenvalues d, and :func:`optimal_gains` turns one point's
+K1, K2, L1 and L2 spectra (in that order, :attr:`DesignSpectra.blocks`)
+into the first rows of the circulant gain blocks.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class GainSet:
 class DesignSpectra:
     """The spectra of the module docstring at a batch of parameter points;
     each array has the broadcast shape of the pi inputs plus a last axis
-    over the n frequencies."""
+    over the Laplacian eigenvalues d given to :func:`design_spectra`."""
 
     p0: np.ndarray
     p1: np.ndarray
@@ -108,14 +108,15 @@ class DesignSpectra:
         return np.stack([self.k0, self.kc, self.lc, self.l0], axis=-2)
 
 
-def design_spectra(pi1, pi2, pi3, pi4, n: int) -> DesignSpectra:
-    """Every spectrum for pi values broadcast over a batch, from one square
-    root per frequency for the regulator and one for the filter.  Raises
-    ValueError naming the first point whose spectra are not finite: pi3 or
-    pi4 above about 1e151, pi3 below 1e-161 or pi4 below 1e-102."""
+def design_spectra(pi1, pi2, pi3, pi4, d, n=None) -> DesignSpectra:
+    """Every spectrum for pi values broadcast over a batch, at the Laplacian
+    eigenvalues ``d`` (the last axis of each result: the ring's n, or their
+    rfft half), from one square root per eigenvalue for the regulator and
+    one for the filter.  Raises ValueError naming the first point whose
+    spectra are not finite and ``n`` (default len(d)): pi3 or pi4 above
+    about 1e151, pi3 below 1e-161 or pi4 below 1e-102."""
     pi1, pi2, pi3, pi4 = (np.asarray(x, dtype=float)[..., None]
                           for x in (pi1, pi2, pi3, pi4))
-    d = laplacian_spectrum(n)
     with np.errstate(all="ignore"):
         v = 1.0 - pi1 * d
         x = pi3 ** 2 * v
@@ -136,13 +137,14 @@ def design_spectra(pi1, pi2, pi3, pi4, n: int) -> DesignSpectra:
               for a in (pi1, pi2, pi3, pi4)]
         raise ValueError("the design is not finite in floating point at "
                          "pi=({:.6g}, {:.6g}, {:.6g}, {:.6g}), n={}"
-                         .format(*pi, n))
+                         .format(*pi, d.size if n is None else n))
     return s
 
 
 def optimal_gains(p: NondimParams) -> tuple[GainSet, GainSet]:
     """The optimal (regulator, filter) gain sets at ``p``."""
-    spectra = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n).blocks
+    spectra = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
+                             laplacian_spectrum(p.n)).blocks
     rows = circulant_rows(spectra)
     return tuple(GainSet(rows=rows[i:i + 2], kind=kind, params=p,
                          spectra=spectra[i:i + 2])

@@ -54,7 +54,8 @@ def verify_point(p: NondimParams) -> list[Check]:
     of the per-frequency poles of :func:`~wavelqg.analysis.loop_poles`.
     Raises :class:`ConvergenceError` when the oracle does not converge.
     """
-    s = synthesis.design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
+    s = synthesis.design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
+                                 laplacian_spectrum(p.n))
     _, k = solve_ring(p)
     # the oracle's kind 1 is the filter's dual, whose gain is [lc, l0]
     closed_k = np.stack([np.stack([s.k0, s.kc], -1),
@@ -62,7 +63,7 @@ def verify_point(p: NondimParams) -> list[Check]:
     closed_x = np.stack([symmetric_blocks(s.p1, s.p0, s.p2),
                          symmetric_blocks(s.s1, s.s0, s.s2)])
     res_max = backward_error(*ring_equations(p), closed_x).max()
-    dual_dev = _rel_dev(float(analysis.costs(s)[2]),
+    dual_dev = _rel_dev(float(analysis.costs(s, 1.0)[2]),
                         analysis.dual_lqg_cost(s, p))
     absc = float(analysis.loop_poles(s, p.pi4).real.max())
     return [

@@ -13,7 +13,7 @@ from scipy import linalg as sla
 
 from wavelqg import simulator
 from wavelqg.params import NondimParams
-from wavelqg.spectral import circulant_rows
+from wavelqg.spectral import circulant_rows, laplacian_spectrum
 from wavelqg.synthesis import design_spectra
 
 
@@ -22,6 +22,14 @@ def circulant(rows):
     of each matrix is rows[..., (j - i) mod n]."""
     n = rows.shape[-1]
     return rows[..., (np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+
+
+def offdiag_masses(rows):
+    """Relative l2 weight of the off-diagonal entries of each circulant
+    whose first row runs along the last axis: |rows[1:]| / |rows|, with
+    an all-zero row reporting 0."""
+    off = np.sqrt(np.sum(rows[..., 1:] ** 2, axis=-1))
+    return off / np.maximum(np.sqrt(np.sum(rows ** 2, axis=-1)), 1e-300)
 
 
 def laplacian(n):
@@ -129,7 +137,8 @@ def simulation(cfg):
     """
     p = cfg.params
     n, dt = p.n, cfg.dt
-    blocks = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, n).blocks
+    blocks = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
+                            laplacian_spectrum(n)).blocks
     aug = closed_loop(p, blocks)
     kmat, lmat = gains(blocks)
     qbar = state_weight(p)

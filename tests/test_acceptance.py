@@ -10,13 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from dense import (closed_loop, gains, noise_covariance, plant,
-                   spectral_abscissa)
+from dense import (closed_loop, gains, noise_covariance, offdiag_masses,
+                   plant, spectral_abscissa)
 from wavelqg import _kernels, analysis, simulator, synthesis
 from wavelqg._kernels import NOISE_ROWS, advance
 from wavelqg.params import DimensionalParams, NondimParams, locality_residuals, nondimensionalize
 from wavelqg.simulator import SimConfig, frequency_blocks, simulate
-from wavelqg.spectral import offdiag_masses
+from wavelqg.spectral import laplacian_spectrum
 from wavelqg.verify import verify_point
 
 N_CYCLE = (2, 4, 8, 16, 30)
@@ -122,7 +122,8 @@ def test_05_closed_loop_is_stable_and_separates():
     ``analysis.loop_poles`` (the stability route of ``verify`` and
     ``simulate``) gives the same 4n poles to 1e-8."""
     for p in _draws(20, 1e-1, 1e1, seed=505, n_choices=(2, 4, 8, 16)):
-        s = synthesis.design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
+        s = synthesis.design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
+                                     laplacian_spectrum(p.n))
         aug = closed_loop(p, s.blocks)
         assert spectral_abscissa(aug) < 0.0
         a, b, c = plant(p)

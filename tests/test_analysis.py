@@ -3,6 +3,7 @@
 import json
 from dataclasses import asdict
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +14,7 @@ from wavelqg.analysis import (COLUMNS, CSV_HEADER, CostLocalityReport,
                               lqg_cost_dual, loop_poles, lqr_cost, report,
                               rows_to_csv, sweep)
 from wavelqg.params import NondimParams
+from wavelqg.spectral import circulant_rows, laplacian_spectrum
 from wavelqg.synthesis import design_spectra
 
 
@@ -65,7 +67,7 @@ def test_lqg_dual_form_agreement():
 
 
 def test_error_covariance_shrinks_with_sensor_quality():
-    s0_at = [design_spectra(0.5, 1.0, 4.0, v, 30).s0[0]
+    s0_at = [design_spectra(0.5, 1.0, 4.0, v, laplacian_spectrum(30)).s0[0]
              for v in (0.5, 1.0, 2.0, 8.0)]
     assert all(b < a for a, b in zip(s0_at, s0_at[1:]))
     assert s0_at[-1] == pytest.approx(1.0 / 8.0, rel=1e-14)
@@ -74,7 +76,7 @@ def test_error_covariance_shrinks_with_sensor_quality():
 def test_per_frequency_summands_reflect():
     p = params(pi1=0.8, pi2=1.3, pi3=2.1, pi4=0.9, n=12)
     idx = (-np.arange(12)) % 12
-    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
+    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, laplacian_spectrum(12))
     for arr in (s.p0, s.p1, s.p2, s.s0, s.s1, s.s2):
         np.testing.assert_allclose(arr, arr[idx], rtol=1e-12)
 
@@ -94,7 +96,8 @@ def test_plant_matrices_layout():
     params(pi1=0.0, pi3=1.0, pi4=1.0, n=4),
 ])
 def test_closed_loop_is_stable(p):
-    blocks = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n).blocks
+    blocks = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
+                            laplacian_spectrum(p.n)).blocks
     assert dense.spectral_abscissa(dense.closed_loop(p, blocks)) < 0.0
 
 
@@ -104,7 +107,7 @@ def test_separation_spectrum():
     for n in (2, 3, 6, 7, 8):
         p = params(pi1=0.7, pi2=1.1, pi3=1.8, pi4=0.8, n=n)
         a, b, c = dense.plant(p)
-        s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, n)
+        s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, laplacian_spectrum(n))
         kmat, lmat = dense.gains(s.blocks)
         separated = np.concatenate([np.linalg.eigvals(a - b @ kmat),
                                     np.linalg.eigvals(a - lmat @ c)])
@@ -297,3 +300,59 @@ def test_sweep_grid_validation():
 def test_sweep_inputs_are_validated(make):
     with pytest.raises(ValueError):
         make()
+
+
+# ------------------------------------------------ tables on the half spectrum
+
+MASSES = ("offdiag_k1", "offdiag_k2", "offdiag_l1", "offdiag_l2")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 30, 31, 128])
+def test_table_matches_the_full_spectrum(n):
+    # the table sums over the rfft half with multiplicities and takes the
+    # masses by Parseval; the references sum over all n frequencies and
+    # take the masses from the blocks' first rows
+    rng = np.random.default_rng(700 + n)
+    pi = 10.0 ** rng.uniform(-3.0, 3.0, size=(4, 60))
+    pi[3, :20] = pi[2, :20]  # tied
+    pi[0, :10] = 2.0 / pi[2, :10]  # on the decentralized curve
+    table = analysis._table(*pi, n)
+    s = design_spectra(*pi, laplacian_spectrum(n))
+    costs = analysis.costs(s, 1.0)
+    for j, column in enumerate(("j_lqr", "j_kf", "j_lqg")):
+        np.testing.assert_allclose(table[column], costs[:, j], rtol=1e-13,
+                                   atol=0)
+    masses = dense.offdiag_masses(circulant_rows(s.blocks))
+    for j, column in enumerate(MASSES):
+        np.testing.assert_allclose(table[column], masses[:, j], rtol=0,
+                                   atol=1e-14)
+
+
+def test_near_curve_masses_match_50_digit_reference():
+    # within 1e-9 to 1e-1 of pi1 pi3 = 2 = pi1 pi4 the masses are small
+    # differences of nearly equal eigenvalues; with 50 digits the textbook
+    # roots and the centred sums are an exact reference
+    rng = np.random.default_rng(61)
+    for i in range(60):
+        n = (3, 8, 30)[i % 3]
+        pi3 = 10.0 ** rng.uniform(-2.0, 2.0)
+        gap = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, -1.0)
+        pi1, pi2 = 2.0 / pi3 * (1.0 + gap), 10.0 ** rng.uniform(-2.0, 2.0)
+        row = analysis._table(pi1, pi2, pi3, pi3, n)
+        with mpmath.workdps(50):
+            a1, a2, a3 = (mpmath.mpf(v) for v in (pi1, pi2, pi3))
+            blocks = [[], [], [], []]
+            for dk in laplacian_spectrum(n):
+                d = mpmath.mpf(dk)
+                k0 = d + mpmath.sqrt(d ** 2 + a3 ** 2 * (1 - a1 * d))
+                l0 = d / a3 + mpmath.sqrt((d / a3) ** 2 - a1 * d + 1)
+                for b, value in zip(blocks, (
+                        k0, mpmath.sqrt(2 * k0 + a2 * a3 ** 2),
+                        mpmath.sqrt(2 * l0 / a3), l0)):
+                    b.append(value)
+            for column, vals in zip(MASSES, blocks):
+                mu = mpmath.fsum(vals) / n
+                ref = mpmath.sqrt(mpmath.fsum((v - mu) ** 2 for v in vals)
+                                  / mpmath.fsum(v ** 2 for v in vals))
+                err = abs(mpmath.mpf(row[column].item()) - ref)
+                assert err <= 1e-14, (column, pi1, pi2, pi3, n, float(err))

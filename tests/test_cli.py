@@ -197,6 +197,8 @@ def test_non_finite_design_is_a_usage_error(tmp_path, capsys):
     assert "pi=(0, 1, 1e-200, 1e-200), n=4" in err
     assert out == "" and list(tmp_path.iterdir()) == []
     assert main(["report", "--pi3", "1e160"]) == 2
+    # the table runs on half the spectrum; the message names the ring
+    assert capsys.readouterr().err.endswith(", n=30\n")
 
 
 def test_verify_against_dense_oracle(capsys):
@@ -697,3 +699,22 @@ def test_eigenvalue_solves_per_command(tmp_path, monkeypatch, capsys,
         count(module, name)
     assert main(argv) == 0
     assert calls == {"block": 0, "inv": 0, "eigvals": 0}
+
+
+@pytest.mark.parametrize("command", ["report", "sweep", "sweep-curve-only"])
+def test_tables_take_no_fourier_transform(tmp_path, monkeypatch, capsys,
+                                          command):
+    # costs and off-diagonal masses come from the half spectrum by
+    # Parseval: no np.fft call, gain rows being needed only for gain files
+    argv = _command(tmp_path, command)
+    calls = []
+    for name in np.fft.__all__:
+        original = getattr(np.fft, name)
+        if callable(original):
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+    assert main(argv) == 0
+    assert calls == []

@@ -12,6 +12,7 @@ from wavelqg import oracle
 from wavelqg.oracle import (ConvergenceError, backward_error, newton_kleinman,
                             ring_equations, solve_ring)
 from wavelqg.params import NondimParams
+from wavelqg.spectral import laplacian_spectrum
 from wavelqg.synthesis import design_spectra
 from wavelqg.verify import verify_point
 
@@ -140,5 +141,6 @@ def test_full_ring_dense_solve_matches_spectral_assembly():
     # B' P picks the velocity rows of P
     k_dense = p.pi3 ** 2 * regulator_care(p)[p.n:]
     k_spectral, _ = gains(
-        design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n).blocks)
+        design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
+                       laplacian_spectrum(p.n)).blocks)
     assert np.abs(k_dense - k_spectral).max() <= 1e-8 * (1 + np.abs(k_spectral).max())

@@ -269,7 +269,7 @@ def test_stepped_blocks_reproduce_the_closed_form_costs(pi, n):
     # The points stay where scipy's solver is accurate: at harsher ones,
     # such as pi = (3, 0.5, 0.02, 50), it alone drifts to ~1e-12.
     p = NondimParams(*pi, n=n)
-    s = synthesis.design_spectra(*pi, n)
+    s = synthesis.design_spectra(*pi, laplacian_spectrum(n))
     a, b, w = frequency_blocks(p, s.k0, s.kc, s.l0, s.lc, dt=1.0)
     cov = np.stack([sla.solve_continuous_lyapunov(g, -bk @ bk.T)
                     for g, bk in zip(a - np.eye(4), b)])
@@ -314,7 +314,8 @@ def test_zero_noise_decay_rate_matches_filter_abscissa():
     # asymptotic decay is at least as fast as the slowest filter mode.
     a, _, c = dense.plant(MILD)
     _, lmat = dense.gains(synthesis.design_spectra(
-        MILD.pi1, MILD.pi2, MILD.pi3, MILD.pi4, MILD.n).blocks)
+        MILD.pi1, MILD.pi2, MILD.pi3, MILD.pi4,
+        laplacian_spectrum(MILD.n)).blocks)
     absc = dense.spectral_abscissa(a - lmat @ c)
     assert absc < 0.0
 
@@ -362,7 +363,7 @@ def test_control_is_gain_times_estimate():
     traj, _ = simulate(cfg)
     kmat, _ = dense.gains(synthesis.design_spectra(
         DECENTRAL.pi1, DECENTRAL.pi2, DECENTRAL.pi3, DECENTRAL.pi4,
-        DECENTRAL.n).blocks)
+        laplacian_spectrum(DECENTRAL.n)).blocks)
     assert np.allclose(traj.control, -traj.estimate @ kmat.T, atol=1e-13)
 
 

@@ -1,14 +1,17 @@
 """Circulant algebra and Laplacian spectrum tests."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense
 from dense import circulant, laplacian
 from wavelqg.spectral import (SymmetryError, circulant_rows,
                               laplacian_spectrum, offdiag_masses,
-                              spectrum_of_circulant)
+                              rfft_multiplicities, spectrum_of_circulant)
 
 
 def test_laplacian_first_row():
@@ -115,7 +118,8 @@ def test_batched_rows_match_single_and_reject_one_bad_sequence():
     got = circulant_rows(spectra)
     np.testing.assert_allclose(got, rows, atol=1e-12)
     np.testing.assert_allclose(
-        offdiag_masses(got), [offdiag_masses(r) for r in got], rtol=1e-15)
+        dense.offdiag_masses(got), [dense.offdiag_masses(r) for r in got],
+        rtol=1e-15)
     spectra[1, 2] += 1.0  # only the middle sequence loses its mirror
     with pytest.raises(SymmetryError):
         circulant_rows(spectra)
@@ -127,12 +131,46 @@ def test_batched_rows_match_single_and_reject_one_bad_sequence():
     ([1, 1, 0, 0], 1 / np.sqrt(2)),
 ])
 def test_offdiag_mass(row, expected):
-    assert offdiag_masses(np.array(row, dtype=float)) == \
+    assert dense.offdiag_masses(np.array(row, dtype=float)) == \
         pytest.approx(expected, abs=1e-12)
 
 
 def test_offdiag_mass_zero_matrix():
-    assert offdiag_masses(np.zeros(4)) == 0.0
+    assert dense.offdiag_masses(np.zeros(4)) == 0.0
+
+
+@pytest.mark.parametrize("n,expected", [
+    (2, [1, 1]), (3, [1, 2]), (4, [1, 2, 1]), (5, [1, 2, 2]),
+    (8, [1, 2, 2, 2, 1]), (9, [1, 2, 2, 2, 2]),
+])
+def test_rfft_multiplicities(n, expected):
+    mult = rfft_multiplicities(n)
+    np.testing.assert_array_equal(mult, expected)
+    assert mult.sum() == n
+    # simulate's Parseval weights are their square roots, bit for bit
+    assert set(np.sqrt(mult).tolist()) <= {1.0, math.sqrt(2.0)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 30, 31])
+def test_offdiag_masses_of_spectra_match_the_row_space_masses(n):
+    # symmetric first rows have real spectra; their masses by Parseval,
+    # from the full spectrum or from its rfft half, are the rows' masses
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((5, n))
+    rows[1:] = (rows[1:] + rows[1:, (-np.arange(n)) % n]) / 2.0
+    rows[0] = 0.0
+    rows[1, 1:] *= 1e-9  # nearly diagonal
+    vals = spectrum_of_circulant(rows).real
+    ref = dense.offdiag_masses(rows)
+    half = vals[:, :n // 2 + 1]
+    for got in (offdiag_masses(vals, 1.0),
+                offdiag_masses(half, rfft_multiplicities(n))):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+    assert offdiag_masses(vals, 1.0)[0] == 0.0
+    assert offdiag_masses(np.full(n, 3.5), 1.0) == 0.0
+    np.testing.assert_array_equal(
+        offdiag_masses(half, rfft_multiplicities(n)),
+        [offdiag_masses(v, rfft_multiplicities(n)) for v in half])
 
 
 def test_circulant_commutes_with_cyclic_shift():

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense import circulant
+from dense import circulant, offdiag_masses
 from wavelqg.params import NondimParams
 from wavelqg.spectral import (SymmetryError, circulant_rows,
-                              laplacian_spectrum, offdiag_masses)
+                              laplacian_spectrum)
 from wavelqg.synthesis import (GainKind, decentralization_tolerance,
                                design_spectra, gain_set_from_dict,
                                gain_set_to_dict, optimal_gains)
@@ -28,7 +28,8 @@ def random_params(rng, n, lo=1e-2, hi=1e2):
 
 
 def spectra(p):
-    return design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, p.n)
+    return design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
+                          laplacian_spectrum(p.n))
 
 
 def control_residual(p, k):
