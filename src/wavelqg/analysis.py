@@ -102,8 +102,9 @@ def lqg_cost_dual(p: NondimParams) -> float:
     return dual_lqg_cost(_design(p), p)
 
 
-def loop_poles(s: DesignSpectra, pi4) -> np.ndarray:
-    """Closed-loop poles of the designs in ``s``, shape (..., 2, n, 2).
+def loop_poles(s: DesignSpectra, pi4, d) -> np.ndarray:
+    """Closed-loop poles of the designs in ``s``, evaluated at the
+    Laplacian eigenvalues ``d``, shape (..., 2, len(d), 2).
 
     Frequency k's loop is block triangular in (state, estimation error)
     coordinates: its poles are the roots of s**2 + kc s + (k0 - d) (index
@@ -111,7 +112,6 @@ def loop_poles(s: DesignSpectra, pi4) -> np.ndarray:
     pair as r1 = -(t + sqrt(t**2 - 4 delta)) / 2 and r2 = delta / r1, so
     no root cancels.  ``pi4`` broadcasts against the points of ``s``.
     """
-    d = laplacian_spectrum(s.k0.shape[-1])
     pi4 = np.asarray(pi4, dtype=float)[..., None]
     t = np.stack([s.kc, pi4 * s.lc], axis=-2)
     delta = np.stack([s.k0 - d, pi4 * s.l0 - d], axis=-2)

@@ -6,9 +6,11 @@ The DFT splits each of the ring's two 2n-dimensional Riccati equations
 into n independent 2x2 blocks, one per Laplacian eigenvalue d(k).  This
 module solves all 2n blocks at once by Kleinman's Newton iteration
 (IEEE TAC 13, 1968) on arrays whose leading axes are (kind, frequency):
-kind 0 is the regulator, kind 1 the filter's dual.  Each Newton step is
-one batched 2x2 symmetric Lyapunov solve, and the iteration starts from
-analytic stabilizing gains.
+kind 0 is the regulator, kind 1 the filter's dual.  The iteration starts
+from analytic stabilizing gains.  Each Newton step solves its 2x2
+symmetric Lyapunov equation in closed form on the blocks' entries, with no
+linear solver; the last step's solution is refined once by the same
+closed form applied to its own residual.
 
 The oracle shares only :func:`~wavelqg.spectral.laplacian_spectrum` with
 the closed forms of :mod:`wavelqg.synthesis`; agreement between the two is
@@ -63,17 +65,21 @@ def ring_equations(p: NondimParams):
     b = [pi4, 0], q = diag(0, 1), r_inv = v).
     """
     d = laplacian_spectrum(p.n)
-    zero, one = np.zeros_like(d), np.ones_like(d)
     v = 1.0 - p.pi1 * d
-    a_reg = np.stack([np.stack([zero, one], -1), np.stack([d, zero], -1)], -2)
-    a = np.stack([a_reg, np.swapaxes(a_reg, -1, -2)])
-    b = np.stack([np.stack([zero, one], -1),
-                  np.stack([p.pi4 * one, zero], -1)])
+    a = np.zeros((2, p.n, 2, 2))
+    a[0, :, 0, 1] = a[1, :, 1, 0] = 1.0
+    a[0, :, 1, 0] = a[1, :, 0, 1] = d
+    b = np.zeros((2, p.n, 2))
+    b[0, :, 1] = 1.0
+    b[1, :, 0] = p.pi4
     q = np.zeros_like(a)
     q[0, :, 0, 0] = v
     q[0, :, 1, 1] = p.pi2
     q[1, :, 1, 1] = 1.0
-    return a, b, q, np.stack([p.pi3 ** 2 * one, v])
+    r_inv = np.empty((2, p.n))
+    r_inv[0] = p.pi3 ** 2
+    r_inv[1] = v
+    return a, b, q, r_inv
 
 
 def solve_ring(p: NondimParams) -> tuple[np.ndarray, np.ndarray]:
@@ -85,8 +91,10 @@ def solve_ring(p: NondimParams) -> tuple[np.ndarray, np.ndarray]:
     closed-loop polynomial s**2 + 2 s + 1.
     """
     d = laplacian_spectrum(p.n)
-    start = np.stack([np.stack([1.0 + d, np.full_like(d, 2.0)], -1),
-                      np.stack([np.full_like(d, 2.0), 1.0 + d], -1) / p.pi4])
+    start = np.empty((2, p.n, 2))
+    start[0, :, 0] = start[1, :, 1] = 1.0 + d
+    start[0, :, 1] = start[1, :, 0] = 2.0
+    start[1] /= p.pi4
     return newton_kleinman(*ring_equations(p), start)
 
 
@@ -96,50 +104,88 @@ def newton_kleinman(a, b, q, r_inv, k) -> tuple[np.ndarray, np.ndarray]:
     from gains ``k`` (shape (..., 2)) with a - b k Hurwitz in every block.
 
     Each step solves (a - b k).T X + X (a - b k) + q + k.T k / r_inv = 0
-    and sets k = r_inv b.T X.  The iteration stops once the relative gain
-    step (max-abs change of each block's gain over its max-abs size, worst
-    over the batch) is small and stops shrinking.  Returns ``(x, k)``.
-    Raises :class:`ConvergenceError` after :data:`MAX_NEWTON_STEPS` steps
-    or on a non-finite iterate.
+    (:func:`_lyapunov`) and sets k = r_inv b.T X.  The iteration stops once
+    the relative gain step (max-abs change of each block's gain over its
+    max-abs size, worst over the batch) is small and stops shrinking; the
+    last solve is then refined once by the solve of its own residual, and
+    k is taken from the refined X.  Returns ``(x, k)``.  Raises
+    :class:`ConvergenceError` after :data:`MAX_NEWTON_STEPS` steps or on a
+    non-finite iterate.
     """
-    r_inv = np.asarray(r_inv, dtype=float)[..., None]
+    # the blocks' entries, each a batch array; q is symmetric
+    a11, a12, a21, a22 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    q11, q12, q22 = q[..., 0, 0], q[..., 0, 1], q[..., 1, 1]
+    b1, b2 = b[..., 0], b[..., 1]
+    r = np.asarray(r_inv, dtype=float)
+    k1, k2 = k[..., 0], k[..., 1]
     steps = []
     for _ in range(MAX_NEWTON_STEPS):
-        f = a - b[..., :, None] * k[..., None, :]
-        x = _lyapunov(f, q + k[..., :, None] * k[..., None, :]
-                      / r_inv[..., None])
-        k_next = r_inv * np.einsum("...ij,...i->...j", x, b)
-        step = float(np.max(np.abs(k_next - k).max(axis=-1)
-                            / np.abs(k_next).max(axis=-1)))
-        k = k_next
+        f = (a11 - b1 * k1, a12 - b1 * k2, a21 - b2 * k1, a22 - b2 * k2)
+        c = (q11 + k1 * k1 / r, q12 + k1 * k2 / r, q22 + k2 * k2 / r)
+        x = _lyapunov(f, c)
+        k1_next, k2_next = _gain(x, b1, b2, r)
+        step = float(np.max(np.maximum(abs(k1_next - k1), abs(k2_next - k2))
+                            / np.maximum(abs(k1_next), abs(k2_next))))
+        k1, k2 = k1_next, k2_next
         steps.append(step)
         if not np.isfinite(step):
             break
         if step == 0.0 or (step < _SETTLED and len(steps) > 1
                             and step >= steps[-2]):
-            return x, k
+            x = [xi + dxi for xi, dxi in
+                 zip(x, _lyapunov(f, _residual(f, x, c)))]
+            return symmetric_blocks(*x), np.stack(_gain(x, b1, b2, r), -1)
     raise ConvergenceError(
         f"Newton iteration did not settle in {len(steps)} steps "
         f"(last relative gain step {steps[-1]:.3e})",
         steps)
 
 
-def _lyapunov(f: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Symmetric X with f.T X + X f + c = 0 for a batch of 2x2 blocks, as
-    one batched 3x3 solve for (x11, x12, x22)."""
-    f11, f12, f21, f22 = f[..., 0, 0], f[..., 0, 1], f[..., 1, 0], f[..., 1, 1]
-    zero = np.zeros_like(f11)
-    m = np.stack([np.stack([2.0 * f11, 2.0 * f21, zero], -1),
-                  np.stack([f12, f11 + f22, f21], -1),
-                  np.stack([zero, 2.0 * f12, 2.0 * f22], -1)], -2)
-    rhs = -np.stack([c[..., 0, 0], c[..., 0, 1], c[..., 1, 1]], -1)
-    x = np.linalg.solve(m, rhs[..., None])[..., 0]
-    return symmetric_blocks(x[..., 0], x[..., 1], x[..., 2])
+def _gain(x, b1, b2, r):
+    """Entries of the gain r b.T X from the entries (x11, x12, x22) of X."""
+    x11, x12, x22 = x
+    return r * (x11 * b1 + x12 * b2), r * (x12 * b1 + x22 * b2)
+
+
+def _lyapunov(f, c):
+    """Entries (x11, x12, x22) of the symmetric X with f.T X + X f + c = 0,
+    from the entries (f11, f12, f21, f22) of f and (c11, c12, c22) of the
+    symmetric c, each a batch array.
+
+    In closed form X = -(det f c + adj(f).T c adj(f)) / (2 tr f det f),
+    with adj(f) = tr f I - f.  On the ring's blocks f11 = 0 (regulator) or
+    f22 = 0 (filter's dual), so det f = -f12 f21 has no cancellation.
+    """
+    f11, f12, f21, f22 = f
+    c11, c12, c22 = c
+    det = f11 * f22 - f12 * f21
+    # g = c adj(f), then m = adj(f).T g
+    g11, g12 = c11 * f22 - c12 * f21, c12 * f11 - c11 * f12
+    g21, g22 = c12 * f22 - c22 * f21, c22 * f11 - c12 * f12
+    scale = -0.5 / ((f11 + f22) * det)
+    return (scale * (det * c11 + f22 * g11 - f21 * g21),
+            scale * (det * c12 + f22 * g12 - f21 * g22),
+            scale * (det * c22 + f11 * g22 - f12 * g12))
+
+
+def _residual(f, x, c):
+    """Entries (r11, r12, r22) of f.T X + X f + c, arguments as in
+    :func:`_lyapunov` and ``x`` = (x11, x12, x22)."""
+    f11, f12, f21, f22 = f
+    x11, x12, x22 = x
+    c11, c12, c22 = c
+    return (2.0 * (f11 * x11 + f21 * x12) + c11,
+            f12 * x11 + (f11 + f22) * x12 + f21 * x22 + c12,
+            2.0 * (f12 * x12 + f22 * x22) + c22)
 
 
 def symmetric_blocks(x11, x12, x22) -> np.ndarray:
     """Symmetric 2x2 blocks [[x11, x12], [x12, x22]] from batched entries."""
-    return np.stack([np.stack([x11, x12], -1), np.stack([x12, x22], -1)], -2)
+    x = np.empty(np.shape(x11) + (2, 2))
+    x[..., 0, 0] = x11
+    x[..., 0, 1] = x[..., 1, 0] = x12
+    x[..., 1, 1] = x22
+    return x
 
 
 def backward_error(a, b, q, r_inv, x) -> np.ndarray:

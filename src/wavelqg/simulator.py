@@ -299,10 +299,11 @@ def simulate(cfg: SimConfig,
     p = cfg.params
     n = p.n
     bins = n // 2 + 1
-    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, laplacian_spectrum(n))
+    d = laplacian_spectrum(n)
+    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, d)
     a, b, w = frequency_blocks(p, s.k0, s.kc, s.l0, s.lc, cfg.dt,
                                cfg.noise_scale)
-    lam = analysis.loop_poles(s, p.pi4)[..., :bins, :]  # poles of the G_k
+    lam = analysis.loop_poles(s, p.pi4, d)[..., :bins, :]  # poles of the G_k
     top = float(lam.real.max())
     if not top < 0.0:
         raise AssertionError(

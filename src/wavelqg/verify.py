@@ -54,8 +54,8 @@ def verify_point(p: NondimParams) -> list[Check]:
     of the per-frequency poles of :func:`~wavelqg.analysis.loop_poles`.
     Raises :class:`ConvergenceError` when the oracle does not converge.
     """
-    s = synthesis.design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
-                                 laplacian_spectrum(p.n))
+    d = laplacian_spectrum(p.n)
+    s = synthesis.design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, d)
     _, k = solve_ring(p)
     # the oracle's kind 1 is the filter's dual, whose gain is [lc, l0]
     closed_k = np.stack([np.stack([s.k0, s.kc], -1),
@@ -65,7 +65,7 @@ def verify_point(p: NondimParams) -> list[Check]:
     res_max = backward_error(*ring_equations(p), closed_x).max()
     dual_dev = _rel_dev(float(analysis.costs(s, 1.0)[2]),
                         analysis.dual_lqg_cost(s, p))
-    absc = float(analysis.loop_poles(s, p.pi4).real.max())
+    absc = float(analysis.loop_poles(s, p.pi4, d).real.max())
     return [
         _at_most("per_frequency_gain_vs_dense_oracle",
                  _rel_dev(k, closed_k).max(), 1e-7),

@@ -134,7 +134,8 @@ def test_05_closed_loop_is_stable_and_separates():
         got = np.linalg.eigvals(aug)
         tol = 1e-8 * (1.0 + np.abs(expected).max())
         _match_one_to_one(got, expected, tol)
-        _match_one_to_one(analysis.loop_poles(s, p.pi4).ravel(), got, tol)
+        _match_one_to_one(analysis.loop_poles(
+            s, p.pi4, laplacian_spectrum(p.n)).ravel(), got, tol)
 
 
 def test_06_lqg_cost_trace_forms_agree():

@@ -111,7 +111,7 @@ def test_separation_spectrum():
         kmat, lmat = dense.gains(s.blocks)
         separated = np.concatenate([np.linalg.eigvals(a - b @ kmat),
                                     np.linalg.eigvals(a - lmat @ c)])
-        poles = loop_poles(s, p.pi4).ravel()
+        poles = loop_poles(s, p.pi4, laplacian_spectrum(n)).ravel()
         loop = np.linalg.eigvals(dense.closed_loop(p, s.blocks))
         for expected in (separated, poles):
             got = list(loop)
@@ -120,6 +120,19 @@ def test_separation_spectrum():
                 assert abs(got[j] - lam) <= 1e-8 * (1 + abs(lam)), (n, lam)
                 got.pop(j)
             assert not got
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 31])
+def test_half_spectrum_poles_are_the_full_spectrum_bins(n):
+    # poles of a design evaluated on the rfft half k = 0 .. n//2 are
+    # those of the same bins of the full spectrum
+    p = params(pi1=0.3, pi2=1.0, pi3=2.0, pi4=1.5, n=n)
+    d = laplacian_spectrum(n)
+    half = d[:n // 2 + 1]
+    full = loop_poles(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, d), p.pi4, d)
+    got = loop_poles(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, half),
+                     p.pi4, half)
+    np.testing.assert_array_equal(got, full[:, :n // 2 + 1])
 
 
 def test_report_at_decentral_point():

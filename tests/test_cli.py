@@ -64,6 +64,15 @@ def test_verify_passes_where_dense_eigenvalues_misread_the_loop(capsys):
     assert capsys.readouterr().out.count("[ok ]") == 4
 
 
+def test_verify_passes_at_large_pi2(capsys):
+    # kc >> k0 here: a 3x3 solve for each Newton step's Lyapunov equation
+    # is conditioned near 2.5e9 and loses x12 = k0 / pi3**2 to roundoff,
+    # reading a gain deviation of 1.8
+    assert main(["verify", "--pi1", "0", "--pi2", "3.84e9", "--pi3", "0.641",
+                 "--pi4", "3.49e-10", "--n", "50"]) == 0
+    assert capsys.readouterr().out.count("[ok ]") == 4
+
+
 def test_check_file_passes_at_an_extreme_point(tmp_path, capsys):
     # the absolute Riccati residual of the LQR file is 1.4e-9 here; its
     # backward error, which the audit scores, is at roundoff
@@ -679,8 +688,9 @@ def test_design_evaluations_per_command(tmp_path, monkeypatch, capsys,
 @pytest.mark.parametrize("command", COMMANDS)
 def test_eigenvalue_solves_per_command(tmp_path, monkeypatch, capsys,
                                        command):
-    # no command assembles a dense matrix (np.block), inverts one, or takes
-    # its eigenvalues: stability comes from analysis.loop_poles
+    # no command assembles a dense matrix (np.block), inverts one, takes
+    # its eigenvalues or solves with it: stability comes from
+    # analysis.loop_poles, and the oracle's Lyapunov steps are closed-form
     argv = _command(tmp_path, command)
     calls = {}
 
@@ -695,10 +705,10 @@ def test_eigenvalue_solves_per_command(tmp_path, monkeypatch, capsys,
         monkeypatch.setattr(module, name, counted)
 
     for module, name in ((np, "block"), (np.linalg, "inv"),
-                         (np.linalg, "eigvals")):
+                         (np.linalg, "eigvals"), (np.linalg, "solve")):
         count(module, name)
     assert main(argv) == 0
-    assert calls == {"block": 0, "inv": 0, "eigvals": 0}
+    assert calls == {"block": 0, "inv": 0, "eigvals": 0, "solve": 0}
 
 
 @pytest.mark.parametrize("command", ["report", "sweep", "sweep-curve-only"])

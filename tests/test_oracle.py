@@ -120,6 +120,28 @@ def test_verify_point_passes_over_the_wide_range(pi1, pi2, pi3, pi4, n):
         assert check.ok, check
 
 
+_PI_WIDE = st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(pi1=st.one_of(st.just(0.0), _PI_WIDE), pi2=_PI_WIDE, pi3=_PI_WIDE,
+       pi4=_PI_WIDE, n=st.integers(2, 64))
+def test_verify_point_passes_over_the_widest_range(pi1, pi2, pi3, pi4, n):
+    # up to pi2 = 1e12, kc >> k0 makes x12 = k0 / pi3**2 tiny next to the
+    # other entries; the closed-form Lyapunov step keeps it
+    p = NondimParams(pi1=pi1, pi2=pi2, pi3=pi3, pi4=pi4, n=n)
+    for check in verify_point(p):
+        assert check.ok, check
+
+
+@pytest.mark.parametrize("pi1", [0.0, 1e-12, 1.0])
+@pytest.mark.parametrize("pi4", [1e-12, 1.0, 1e12])
+def test_verify_point_passes_at_the_large_pi2_corners(pi1, pi4):
+    p = NondimParams(pi1=pi1, pi2=1e12, pi3=1e-12, pi4=pi4, n=64)
+    for check in verify_point(p):
+        assert check.ok, check
+
+
 @pytest.mark.parametrize("m,expected", [
     ([[0.0, 1.0], [-1.0, 0.0]], 0.0),
     ([[-1.0, 0.0], [0.0, -2.0]], -1.0),

@@ -1,14 +1,17 @@
 """Package structure: exported names and start-up imports."""
 
+import ast
 import importlib
 import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import wavelqg
+from wavelqg import oracle
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(wavelqg.__path__))
 
@@ -63,3 +66,20 @@ def test_package_does_not_import_scipy():
                     "[importlib.import_module('wavelqg.' + m.name) "
                     "for m in pkgutil.iter_modules(wavelqg.__path__)]")
     assert _imported_after(every_module, ["scipy"]) == "[]"
+
+
+def test_oracle_shares_only_the_laplacian_with_the_package():
+    # the oracle checks the closed forms, so of the package it may use the
+    # parameters and the Laplacian eigenvalues only
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.name, None) for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported |= {(module, alias.name) for alias in node.names}
+    assert {m for m, _ in imported} <= {"__future__", "numpy", ".params",
+                                        ".spectral"}
+    assert {name for m, name in imported if m == ".spectral"} == {
+        "laplacian_spectrum"}

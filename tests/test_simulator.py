@@ -60,8 +60,8 @@ def test_simulate_asserts_hurwitz_poles(monkeypatch):
     # half plane can only come from a bug in the closed forms.
     poles = analysis.loop_poles
 
-    def unstable(s, pi4):
-        return -poles(s, pi4)  # mirrored into the right half plane
+    def unstable(s, pi4, d):
+        return -poles(s, pi4, d)  # mirrored into the right half plane
 
     monkeypatch.setattr(analysis, "loop_poles", unstable)
     cfg = SimConfig(params=MILD)
