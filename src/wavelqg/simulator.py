@@ -29,14 +29,20 @@ Determinism
 Realization i draws from numpy's PCG64 seeded with
 ``SeedSequence(seed, spawn_key=(i,))`` -- a documented, order-independent
 splitting rule.  Within a realization, each block of ``_BLOCK`` = 256 steps
-fills its noise rows of the kernel's work buffer with one
-``standard_normal`` call, 4 (n//2 + 1) normals per step, scaled by
-:func:`_bin_law`.  The orthonormal rfft of 2n white site normals per
-step has independent N(0, 1/2) real and imaginary parts inside and a
+is one ``standard_normal`` call, 4 (n//2 + 1) normals per step, scaled in
+place by :func:`_bin_law`.  The orthonormal rfft of 2n white site normals
+per step has independent N(0, 1/2) real and imaginary parts inside and a
 real N(0, 1) at k = 0 and at the Nyquist bin, and Gaussian noise with
-these variances has exactly its law.  The kernel is called once per
-block, whatever ``store_every`` and the burn-in are, so results do not
-depend on them.  It scans the block in chunks of ``_KB`` =
+these variances has exactly its law.  When the process may run on a
+second CPU, a helper thread draws and scales the next block into one of
+two raw slabs per group of realizations (``standard_normal`` releases
+the GIL as it fills) while the kernel steps the current block, which the
+main thread has copied into the kernel's noise rows.  With one CPU each
+block is drawn straight into the noise rows, after the block before it
+is stepped.  Each generator draws its blocks in the same order either
+way, and the products are the same, so no output changes.  The kernel is
+called once per block, whatever ``store_every`` and the burn-in are, so
+results do not depend on them.  It scans the block in chunks of ``_KB`` =
 sqrt(``_BLOCK``) = 16 steps (see :mod:`wavelqg._kernels`), so states and
 costs agree with step-by-step Euler to roundoff, not bitwise.
 Realizations are stepped together in groups of
@@ -51,6 +57,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -271,6 +278,45 @@ def _to_sites(bins: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(bins[..., 0] + 1j * bins[..., 1], n=n, norm="ortho")
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _draw(rngs, law, out) -> None:
+    """Fill ``out[i]`` with standard normals from ``rngs[i]`` and scale
+    them by ``law`` in place; numpy only, so it may run on a helper
+    thread."""
+    for rng, slab in zip(rngs, out):  # contiguous slabs
+        rng.standard_normal(out=slab)
+    # in place: with a broadcast factor, numpy's out-of-place multiply
+    # into a second buffer takes about 2.5x as long
+    np.multiply(out, law, out=out)
+
+
+class _Inline:
+    """The helper of a process that has one CPU: a submitted call runs in
+    the caller's thread when its result is read, after the block before
+    it is stepped, so it may draw straight into the kernel's noise rows."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def submit(self, fn, *args):
+        self._call = fn, args
+        return self
+
+    def result(self):
+        fn, args = self._call
+        fn(*args)
+
+
 def simulate(cfg: SimConfig,
              x0: np.ndarray | None = None,
              xh0: np.ndarray | None = None) -> tuple[Trajectory, SimSummary]:
@@ -341,49 +387,70 @@ def simulate(cfg: SimConfig,
     traj_bins[0] = z0
     traj_cost = np.zeros(stored.size)
 
-    for first in range(0, n_real, group):
-        stop = min(first + group, n_real)
-        rngs = [np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(cfg.seed, spawn_key=(real,))))
-            for real in range(first, stop)]
-        z = np.tile(z0, (len(rngs), 1, 1, 1))
-        work = _kernels.work_buffer(_KB, _BLOCK // _KB, (len(rngs),), bins)
-        cum_cost = np.zeros(len(rngs))
-        post_cost = np.zeros(len(rngs))
-        post_err = np.zeros(len(rngs))
-        for lo in range(0, n_steps, _BLOCK):
-            hi = min(lo + _BLOCK, n_steps)
-            for i, rng in enumerate(rngs):  # contiguous slabs
-                rng.standard_normal(out=work[i, _kernels.NOISE_ROWS])
-            work[:, _kernels.NOISE_ROWS] *= law
-            buf = work[..., :-(-(hi - lo) // _KB), :]  # the chunks it steps
-            c_int, e_int, mx = _kernels.advance(z, ab, w[0], w[1], buf, cfg.dt,
-                                                hi - lo)
-            bad = np.flatnonzero(~(mx <= _BLOWUP))  # also catches nan
-            if bad.size:
-                raise InstabilityError(
-                    f"state magnitude exceeded {_BLOWUP:.0e} at "
-                    f"t ~ {hi * cfg.dt:.3g} (realization {first + bad[0]}); "
-                    f"reduce dt={cfg.dt!r}")
-            if first == 0:
-                # stored steps in (lo, hi]; buf holds the states before
-                # steps lo .. hi-1, z the state after the last
-                sel = slice(*np.searchsorted(stored, [lo, hi], side="right"))
-                after = stored[sel] - lo
-                inner = after < hi - lo
-                c, j = np.divmod(after[inner], _KB)
-                traj_bins[sel][inner] = buf[0, _kernels.STATE_ROWS, j, :, c]
-                traj_bins[sel][~inner] = z[0]
-                traj_cost[sel] = cum_cost[0] + c_int[after - 1, 0]
-            cum_cost += c_int[-1]
-            if burn_step <= lo:
-                post_cost += c_int[-1]
-                post_err += e_int[-1]
-            elif burn_step < hi:
-                post_cost += c_int[-1] - c_int[burn_step - lo - 1]
-                post_err += e_int[-1] - e_int[burn_step - lo - 1]
-        costs[first:stop] = post_cost / t_post
-        errs[first:stop] = post_err / t_post
+    # block k + 1's draws depend only on the generators, so a helper thread
+    # fills the other raw slab while the kernel steps block k; each
+    # generator still draws its blocks in order, on one thread at a time
+    ahead = _cpus() > 1
+    if ahead:
+        # concurrent.futures costs about 5.6 ms to import, and only the
+        # helper needs it, so it is imported here, not at CLI start-up
+        from concurrent.futures import ThreadPoolExecutor
+        helper = ThreadPoolExecutor(1)
+    else:
+        helper = _Inline()
+    with helper:
+        for first in range(0, n_real, group):
+            stop = min(first + group, n_real)
+            rngs = [np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(cfg.seed, spawn_key=(real,))))
+                for real in range(first, stop)]
+            z = np.tile(z0, (len(rngs), 1, 1, 1))
+            work = _kernels.work_buffer(_KB, _BLOCK // _KB, (len(rngs),),
+                                        bins)
+            noise = work[:, _kernels.NOISE_ROWS]
+            # the helper's two slabs; inline, the noise rows themselves
+            raw = ([np.empty(noise.shape), np.empty(noise.shape)] if ahead
+                   else [noise, noise])
+            cum_cost = np.zeros(len(rngs))
+            post_cost = np.zeros(len(rngs))
+            post_err = np.zeros(len(rngs))
+            drawn = helper.submit(_draw, rngs, law, raw[0])
+            for k, lo in enumerate(range(0, n_steps, _BLOCK)):
+                hi = min(lo + _BLOCK, n_steps)
+                drawn.result()
+                if hi < n_steps:
+                    drawn = helper.submit(_draw, rngs, law, raw[(k + 1) % 2])
+                np.copyto(noise, raw[k % 2])  # no-op inline
+                buf = work[..., :-(-(hi - lo) // _KB), :]  # chunks it steps
+                c_int, e_int, mx = _kernels.advance(z, ab, w[0], w[1], buf,
+                                                    cfg.dt, hi - lo)
+                bad = np.flatnonzero(~(mx <= _BLOWUP))  # also catches nan
+                if bad.size:
+                    raise InstabilityError(
+                        f"state magnitude exceeded {_BLOWUP:.0e} at "
+                        f"t ~ {hi * cfg.dt:.3g} (realization "
+                        f"{first + bad[0]}); reduce dt={cfg.dt!r}")
+                if first == 0:
+                    # stored steps in (lo, hi]; buf holds the states before
+                    # steps lo .. hi-1, z the state after the last
+                    sel = slice(*np.searchsorted(stored, [lo, hi],
+                                                 side="right"))
+                    after = stored[sel] - lo
+                    inner = after < hi - lo
+                    c, j = np.divmod(after[inner], _KB)
+                    traj_bins[sel][inner] = buf[0, _kernels.STATE_ROWS, j, :,
+                                                c]
+                    traj_bins[sel][~inner] = z[0]
+                    traj_cost[sel] = cum_cost[0] + c_int[after - 1, 0]
+                cum_cost += c_int[-1]
+                if burn_step <= lo:
+                    post_cost += c_int[-1]
+                    post_err += e_int[-1]
+                elif burn_step < hi:
+                    post_cost += c_int[-1] - c_int[burn_step - lo - 1]
+                    post_err += e_int[-1] - e_int[burn_step - lo - 1]
+            costs[first:stop] = post_cost / t_post
+            errs[first:stop] = post_err / t_post
 
     sites = _to_sites(traj_bins, n)
     sites[0] = sites0  # the given initial state, not its round trip

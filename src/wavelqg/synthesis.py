@@ -130,9 +130,11 @@ def design_spectra(pi1, pi2, pi3, pi4, d, n=None) -> DesignSpectra:
             p0=k0 / pi3 ** 2, p1=p2 * (k0 - d), p2=p2, k0=k0, kc=kc,
             s0=s0, s1=s1, s2=s1 * (w * s0 - d), l0=w * s0 / pi4,
             lc=w * s1 / pi4)
-    ok = np.logical_and.reduce([np.isfinite(a).all(axis=-1)
-                                for a in vars(s).values()])
-    if not ok.all():
+    # one whole-array test per spectrum; the per-point mask, about five
+    # times dearer, is built only to name the failing point
+    if not all(np.isfinite(a).all() for a in vars(s).values()):
+        ok = np.logical_and.reduce([np.isfinite(a).all(axis=-1)
+                                    for a in vars(s).values()])
         pi = [np.broadcast_to(a[..., 0], ok.shape)[~ok][0]
               for a in (pi1, pi2, pi3, pi4)]
         raise ValueError("the design is not finite in floating point at "

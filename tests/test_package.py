@@ -60,6 +60,11 @@ def test_cli_start_up_does_not_import_the_oracle():
                            ["wavelqg.verify", "wavelqg.oracle"]) == "[]"
 
 
+def test_cli_start_up_does_not_import_concurrent_futures():
+    # only simulate's helper thread needs it, and it imports it on demand
+    assert _imported_after(CLI_START_UP, ["concurrent"]) == "[]"
+
+
 def test_package_does_not_import_scipy():
     # scipy is a test dependency: no module of the package may import it
     every_module = ("import importlib, pkgutil, wavelqg; "

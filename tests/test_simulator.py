@@ -6,6 +6,8 @@ is tuned to a lucky stream.
 """
 
 import math
+import sys
+import threading
 from dataclasses import asdict
 
 import numpy as np
@@ -213,6 +215,59 @@ def test_noise_scale_rescales_exactly():
     assert twice.realization_costs[0] == 4.0 * base.realization_costs[0]
 
 
+def _cpus_seen(monkeypatch, cpus):
+    """Make simulate see ``cpus`` CPUs; returns the list of threads that
+    ran its draws, filled as it runs."""
+    monkeypatch.setattr(simulator.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    threads = []
+    draw = simulator._draw
+
+    def traced(rngs, law, out):
+        threads.append(threading.current_thread())
+        draw(rngs, law, out)
+
+    monkeypatch.setattr(simulator, "_draw", traced)
+    return threads
+
+
+def test_draws_ahead_on_a_helper_thread_without_changing_a_bit(monkeypatch):
+    # more realizations than one group, three full blocks and a last one
+    # shorter than a chunk: the helper thread (two CPUs) and the inline
+    # draws (one CPU) give the same trajectory and summary, bit for bit
+    n = 8
+    p = NondimParams(pi1=0.3, pi2=1.0, pi3=3.0, pi4=2.0, n=n)
+    reals = simulator._GROUP_ENTRIES // (8 * (n // 2 + 1)) + 2
+    cfg = SimConfig(params=p, dt=0.01, t_final=7.73, seed=21,
+                    n_realizations=reals, store_every=7)
+    assert cfg.n_steps % simulator._BLOCK < simulator._KB
+    runs = {}
+    interval = sys.getswitchinterval()
+    for cpus in (1, 2):
+        threads = _cpus_seen(monkeypatch, cpus)
+        sys.setswitchinterval(1e-5)  # hand the GIL over often
+        try:
+            runs[cpus] = simulate(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        helpers = {t for t in threads if t is not threading.main_thread()}
+        assert len(helpers) == cpus - 1
+        assert len(threads) == 2 * 4  # two groups of four blocks
+    (traj_1, summ_1), (traj_2, summ_2) = runs[1], runs[2]
+    for name in ("times", "plant_state", "estimate", "control",
+                 "running_cost"):
+        assert np.array_equal(getattr(traj_1, name), getattr(traj_2, name))
+    assert summ_1 == summ_2
+
+
+def test_cpu_count_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(simulator.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: None)
+    assert simulator._cpus() == 1
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
+    assert simulator._cpus() == 3
+
+
 # ------------------------------------------- per-frequency vs dense loop
 
 @pytest.mark.parametrize("n", [2, 3, 7, 8])
@@ -336,6 +391,21 @@ def test_blow_up_raises_naming_dt():
     cfg = SimConfig(params=MILD, dt=0.01, t_final=1.0)
     with pytest.raises(InstabilityError, match=r"reduce dt=0\.01"):
         simulate(cfg, x0=np.full(2 * MILD.n, 2e12))
+
+
+def test_no_helper_thread_outlives_a_run(monkeypatch):
+    threads = _cpus_seen(monkeypatch, 2)
+    before = threading.active_count()
+    simulate(SimConfig(params=MILD, dt=0.01, t_final=10.0, seed=2))
+    assert threading.active_count() == before
+    # a run that blows up in its first block, with the next one's draws
+    # under way on the helper
+    cfg = SimConfig(params=MILD, dt=0.01, t_final=10.0)
+    del threads[:]
+    with pytest.raises(InstabilityError, match=r"reduce dt=0\.01"):
+        simulate(cfg, x0=np.full(2 * MILD.n, 2e12))
+    assert len(threads) == 2 and threads[1] is not threading.main_thread()
+    assert threading.active_count() == before
 
 
 # ----------------------------------------------------------- trajectory
