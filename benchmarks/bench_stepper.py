@@ -3,10 +3,12 @@
 Usage:
     python benchmarks/bench_stepper.py [--n 30] [--steps 20000] [--repeat 5]
 
-The timed region is what ``simulator.simulate`` spends its time on:
-``advance`` over a pre-filled work buffer, one call per consecutive segment
-of ``simulator._BLOCK`` steps, as ``simulate`` bounds its kernel calls.
-Reported numbers are the best of ``--repeat`` runs.
+The timed region is what ``simulator.simulate`` spends its time on, called
+the way it calls the kernel: the run's maps planned once
+(``_kernels.make_plan``), then ``advance`` over a pre-filled work buffer,
+one call per consecutive segment of ``simulator._BLOCK`` steps, with
+per-step running sums for the one realization, as ``simulate`` keeps them
+for realization 0.  Reported numbers are the best of ``--repeat`` runs.
 """
 
 import argparse
@@ -64,11 +66,12 @@ def main(argv=None) -> int:
         z = z0.copy()
         cost = 0.0
         t0 = time.perf_counter()
+        plan = _kernels.make_plan(m, w_cost, w_err, _KB)
         for lo in range(0, args.steps, _BLOCK):
             hi = min(lo + _BLOCK, args.steps)
             buf = work[..., lo // _KB:lo // _KB + per_call, :]
-            cost += _kernels.advance(z, m, w_cost, w_err, buf, DT,
-                                     hi - lo)[0][-1]
+            cost += _kernels.advance(z, m, w_cost, w_err, buf, DT, hi - lo,
+                                     plan=plan, running=1)[0]
         best = min(best, time.perf_counter() - t0)
     rate = args.steps / best
     print(f"  {best * 1e3:9.2f} ms   {rate:12.0f} steps/s   "

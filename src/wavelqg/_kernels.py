@@ -10,11 +10,25 @@ noise block, derived rather than set.  Pass 1 carries the state from chunk
 start to chunk start with the lifted maps A**kb and [A**(kb-1) B, ..., A B,
 B]; pass 2 takes the kb steps inside every chunk at once, each one stacked
 matmul whose columns are (chunk, re/im).  A 256-step block costs about 32
-matmul calls instead of 256.  States and costs agree with step-by-step
-Euler to roundoff, not bitwise; a realization's results stay bitwise
-independent of the realizations stepped with it.  ``BACKEND`` names the
-kernel so runs can record it; there is one, in numpy.
+matmul calls instead of 256.  The lifted maps and the other maps a call
+steps with depend only on the run's blocks, so ``make_plan`` builds them
+once per run and every call reuses them.  States and costs agree with
+step-by-step Euler to roundoff, not bitwise; a realization's results stay
+bitwise independent of the realizations stepped with it.
+
+Costs come out as sums over a call.  Every realization gets its block
+totals, each one BLAS-free einsum over its own contiguous factor rows
+once the factors past the last step are zeroed (a BLAS dot product may
+split its sum over threads, so its last bits would follow the BLAS
+thread count).  Only the first ``running`` realizations also get per-step
+running sums, and their totals are the last running sums, bit for bit.
+``simulator`` asks for them only where it reads them: realization 0's
+stored steps, and every realization's burn-in step.  The states never
+depend on which sums a call takes.  ``BACKEND`` names the kernel so runs
+can record it; there is one, in numpy.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,25 +60,50 @@ def _lifted(a, b, kb):
     return p, lift.reshape(lift.shape[:-2] + (-1,))
 
 
-def advance(z, m, w_cost, w_err, work, dt, steps=None):
+class Plan(NamedTuple):
+    """Per-run maps of :func:`advance`, from :func:`make_plan`."""
+
+    m: np.ndarray      # (bins, 4, 6) [A B]
+    w: np.ndarray      # (bins, 8, 4) [w_cost; w_err]
+    ext: np.ndarray    # (bins, 12, 6) [[w A, w B], [A, B]]
+    lift: np.ndarray   # (bins, 4, 2 kb) [A**(kb-1) B, ..., A B, B]
+    carry: np.ndarray  # (bins, 4, 8) [I, A**kb]: [S_c; z_c] -> z_{c+1}
+
+
+def make_plan(m, w_cost, w_err, kb) -> Plan:
+    """The maps :func:`advance` steps with, for chunks of ``kb`` steps,
+    from its arguments of the same names; O(log kb) matmuls."""
+    w = np.concatenate([w_cost, w_err], axis=-2)
+    ext = np.concatenate([np.matmul(w, m), m], axis=-2)
+    power, lift = _lifted(m[..., :4], m[..., 4:], kb)
+    carry = np.concatenate([np.broadcast_to(np.eye(4), power.shape), power],
+                           axis=-1)
+    return Plan(m, w, ext, lift, carry)
+
+
+def advance(z, m, w_cost, w_err, work, dt, steps=None, plan=None,
+            running=0):
     """Advance ``z`` through ``steps`` Euler-Maruyama steps.
 
-    z      : (..., 4, bins, 2) states, updated in place: rows are the
-             (plant, estimate) coordinates, then bins, then real and
-             imaginary parts
-    m      : (bins, 4, 6) per-bin [A B]: Euler map A and noise injection B
-    w_cost : (bins, 4, 4) cost weight factors; a bin's cost integrand is
-             |w_cost z|**2 summed over its two columns
-    w_err  : (bins, 4, 4) estimation-error weight factors, likewise
-    work   : (..., ROWS, kb, bins, chunks, 2) work buffer from
-             :func:`work_buffer`, kb a power of two; step t = kb c + j is
-             slot j of chunk c.  Rows 12:14 hold each step's white noise
-             on entry; those past the last step are zeroed.  On return,
-             rows 8:12 of slot j, chunk c hold the state before step
-             kb c + j, for every step of the call.
-    dt     : step size
-    steps  : number of steps, kb (chunks - 1) < steps <= kb chunks;
-             default kb chunks
+    z       : (..., 4, bins, 2) states, updated in place: rows are the
+              (plant, estimate) coordinates, then bins, then real and
+              imaginary parts
+    m       : (bins, 4, 6) per-bin [A B]: Euler map A and noise injection B
+    w_cost  : (bins, 4, 4) cost weight factors; a bin's cost integrand is
+              |w_cost z|**2 summed over its two columns
+    w_err   : (bins, 4, 4) estimation-error weight factors, likewise
+    work    : (..., ROWS, kb, bins, chunks, 2) work buffer from
+              :func:`work_buffer`, kb a power of two; step t = kb c + j is
+              slot j of chunk c.  Rows 12:14 hold each step's white noise
+              on entry; those past the last step are zeroed.  On return,
+              rows 8:12 of slot j, chunk c hold the state before step
+              kb c + j, for every step of the call.
+    dt      : step size
+    steps   : number of steps, kb (chunks - 1) < steps <= kb chunks;
+              default kb chunks
+    plan    : ``make_plan(m, w_cost, w_err, kb)``, built here if not given
+    running : how many realizations, the first along the flattened batch
+              axes, also get per-step running sums
 
     Pass 1 carries the state from chunk to chunk, z_{c+1} = A**kb z_c +
     S_c with S_c = sum_j A**(kb-1-j) B w_{c,j}: every chunk's S_c comes
@@ -72,19 +111,24 @@ def advance(z, m, w_cost, w_err, work, dt, steps=None):
     Pass 2 maps [z; noise] to [w z'; z'] with the (12, 6) matrix
     [[w A, w B], [A, B]] once per slot, across every chunk at once, so a
     (realization, bin) item's product is a (12, 6) by (6, 2 chunks) gemm.
-    The lifted maps cost O(log kb) matmuls per call.
 
-    Returns (cost, err, max_abs_state).  ``cost`` and ``err`` have shape
-    (steps, ...): entry t is dt times the sum of the integrands at the
-    states before steps 0..t.  ``max_abs_state`` has shape ``z.shape[:-3]``
-    and covers every state the call visits, the first and the last
-    included, and no padding past the last.
+    Returns (cost, err, max_abs_state, sums).  ``cost`` and ``err`` have
+    the batch shape ``z.shape[:-3]``: dt times the sum of the integrands
+    at the states before steps 0 .. steps-1.  ``sums`` has shape (steps,
+    running, 2): entry (t, i) is dt times realization i's (cost, err)
+    integrands summed over the states before steps 0..t, and its last
+    step is that realization's ``cost`` and ``err``, bit for bit.
+    ``max_abs_state`` has the batch shape and covers every state the call
+    visits, the first and the last included, and no padding past the
+    last.
 
-    Each item's results are bitwise what it gets when stepped alone: every
-    product is a stacked matmul with one item per (realization, bin),
-    never a gemm across realizations; the reductions run over one
-    realization's entries in a fixed order, and the prefix sums run over
-    steps in order.
+    Each item's results are bitwise what it gets when stepped alone, with
+    ``running`` 0 or 1 as it was one of the first ``running`` or not:
+    every product is a stacked matmul with one item per (realization,
+    bin), never a gemm across realizations; a realization's totals are
+    one BLAS-free reduction over its own contiguous factor rows, and its
+    running sums one reduction per step over its own entries, in a fixed
+    order, then a sum over steps in order.
     """
     kb, chunks = work.shape[-4], work.shape[-2]
     steps = kb * chunks if steps is None else steps
@@ -92,12 +136,9 @@ def advance(z, m, w_cost, w_err, work, dt, steps=None):
     if not 0 < last <= kb:
         raise ValueError(f"{steps} steps do not end in the last of "
                          f"{chunks} chunks of {kb}")
+    if plan is None:
+        plan = make_plan(m, w_cost, w_err, kb)
     batch = z.shape[:-3]
-    w = np.concatenate([w_cost, w_err], axis=-2)
-    ext = np.concatenate([np.matmul(w, m), m], axis=-2)
-    power, lift = _lifted(m[..., :4], m[..., 4:], kb)
-    carry = np.concatenate([np.broadcast_to(np.eye(4), power.shape), power],
-                           axis=-1)  # [S_c; z_c] -> z_{c+1}
     work[..., NOISE_ROWS, last:, :, -1, :] = 0.0
     work[..., STATE_ROWS, 0, :, 0, :] = z
     # one (rows, 2 chunks) matrix per (slot, realization, bin)
@@ -108,39 +149,50 @@ def advance(z, m, w_cost, w_err, work, dt, steps=None):
     noise = np.moveaxis(work[..., NOISE_ROWS, :, :, :, :], -3, -5)
     noise = noise.reshape(noise.shape[:-5] + (-1, 2 * kb, 2 * chunks))
     head = items[0]
-    np.matmul(lift, noise, out=head[..., 4:8, :])
+    np.matmul(plan.lift, noise, out=head[..., 4:8, :])
     for c in range(0, 2 * chunks - 2, 2):
-        np.matmul(carry, head[..., 4:12, c:c + 2],
+        np.matmul(plan.carry, head[..., 4:12, c:c + 2],
                   out=head[..., STATE_ROWS, c + 2:c + 4])
-    np.matmul(w, head[..., STATE_ROWS, :], out=head[..., FACTOR_ROWS, :])
+    np.matmul(plan.w, head[..., STATE_ROWS, :], out=head[..., FACTOR_ROWS, :])
 
     # pass 2: the steps after slots 0 .. kb-2, each across all chunks
     for j in range(kb - 1):
-        np.matmul(ext, items[j, ..., STATE_ROWS.start:, :],
+        np.matmul(plan.ext, items[j, ..., STATE_ROWS.start:, :],
                   out=items[j + 1, ..., :STATE_ROWS.stop, :])
     if last == kb:
-        end = np.matmul(m, items[-1, ..., STATE_ROWS.start:, -2:])
+        end = np.matmul(plan.m, items[-1, ..., STATE_ROWS.start:, -2:])
         z[...] = np.swapaxes(end, -3, -2)
     else:
         z[...] = work[..., STATE_ROWS, last, :, -1, :]
 
-    # integrands: squared factors summed over rows and bins, then re/im
+    # padding: factors past the last step, states past the last state
+    work[..., FACTOR_ROWS, last:, :, -1, :] = 0.0
+    work[..., STATE_ROWS, last + 1:, :, -1, :] = 0.0
     f = work[..., FACTOR_ROWS, :, :, :, :]
-    f = f.reshape(batch + (2, 4, kb, -1, 2 * chunks))
-    f = np.einsum("...qrjbk,...qrjbk->j...qk", f, f)
-    f[..., 0::2] += f[..., 1::2]
-    sums = np.moveaxis(f[..., 0::2], -1, 0).reshape(
-        (kb * chunks,) + batch + (2,))[:steps]
+    f = f.reshape((-1, 2, 4, kb, f.shape[-3], 2 * chunks))
+    lead = f[:running]
+    totals = np.empty(f.shape[:2])
+    # running sums: squared factors summed over rows and bins, then re/im
+    g = np.einsum("...qrjbk,...qrjbk->j...qk", lead, lead)
+    g[..., 0::2] += g[..., 1::2]
+    sums = np.moveaxis(g[..., 0::2], -1, 0).reshape(
+        (kb * chunks, len(lead), 2))[:steps]
     np.add.accumulate(sums, axis=0, out=sums)
     sums *= dt
+    totals[:running] = sums[-1]
+    # the others' totals: one sum over each one's contiguous factor rows
+    # (a copy when work is a slice along the chunk axis)
+    rest = f[running:].reshape((-1, 2, f[0, 0].size))
+    np.einsum("...k,...k->...", rest, rest, out=totals[running:])
+    totals[running:] *= dt
 
-    work[..., STATE_ROWS, last + 1:, :, -1, :] = 0.0  # padding
     states = work[..., STATE_ROWS, :, :, :, :]
     states = states.reshape(batch + (-1, 2 * chunks))
     mx = np.maximum(np.maximum(states.max(axis=(-2, -1)),
                                -states.min(axis=(-2, -1))),
                     np.abs(z).max(axis=(-3, -2, -1)))
-    return sums[..., 0], sums[..., 1], mx
+    totals = totals.reshape(batch + (2,))
+    return totals[..., 0], totals[..., 1], mx, sums
 
 
 def available_backends() -> dict:

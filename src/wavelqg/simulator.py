@@ -37,20 +37,29 @@ these variances has exactly its law.  When the process may run on a
 second CPU, a helper thread draws and scales the next block into one of
 two raw slabs per group of realizations (``standard_normal`` releases
 the GIL as it fills) while the kernel steps the current block, which the
-main thread has copied into the kernel's noise rows.  With one CPU each
-block is drawn straight into the noise rows, after the block before it
-is stepped.  Each generator draws its blocks in the same order either
-way, and the products are the same, so no output changes.  The kernel is
-called once per block, whatever ``store_every`` and the burn-in are, so
-results do not depend on them.  It scans the block in chunks of ``_KB`` =
-sqrt(``_BLOCK``) = 16 steps (see :mod:`wavelqg._kernels`), so states and
-costs agree with step-by-step Euler to roundoff, not bitwise.
-Realizations are stepped together in groups of
-``max(1, 512 // (8 (n//2 + 1)))``, yet every product is taken per
-realization and bin, so realization i's results are bitwise the same
-whatever the number of realizations R and however they are grouped; the
-loop is linear, so scaling the noise by a power of two scales them
-exactly.
+main thread has copied into the kernel's noise rows; the first group's
+first block is drawn while the design is evaluated and checked.  With
+one CPU each block is drawn straight into the noise rows, after the
+block before it is stepped.  Each generator draws its blocks in the same
+order either way, and the products are the same, so no output changes.
+The kernel is called once per block with maps planned once per run,
+whatever ``store_every`` and the burn-in are, so states do not depend on
+them.  It scans the block in chunks of ``_KB`` = sqrt(``_BLOCK``) = 16
+steps (see :mod:`wavelqg._kernels`), so states and costs agree with
+step-by-step Euler to roundoff, not bitwise.  Each call returns every
+realization's cost and error totals over its block.  Per-step running
+sums are taken only where they are read: for realization 0 in every
+block (its stored running cost) and, in the one block that holds the
+burn-in step, for every realization.  A realization's block totals are
+the last of its running sums, bit for bit, when it has them, and
+otherwise one BLAS-free reduction, which rounds differently by a few
+ulps; so realization 0's costs and the trajectory do not depend on the
+choice, and no output depends on the BLAS thread count.  Realizations
+are stepped together in groups of ``max(1, 512 // (8 (n//2 + 1)))``, yet
+every product and every sum is taken per realization, so realization i's
+results are bitwise the same whatever the number of realizations R and
+however they are grouped; the loop is linear, so scaling the noise by a
+power of two scales them exactly.
 """
 
 from __future__ import annotations
@@ -317,6 +326,19 @@ class _Inline:
         fn(*args)
 
 
+def _group(helper, ahead, seed, reals, bins, law):
+    """Generators, work buffer and the helper's two raw slabs (inline, the
+    noise rows themselves) of realizations ``reals``, with the draw of
+    their first block submitted to ``helper``."""
+    rngs = [np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed, spawn_key=(real,)))) for real in reals]
+    work = _kernels.work_buffer(_KB, _BLOCK // _KB, (len(rngs),), bins)
+    noise = work[:, _kernels.NOISE_ROWS]
+    raw = ([np.empty(noise.shape), np.empty(noise.shape)] if ahead
+           else [noise, noise])
+    return rngs, work, raw, helper.submit(_draw, rngs, law, raw[0])
+
+
 def simulate(cfg: SimConfig,
              x0: np.ndarray | None = None,
              xh0: np.ndarray | None = None) -> tuple[Trajectory, SimSummary]:
@@ -345,47 +367,11 @@ def simulate(cfg: SimConfig,
     p = cfg.params
     n = p.n
     bins = n // 2 + 1
-    d = laplacian_spectrum(n)
-    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, d)
-    a, b, w = frequency_blocks(p, s.k0, s.kc, s.l0, s.lc, cfg.dt,
-                               cfg.noise_scale)
-    lam = analysis.loop_poles(s, p.pi4, d)[..., :bins, :]  # poles of the G_k
-    top = float(lam.real.max())
-    if not top < 0.0:
-        raise AssertionError(
-            f"closed loop is not stable (abscissa {top:.3e}); assembly bug")
-    dt_max = float(np.min(-2.0 * lam.real / np.abs(lam) ** 2))
-    if not cfg.dt < dt_max:
-        radius = float(np.abs(1.0 + cfg.dt * lam).max())
-        raise ValueError(
-            f"dt={cfg.dt!r} makes the forward Euler map unstable "
-            f"(spectral radius {radius:.6g}); for these parameters it "
-            f"is stable only for dt < {dt_max:.6g}")
-    ab = np.concatenate([a, b], axis=-1)
-
-    n_steps = cfg.n_steps
-    burn_step = cfg.burn_steps
-    t_post = (n_steps - burn_step) * cfg.dt
-    stored = np.unique(np.append(np.arange(0, n_steps + 1, cfg.store_every),
-                                 n_steps))
-
-    sites0 = np.zeros((4, n))  # rows: phi, psi, phi hat, psi hat
-    if x0 is not None:
-        sites0[:2] = np.asarray(x0, dtype=float).reshape(2, n)
-    if xh0 is not None:
-        sites0[2:] = np.asarray(xh0, dtype=float).reshape(2, n)
-    z0 = _to_bins(sites0)
+    n_real = cfg.n_realizations
+    group = max(1, _GROUP_ENTRIES // (8 * bins))
     # spelled out over the chunks: a broadcast (bins, 1, 2) factor makes
     # numpy's multiply loop over pairs, about 5x slower
     law = np.repeat(_bin_law(n), _BLOCK // _KB, axis=1)
-
-    n_real = cfg.n_realizations
-    group = max(1, _GROUP_ENTRIES // (8 * bins))
-    costs = np.empty(n_real)
-    errs = np.empty(n_real)
-    traj_bins = np.empty((stored.size, 4, bins, 2))
-    traj_bins[0] = z0
-    traj_cost = np.zeros(stored.size)
 
     # block k + 1's draws depend only on the generators, so a helper thread
     # fills the other raw slab while the kernel steps block k; each
@@ -399,22 +385,58 @@ def simulate(cfg: SimConfig,
     else:
         helper = _Inline()
     with helper:
+        # group 0's first block is drawn while the design is evaluated and
+        # checked; leaving the with block joins the helper, on error too
+        opened = _group(helper, ahead, cfg.seed, range(min(group, n_real)),
+                        bins, law)
+        d = laplacian_spectrum(n)
+        s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, d)
+        a, b, w = frequency_blocks(p, s.k0, s.kc, s.l0, s.lc, cfg.dt,
+                                   cfg.noise_scale)
+        lam = analysis.loop_poles(s, p.pi4, d)[..., :bins, :]  # G_k's poles
+        top = float(lam.real.max())
+        if not top < 0.0:
+            raise AssertionError(
+                f"closed loop is not stable (abscissa {top:.3e}); "
+                "assembly bug")
+        dt_max = float(np.min(-2.0 * lam.real / np.abs(lam) ** 2))
+        if not cfg.dt < dt_max:
+            radius = float(np.abs(1.0 + cfg.dt * lam).max())
+            raise ValueError(
+                f"dt={cfg.dt!r} makes the forward Euler map unstable "
+                f"(spectral radius {radius:.6g}); for these parameters it "
+                f"is stable only for dt < {dt_max:.6g}")
+        ab = np.concatenate([a, b], axis=-1)
+        plan = _kernels.make_plan(ab, w[0], w[1], _KB)
+
+        n_steps = cfg.n_steps
+        burn_step = cfg.burn_steps
+        t_post = (n_steps - burn_step) * cfg.dt
+        stored = np.unique(np.append(
+            np.arange(0, n_steps + 1, cfg.store_every), n_steps))
+
+        sites0 = np.zeros((4, n))  # rows: phi, psi, phi hat, psi hat
+        if x0 is not None:
+            sites0[:2] = np.asarray(x0, dtype=float).reshape(2, n)
+        if xh0 is not None:
+            sites0[2:] = np.asarray(xh0, dtype=float).reshape(2, n)
+        z0 = _to_bins(sites0)
+
+        costs = np.empty(n_real)
+        errs = np.empty(n_real)
+        traj_bins = np.empty((stored.size, 4, bins, 2))
+        traj_bins[0] = z0
+        traj_cost = np.zeros(stored.size)
+        cum_cost = 0.0  # realization 0's, up to the current block
+
         for first in range(0, n_real, group):
             stop = min(first + group, n_real)
-            rngs = [np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence(cfg.seed, spawn_key=(real,))))
-                for real in range(first, stop)]
-            z = np.tile(z0, (len(rngs), 1, 1, 1))
-            work = _kernels.work_buffer(_KB, _BLOCK // _KB, (len(rngs),),
-                                        bins)
+            rngs, work, raw, drawn = opened if first == 0 else _group(
+                helper, ahead, cfg.seed, range(first, stop), bins, law)
             noise = work[:, _kernels.NOISE_ROWS]
-            # the helper's two slabs; inline, the noise rows themselves
-            raw = ([np.empty(noise.shape), np.empty(noise.shape)] if ahead
-                   else [noise, noise])
-            cum_cost = np.zeros(len(rngs))
+            z = np.tile(z0, (len(rngs), 1, 1, 1))
             post_cost = np.zeros(len(rngs))
             post_err = np.zeros(len(rngs))
-            drawn = helper.submit(_draw, rngs, law, raw[0])
             for k, lo in enumerate(range(0, n_steps, _BLOCK)):
                 hi = min(lo + _BLOCK, n_steps)
                 drawn.result()
@@ -422,8 +444,12 @@ def simulate(cfg: SimConfig,
                     drawn = helper.submit(_draw, rngs, law, raw[(k + 1) % 2])
                 np.copyto(noise, raw[k % 2])  # no-op inline
                 buf = work[..., :-(-(hi - lo) // _KB), :]  # chunks it steps
-                c_int, e_int, mx = _kernels.advance(z, ab, w[0], w[1], buf,
-                                                    cfg.dt, hi - lo)
+                # per-step sums only where they are read: realization 0's
+                # stored steps, and every realization's burn-in step
+                burn = lo < burn_step < hi
+                cost, err, mx, sums = _kernels.advance(
+                    z, ab, w[0], w[1], buf, cfg.dt, hi - lo, plan=plan,
+                    running=len(rngs) if burn else int(first == 0))
                 bad = np.flatnonzero(~(mx <= _BLOWUP))  # also catches nan
                 if bad.size:
                     raise InstabilityError(
@@ -438,17 +464,17 @@ def simulate(cfg: SimConfig,
                     after = stored[sel] - lo
                     inner = after < hi - lo
                     c, j = np.divmod(after[inner], _KB)
-                    traj_bins[sel][inner] = buf[0, _kernels.STATE_ROWS, j, :,
-                                                c]
+                    traj_bins[sel][inner] = buf[0, _kernels.STATE_ROWS, j,
+                                                :, c]
                     traj_bins[sel][~inner] = z[0]
-                    traj_cost[sel] = cum_cost[0] + c_int[after - 1, 0]
-                cum_cost += c_int[-1]
-                if burn_step <= lo:
-                    post_cost += c_int[-1]
-                    post_err += e_int[-1]
-                elif burn_step < hi:
-                    post_cost += c_int[-1] - c_int[burn_step - lo - 1]
-                    post_err += e_int[-1] - e_int[burn_step - lo - 1]
+                    traj_cost[sel] = cum_cost + sums[after - 1, 0, 0]
+                    cum_cost += cost[0]
+                if burn:
+                    cost -= sums[burn_step - lo - 1, :, 0]
+                    err -= sums[burn_step - lo - 1, :, 1]
+                if burn_step < hi:
+                    post_cost += cost
+                    post_err += err
             costs[first:stop] = post_cost / t_post
             errs[first:stop] = post_err / t_post
 

@@ -204,9 +204,9 @@ def test_09_correlated_noise_has_the_advertised_covariance(monkeypatch):
     imaginary parts at k = 0 and at the Nyquist bin are exactly zero."""
     drawn = []
 
-    def recording(z, m, w_cost, w_err, work, dt, steps=None):
+    def recording(z, m, w_cost, w_err, work, dt, steps=None, **kw):
         drawn.append(work[0, NOISE_ROWS].copy())
-        return advance(z, m, w_cost, w_err, work, dt, steps)
+        return advance(z, m, w_cost, w_err, work, dt, steps, **kw)
 
     monkeypatch.setattr(_kernels, "advance", recording)
     for pi1, n in [(1.0, 8), (0.0, 7), (2.5, 30)]:

@@ -59,7 +59,11 @@ def _matches_reference_loop(rng, steps, dt=0.01):
     z, m, w_cost, w_err, noise = _random_problem(rng, steps=steps)
     work = _work(noise)
     zk = z.copy()
-    cost, err, mx = _kernels.advance(zk, m, w_cost, w_err, work, dt, steps)
+    cost, err, mx, sums = _kernels.advance(zk, m, w_cost, w_err, work, dt,
+                                           steps, running=1)
+    # without running sums, the totals come from the reduction alone
+    totals = _kernels.advance(z.copy(), m, w_cost, w_err, _work(noise), dt,
+                              steps)[:2]
 
     # the same ops, one step at a time, on per-bin (rows, re/im) blocks
     w = np.concatenate([w_cost, w_err], axis=1)
@@ -79,8 +83,11 @@ def _matches_reference_loop(rng, steps, dt=0.01):
         out = ext @ np.concatenate([zr, noise[t].transpose(1, 0, 2)], axis=1)
         f, zr = out[:, :8], out[:, 8:]
     x = max(x, float(np.abs(zr).max()))
-    assert _rel(cost, ref_cost) <= 1e-12
-    assert _rel(err, ref_err) <= 1e-12
+    assert _rel(sums[:, 0, 0], ref_cost) <= 1e-12
+    assert _rel(sums[:, 0, 1], ref_err) <= 1e-12
+    for c, e in ((cost, err), totals):
+        assert _rel(c, ref_cost[-1]) <= 1e-12
+        assert _rel(e, ref_err[-1]) <= 1e-12
     assert _rel(mx, x) <= 1e-12
     assert _rel(zk, zr.transpose(1, 0, 2)) <= 1e-12
     assert _rel(_rows(work, STATE_ROWS, steps), ref_states) <= 1e-12
@@ -89,20 +96,27 @@ def _matches_reference_loop(rng, steps, dt=0.01):
 
 
 def _realizations_match_solo_runs(rng, steps, dt=0.01):
-    # a batch of realizations: each row is bitwise its own 1-D run
+    # a batch of realizations: each row is bitwise its own 1-D run, with
+    # or without running sums, and with the maps planned once or per call
     z, m, w_cost, w_err, noise = _random_problem(rng, steps=steps,
                                                  batch=(5,))
-    zb = z.copy()
-    batched = _kernels.advance(zb, m, w_cost, w_err, _work(noise), dt, steps)
-    for i in range(z.shape[0]):
-        zi = z[i].copy()
-        single = _kernels.advance(zi, m, w_cost, w_err,
-                                  _work(np.ascontiguousarray(noise[:, i])),
-                                  dt, steps)
-        assert np.array_equal(batched[0][:, i], single[0])
-        assert np.array_equal(batched[1][:, i], single[1])
-        assert batched[2][i] == single[2]
-        assert np.array_equal(zb[i], zi)
+    plan = _kernels.make_plan(m, w_cost, w_err, _KB)
+    for running in (0, 2, 5):
+        zb = z.copy()
+        cost, err, mx, sums = _kernels.advance(zb, m, w_cost, w_err,
+                                               _work(noise), dt, steps,
+                                               plan=plan, running=running)
+        assert sums.shape == (steps, running, 2)
+        for i in range(z.shape[0]):
+            zi = z[i].copy()
+            single = _kernels.advance(
+                zi, m, w_cost, w_err, _work(np.ascontiguousarray(noise[:, i])),
+                dt, steps, running=int(i < running))
+            assert cost[i] == single[0]
+            assert err[i] == single[1]
+            assert mx[i] == single[2]
+            assert np.array_equal(sums[:, i:i + 1], single[3])
+            assert np.array_equal(zb[i], zi)
 
 
 def test_python_kernel_matches_reference_loop():
@@ -147,19 +161,23 @@ def test_padding_past_the_last_step_is_ignored(steps):
     w_cost = np.broadcast_to(np.eye(4), (bins, 4, 4))
     w_err = np.zeros((bins, 4, 4))
     noise = np.ones((steps, 2, bins, 2))
-    work = _work(noise, fill=1e6)
-    z = np.ones((4, bins, 2))
-    cost, err, mx = _kernels.advance(z, m, w_cost, w_err, work, 1.0, steps)
     state = 1.0
     expected = [state]
     for _ in range(steps):  # every entry evolves as x -> 1.5 x + 2
         state = 1.5 * state + 2.0
         expected.append(state)
-    assert np.allclose(z, state, rtol=1e-14, atol=0)
-    assert mx == pytest.approx(state, rel=1e-14)
-    assert np.allclose(cost, 16 * np.cumsum(np.square(expected[:-1])),
-                       rtol=1e-14, atol=0)
-    assert not err.any()
+    running_cost = 16 * np.cumsum(np.square(expected[:-1]))
+    for running in (0, 1):  # totals by the reduction, then by the sums
+        z = np.ones((4, bins, 2))
+        cost, err, mx, sums = _kernels.advance(z, m, w_cost, w_err,
+                                               _work(noise, fill=1e6), 1.0,
+                                               steps, running=running)
+        assert np.allclose(z, state, rtol=1e-14, atol=0)
+        assert mx == pytest.approx(state, rel=1e-14)
+        assert cost == pytest.approx(running_cost[-1], rel=1e-14)
+        assert not err
+        assert np.allclose(sums[:, :, 0].T, running_cost, rtol=1e-14, atol=0)
+        assert not sums[..., 1].any()
 
 
 def test_zero_generator_accumulates_noise_exactly():
@@ -174,15 +192,16 @@ def test_zero_generator_accumulates_noise_exactly():
     m[:, [0, 1, 2, 3], [4, 5, 4, 5]] = 1.0
     noise = rng.integers(-3, 4, (steps, 2, bins, 2)).astype(float)
     z = z0.copy()
-    cost, err, mx = _kernels.advance(z, m, np.eye(4)[None].repeat(bins, 0),
-                                     np.zeros((bins, 4, 4)), _work(noise),
-                                     0.5, steps)
+    cost, err, mx, sums = _kernels.advance(
+        z, m, np.eye(4)[None].repeat(bins, 0), np.zeros((bins, 4, 4)),
+        _work(noise), 0.5, steps, running=1)
     expected = z0.copy()
     for t in range(steps):
         expected += noise[t][[0, 1, 0, 1]]
     assert np.array_equal(z, expected)
-    assert not err.any()
-    assert np.all(np.diff(cost) > 0.0) and mx > 0.0
+    assert not err and not sums[..., 1].any()
+    assert np.all(np.diff(sums[:, 0, 0]) > 0.0) and mx > 0.0
+    assert cost == sums[-1, 0, 0]
 
 
 def test_selected_backend_is_exposed():

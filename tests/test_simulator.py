@@ -6,6 +6,8 @@ is tuned to a lucky stream.
 """
 
 import math
+import os
+import subprocess
 import sys
 import threading
 from dataclasses import asdict
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from scipy import linalg as sla
 
 import dense
-from wavelqg import analysis, simulator, synthesis
+from wavelqg import _kernels, analysis, simulator, synthesis
 from wavelqg.params import NondimParams
 from wavelqg.simulator import (
     InstabilityError,
@@ -215,6 +217,67 @@ def test_noise_scale_rescales_exactly():
     assert twice.realization_costs[0] == 4.0 * base.realization_costs[0]
 
 
+@pytest.mark.parametrize("t_final", [7.73, 5.12])
+def test_per_step_sums_only_where_they_are_read(monkeypatch, t_final):
+    # realization 0's stored steps read its per-step sums, and the burn-in
+    # step every realization's; each other block asks for totals alone
+    # (at t_final 5.12 the burn-in step starts a block)
+    calls = []
+    advance = _kernels.advance
+
+    def recording(z, *args, running=0, **kw):
+        calls.append((z.shape[0], running))
+        return advance(z, *args, running=running, **kw)
+
+    monkeypatch.setattr(_kernels, "advance", recording)
+    n = 8
+    group = simulator._GROUP_ENTRIES // (8 * (n // 2 + 1))
+    p = NondimParams(pi1=0.3, pi2=1.0, pi3=3.0, pi4=2.0, n=n)
+    cfg = SimConfig(params=p, dt=0.01, t_final=t_final, seed=21,
+                    n_realizations=group + 2, burn_in=0.5)
+    simulate(cfg)
+    block = simulator._BLOCK
+    starts = range(0, cfg.n_steps, block)
+    burn = [lo < cfg.burn_steps < lo + block for lo in starts]
+    assert sum(burn) == (cfg.burn_steps % block != 0)
+    assert calls == [(size, size if b else lead)
+                     for size, lead in ((group, 1), (2, 0)) for b in burn]
+
+
+_BLAS_THREADS_RUN = """
+import hashlib
+from wavelqg.params import NondimParams
+from wavelqg.simulator import SimConfig, simulate
+for n, reals in ((8, 8), (128, 2)):
+    p = NondimParams(pi1=0.3, pi2=1.0, pi3=3.0, pi4=2.0, n=n)
+    traj, summary = simulate(SimConfig(params=p, dt=0.01, t_final=5.5,
+                                       seed=8, n_realizations=reals,
+                                       store_every=10))
+    h = hashlib.sha256(repr(summary).encode())
+    for name in ("times", "plant_state", "estimate", "control",
+                 "running_cost"):
+        h.update(getattr(traj, name).tobytes())
+    print(n, reals, h.hexdigest())
+"""
+
+
+def test_outputs_do_not_depend_on_blas_threads():
+    # a reduction through BLAS (np.vecdot's ddot, say) may split its sum
+    # over threads, so its last bits would follow OPENBLAS_NUM_THREADS;
+    # at n = 128 with two realizations the second one's totals come from
+    # a 133120-term sum
+    src = os.path.dirname(os.path.dirname(simulator.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src,
+               "OPENBLAS_NUM_THREADS": threads}
+        outs.append(subprocess.run(
+            [sys.executable, "-c", _BLAS_THREADS_RUN], capture_output=True,
+            text=True, check=True, env=env, timeout=300).stdout)
+    assert outs[0].count("\n") == 2
+    assert outs[0] == outs[1]
+
+
 def _cpus_seen(monkeypatch, cpus):
     """Make simulate see ``cpus`` CPUs; returns the list of threads that
     ran its draws, filled as it runs."""
@@ -405,6 +468,13 @@ def test_no_helper_thread_outlives_a_run(monkeypatch):
     with pytest.raises(InstabilityError, match=r"reduce dt=0\.01"):
         simulate(cfg, x0=np.full(2 * MILD.n, 2e12))
     assert len(threads) == 2 and threads[1] is not threading.main_thread()
+    assert threading.active_count() == before
+    # a run refused by the Euler check, with its first draw under way
+    p = NondimParams(pi1=0.5, pi2=100.0, pi3=40.0, pi4=4.0, n=8)
+    del threads[:]
+    with pytest.raises(ValueError, match="stable only for dt"):
+        simulate(SimConfig(params=p, dt=0.0051))
+    assert len(threads) == 1 and threads[0] is not threading.main_thread()
     assert threading.active_count() == before
 
 
