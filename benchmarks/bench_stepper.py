@@ -18,7 +18,7 @@ import numpy as np
 
 from wavelqg import _kernels
 from wavelqg.params import NondimParams
-from wavelqg.simulator import _BLOCK, _KB, _bin_law, frequency_blocks
+from wavelqg.simulator import _BLOCK, _KB, _bin_parts, _split, frequency_blocks
 from wavelqg.spectral import laplacian_spectrum
 from wavelqg.synthesis import design_spectra
 
@@ -29,23 +29,29 @@ def build_workload(n: int, steps: int, seed: int = 0):
     """``advance``'s inputs for one realization at ring size n:
     (z0, [A B], cost weight factors, error weight factors, work buffer),
     the buffer holding ``steps`` steps of white noise in chunks of
-    ``simulator._KB`` steps, drawn in bin coordinates and scaled by
-    ``simulator._bin_law`` as ``simulate`` draws it (a last partial chunk
-    is padded with zero noise, so a call without a step count runs a whole
-    number of chunks).
+    ``simulator._KB`` steps, as ``simulate`` draws it: 2n standard normals
+    per step in rfft bins, zero imaginary parts at k = 0 and at the
+    Nyquist bin, and the bins' law carried by the injection map (a last
+    partial chunk is padded with zero noise, so a call without a step
+    count runs a whole number of chunks).
     """
     p = NondimParams(pi1=0.5, pi2=1.0, pi3=4.0, pi4=4.0, n=n)
     s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, laplacian_spectrum(n))
-    a, b, w = frequency_blocks(p, s.k0, s.kc, s.l0, s.lc, DT)
+    a, b, (w_cost, w_err) = frequency_blocks(p, s.k0, s.kc, s.l0, s.lc, DT)
     bins = n // 2 + 1
+    chunks = -(-steps // _KB)
     rng = np.random.default_rng(seed)
-    work = _kernels.work_buffer(_KB, -(-steps // _KB), (), bins)
+    work = _kernels.work_buffer(_KB, chunks, (), bins,
+                                w_cost.shape[-2] + w_err.shape[-2])
     noise = work[_kernels.NOISE_ROWS]
-    rng.standard_normal(out=noise)
-    noise *= _bin_law(n)
+    inner, real = _bin_parts(n)
+    draws = _split(rng.standard_normal((2, _KB, n * chunks)), n)
+    noise[:, :, inner] = draws[0]
+    noise[:, :, real, :, 0] = draws[1]
+    noise[:, :, real, :, 1] = 0.0
     noise[:, steps % _KB or _KB:, :, -1, :] = 0.0
     z0 = rng.standard_normal((4, bins, 2))
-    return z0, np.concatenate([a, b], axis=-1), w[0], w[1], work
+    return z0, np.concatenate([a, b], axis=-1), w_cost, w_err, work
 
 
 def main(argv=None) -> int:

@@ -247,8 +247,13 @@ def _reprs(values: np.ndarray) -> list[str]:
 def rows_to_csv(table: dict[str, np.ndarray]) -> str:
     """Render a sweep table under :data:`CSV_HEADER`, one line per row."""
     # repr gives floats in shortest round-trip form, lower() bools as true;
-    # the parameter columns pi1..n repeat or tile their few values
+    # the parameter columns pi1..n repeat or tile their few values, and
+    # res_k and res_l are bit-equal on tied points (pi3 = pi4) while an
+    # untied sweep's res_k repeats along each pi1 row
     columns = [_reprs(table[c]) for c in COLUMNS[:5]]
-    columns += [list(map(repr, table[c].tolist())) for c in COLUMNS[5:-1]]
+    columns += [list(map(repr, table[c].tolist())) for c in COLUMNS[5:-3]]
+    res = _reprs(np.concatenate([table["res_k"], table["res_l"]]))
+    rows = table["res_k"].size
+    columns += [res[:rows], res[rows:]]
     columns.append([repr(v).lower() for v in table["on_curve"].tolist()])
     return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"

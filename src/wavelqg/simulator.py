@@ -8,8 +8,9 @@ with covariance (I - pi1 Lap)^-1, control u = -K (estimate).
 scales each bin's white measurement noise by 1/sqrt(1 - pi1 d(k)), the
 square root of the law's per-frequency variance.  The empirical
 time-averaged quadratic cost and estimation-error power then have
-closed-form predictions (``analysis.lqg_cost`` / ``analysis.kf_cost``),
-which is what makes the simulator a useful end-to-end check.
+closed-form predictions, which :func:`simulate` takes with
+``analysis.costs`` from the design it steps; that is what makes the
+simulator a useful end-to-end check.
 
 Per-frequency stepping
 ----------------------
@@ -28,38 +29,47 @@ Determinism
 -----------
 Realization i draws from numpy's PCG64 seeded with
 ``SeedSequence(seed, spawn_key=(i,))`` -- a documented, order-independent
-splitting rule.  Within a realization, each block of ``_BLOCK`` = 256 steps
-is one ``standard_normal`` call, 4 (n//2 + 1) normals per step, scaled in
-place by :func:`_bin_law`.  The orthonormal rfft of 2n white site normals
-per step has independent N(0, 1/2) real and imaginary parts inside and a
-real N(0, 1) at k = 0 and at the Nyquist bin, and Gaussian noise with
-these variances has exactly its law.  When the process may run on a
-second CPU, a helper thread draws and scales the next block into one of
-two raw slabs per group of realizations (``standard_normal`` releases
-the GIL as it fills) while the kernel steps the current block, which the
-main thread has copied into the kernel's noise rows; the first group's
-first block is drawn while the design is evaluated and checked.  With
-one CPU each block is drawn straight into the noise rows, after the
-block before it is stepped.  Each generator draws its blocks in the same
-order either way, and the products are the same, so no output changes.
-The kernel is called once per block with maps planned once per run,
-whatever ``store_every`` and the burn-in are, so states do not depend on
-them.  It scans the block in chunks of ``_KB`` = sqrt(``_BLOCK``) = 16
-steps (see :mod:`wavelqg._kernels`), so states and costs agree with
-step-by-step Euler to roundoff, not bitwise.  Each call returns every
-realization's cost and error totals over its block.  Per-step running
-sums are taken only where they are read: for realization 0 in every
-block (its stored running cost) and, in the one block that holds the
-burn-in step, for every realization.  A realization's block totals are
-the last of its running sums, bit for bit, when it has them, and
-otherwise one BLAS-free reduction, which rounds differently by a few
-ulps; so realization 0's costs and the trajectory do not depend on the
-choice, and no output depends on the BLAS thread count.  Realizations
-are stepped together in groups of ``max(1, 512 // (8 (n//2 + 1)))``, yet
-every product and every sum is taken per realization, so realization i's
-results are bitwise the same whatever the number of realizations R and
-however they are grouped; the loop is linear, so scaling the noise by a
-power of two scales them exactly.
+splitting rule.  It draws exactly 2n standard normals per step, block by
+block of ``_BLOCK`` = 256 steps: per noise row and chunk slot, the inner
+bins' (chunk, re/im) normals, then the real parts at k = 0 and at the
+Nyquist bin, one per chunk (:func:`_split`).  The main thread copies them
+into the kernel's noise rows, whose imaginary parts at k = 0 and at the
+Nyquist bin stay zero.  The orthonormal rfft of 2n white site normals per
+step has independent N(0, 1/2) real and imaginary parts inside and a
+real N(0, 1) at those two bins, so after :func:`frequency_blocks`' b,
+which carries each bin's 1/sqrt(multiplicity), the noise has exactly its
+law.  A helper task fills each realization's blocks in one contiguous
+``standard_normal`` call: the first block alone, then tasks of about
+``_TASK_NORMALS`` = 2**16 normals over the group (two blocks at n = 8
+with 8 realizations, one at n = 128 with one), and no block past the
+last.  When the process may run on a second CPU, a helper thread draws
+the next task into one of two raw slabs per group of realizations
+(``standard_normal`` releases the GIL as it fills) while the kernel steps
+the current task's blocks; the first group's first block is drawn while
+the design is evaluated and checked.  With one CPU each task is drawn
+into the one slab after the task before it is stepped.  Each generator
+fills its blocks in the same order whatever the task size and either
+way, so no output depends on them.  The kernel is called once per block
+with maps planned once per run, whatever ``store_every`` and the burn-in
+are, so states do not depend on them; realization 0's stored steps are
+located in the blocks once per run, too.  It scans the block in chunks
+of ``_KB`` = sqrt(``_BLOCK``) = 16 steps (see :mod:`wavelqg._kernels`),
+so states and costs agree with step-by-step Euler to roundoff, not
+bitwise.  It steps with the nonzero rows of the weight factors only, 3
+for the cost and 2 for the error.  Each call returns every realization's
+cost and error totals over its block.  Per-step running sums are taken
+only where they are read: for realization 0 in every block (its stored
+running cost) and, in the one block that holds the burn-in step, for
+every realization.  A realization's block totals are the last of its
+running sums, bit for bit, when it has them, and otherwise BLAS-free
+sums over each of its factor rows, then over the rows, which round
+differently by a few ulps; so realization 0's costs and the trajectory
+do not depend on the choice, and no output depends on the BLAS thread
+count.  Realizations are stepped together in groups of ``max(1, 512 //
+(8 (n//2 + 1)))``, yet every product and every sum is taken per
+realization, so realization i's results are bitwise the same whatever
+the number of realizations R and however they are grouped; the loop is
+linear, so scaling the noise by a power of two scales them exactly.
 """
 
 from __future__ import annotations
@@ -90,6 +100,7 @@ _BLOWUP = 1e12
 _BLOCK = 256          # steps per noise block and per kernel call
 _KB = math.isqrt(_BLOCK)  # steps per chunk of the kernel's scan
 _GROUP_ENTRIES = 512  # state entries (realizations x bins x 8) per group
+_TASK_NORMALS = 2 ** 16  # normals a helper task draws over its group
 _MAX_STORED = 2 ** 27  # float64 values a stored trajectory may hold (1 GiB)
 
 
@@ -104,7 +115,8 @@ def kernel_backend() -> str:
 
 def frequency_blocks(p: NondimParams, k0, kc, l0, lc, dt: float,
                      noise_scale: float = 1.0
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     ) -> tuple[np.ndarray, np.ndarray,
+                                tuple[np.ndarray, np.ndarray]]:
     """The loop's per-bin Euler-Maruyama blocks for any gain spectra.
 
     ``k0``, ``kc`` are the regulator spectra (u = -(K1 phi + K2 psi)) and
@@ -115,15 +127,21 @@ def frequency_blocks(p: NondimParams, k0, kc, l0, lc, dt: float,
         on (x, xhat): the plant [[0, 1], [d, 0]] under the control
         -[k0, kc] xhat, and the estimate driven by the innovation
         pi4 [lc, l0] (phi - phi hat);
-    b : (m, 4, 2) injection of a bin's (force, measurement) white noise:
-        sqrt(dt) noise_scale times the force column [0, 1, 0, 0] and the
-        filtered measurement column [0, 0, lc, l0] / sqrt(1 - pi1 d);
-    w : (2, m, 4, 4) cost and error weights as square-root factors: a
-        bin's running cost is |w[0] z|**2 and its squared estimation error
-        |w[1] z|**2, with w[0] = diag(sqrt(1 - pi1 d), sqrt(pi2)) on x next
-        to the row [k0, kc] / pi3 on xhat, and w[1] = [I, -I].  Both carry
-        the square root of the bin's Parseval weight, its multiplicity
-        from :func:`~wavelqg.spectral.rfft_multiplicities`.
+    b : (m, 4, 2) injection of a bin's (force, measurement) standard
+        normals: sqrt(dt) noise_scale times the force column [0, 1, 0, 0]
+        and the filtered measurement column [0, 0, lc, l0] / sqrt(1 - pi1
+        d), both divided by the square root of the bin's multiplicity
+        (:func:`~wavelqg.spectral.rfft_multiplicities`).  The orthonormal
+        rfft of white site noise has variance 1/2 in each part of an inner
+        bin and 1 in the real part at k = 0 and at the Nyquist bin, so unit
+        normals through b, with zero imaginary parts at those two bins,
+        have exactly its law;
+    w : (w_cost, w_err), the cost and error weights as square-root
+        factors, nonzero rows only: a bin's running cost is |w_cost z|**2
+        and its squared estimation error |w_err z|**2, with w_cost (m, 3,
+        4) = diag(sqrt(1 - pi1 d), sqrt(pi2)) on x above the row [k0, kc]
+        / pi3 on xhat, and w_err (m, 2, 4) = [I, -I].  Both carry the
+        square root of the bin's Parseval weight, its multiplicity.
     """
     n = p.n
     m = n // 2 + 1
@@ -147,13 +165,14 @@ def frequency_blocks(p: NondimParams, k0, kc, l0, lc, dt: float,
     b[:, 1, 0] = amp
     b[:, 2, 1] = filt * lc
     b[:, 3, 1] = filt * l0
-    w = np.zeros((2, m, 4, 4))
-    w[0, :, 0, 0] = np.sqrt(1.0 - p.pi1 * d)
-    w[0, :, 1, 1] = math.sqrt(p.pi2)
-    w[0, :, 2, 2] = k0 / p.pi3
-    w[0, :, 2, 3] = kc / p.pi3
-    w[1, :, :2] = np.hstack([np.eye(2), -np.eye(2)])
-    return a, b, w * np.sqrt(rfft_multiplicities(n))[:, None, None]
+    root = np.sqrt(rfft_multiplicities(n))[:, None, None]
+    w_cost = np.zeros((m, 3, 4))
+    w_cost[:, 0, 0] = np.sqrt(1.0 - p.pi1 * d)
+    w_cost[:, 1, 1] = math.sqrt(p.pi2)
+    w_cost[:, 2, 2] = k0 / p.pi3
+    w_cost[:, 2, 3] = kc / p.pi3
+    w_err = np.broadcast_to(np.hstack([np.eye(2), -np.eye(2)]), (m, 2, 4))
+    return a, b / root, (w_cost * root, w_err * root)
 
 
 @dataclass(frozen=True)
@@ -265,16 +284,6 @@ class SimSummary:
     backend: str = ""
 
 
-def _bin_law(n: int) -> np.ndarray:
-    """Per-bin scale (n//2 + 1, 1, 2) of the standard normals simulate
-    draws: 1/sqrt(2) inside, (1, 0) at k = 0 and at the Nyquist bin."""
-    law = np.full((n // 2 + 1, 1, 2), math.sqrt(0.5))
-    law[0] = (1.0, 0.0)
-    if n % 2 == 0:
-        law[-1] = (1.0, 0.0)
-    return law
-
-
 def _to_bins(sites: np.ndarray) -> np.ndarray:
     """Site rows (..., n) -> orthonormal rfft bins (..., n//2 + 1, 2) with
     real and imaginary parts last."""
@@ -295,15 +304,32 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _draw(rngs, law, out) -> None:
-    """Fill ``out[i]`` with standard normals from ``rngs[i]`` and scale
-    them by ``law`` in place; numpy only, so it may run on a helper
-    thread."""
-    for rng, slab in zip(rngs, out):  # contiguous slabs
+def _draw(rngs, out) -> None:
+    """Fill each ``out[i]`` (contiguous) with standard normals from
+    ``rngs[i]``; numpy only, so it may run on a helper thread."""
+    for rng, slab in zip(rngs, out):
         rng.standard_normal(out=slab)
-    # in place: with a broadcast factor, numpy's out-of-place multiply
-    # into a second buffer takes about 2.5x as long
-    np.multiply(out, law, out=out)
+
+
+def _split(draws: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of draws (..., n chunks), chunk count inferred, as the inner
+    bins' (..., (n - 1)//2, chunks, 2) normals and the real-only bins'
+    (..., n % 2 or 2, chunks): the order :func:`_group` draws them in."""
+    inner = (n - 1) // 2
+    chunks = draws.shape[-1] // n
+    lead = draws.shape[:-1]
+    cut = 2 * inner * chunks
+    return (draws[..., :cut].reshape(lead + (inner, chunks, 2)),
+            draws[..., cut:].reshape(lead + (-1, chunks)))
+
+
+def _bin_parts(n: int) -> tuple[slice, slice]:
+    """The inner bins, and the bins with a real part only (k = 0, and the
+    Nyquist bin of an even ring), of the n//2 + 1 rfft bins."""
+    bins = n // 2 + 1
+    if n % 2:
+        return slice(1, bins), slice(0, 1)
+    return slice(1, bins - 1), slice(0, bins, bins - 1)
 
 
 class _Inline:
@@ -326,17 +352,23 @@ class _Inline:
         fn(*args)
 
 
-def _group(helper, ahead, seed, reals, bins, law):
-    """Generators, work buffer and the helper's two raw slabs (inline, the
-    noise rows themselves) of realizations ``reals``, with the draw of
-    their first block submitted to ``helper``."""
+def _group(helper, ahead, seed, reals, n):
+    """Generators and the helper's two raw slabs (inline, one slab twice)
+    of realizations ``reals``, with the draw of their first block
+    submitted to ``helper``.
+
+    A slab holds a task's blocks, as many as make about ``_TASK_NORMALS``
+    normals over the group, each realization's contiguous: per block, per
+    noise row and slot, the inner bins' (chunk, re/im) normals, then the
+    real parts at k = 0 and the Nyquist bin, one per chunk.
+    """
     rngs = [np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(seed, spawn_key=(real,)))) for real in reals]
-    work = _kernels.work_buffer(_KB, _BLOCK // _KB, (len(rngs),), bins)
-    noise = work[:, _kernels.NOISE_ROWS]
-    raw = ([np.empty(noise.shape), np.empty(noise.shape)] if ahead
-           else [noise, noise])
-    return rngs, work, raw, helper.submit(_draw, rngs, law, raw[0])
+    per_task = max(1, _TASK_NORMALS // (len(rngs) * 2 * n * _BLOCK))
+    shape = (len(rngs), per_task, 2, _KB, n * (_BLOCK // _KB))
+    slab = np.empty(shape)
+    raw = [slab, np.empty(shape) if ahead else slab]
+    return rngs, raw, helper.submit(_draw, rngs, raw[0][:, :1])
 
 
 def simulate(cfg: SimConfig,
@@ -369,13 +401,12 @@ def simulate(cfg: SimConfig,
     bins = n // 2 + 1
     n_real = cfg.n_realizations
     group = max(1, _GROUP_ENTRIES // (8 * bins))
-    # spelled out over the chunks: a broadcast (bins, 1, 2) factor makes
-    # numpy's multiply loop over pairs, about 5x slower
-    law = np.repeat(_bin_law(n), _BLOCK // _KB, axis=1)
+    inner, real = _bin_parts(n)
 
-    # block k + 1's draws depend only on the generators, so a helper thread
-    # fills the other raw slab while the kernel steps block k; each
-    # generator still draws its blocks in order, on one thread at a time
+    # the next task's draws depend only on the generators, so a helper
+    # thread fills the other raw slab while the kernel steps this task's
+    # blocks; each generator still draws its blocks in order, on one
+    # thread at a time
     ahead = _cpus() > 1
     if ahead:
         # concurrent.futures costs about 5.6 ms to import, and only the
@@ -388,7 +419,7 @@ def simulate(cfg: SimConfig,
         # group 0's first block is drawn while the design is evaluated and
         # checked; leaving the with block joins the helper, on error too
         opened = _group(helper, ahead, cfg.seed, range(min(group, n_real)),
-                        bins, law)
+                        n)
         d = laplacian_spectrum(n)
         s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, d)
         a, b, w = frequency_blocks(p, s.k0, s.kc, s.l0, s.lc, cfg.dt,
@@ -407,13 +438,25 @@ def simulate(cfg: SimConfig,
                 f"(spectral radius {radius:.6g}); for these parameters it "
                 f"is stable only for dt < {dt_max:.6g}")
         ab = np.concatenate([a, b], axis=-1)
-        plan = _kernels.make_plan(ab, w[0], w[1], _KB)
+        w_cost, w_err = w
+        plan = _kernels.make_plan(ab, w_cost, w_err, _KB)
 
         n_steps = cfg.n_steps
         burn_step = cfg.burn_steps
         t_post = (n_steps - burn_step) * cfg.dt
         stored = np.unique(np.append(
             np.arange(0, n_steps + 1, cfg.store_every), n_steps))
+        # realization 0's stored steps in (lo, hi] of block k are
+        # stored[marks[k]:marks[k + 1]]; those before cuts[k] are in the
+        # block's work buffer as the state before step lo + off (chunk,
+        # slot), the one at hi is z after the block
+        n_blocks = -(-n_steps // _BLOCK)
+        lows = np.arange(0, n_steps, _BLOCK)
+        marks = np.searchsorted(stored, np.append(lows, n_steps), "right")
+        cuts = np.searchsorted(stored, np.append(lows[1:], n_steps))
+        off = stored - np.append(0, np.repeat(lows, np.diff(marks)))
+        chunk, slot = np.divmod(off, _KB)
+        marks, cuts = marks.tolist(), cuts.tolist()
 
         sites0 = np.zeros((4, n))  # rows: phi, psi, phi hat, psi hat
         if x0 is not None:
@@ -431,43 +474,53 @@ def simulate(cfg: SimConfig,
 
         for first in range(0, n_real, group):
             stop = min(first + group, n_real)
-            rngs, work, raw, drawn = opened if first == 0 else _group(
-                helper, ahead, cfg.seed, range(first, stop), bins, law)
+            rngs, raw, drawn = opened if first == 0 else _group(
+                helper, ahead, cfg.seed, range(first, stop), n)
+            work = _kernels.work_buffer(_KB, _BLOCK // _KB, (len(rngs),),
+                                        bins, plan.w.shape[-2])
             noise = work[:, _kernels.NOISE_ROWS]
+            noise[..., real, :, 1] = 0.0  # k = 0 and Nyquist: real only
+            dst = noise[..., inner, :, :], noise[..., real, :, 0]
+            slabs = [_split(slab, n) for slab in raw]
+            # tasks: the first block alone, so the kernel waits for one
+            # block's draw (at small n nothing else overlaps it), then
+            # slabs full of blocks
+            starts = [0, *range(1, n_blocks, raw[0].shape[1]), n_blocks]
+            task = 0
             z = np.tile(z0, (len(rngs), 1, 1, 1))
             post_cost = np.zeros(len(rngs))
             post_err = np.zeros(len(rngs))
             for k, lo in enumerate(range(0, n_steps, _BLOCK)):
                 hi = min(lo + _BLOCK, n_steps)
-                drawn.result()
-                if hi < n_steps:
-                    drawn = helper.submit(_draw, rngs, law, raw[(k + 1) % 2])
-                np.copyto(noise, raw[k % 2])  # no-op inline
+                if k == starts[task]:
+                    drawn.result()
+                    src = slabs[task % 2]
+                    task += 1
+                    if starts[task] < n_blocks:
+                        drawn = helper.submit(_draw, rngs, raw[task % 2][
+                            :, :starts[task + 1] - starts[task]])
+                for to, part in zip(dst, src):
+                    np.copyto(to, part[:, k - starts[task - 1]])
                 buf = work[..., :-(-(hi - lo) // _KB), :]  # chunks it steps
                 # per-step sums only where they are read: realization 0's
                 # stored steps, and every realization's burn-in step
                 burn = lo < burn_step < hi
                 cost, err, mx, sums = _kernels.advance(
-                    z, ab, w[0], w[1], buf, cfg.dt, hi - lo, plan=plan,
+                    z, ab, w_cost, w_err, buf, cfg.dt, hi - lo, plan=plan,
                     running=len(rngs) if burn else int(first == 0))
-                bad = np.flatnonzero(~(mx <= _BLOWUP))  # also catches nan
-                if bad.size:
+                fine = mx <= _BLOWUP  # also catches nan
+                if not fine.all():
                     raise InstabilityError(
                         f"state magnitude exceeded {_BLOWUP:.0e} at "
                         f"t ~ {hi * cfg.dt:.3g} (realization "
-                        f"{first + bad[0]}); reduce dt={cfg.dt!r}")
+                        f"{first + int(np.argmin(fine))}); "
+                        f"reduce dt={cfg.dt!r}")
                 if first == 0:
-                    # stored steps in (lo, hi]; buf holds the states before
-                    # steps lo .. hi-1, z the state after the last
-                    sel = slice(*np.searchsorted(stored, [lo, hi],
-                                                 side="right"))
-                    after = stored[sel] - lo
-                    inner = after < hi - lo
-                    c, j = np.divmod(after[inner], _KB)
-                    traj_bins[sel][inner] = buf[0, _kernels.STATE_ROWS, j,
-                                                :, c]
-                    traj_bins[sel][~inner] = z[0]
-                    traj_cost[sel] = cum_cost + sums[after - 1, 0, 0]
+                    i, j, m = marks[k], cuts[k], marks[k + 1]
+                    traj_bins[i:j] = buf[0, _kernels.STATE_ROWS, slot[i:j],
+                                         :, chunk[i:j]]
+                    traj_bins[j:m] = z[0]
+                    traj_cost[i:m] = cum_cost + sums[off[i:m] - 1, 0, 0]
                     cum_cost += cost[0]
                 if burn:
                     cost -= sums[burn_step - lo - 1, :, 0]

@@ -13,7 +13,8 @@ from scipy import linalg as sla
 
 from wavelqg import simulator
 from wavelqg.params import NondimParams
-from wavelqg.spectral import circulant_rows, laplacian_spectrum
+from wavelqg.spectral import (circulant_rows, laplacian_spectrum,
+                              rfft_multiplicities)
 from wavelqg.synthesis import design_spectra
 
 
@@ -111,17 +112,39 @@ def filter_care(p: NondimParams):
                                     noise_covariance(p.pi1, p.n))
 
 
+def bin_noise(draws, n):
+    """Noise rows (..., bins, chunks, 2) of simulate's compact draws
+    (..., n chunks): the inner bins' normals in (bin, chunk, re/im) order,
+    then the real parts at k = 0 and at the Nyquist bin of an even ring,
+    one per chunk; the imaginary parts at those bins are zero."""
+    chunks, bins = draws.shape[-1] // n, n // 2 + 1
+    edges = [0, bins - 1] if n % 2 == 0 else [0]
+    rows = np.zeros(draws.shape[:-1] + (bins, chunks, 2))
+    at = 0
+    for k in range(bins):
+        if k not in edges:
+            rows[..., k, :, :] = draws[..., at:at + 2 * chunks].reshape(
+                draws.shape[:-1] + (chunks, 2))
+            at += 2 * chunks
+    for k in edges:
+        rows[..., k, :, 0] = draws[..., at:at + chunks]
+        at += chunks
+    return rows
+
+
 def site_noise(rng, n, steps):
     """One realization's noise as simulate draws it, as step-major site
-    noise (steps, 2n), force then measurement.  Per block: the noise rows
-    of a work buffer filled by one standard_normal call and scaled by
-    _bin_law, reordered step-major and taken to sites by the orthonormal
-    irfft."""
+    noise (steps, 2n), force then measurement.  Per block: 2n standard
+    normals per step in one standard_normal call, placed in the noise rows
+    of a work buffer by :func:`bin_noise`, scaled by 1/sqrt(multiplicity)
+    per bin (which frequency_blocks carries in b), reordered step-major
+    and taken to sites by the orthonormal irfft."""
     kb, bins = simulator._KB, n // 2 + 1
     blocks = []
     for _ in range(-(-steps // simulator._BLOCK)):
-        rows = rng.standard_normal((2, kb, bins, simulator._BLOCK // kb, 2))
-        rows *= simulator._bin_law(n)
+        rows = bin_noise(rng.standard_normal(
+            (2, kb, n * (simulator._BLOCK // kb))), n)
+        rows /= np.sqrt(rfft_multiplicities(n))[:, None, None]
         # slot j of chunk c is step kb c + j
         f = rows.transpose(3, 1, 0, 2, 4).reshape(-1, 2, bins, 2)
         blocks.append(np.fft.irfft(f[..., 0] + 1j * f[..., 1], n=n,

@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from dense import (closed_loop, gains, noise_covariance, offdiag_masses,
-                   plant, spectral_abscissa)
+from dense import (bin_noise, closed_loop, gains, noise_covariance,
+                   offdiag_masses, plant, spectral_abscissa)
 from wavelqg import _kernels, analysis, simulator, synthesis
 from wavelqg._kernels import NOISE_ROWS, advance
 from wavelqg.params import DimensionalParams, NondimParams, locality_residuals, nondimensionalize
@@ -196,11 +196,12 @@ def test_08_sweep_reproduces_cost_landscape():
 
 
 def test_09_correlated_noise_has_the_advertised_covariance(monkeypatch):
-    """The measurement noise ``simulate`` injects (standard normals drawn in
-    orthonormal rfft bins, scaled by ``_bin_law`` and by ``frequency_blocks``'
-    filter) has covariance exactly (I - pi1 Lap)^-1 at the sites, within
-    1e-12 of its largest entry, and its force noise is white, at pi1 = 1,
-    n = 8, at white noise with odd n and at a Nyquist bin.  The drawn
+    """The measurement noise ``simulate`` injects (2n standard normals per
+    step drawn in orthonormal rfft bins, scaled by ``frequency_blocks``'
+    bin multiplicity and filter) has covariance exactly (I - pi1 Lap)^-1
+    at the sites, within 1e-12 of its largest entry, and its force noise
+    is white, at pi1 = 1, n = 8, at white noise with odd n and at a
+    Nyquist bin.  The drawn
     imaginary parts at k = 0 and at the Nyquist bin are exactly zero."""
     drawn = []
 
@@ -211,22 +212,21 @@ def test_09_correlated_noise_has_the_advertised_covariance(monkeypatch):
     monkeypatch.setattr(_kernels, "advance", recording)
     for pi1, n in [(1.0, 8), (0.0, 7), (2.5, 30)]:
         p = NondimParams(pi1=pi1, pi2=1.0, pi3=1.0, pi4=1.0, n=n)
-        bins = n // 2 + 1
-        law = simulator._bin_law(n)
         drawn.clear()
         simulate(SimConfig(params=p, dt=0.01, t_final=simulator._BLOCK / 100,
                            seed=9))  # one full block
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(9, spawn_key=(0,))))
-        live = rng.standard_normal(drawn[0].shape)
-        assert np.array_equal(drawn[0], live * law)
+        live = rng.standard_normal(
+            (2, simulator._KB, n * (simulator._BLOCK // simulator._KB)))
+        assert np.array_equal(drawn[0], bin_noise(live, n))
         imag = drawn[0][..., [0, -1] if n % 2 == 0 else [0], :, 1]
         assert not imag.any()
 
-        # site noise of each live normal: through the law, b and irfft
+        # site noise of each live normal: through b and irfft
         one, zero = np.ones(n), np.zeros(n)
         _, b, _ = frequency_blocks(p, k0=one, kc=one, l0=zero, lc=one, dt=1.0)
-        unit = np.eye(2 * bins).reshape(2 * bins, bins, 2) * law[:, 0]
+        unit = bin_noise(np.eye(n), n)[:, :, 0]
         for col, cov in [(b[:, 1, 0], np.eye(n)),
                          (b[:, 2, 1], noise_covariance(pi1, n))]:
             f = unit * col[:, None]

@@ -8,15 +8,19 @@ from wavelqg._kernels import NOISE_ROWS, STATE_ROWS
 from wavelqg.simulator import _KB, kernel_backend
 
 
-def _random_problem(rng, bins=3, steps=40, batch=()):
+# factor rows (cost, error): simulate's nonzero rows, and square factors
+FACTORS = [(3, 2), (4, 4)]
+
+
+def _random_problem(rng, bins=3, steps=40, batch=(), rows=(4, 4)):
     # Euler maps A = I + h G of a stable G, as simulate steps: a state
     # remembers its chunk's start for many steps, so the carries matter
     z = rng.standard_normal(batch + (4, bins, 2))
     g = rng.standard_normal((bins, 4, 4)) - 3.0 * np.eye(4)
     b = 0.3 * rng.standard_normal((bins, 4, 2))
     m = np.concatenate([np.eye(4) + 0.02 * g, b], axis=-1)
-    w_cost = rng.standard_normal((bins, 4, 4))
-    w_err = rng.standard_normal((bins, 4, 4))
+    w_cost = rng.standard_normal((bins, rows[0], 4))
+    w_err = rng.standard_normal((bins, rows[1], 4))
     noise = rng.standard_normal((steps,) + batch + (2, bins, 2))
     return z, m, w_cost, w_err, noise
 
@@ -33,11 +37,12 @@ def _put_noise(work, noise):
         dst[..., :rest, :, full, :] = np.moveaxis(noise[full * kb:], 0, -3)
 
 
-def _work(noise, fill=np.nan):
-    """A work buffer holding step-major ``noise`` (steps, ..., 2, bins, 2),
-    every other entry set to ``fill``."""
+def _work(noise, factors, fill=np.nan):
+    """A work buffer for ``factors`` factor rows holding step-major
+    ``noise`` (steps, ..., 2, bins, 2), every other entry set to
+    ``fill``."""
     steps, batch, bins = noise.shape[0], noise.shape[1:-3], noise.shape[-2]
-    work = _kernels.work_buffer(_KB, -(-steps // _KB), batch, bins)
+    work = _kernels.work_buffer(_KB, -(-steps // _KB), batch, bins, factors)
     work.fill(fill)
     _put_noise(work, noise)
     return work
@@ -53,17 +58,17 @@ def _rel(x, ref):
     return np.abs(np.asarray(x) - ref).max() / np.abs(ref).max()
 
 
-def _matches_reference_loop(rng, steps, dt=0.01):
+def _matches_reference_loop(rng, steps, rows, dt=0.01):
     # A chunked scan rounds differently from the step-by-step loop, so the
     # two agree to roundoff, not bitwise.
-    z, m, w_cost, w_err, noise = _random_problem(rng, steps=steps)
-    work = _work(noise)
+    z, m, w_cost, w_err, noise = _random_problem(rng, steps=steps, rows=rows)
+    work = _work(noise, sum(rows))
     zk = z.copy()
     cost, err, mx, sums = _kernels.advance(zk, m, w_cost, w_err, work, dt,
                                            steps, running=1)
     # without running sums, the totals come from the reduction alone
-    totals = _kernels.advance(z.copy(), m, w_cost, w_err, _work(noise), dt,
-                              steps)[:2]
+    totals = _kernels.advance(z.copy(), m, w_cost, w_err,
+                              _work(noise, sum(rows)), dt, steps)[:2]
 
     # the same ops, one step at a time, on per-bin (rows, re/im) blocks
     w = np.concatenate([w_cost, w_err], axis=1)
@@ -75,13 +80,13 @@ def _matches_reference_loop(rng, steps, dt=0.01):
     for t in range(steps):
         x = max(x, float(np.abs(zr).max()))
         ref_states.append(zr.transpose(1, 0, 2))
-        sq = np.square(f.transpose(1, 0, 2)).reshape(2, -1)
-        c += float(sq[0].sum())
-        e += float(sq[1].sum())
+        sq = np.square(f)
+        c += float(sq[:, :rows[0]].sum())
+        e += float(sq[:, rows[0]:].sum())
         ref_cost.append(c * dt)
         ref_err.append(e * dt)
         out = ext @ np.concatenate([zr, noise[t].transpose(1, 0, 2)], axis=1)
-        f, zr = out[:, :8], out[:, 8:]
+        f, zr = out[:, :sum(rows)], out[:, sum(rows):]
     x = max(x, float(np.abs(zr).max()))
     assert _rel(sums[:, 0, 0], ref_cost) <= 1e-12
     assert _rel(sums[:, 0, 1], ref_err) <= 1e-12
@@ -95,22 +100,24 @@ def _matches_reference_loop(rng, steps, dt=0.01):
     assert np.array_equal(_rows(work, NOISE_ROWS, steps), noise)
 
 
-def _realizations_match_solo_runs(rng, steps, dt=0.01):
+def _realizations_match_solo_runs(rng, steps, rows, dt=0.01):
     # a batch of realizations: each row is bitwise its own 1-D run, with
     # or without running sums, and with the maps planned once or per call
     z, m, w_cost, w_err, noise = _random_problem(rng, steps=steps,
-                                                 batch=(5,))
+                                                 batch=(5,), rows=rows)
     plan = _kernels.make_plan(m, w_cost, w_err, _KB)
     for running in (0, 2, 5):
         zb = z.copy()
         cost, err, mx, sums = _kernels.advance(zb, m, w_cost, w_err,
-                                               _work(noise), dt, steps,
-                                               plan=plan, running=running)
+                                               _work(noise, sum(rows)), dt,
+                                               steps, plan=plan,
+                                               running=running)
         assert sums.shape == (steps, running, 2)
         for i in range(z.shape[0]):
             zi = z[i].copy()
             single = _kernels.advance(
-                zi, m, w_cost, w_err, _work(np.ascontiguousarray(noise[:, i])),
+                zi, m, w_cost, w_err,
+                _work(np.ascontiguousarray(noise[:, i]), sum(rows)),
                 dt, steps, running=int(i < running))
             assert cost[i] == single[0]
             assert err[i] == single[1]
@@ -121,8 +128,9 @@ def _realizations_match_solo_runs(rng, steps, dt=0.01):
 
 def test_python_kernel_matches_reference_loop():
     rng = np.random.default_rng(0)
-    _matches_reference_loop(rng, 40)
-    _realizations_match_solo_runs(rng, 40)
+    for rows in FACTORS:
+        _matches_reference_loop(rng, 40, rows)
+        _realizations_match_solo_runs(rng, 40, rows)
 
 
 @pytest.mark.parametrize("steps", [1, 15, 16, 17, 2000])
@@ -130,24 +138,25 @@ def test_partial_and_long_calls_match_reference_loop(steps):
     # a call shorter than one chunk, one chunk, one step into a second,
     # and many chunks
     rng = np.random.default_rng(steps)
-    _matches_reference_loop(rng, steps)
-    _realizations_match_solo_runs(rng, steps)
+    for rows in FACTORS:
+        _matches_reference_loop(rng, steps, rows)
+        _realizations_match_solo_runs(rng, steps, rows)
 
 
 def test_steps_default_to_the_whole_buffer():
     rng = np.random.default_rng(2)
     z, m, w_cost, w_err, noise = _random_problem(rng, steps=2 * _KB)
     za, zb = z.copy(), z.copy()
-    whole = _kernels.advance(za, m, w_cost, w_err, _work(noise), 0.01)
-    given = _kernels.advance(zb, m, w_cost, w_err, _work(noise), 0.01,
+    whole = _kernels.advance(za, m, w_cost, w_err, _work(noise, 8), 0.01)
+    given = _kernels.advance(zb, m, w_cost, w_err, _work(noise, 8), 0.01,
                              2 * _KB)
     assert np.array_equal(za, zb)
     for a, b in zip(whole, given):
         assert np.array_equal(a, b)
     for steps in (_KB, 2 * _KB + 1):  # the last chunk empty, or one over
         with pytest.raises(ValueError, match="chunks"):
-            _kernels.advance(z.copy(), m, w_cost, w_err, _work(noise), 0.01,
-                             steps)
+            _kernels.advance(z.copy(), m, w_cost, w_err, _work(noise, 8),
+                             0.01, steps)
 
 
 @pytest.mark.parametrize("steps", [1, 9, 17])
@@ -158,26 +167,28 @@ def test_padding_past_the_last_step_is_ignored(steps):
     bins = 2
     m = np.concatenate([np.broadcast_to(1.5 * np.eye(4), (bins, 4, 4)),
                         np.ones((bins, 4, 2))], axis=-1)
-    w_cost = np.broadcast_to(np.eye(4), (bins, 4, 4))
-    w_err = np.zeros((bins, 4, 4))
     noise = np.ones((steps, 2, bins, 2))
     state = 1.0
     expected = [state]
     for _ in range(steps):  # every entry evolves as x -> 1.5 x + 2
         state = 1.5 * state + 2.0
         expected.append(state)
-    running_cost = 16 * np.cumsum(np.square(expected[:-1]))
-    for running in (0, 1):  # totals by the reduction, then by the sums
-        z = np.ones((4, bins, 2))
-        cost, err, mx, sums = _kernels.advance(z, m, w_cost, w_err,
-                                               _work(noise, fill=1e6), 1.0,
-                                               steps, running=running)
-        assert np.allclose(z, state, rtol=1e-14, atol=0)
-        assert mx == pytest.approx(state, rel=1e-14)
-        assert cost == pytest.approx(running_cost[-1], rel=1e-14)
-        assert not err
-        assert np.allclose(sums[:, :, 0].T, running_cost, rtol=1e-14, atol=0)
-        assert not sums[..., 1].any()
+    for rows in FACTORS:
+        w_cost = np.broadcast_to(np.eye(4)[:rows[0]], (bins, rows[0], 4))
+        w_err = np.zeros((bins, rows[1], 4))
+        running_cost = 4 * rows[0] * np.cumsum(np.square(expected[:-1]))
+        for running in (0, 1):  # totals by the reduction, then by the sums
+            z = np.ones((4, bins, 2))
+            cost, err, mx, sums = _kernels.advance(
+                z, m, w_cost, w_err, _work(noise, sum(rows), fill=1e6), 1.0,
+                steps, running=running)
+            assert np.allclose(z, state, rtol=1e-14, atol=0)
+            assert mx == pytest.approx(state, rel=1e-14)
+            assert cost == pytest.approx(running_cost[-1], rel=1e-14)
+            assert not err
+            assert np.allclose(sums[:, :, 0].T, running_cost, rtol=1e-14,
+                               atol=0)
+            assert not sums[..., 1].any()
 
 
 def test_zero_generator_accumulates_noise_exactly():
@@ -194,7 +205,7 @@ def test_zero_generator_accumulates_noise_exactly():
     z = z0.copy()
     cost, err, mx, sums = _kernels.advance(
         z, m, np.eye(4)[None].repeat(bins, 0), np.zeros((bins, 4, 4)),
-        _work(noise), 0.5, steps, running=1)
+        _work(noise, 8), 0.5, steps, running=1)
     expected = z0.copy()
     for t in range(steps):
         expected += noise[t][[0, 1, 0, 1]]

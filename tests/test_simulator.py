@@ -20,6 +20,7 @@ from scipy import linalg as sla
 
 import dense
 from wavelqg import _kernels, analysis, simulator, synthesis
+from wavelqg.cli import main
 from wavelqg.params import NondimParams
 from wavelqg.simulator import (
     InstabilityError,
@@ -28,7 +29,7 @@ from wavelqg.simulator import (
     kernel_backend,
     simulate,
 )
-from wavelqg.spectral import laplacian_spectrum
+from wavelqg.spectral import laplacian_spectrum, rfft_multiplicities
 
 MILD = NondimParams(pi1=0.0, pi2=1.0, pi3=1.0, pi4=1.0, n=4)
 # pi3 = pi4 = 2/pi1: the completely decentralized family at n=4.
@@ -286,9 +287,9 @@ def _cpus_seen(monkeypatch, cpus):
     threads = []
     draw = simulator._draw
 
-    def traced(rngs, law, out):
+    def traced(rngs, out):
         threads.append(threading.current_thread())
-        draw(rngs, law, out)
+        draw(rngs, out)
 
     monkeypatch.setattr(simulator, "_draw", traced)
     return threads
@@ -315,12 +316,44 @@ def test_draws_ahead_on_a_helper_thread_without_changing_a_bit(monkeypatch):
             sys.setswitchinterval(interval)
         helpers = {t for t in threads if t is not threading.main_thread()}
         assert len(helpers) == cpus - 1
-        assert len(threads) == 2 * 4  # two groups of four blocks
+        # group 0 draws one block per task; group 1, with two
+        # realizations, its first block, then the three others at once
+        assert len(threads) == 4 + 2
     (traj_1, summ_1), (traj_2, summ_2) = runs[1], runs[2]
     for name in ("times", "plant_state", "estimate", "control",
                  "running_cost"):
         assert np.array_equal(getattr(traj_1, name), getattr(traj_2, name))
     assert summ_1 == summ_2
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_task_size_changes_no_output(monkeypatch, tmp_path, capsys, blocks):
+    # tasks of 1, 2 or 3 blocks for group 0 (6, 12 or 18 for group 1, with
+    # two realizations) over 7 blocks, the last one partial: each
+    # generator fills its blocks in order, so the CLI's summary and
+    # trajectory are byte for byte those of the default task size
+    n = 8
+    reals = simulator._GROUP_ENTRIES // (8 * (n // 2 + 1)) + 2
+    argv = ["simulate", "--pi1", "0.3", "--pi3", "3", "--pi4", "2", "--n",
+            str(n), "--t-final", "15.73", "--realizations", str(reals),
+            "--seed", "13", "--store-every", "9"]
+    assert 6 * simulator._BLOCK < 1573 < 7 * simulator._BLOCK
+    outputs = {}
+    for size in ("default", blocks):
+        threads = _cpus_seen(monkeypatch, 2)
+        if size != "default":
+            monkeypatch.setattr(simulator, "_TASK_NORMALS",
+                                size * (reals - 2) * 2 * n * simulator._BLOCK)
+        before = threading.active_count()
+        files = tmp_path / f"s{size}.json", tmp_path / f"t{size}.csv"
+        assert main([*argv, "--summary-json", str(files[0]),
+                     "--traj-csv", str(files[1])]) == 0
+        assert threading.active_count() == before
+        outputs[size] = [f.read_bytes() for f in files]
+    # group 0: its first block, then tasks over the six others; group 1:
+    # its first block, then one task
+    assert len(threads) == 1 + -(-6 // blocks) + 2
+    assert outputs[blocks] == outputs["default"]
 
 
 def test_cpu_count_without_an_affinity_call(monkeypatch):
@@ -358,20 +391,23 @@ def test_frequency_blocks_match_dense_loop_for_any_gains(n):
 
     x = rng.standard_normal(4 * n)
     white = rng.standard_normal((2, n))
+    # b takes unit normals: the orthonormal rfft of white noise over the
+    # bins' 1/sqrt(multiplicity)
+    unit = to_bins(white) * np.sqrt(rfft_multiplicities(n))[:, None, None]
     step = x + dt * gen @ x
     step[n:2 * n] += np.sqrt(dt) * scale * white[0]
     step[2 * n:] += np.sqrt(dt) * scale * (
         lmat @ (dense.noise_covariance_sqrt(p.pi1, n) @ white[1]))
-    zb = a @ to_bins(x.reshape(4, n)) + b @ to_bins(white)
+    zb = a @ to_bins(x.reshape(4, n)) + b @ unit
     assert np.allclose(to_sites(zb).ravel(), step, rtol=0, atol=1e-12)
 
     qbar = dense.state_weight(p)
     cost = (x[:2 * n] @ qbar @ x[:2 * n]
             + x[2 * n:] @ kmat.T @ kmat @ x[2 * n:] / p.pi3 ** 2)
     err = np.sum((x[:2 * n] - x[2 * n:]) ** 2)
-    fz = w @ to_bins(x.reshape(4, n))
-    assert np.sum(fz[0] ** 2) == pytest.approx(cost, rel=1e-12)
-    assert np.sum(fz[1] ** 2) == pytest.approx(err, rel=1e-12)
+    f_cost, f_err = (wi @ to_bins(x.reshape(4, n)) for wi in w)
+    assert np.sum(f_cost ** 2) == pytest.approx(cost, rel=1e-12)
+    assert np.sum(f_err ** 2) == pytest.approx(err, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 8, 30, 64])
@@ -382,8 +418,10 @@ def test_frequency_blocks_match_dense_loop_for_any_gains(n):
 def test_stepped_blocks_reproduce_the_closed_form_costs(pi, n):
     # An independent route to the trace formulas: at dt = 1 the blocks
     # simulate steps give each bin's generator G = a - I and noise input b.
-    # The stationary covariance solves G S + S G.T + b b.T = 0 per bin, and
-    # the Parseval-weighted w[i] turn it into the cost and error power.
+    # The stationary covariance solves G S + S G.T + b b.T = 0 per bin and
+    # driven column, and the Parseval-weighted w turn it into the cost and
+    # error power; a bin has as many driven columns (its real and
+    # imaginary parts, or the real part alone) as its multiplicity.
     # The points stay where scipy's solver is accurate: at harsher ones,
     # such as pi = (3, 0.5, 0.02, 50), it alone drifts to ~1e-12.
     p = NondimParams(*pi, n=n)
@@ -391,7 +429,8 @@ def test_stepped_blocks_reproduce_the_closed_form_costs(pi, n):
     a, b, w = frequency_blocks(p, s.k0, s.kc, s.l0, s.lc, dt=1.0)
     cov = np.stack([sla.solve_continuous_lyapunov(g, -bk @ bk.T)
                     for g, bk in zip(a - np.eye(4), b)])
-    got = np.einsum("ibjk,ibjl,blk->i", w, w, cov)
+    mult = rfft_multiplicities(n)
+    got = [np.einsum("b,bjk,bjl,blk->", mult, wi, wi, cov) for wi in w]
     want = [analysis.lqg_cost(p), analysis.kf_cost(p)]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
