@@ -38,16 +38,18 @@ Nyquist bin stay zero.  The orthonormal rfft of 2n white site normals per
 step has independent N(0, 1/2) real and imaginary parts inside and a
 real N(0, 1) at those two bins, so after :func:`frequency_blocks`' b,
 which carries each bin's 1/sqrt(multiplicity), the noise has exactly its
-law.  A helper task fills each realization's blocks in one contiguous
-``standard_normal`` call: the first block alone, then tasks of about
-``_TASK_NORMALS`` = 2**16 normals over the group (two blocks at n = 8
-with 8 realizations, one at n = 128 with one), and no block past the
-last.  When the process may run on a second CPU, a helper thread draws
-the next task into one of two raw slabs per group of realizations
-(``standard_normal`` releases the GIL as it fills) while the kernel steps
-the current task's blocks; the first group's first block is drawn while
-the design is evaluated and checked.  With one CPU each task is drawn
-into the one slab after the task before it is stepped.  Each generator
+law.  A task fills each realization's blocks of one group in one
+contiguous ``standard_normal`` call.  Every task of the run has as many
+blocks as make about ``_TASK_NORMALS`` = 2**16 normals over the first
+group (two at n = 8 with 8 realizations, one at n = 128 with one), and
+none is drawn past the last block (:func:`_drawn`).  When the process
+may run on a second CPU, a helper thread draws the next task, of the
+same group or of the next, into the other of two raw slabs
+(``standard_normal`` releases the GIL as it fills) while the kernel
+steps the current task's blocks, so one task is always in flight; the
+run's first task is drawn while the design is evaluated and checked.
+With one CPU each task is drawn when it is read, after the task before
+it is stepped, into one slab that both slots share.  Each generator
 fills its blocks in the same order whatever the task size and either
 way, so no output depends on them.  The kernel is called once per block
 with maps planned once per run, whatever ``store_every`` and the burn-in
@@ -74,6 +76,8 @@ linear, so scaling the noise by a power of two scales them exactly.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import numbers
 import os
@@ -182,12 +186,14 @@ class SimConfig:
     Construction checks the fields alone.  ``dt`` must pass the
     explicit-integration guard dt <= 0.1 / sqrt(4 + pi3 + pi4), which
     bounds the step by the closed-loop frequencies (they grow with the
-    gains); ``t_final`` must cover a finite number of steps, at least 10,
-    and the burn-in must leave at least one of them.  The stored
+    gains); ``t_final`` must be positive and finite and cover a finite
+    number of steps, at least 10, and the burn-in must leave at least one
+    of them.  The stored
     trajectory, every ``store_every``-th step, may hold at most
     ``_MAX_STORED`` values, so a run too long for memory fails here, not
     in :func:`simulate`.  ``n_realizations`` and ``store_every`` must be
     positive integers and ``seed`` a nonnegative one; bools are refused.
+    ``noise_scale`` must be nonnegative and finite.
     The guard ignores pi1 and pi2, so :func:`simulate` also checks the
     Euler maps it is about to step.
     """
@@ -210,7 +216,8 @@ class SimConfig:
                 f"dt={self.dt!r} exceeds the stability guard {guard:.6g} "
                 "= 0.1/sqrt(4 + pi3 + pi4) for these parameters")
         if not (0.0 < self.t_final < math.inf):
-            raise ValueError("t_final must cover at least 10 steps")
+            raise ValueError(
+                f"t_final must be positive and finite, got {self.t_final!r}")
         if not math.isfinite(self.t_final / self.dt):
             raise ValueError(f"t_final={self.t_final!r} / dt={self.dt!r} is "
                              "not a finite number of steps")
@@ -241,8 +248,9 @@ class SimConfig:
                 f"the stored trajectory would hold {stored} samples of "
                 f"{per_row} values ({stored * per_row * 8 / 1e9:.3g} GB), "
                 f"over the cap of {_MAX_STORED} values; {hint}")
-        if not (self.noise_scale >= 0.0):
-            raise ValueError("noise_scale must be nonnegative")
+        if not (0.0 <= self.noise_scale < math.inf):
+            raise ValueError("noise_scale must be nonnegative and finite, "
+                             f"got {self.noise_scale!r}")
 
     @property
     def n_steps(self) -> int:
@@ -314,7 +322,7 @@ def _draw(rngs, out) -> None:
 def _split(draws: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Views of draws (..., n chunks), chunk count inferred, as the inner
     bins' (..., (n - 1)//2, chunks, 2) normals and the real-only bins'
-    (..., n % 2 or 2, chunks): the order :func:`_group` draws them in."""
+    (..., n % 2 or 2, chunks): the order :func:`_drawn` draws them in."""
     inner = (n - 1) // 2
     chunks = draws.shape[-1] // n
     lead = draws.shape[:-1]
@@ -332,43 +340,47 @@ def _bin_parts(n: int) -> tuple[slice, slice]:
     return slice(1, bins - 1), slice(0, bins, bins - 1)
 
 
-class _Inline:
-    """The helper of a process that has one CPU: a submitted call runs in
-    the caller's thread when its result is read, after the block before
-    it is stepped, so it may draw straight into the kernel's noise rows."""
+def _drawn(pool, seed, groups, n, n_blocks):
+    """Each block's normals, group by group of ``groups``, as the views
+    :func:`_split` makes of its (realization, noise row, slot) draws; the
+    first ``next`` only submits the run's first task.
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return None
-
-    def submit(self, fn, *args):
-        self._call = fn, args
-        return self
-
-    def result(self):
-        fn, args = self._call
-        fn(*args)
-
-
-def _group(helper, ahead, seed, reals, n):
-    """Generators and the helper's two raw slabs (inline, one slab twice)
-    of realizations ``reals``, with the draw of their first block
-    submitted to ``helper``.
-
-    A slab holds a task's blocks, as many as make about ``_TASK_NORMALS``
-    normals over the group, each realization's contiguous: per block, per
-    noise row and slot, the inner bins' (chunk, re/im) normals, then the
-    real parts at k = 0 and the Nyquist bin, one per chunk.
+    Every task draws as many blocks as make about ``_TASK_NORMALS``
+    normals over the first group, one contiguous fill per realization.
+    With a ``pool`` the next task, of this group or the next, is submitted
+    as each is read, into the other of two slabs; with None (one CPU) a
+    task is drawn when it is read, into the one slab.
     """
-    rngs = [np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(seed, spawn_key=(real,)))) for real in reals]
-    per_task = max(1, _TASK_NORMALS // (len(rngs) * 2 * n * _BLOCK))
-    shape = (len(rngs), per_task, 2, _KB, n * (_BLOCK // _KB))
+    per_task = max(1, _TASK_NORMALS // (len(groups[0]) * 2 * n * _BLOCK))
+    shape = (len(groups[0]), per_task, 2, _KB, n * (_BLOCK // _KB))
     slab = np.empty(shape)
-    raw = [slab, np.empty(shape) if ahead else slab]
-    return rngs, raw, helper.submit(_draw, rngs, raw[0][:, :1])
+    slabs = slab, (slab if pool is None else np.empty(shape))
+
+    def tasks():  # each next() submits the run's next task
+        count = 0
+        for reals in groups:
+            rngs = [np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(seed, spawn_key=(real,))))
+                for real in reals]
+            for lo in range(0, n_blocks, per_task):
+                out = slabs[count % 2][:len(rngs),
+                                       :min(per_task, n_blocks - lo)]
+                count += 1
+                if pool is None:
+                    yield out, functools.partial(_draw, rngs, out)
+                else:
+                    yield out, pool.submit(_draw, rngs, out).result
+
+    todo = tasks()
+    task = next(todo)
+    yield  # the first task is under way
+    while task:
+        out, drawn = task
+        drawn()
+        task = next(todo, None)  # in flight while this task is stepped
+        inner, real = _split(out, n)
+        for j in range(out.shape[1]):
+            yield inner[:, j], real[:, j]
 
 
 def simulate(cfg: SimConfig,
@@ -401,25 +413,27 @@ def simulate(cfg: SimConfig,
     bins = n // 2 + 1
     n_real = cfg.n_realizations
     group = max(1, _GROUP_ENTRIES // (8 * bins))
+    groups = [range(first, min(first + group, n_real))
+              for first in range(0, n_real, group)]
     inner, real = _bin_parts(n)
+    n_steps = cfg.n_steps
+    n_blocks = -(-n_steps // _BLOCK)
 
     # the next task's draws depend only on the generators, so a helper
-    # thread fills the other raw slab while the kernel steps this task's
-    # blocks; each generator still draws its blocks in order, on one
-    # thread at a time
-    ahead = _cpus() > 1
-    if ahead:
+    # thread draws it while the kernel steps this task's blocks; each
+    # generator still draws its blocks in order, on one thread at a time
+    if _cpus() > 1:
         # concurrent.futures costs about 5.6 ms to import, and only the
         # helper needs it, so it is imported here, not at CLI start-up
         from concurrent.futures import ThreadPoolExecutor
         helper = ThreadPoolExecutor(1)
     else:
-        helper = _Inline()
-    with helper:
-        # group 0's first block is drawn while the design is evaluated and
+        helper = contextlib.nullcontext()
+    with helper as pool:
+        # the first task is drawn while the design is evaluated and
         # checked; leaving the with block joins the helper, on error too
-        opened = _group(helper, ahead, cfg.seed, range(min(group, n_real)),
-                        n)
+        blocks = _drawn(pool, cfg.seed, groups, n, n_blocks)
+        next(blocks)
         d = laplacian_spectrum(n)
         s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, d)
         a, b, w = frequency_blocks(p, s.k0, s.kc, s.l0, s.lc, cfg.dt,
@@ -441,7 +455,6 @@ def simulate(cfg: SimConfig,
         w_cost, w_err = w
         plan = _kernels.make_plan(ab, w_cost, w_err, _KB)
 
-        n_steps = cfg.n_steps
         burn_step = cfg.burn_steps
         t_post = (n_steps - burn_step) * cfg.dt
         stored = np.unique(np.append(
@@ -450,7 +463,6 @@ def simulate(cfg: SimConfig,
         # stored[marks[k]:marks[k + 1]]; those before cuts[k] are in the
         # block's work buffer as the state before step lo + off (chunk,
         # slot), the one at hi is z after the block
-        n_blocks = -(-n_steps // _BLOCK)
         lows = np.arange(0, n_steps, _BLOCK)
         marks = np.searchsorted(stored, np.append(lows, n_steps), "right")
         cuts = np.searchsorted(stored, np.append(lows[1:], n_steps))
@@ -472,42 +484,27 @@ def simulate(cfg: SimConfig,
         traj_cost = np.zeros(stored.size)
         cum_cost = 0.0  # realization 0's, up to the current block
 
-        for first in range(0, n_real, group):
-            stop = min(first + group, n_real)
-            rngs, raw, drawn = opened if first == 0 else _group(
-                helper, ahead, cfg.seed, range(first, stop), n)
-            work = _kernels.work_buffer(_KB, _BLOCK // _KB, (len(rngs),),
+        for reals in groups:
+            first, stop = reals.start, reals.stop
+            work = _kernels.work_buffer(_KB, _BLOCK // _KB, (len(reals),),
                                         bins, plan.w.shape[-2])
             noise = work[:, _kernels.NOISE_ROWS]
             noise[..., real, :, 1] = 0.0  # k = 0 and Nyquist: real only
             dst = noise[..., inner, :, :], noise[..., real, :, 0]
-            slabs = [_split(slab, n) for slab in raw]
-            # tasks: the first block alone, so the kernel waits for one
-            # block's draw (at small n nothing else overlaps it), then
-            # slabs full of blocks
-            starts = [0, *range(1, n_blocks, raw[0].shape[1]), n_blocks]
-            task = 0
-            z = np.tile(z0, (len(rngs), 1, 1, 1))
-            post_cost = np.zeros(len(rngs))
-            post_err = np.zeros(len(rngs))
+            z = np.tile(z0, (len(reals), 1, 1, 1))
+            post_cost = np.zeros(len(reals))
+            post_err = np.zeros(len(reals))
             for k, lo in enumerate(range(0, n_steps, _BLOCK)):
                 hi = min(lo + _BLOCK, n_steps)
-                if k == starts[task]:
-                    drawn.result()
-                    src = slabs[task % 2]
-                    task += 1
-                    if starts[task] < n_blocks:
-                        drawn = helper.submit(_draw, rngs, raw[task % 2][
-                            :, :starts[task + 1] - starts[task]])
-                for to, part in zip(dst, src):
-                    np.copyto(to, part[:, k - starts[task - 1]])
+                for to, part in zip(dst, next(blocks)):
+                    np.copyto(to, part)
                 buf = work[..., :-(-(hi - lo) // _KB), :]  # chunks it steps
                 # per-step sums only where they are read: realization 0's
                 # stored steps, and every realization's burn-in step
                 burn = lo < burn_step < hi
                 cost, err, mx, sums = _kernels.advance(
                     z, ab, w_cost, w_err, buf, cfg.dt, hi - lo, plan=plan,
-                    running=len(rngs) if burn else int(first == 0))
+                    running=len(reals) if burn else int(first == 0))
                 fine = mx <= _BLOWUP  # also catches nan
                 if not fine.all():
                     raise InstabilityError(

@@ -5,6 +5,7 @@ with healthy margin for typical draws (z-tests at 3-4 sigma); nothing here
 is tuned to a lucky stream.
 """
 
+import concurrent.futures
 import math
 import os
 import subprocess
@@ -114,6 +115,9 @@ def test_one_run_evaluates_the_design_once(monkeypatch):
 def test_config_requires_ten_steps():
     with pytest.raises(ValueError, match="at least 10 steps"):
         SimConfig(params=MILD, dt=0.01, t_final=0.05)
+    with pytest.raises(ValueError, match=r"t_final must be positive and "
+                       r"finite, got -1\.0$"):
+        SimConfig(params=MILD, t_final=-1.0)
 
 
 @pytest.mark.parametrize("kw", [
@@ -129,6 +133,9 @@ def test_config_requires_ten_steps():
     {"n_realizations": 1.5},
     {"n_realizations": 2.0},
     {"n_realizations": True},
+    {"t_final": -1.0},
+    {"t_final": math.nan},
+    {"noise_scale": math.inf},
 ])
 def test_config_field_validation(kw):
     # the message names the field at fault
@@ -301,14 +308,32 @@ def test_draws_ahead_on_a_helper_thread_without_changing_a_bit(monkeypatch):
     # draws (one CPU) give the same trajectory and summary, bit for bit
     n = 8
     p = NondimParams(pi1=0.3, pi2=1.0, pi3=3.0, pi4=2.0, n=n)
-    reals = simulator._GROUP_ENTRIES // (8 * (n // 2 + 1)) + 2
+    group = simulator._GROUP_ENTRIES // (8 * (n // 2 + 1))
     cfg = SimConfig(params=p, dt=0.01, t_final=7.73, seed=21,
-                    n_realizations=reals, store_every=7)
+                    n_realizations=group + 2, store_every=7)
     assert cfg.n_steps % simulator._BLOCK < simulator._KB
+    # the batch sizes of the helper's tasks and of the kernel's calls, in
+    # the order they are submitted and made
+    events = []
+    submit = concurrent.futures.ThreadPoolExecutor.submit
+    advance = _kernels.advance
+
+    def spied_submit(pool, fn, rngs, out):
+        events.append(("submit", len(rngs)))
+        return submit(pool, fn, rngs, out)
+
+    def spied_advance(z, *args, **kw):
+        events.append(("advance", len(z)))
+        return advance(z, *args, **kw)
+
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit",
+                        spied_submit)
+    monkeypatch.setattr(_kernels, "advance", spied_advance)
     runs = {}
     interval = sys.getswitchinterval()
     for cpus in (1, 2):
         threads = _cpus_seen(monkeypatch, cpus)
+        del events[:]
         sys.setswitchinterval(1e-5)  # hand the GIL over often
         try:
             runs[cpus] = simulate(cfg)
@@ -316,9 +341,14 @@ def test_draws_ahead_on_a_helper_thread_without_changing_a_bit(monkeypatch):
             sys.setswitchinterval(interval)
         helpers = {t for t in threads if t is not threading.main_thread()}
         assert len(helpers) == cpus - 1
-        # group 0 draws one block per task; group 1, with two
-        # realizations, its first block, then the three others at once
-        assert len(threads) == 4 + 2
+        # every task is one block at n = 8 with 12 realizations, for both
+        # groups: four per group
+        assert len(threads) == 8
+        if cpus == 2:
+            # group 1's first task is drawn while group 0 is stepped
+            last = max(i for i, e in enumerate(events)
+                       if e == ("advance", group))
+            assert events.index(("submit", 2)) < last
     (traj_1, summ_1), (traj_2, summ_2) = runs[1], runs[2]
     for name in ("times", "plant_state", "estimate", "control",
                  "running_cost"):
@@ -328,10 +358,10 @@ def test_draws_ahead_on_a_helper_thread_without_changing_a_bit(monkeypatch):
 
 @pytest.mark.parametrize("blocks", [1, 2, 3])
 def test_task_size_changes_no_output(monkeypatch, tmp_path, capsys, blocks):
-    # tasks of 1, 2 or 3 blocks for group 0 (6, 12 or 18 for group 1, with
-    # two realizations) over 7 blocks, the last one partial: each
-    # generator fills its blocks in order, so the CLI's summary and
-    # trajectory are byte for byte those of the default task size
+    # tasks of 1, 2 or 3 blocks, for both groups, over 7 blocks, the last
+    # one partial: each generator fills its blocks in order, so the CLI's
+    # summary and trajectory are byte for byte those of the default task
+    # size
     n = 8
     reals = simulator._GROUP_ENTRIES // (8 * (n // 2 + 1)) + 2
     argv = ["simulate", "--pi1", "0.3", "--pi3", "3", "--pi4", "2", "--n",
@@ -350,9 +380,8 @@ def test_task_size_changes_no_output(monkeypatch, tmp_path, capsys, blocks):
                      "--traj-csv", str(files[1])]) == 0
         assert threading.active_count() == before
         outputs[size] = [f.read_bytes() for f in files]
-    # group 0: its first block, then tasks over the six others; group 1:
-    # its first block, then one task
-    assert len(threads) == 1 + -(-6 // blocks) + 2
+    # each group draws its 7 blocks in tasks of the same size
+    assert len(threads) == 2 * -(-7 // blocks)
     assert outputs[blocks] == outputs["default"]
 
 
@@ -500,9 +529,9 @@ def test_no_helper_thread_outlives_a_run(monkeypatch):
     before = threading.active_count()
     simulate(SimConfig(params=MILD, dt=0.01, t_final=10.0, seed=2))
     assert threading.active_count() == before
-    # a run that blows up in its first block, with the next one's draws
-    # under way on the helper
-    cfg = SimConfig(params=MILD, dt=0.01, t_final=10.0)
+    # a run that blows up in its first block, with the next task's draws
+    # under way on the helper: 36 blocks, in tasks of 32 and 4 at n = 4
+    cfg = SimConfig(params=MILD, dt=0.01, t_final=90.0)
     del threads[:]
     with pytest.raises(InstabilityError, match=r"reduce dt=0\.01"):
         simulate(cfg, x0=np.full(2 * MILD.n, 2e12))
