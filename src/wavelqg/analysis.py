@@ -139,9 +139,12 @@ class CostLocalityReport:
     residual_kf_decentral: float
 
 
-# Point-frequency cells per kernel call.  The kernel holds about 300 bytes
-# per cell, so this caps its working memory near 1.4 MB for any grid size,
-# small enough not to raise a sweep's peak resident memory.
+# Sets the points per kernel call: _table steps _CHUNK_CELLS // n points,
+# each over the n//2 + 1 rfft bins, so a call holds about 2048
+# point-frequency cells (4096 at n = 2, and one point's n//2 + 1 past
+# n = 4096).  The kernel holds about 300 bytes per cell, so this caps its
+# working memory near 0.6 MB for any grid size, small enough not to raise
+# a sweep's peak resident memory.
 _CHUNK_CELLS = 1 << 12
 
 

@@ -48,12 +48,17 @@ same group or of the next, into the other of two raw slabs
 (``standard_normal`` releases the GIL as it fills) while the kernel
 steps the current task's blocks, so one task is always in flight; the
 run's first task is drawn while the design is evaluated and checked.
-With one CPU each task is drawn when it is read, after the task before
-it is stepped, into one slab that both slots share.  Each generator
-fills its blocks in the same order whatever the task size and either
-way, so no output depends on them.  The kernel is called once per block
-with maps planned once per run, whatever ``store_every`` and the burn-in
-are, so states do not depend on them; realization 0's stored steps are
+The helper pins itself to the highest-numbered CPU the process may use
+other than the one the main thread is on when the run starts
+(:func:`_pin_helper`), because the scheduler otherwise wakes it on the
+stepping thread's CPU and the two time-share it; the pin is best effort,
+and the main thread stays unpinned.  With one CPU each task is drawn
+when it is read, after the task before it is stepped, into one slab that
+both slots share.  Each generator fills its blocks in the same order
+whatever the task size, the thread and the CPU it runs on, so no output
+depends on them.  The kernel is called once per block with maps planned
+once per run, whatever ``store_every`` and the burn-in are, so states do
+not depend on them; realization 0's stored steps are
 located in the blocks once per run, too.  It scans the block in chunks
 of ``_KB`` = sqrt(``_BLOCK``) = 16 steps (see :mod:`wavelqg._kernels`),
 so states and costs agree with step-by-step Euler to roundoff, not
@@ -305,11 +310,49 @@ def _to_sites(bins: np.ndarray, n: int) -> np.ndarray:
 
 
 def _cpus() -> int:
-    """CPUs this process may run on."""
+    """CPUs this process may run on.
+
+    With two or more, :func:`simulate` draws the noise on a helper thread
+    that :func:`_pin_helper` pins, best effort, to the highest-numbered of
+    them other than the main thread's, since the scheduler otherwise wakes
+    it on the stepping thread's CPU; where or whether it is pinned changes
+    no output.
+    """
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _this_cpu() -> int | None:
+    """The CPU the calling thread runs on, from Linux's
+    ``/proc/thread-self/stat``; None where that does not say."""
+    try:
+        with open("/proc/thread-self/stat") as fh:
+            return int(fh.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _pin_helper(away: int | None) -> None:
+    """Pin the calling thread, best effort, to the highest-numbered CPU
+    the process may use other than ``away`` (the main thread's), or to the
+    highest one when ``away`` is None or the only one.
+
+    Left alone, the scheduler wakes the helper on the stepping thread's
+    CPU, so the two threads time-share one CPU while another idles; so
+    does a fixed choice whenever the main thread happens to run there.
+    On Linux the affinity calls act on the calling thread only, so the
+    main thread stays unpinned.  Where the platform has no affinity calls,
+    or refuses the mask (EINVAL when the CPU is not in the cpuset), the
+    helper runs unpinned; this never raises, since a raising initializer
+    would break the pool.
+    """
+    try:
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {max(mask - {away} or mask)})
+    except (AttributeError, OSError):
+        pass
 
 
 def _draw(rngs, out) -> None:
@@ -426,7 +469,8 @@ def simulate(cfg: SimConfig,
         # concurrent.futures costs about 5.6 ms to import, and only the
         # helper needs it, so it is imported here, not at CLI start-up
         from concurrent.futures import ThreadPoolExecutor
-        helper = ThreadPoolExecutor(1)
+        helper = ThreadPoolExecutor(1, initializer=_pin_helper,
+                                    initargs=(_this_cpu(),))
     else:
         helper = contextlib.nullcontext()
     with helper as pool:

@@ -385,6 +385,70 @@ def test_task_size_changes_no_output(monkeypatch, tmp_path, capsys, blocks):
     assert outputs[blocks] == outputs["default"]
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs affinity calls and two CPUs")
+def test_helper_runs_on_a_cpu_of_its_own(monkeypatch):
+    # the helper pins itself to the highest CPU of the process mask other
+    # than the one the main thread was on when the run started; the main
+    # thread's mask is the same before, during and after the run
+    mask = os.sched_getaffinity(0)
+    seen, helper_masks, main_masks = [], [], []
+    this_cpu, draw, advance = (simulator._this_cpu, simulator._draw,
+                               _kernels.advance)
+
+    def traced_cpu():
+        seen.append(this_cpu())
+        return seen[-1]
+
+    def traced_draw(rngs, out):
+        helper_masks.append(os.sched_getaffinity(0))
+        draw(rngs, out)
+
+    def traced_advance(*args, **kw):
+        main_masks.append(os.sched_getaffinity(0))
+        return advance(*args, **kw)
+
+    monkeypatch.setattr(simulator, "_this_cpu", traced_cpu)
+    monkeypatch.setattr(simulator, "_draw", traced_draw)
+    monkeypatch.setattr(_kernels, "advance", traced_advance)
+    simulate(SimConfig(params=MILD, dt=0.01, t_final=30.0, seed=4))
+    assert len(seen) == 1 and seen[0] in mask
+    own = {max(mask - {seen[0]})}
+    assert helper_masks and all(m == own for m in helper_masks)
+    assert main_masks and all(m == mask for m in main_masks)
+    assert os.sched_getaffinity(0) == mask
+
+
+@pytest.mark.parametrize("refusal", ["oserror", "missing"])
+def test_a_refused_pin_changes_nothing(monkeypatch, refusal):
+    # the pin is best effort: refused, or without the call, the helper runs
+    # unpinned and the run is bitwise the inline one
+    n = 8
+    p = NondimParams(pi1=0.3, pi2=1.0, pi3=3.0, pi4=2.0, n=n)
+    cfg = SimConfig(params=p, dt=0.01, t_final=7.73, seed=21,
+                    n_realizations=3, store_every=7)
+    _cpus_seen(monkeypatch, 1)
+    traj_1, summ_1 = simulate(cfg)
+
+    def refuse(pid, mask):
+        raise OSError(22, "Invalid argument")
+
+    if refusal == "oserror":
+        monkeypatch.setattr(simulator.os, "sched_setaffinity", refuse)
+    else:
+        monkeypatch.delattr(simulator.os, "sched_setaffinity", raising=False)
+    threads = _cpus_seen(monkeypatch, 2)
+    before = threading.active_count()
+    traj_2, summ_2 = simulate(cfg)
+    assert threading.active_count() == before
+    assert any(t is not threading.main_thread() for t in threads)
+    for name in ("times", "plant_state", "estimate", "control",
+                 "running_cost"):
+        assert np.array_equal(getattr(traj_1, name), getattr(traj_2, name))
+    assert summ_1 == summ_2
+
+
 def test_cpu_count_without_an_affinity_call(monkeypatch):
     monkeypatch.delattr(simulator.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(simulator.os, "cpu_count", lambda: None)
