@@ -36,7 +36,8 @@ def build_workload(n: int, steps: int, seed: int = 0):
     count runs a whole number of chunks).
     """
     p = NondimParams(pi1=0.5, pi2=1.0, pi3=4.0, pi4=4.0, n=n)
-    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, laplacian_spectrum(n))
+    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
+                       laplacian_spectrum(n)[:n // 2 + 1], n)
     a, b, (w_cost, w_err) = frequency_blocks(p, s.k0, s.kc, s.l0, s.lc, DT)
     bins = n // 2 + 1
     chunks = -(-steps // _KB)

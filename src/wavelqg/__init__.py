@@ -13,7 +13,7 @@ from .spectral import offdiag_masses, rfft_multiplicities
 from .synthesis import (DesignSpectra, GainKind, GainSet, design_spectra,
                         optimal_gains)
 from .analysis import (CostLocalityReport, SweepGrid, curve_reports, kf_cost,
-                       lqg_cost, lqg_cost_dual, lqr_cost, report, sweep)
+                       lqg_cost_dual, report, sweep)
 from .simulator import SimConfig, SimSummary, Trajectory, simulate
 
 __version__ = "0.1.0"

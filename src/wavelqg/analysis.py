@@ -1,11 +1,14 @@
 """Cost evaluation, closed-loop poles and locality sweeps.
 
 All steady-state costs reduce to sums over the per-frequency Riccati
-solutions because traces are invariant under the DFT:
+solutions because traces are invariant under the DFT.  Frequencies k and
+n - k share every summand, so each cost is a sum over the rfft half
+k = 0 .. n//2, with k weighted by its multiplicity m(k)
+(:func:`~wavelqg.spectral.rfft_multiplicities`):
 
-    lqr_cost = trace(P)            = sum_k p1(k) + p2(k)
-    kf_cost  = trace(S)            = sum_k s1(k) + s2(k)
-    lqg_cost = trace(P B B') + trace(S K' R K)
+    j_lqr = trace(P) = sum_k m(k) (p1(k) + p2(k))
+    j_kf  = trace(S) = sum_k m(k) (s1(k) + s2(k))
+    j_lqg = trace(P B B') + trace(S K' R K)
 
 with R = I/pi3**2.  The output-feedback cost has an equivalent dual form
 trace(S Qbar) + trace(P L V L') with Qbar the state weight and V =
@@ -15,10 +18,8 @@ test suite and the ``verify`` command exercise.
 
 :func:`sweep` and :func:`curve_reports` return tables: a dict that maps
 each column of :data:`CSV_HEADER` (:data:`COLUMNS`) to a 1-D array, one
-entry per point, which :func:`rows_to_csv` renders as CSV.  Frequencies k
-and n - k share every summand, so a table's costs are multiplicity-weighted
-sums over the rfft half k = 0 .. n//2 of the spectrum, and its off-diagonal
-masses come from that half by Parseval, with no transform.
+entry per point, which :func:`rows_to_csv` renders as CSV.  A table's
+off-diagonal masses come from the half by Parseval, with no transform.
 """
 
 from __future__ import annotations
@@ -36,9 +37,7 @@ __all__ = [
     "CostLocalityReport",
     "SweepGrid",
     "costs",
-    "lqr_cost",
     "kf_cost",
-    "lqg_cost",
     "lqg_cost_dual",
     "dual_lqg_cost",
     "loop_poles",
@@ -66,35 +65,24 @@ def costs(s: DesignSpectra, mult) -> np.ndarray:
 
 
 def _design(p: NondimParams) -> DesignSpectra:
-    return design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, laplacian_spectrum(p.n))
-
-
-def lqr_cost(p: NondimParams) -> float:
-    """trace of the control Riccati solution."""
-    return float(costs(_design(p), 1.0)[0])
+    """The design at ``p`` on the rfft half."""
+    return design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
+                          laplacian_spectrum(p.n)[:p.n // 2 + 1], p.n)
 
 
 def kf_cost(p: NondimParams) -> float:
     """trace of the steady-state estimation error covariance."""
-    return float(costs(_design(p), 1.0)[1])
-
-
-def lqg_cost(p: NondimParams) -> float:
-    """Steady-state output-feedback cost, trace(P B B') + trace(S K' R K).
-
-    Per frequency: p2 + (s1 k0**2 + 2 s0 k0 kc + s2 kc**2) / pi3**2.
-    """
-    return float(costs(_design(p), 1.0)[2])
+    return float(costs(_design(p), rfft_multiplicities(p.n))[1])
 
 
 def dual_lqg_cost(s: DesignSpectra, p: NondimParams) -> float:
     """The LQG cost through the dual form trace(S Qbar) + trace(P L V L'),
-    from the spectra ``s`` of the design at ``p``."""
-    v_inv = 1.0 - p.pi1 * laplacian_spectrum(p.n)
+    from the spectra ``s`` of the design at ``p`` on the rfft half."""
+    v_inv = 1.0 - p.pi1 * laplacian_spectrum(p.n)[:p.n // 2 + 1]
     state = s.s1 * v_inv + s.s2 * p.pi2
     inject = (s.p1 * s.lc ** 2 + 2.0 * s.p0 * s.lc * s.l0
               + s.p2 * s.l0 ** 2) / v_inv
-    return float(np.sum(state + inject))
+    return float(np.sum(rfft_multiplicities(p.n) * (state + inject)))
 
 
 def lqg_cost_dual(p: NondimParams) -> float:

@@ -3,9 +3,11 @@ equations.
 
 The DFT splits each of the ring's two 2n-dimensional Riccati equations
 (the regulator's, and the filter's written as its dual control equation)
-into n independent 2x2 blocks, one per Laplacian eigenvalue d(k).  This
-module solves all 2n blocks at once by Kleinman's Newton iteration
-(IEEE TAC 13, 1968) on arrays whose leading axes are (kind, frequency):
+into n independent 2x2 blocks, one per Laplacian eigenvalue d(k).  As
+d(k) = d(n - k), only the n//2 + 1 blocks of the rfft half k = 0 .. n//2
+are distinct.  This module solves those of both equations at once by
+Kleinman's Newton iteration (IEEE TAC 13, 1968) on arrays whose leading
+axes are (kind, frequency):
 kind 0 is the regulator, kind 1 the filter's dual.  The iteration starts
 from analytic stabilizing gains.  Each Newton step solves its 2x2
 symmetric Lyapunov equation in closed form on the blocks' entries, with no
@@ -55,47 +57,49 @@ class ConvergenceError(RuntimeError):
         self.step_history = list(step_history)
 
 
-def ring_equations(p: NondimParams):
-    """The 2n Riccati blocks a.T X + X a - X b r_inv b.T X + q = 0 at ``p``.
+def ring_equations(p: NondimParams, d: np.ndarray):
+    """The Riccati blocks a.T X + X a - X b r_inv b.T X + q = 0 at ``p``,
+    one per Laplacian eigenvalue in ``d`` and kind.
 
-    Returns ``(a, b, q, r_inv)`` with shapes (2, n, 2, 2), (2, n, 2),
-    (2, n, 2, 2) and (2, n).  With v = 1 - pi1 d, block k of kind 0 is
-    the regulator (a = [[0, 1], [d, 0]], b = [0, 1], q = diag(v, pi2),
-    r_inv = pi3**2) and block k of kind 1 the filter's dual (a transposed,
-    b = [pi4, 0], q = diag(0, 1), r_inv = v).
+    Returns ``(a, b, q, r_inv)`` with shapes (2, m, 2, 2), (2, m, 2),
+    (2, m, 2, 2) and (2, m), m = len(d).  With v = 1 - pi1 d, block k of
+    kind 0 is the regulator (a = [[0, 1], [d, 0]], b = [0, 1], q = diag(v,
+    pi2), r_inv = pi3**2) and block k of kind 1 the filter's dual (a
+    transposed, b = [pi4, 0], q = diag(0, 1), r_inv = v).
     """
-    d = laplacian_spectrum(p.n)
+    m = d.size
     v = 1.0 - p.pi1 * d
-    a = np.zeros((2, p.n, 2, 2))
+    a = np.zeros((2, m, 2, 2))
     a[0, :, 0, 1] = a[1, :, 1, 0] = 1.0
     a[0, :, 1, 0] = a[1, :, 0, 1] = d
-    b = np.zeros((2, p.n, 2))
+    b = np.zeros((2, m, 2))
     b[0, :, 1] = 1.0
     b[1, :, 0] = p.pi4
     q = np.zeros_like(a)
     q[0, :, 0, 0] = v
     q[0, :, 1, 1] = p.pi2
     q[1, :, 1, 1] = 1.0
-    r_inv = np.empty((2, p.n))
+    r_inv = np.empty((2, m))
     r_inv[0] = p.pi3 ** 2
     r_inv[1] = v
     return a, b, q, r_inv
 
 
 def solve_ring(p: NondimParams) -> tuple[np.ndarray, np.ndarray]:
-    """Stabilizing solutions and gains of :func:`ring_equations` at ``p``.
+    """Stabilizing solutions and gains of :func:`ring_equations` at ``p``,
+    on the rfft half k = 0 .. n//2.
 
-    Returns ``(x, k)``: x (2, n, 2, 2) holds the control Riccati blocks and
-    the filter error covariances, k (2, n, 2) the regulator gains [k0, kc]
-    and the filter's dual gains [lc, l0].  Both starts give every block the
-    closed-loop polynomial s**2 + 2 s + 1.
+    Returns ``(x, k)``: x (2, n//2 + 1, 2, 2) holds the control Riccati
+    blocks and the filter error covariances, k (2, n//2 + 1, 2) the
+    regulator gains [k0, kc] and the filter's dual gains [lc, l0].  Both
+    starts give every block the closed-loop polynomial s**2 + 2 s + 1.
     """
-    d = laplacian_spectrum(p.n)
-    start = np.empty((2, p.n, 2))
+    d = laplacian_spectrum(p.n)[:p.n // 2 + 1]
+    start = np.empty((2, d.size, 2))
     start[0, :, 0] = start[1, :, 1] = 1.0 + d
     start[0, :, 1] = start[1, :, 0] = 2.0
     start[1] /= p.pi4
-    return newton_kleinman(*ring_equations(p), start)
+    return newton_kleinman(*ring_equations(p, d), start)
 
 
 def newton_kleinman(a, b, q, r_inv, k) -> tuple[np.ndarray, np.ndarray]:

@@ -129,8 +129,8 @@ def frequency_blocks(p: NondimParams, k0, kc, l0, lc, dt: float,
     """The loop's per-bin Euler-Maruyama blocks for any gain spectra.
 
     ``k0``, ``kc`` are the regulator spectra (u = -(K1 phi + K2 psi)) and
-    ``l0``, ``lc`` the filter's (L2 and L1), each over all n frequencies;
-    only the m = n//2 + 1 rfft bins are read.  Returns
+    ``l0``, ``lc`` the filter's (L2 and L1), each over the m = n//2 + 1
+    rfft bins.  Returns
 
     a : (m, 4, 4) Euler maps I + dt G_k, with G_k bin k's loop generator
         on (x, xhat): the plant [[0, 1], [d, 0]] under the control
@@ -153,9 +153,8 @@ def frequency_blocks(p: NondimParams, k0, kc, l0, lc, dt: float,
         square root of the bin's Parseval weight, its multiplicity.
     """
     n = p.n
-    m = n // 2 + 1
-    d = laplacian_spectrum(n)[:m]
-    k0, kc, l0, lc = (np.asarray(g, dtype=float)[:m] for g in (k0, kc, l0, lc))
+    d = laplacian_spectrum(n)[:n // 2 + 1]
+    m = d.size
     g = np.zeros((m, 4, 4))  # the generators G_k on (x, xhat)
     g[:, 0, 1] = 1.0
     g[:, 1, 0] = d
@@ -478,11 +477,11 @@ def simulate(cfg: SimConfig,
         # checked; leaving the with block joins the helper, on error too
         blocks = _drawn(pool, cfg.seed, groups, n, n_blocks)
         next(blocks)
-        d = laplacian_spectrum(n)
-        s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, d)
+        d = laplacian_spectrum(n)[:n // 2 + 1]
+        s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, d, n)
         a, b, w = frequency_blocks(p, s.k0, s.kc, s.l0, s.lc, cfg.dt,
                                    cfg.noise_scale)
-        lam = analysis.loop_poles(s, p.pi4, d)[..., :bins, :]  # G_k's poles
+        lam = analysis.loop_poles(s, p.pi4, d)  # G_k's poles
         top = float(lam.real.max())
         if not top < 0.0:
             raise AssertionError(
@@ -574,14 +573,14 @@ def simulate(cfg: SimConfig,
 
     sites = _to_sites(traj_bins, n)
     sites[0] = sites0  # the given initial state, not its round trip
-    gain = np.stack([s.k0[:bins], s.kc[:bins]])[..., None]
+    gain = np.stack([s.k0, s.kc])[..., None]
     control = _to_sites(-(traj_bins[:, 2] * gain[0]
                           + traj_bins[:, 3] * gain[1]), n)
     traj = Trajectory(times=stored * cfg.dt,
                       plant_state=sites[:, :2].reshape(-1, 2 * n),
                       estimate=sites[:, 2:].reshape(-1, 2 * n),
                       control=control, running_cost=traj_cost)
-    _, j_kf, j_lqg = analysis.costs(s, 1.0).tolist()
+    _, j_kf, j_lqg = analysis.costs(s, rfft_multiplicities(n)).tolist()
     summary = SimSummary(
         empirical_lqg_cost=float(np.mean(costs)),
         empirical_est_err_cov_trace=float(np.mean(errs)),

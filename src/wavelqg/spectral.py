@@ -4,11 +4,11 @@ Every operator this package manipulates -- the periodic finite-difference
 Laplacian and all regulator/filter gain blocks -- commutes with a cyclic
 shift of the grid sites, i.e. is circulant.  A circulant is determined by
 its first row and is diagonalized by the discrete Fourier transform, so all
-heavy lifting reduces to arithmetic on length-n eigenvalue sequences, held
-as plain arrays indexed by frequency k = 0..n-1.  A circulant itself is held
-as its first row, a plain array; every function here takes a batch of rows
-or spectra along the last axis.  No function here builds a dense matrix;
-the dense references live with the tests.
+heavy lifting reduces to arithmetic on eigenvalue sequences, held as plain
+arrays indexed by frequency k.  A circulant itself is held as its first
+row, a plain array; every function here takes a batch of rows or spectra
+along the last axis.  No function here builds a dense matrix; the dense
+references live with the tests.
 
 Conventions
 -----------
@@ -18,12 +18,14 @@ The eigenvalue attached to frequency k is then
 
     vals[k] = sum_j first_row[j] * exp(+2j*pi*k*j/n),
 
-the eigenvalue of the Fourier mode exp(+2j*pi*k*j/n).  This is the map
-:func:`spectrum_of_circulant` computes and :func:`circulant_rows` inverts.
-A real first row gives vals[k] == conj(vals[n-k]); for the symmetric first
-rows produced everywhere in this package the values are real and the sign
-of the exponent is immaterial.  Such a spectrum is fixed by its rfft half
-k = 0 .. n//2, each k weighted by :func:`rfft_multiplicities` in sums.
+the eigenvalue of the Fourier mode exp(+2j*pi*k*j/n), the map
+:func:`spectrum_of_circulant` computes.  A real first row gives vals[k] ==
+conj(vals[n-k]); for the symmetric first rows produced everywhere in this
+package the values are real and the sign of the exponent is immaterial.
+Such a spectrum is fixed by its rfft half k = 0 .. n//2, on which every
+per-frequency computation of the package runs, each k weighted by
+:func:`rfft_multiplicities` in sums; ``numpy.fft.irfft(half, n)`` takes the
+half back to the first row.
 """
 
 from __future__ import annotations
@@ -31,10 +33,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "SymmetryError",
     "laplacian_spectrum",
     "spectrum_of_circulant",
-    "circulant_rows",
     "rfft_multiplicities",
     "offdiag_masses",
 ]
@@ -42,15 +42,6 @@ __all__ = [
 # Floor for the norm in offdiag_masses, so an all-zero spectrum reports
 # mass 0 instead of dividing by zero.
 _NORM_FLOOR = 1e-300
-
-# Asymmetry and imaginary leakage circulant_rows allows, relative to
-# 1 + max |vals| of each sequence.
-_SYMMETRY_TOL = 1e-10
-
-
-class SymmetryError(ValueError):
-    """A spectrum lacks the conjugate symmetry a real circulant requires."""
-
 
 def laplacian_spectrum(n: int) -> np.ndarray:
     """Eigenvalues -4 sin(pi*k/n)**2 of the periodic second difference.
@@ -71,25 +62,6 @@ def spectrum_of_circulant(rows: np.ndarray) -> np.ndarray:
     two coincide for symmetric first rows).
     """
     return np.conj(np.fft.fft(rows, axis=-1))
-
-
-def circulant_rows(vals: np.ndarray) -> np.ndarray:
-    """First rows of the real circulants whose eigenvalues run along the
-    last axis of ``vals`` (leading axes are a batch).
-
-    Raises :class:`SymmetryError` if a sequence is not conjugate-symmetric
-    (vals[k] == conj(vals[n-k])), since no real matrix then exists.
-    """
-    n = vals.shape[-1]
-    mirrored = np.conj(vals[..., (-np.arange(n)) % n])
-    scale = 1.0 + np.abs(vals).max(axis=-1)
-    if np.any(np.abs(vals - mirrored).max(axis=-1) > _SYMMETRY_TOL * scale):
-        raise SymmetryError(
-            "spectrum is not conjugate-symmetric; no real circulant matches it")
-    row = np.fft.ifft(np.conj(vals), axis=-1)
-    if np.any(np.abs(row.imag).max(axis=-1) > _SYMMETRY_TOL * scale):
-        raise SymmetryError("inverse transform produced a non-real first row")
-    return row.real
 
 
 def rfft_multiplicities(n: int) -> np.ndarray:

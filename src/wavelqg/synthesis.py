@@ -32,10 +32,12 @@ Both k0 and l0 become frequency-independent (all gains diagonal) exactly on
 pi1 = 2/pi3 resp. pi1 = 2/pi4, where the square roots collapse to perfect
 squares: k0 = pi3 and l0 = 1.
 
+Every spectrum depends on k only through d(k) = d(n - k), so the ring has
+n//2 + 1 distinct blocks, those of the rfft half k = 0 .. n//2.
 :func:`design_spectra` evaluates all of these at a batch of points and
 any Laplacian eigenvalues d, and :func:`optimal_gains` turns one point's
 K1, K2, L1 and L2 spectra (in that order, :attr:`DesignSpectra.blocks`)
-into the first rows of the circulant gain blocks.
+on the half into the first rows of the circulant gain blocks.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import NondimParams
-from .spectral import circulant_rows, laplacian_spectrum
+from .spectral import laplacian_spectrum
 
 __all__ = [
     "GainKind",
@@ -72,9 +74,11 @@ class GainSet:
     """The two circulant gain blocks, as first rows.
 
     ``rows`` and ``spectra`` have shape (2, n): row i of each is the first
-    row, resp. the spectrum, of block i + 1.  For the regulator,
-    u = -(K1 @ displacements + K2 @ velocities); for the filter, the
-    injection is [L1; L2] @ innovation.
+    row, resp. the spectrum over all n frequencies, of block i + 1.  A set
+    from :func:`optimal_gains` has spectra[..., k] == spectra[..., n - k]
+    exactly; one read from a file holds its data as given.  For the
+    regulator, u = -(K1 @ displacements + K2 @ velocities); for the
+    filter, the injection is [L1; L2] @ innovation.
     """
 
     rows: np.ndarray
@@ -144,10 +148,14 @@ def design_spectra(pi1, pi2, pi3, pi4, d, n=None) -> DesignSpectra:
 
 
 def optimal_gains(p: NondimParams) -> tuple[GainSet, GainSet]:
-    """The optimal (regulator, filter) gain sets at ``p``."""
-    spectra = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
-                             laplacian_spectrum(p.n)).blocks
-    rows = circulant_rows(spectra)
+    """The optimal (regulator, filter) gain sets at ``p``, designed on the
+    rfft half; the half is mirrored to the n frequencies of a set."""
+    n = p.n
+    half = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
+                          laplacian_spectrum(n)[:n // 2 + 1], n).blocks
+    rows = np.fft.irfft(half, n)
+    k = np.arange(n)
+    spectra = half[..., np.minimum(k, n - k)]
     return tuple(GainSet(rows=rows[i:i + 2], kind=kind, params=p,
                          spectra=spectra[i:i + 2])
                  for i, kind in ((0, GainKind.LQR), (2, GainKind.KF)))

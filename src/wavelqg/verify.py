@@ -19,7 +19,8 @@ from . import analysis, synthesis
 from .oracle import (ConvergenceError, backward_error, ring_equations,
                      solve_ring, symmetric_blocks)
 from .params import NondimParams
-from .spectral import laplacian_spectrum, spectrum_of_circulant
+from .spectral import (laplacian_spectrum, rfft_multiplicities,
+                       spectrum_of_circulant)
 
 __all__ = ["Check", "ConvergenceError", "verify_point", "audit_gain_set"]
 
@@ -43,8 +44,8 @@ def _rel_dev(ref, x):
 
 
 def verify_point(p: NondimParams) -> list[Check]:
-    """Closed forms at ``p`` against the Newton-Kleinman oracle, over all
-    frequencies at once.
+    """Closed forms at ``p`` against the Newton-Kleinman oracle, over the
+    rfft half k = 0 .. n//2 at once.
 
     Checks, in order: the worst relative gain deviation from the oracle,
     the worst backward error of the closed-form Riccati blocks (control
@@ -54,16 +55,16 @@ def verify_point(p: NondimParams) -> list[Check]:
     of the per-frequency poles of :func:`~wavelqg.analysis.loop_poles`.
     Raises :class:`ConvergenceError` when the oracle does not converge.
     """
-    d = laplacian_spectrum(p.n)
-    s = synthesis.design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, d)
+    d = laplacian_spectrum(p.n)[:p.n // 2 + 1]
+    s = synthesis.design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, d, p.n)
     _, k = solve_ring(p)
     # the oracle's kind 1 is the filter's dual, whose gain is [lc, l0]
     closed_k = np.stack([np.stack([s.k0, s.kc], -1),
                          np.stack([s.lc, s.l0], -1)])
     closed_x = np.stack([symmetric_blocks(s.p1, s.p0, s.p2),
                          symmetric_blocks(s.s1, s.s0, s.s2)])
-    res_max = backward_error(*ring_equations(p), closed_x).max()
-    dual_dev = _rel_dev(float(analysis.costs(s, 1.0)[2]),
+    res_max = backward_error(*ring_equations(p, d), closed_x).max()
+    dual_dev = _rel_dev(float(analysis.costs(s, rfft_multiplicities(p.n))[2]),
                         analysis.dual_lqg_cost(s, p))
     absc = float(analysis.loop_poles(s, p.pi4, d).real.max())
     return [
@@ -79,8 +80,9 @@ def audit_gain_set(gs: synthesis.GainSet) -> list[Check]:
     """Consistency of a gain set with its own parameters.
 
     Checks the worst backward error of the 2x2 Riccati blocks its gain
-    spectra imply (see :func:`~wavelqg.oracle.backward_error`), then that
-    each block's first row carries the spectrum the set claims for it.
+    spectra imply, over all n frequencies, as the data of a file need not
+    be mirror-symmetric (see :func:`~wavelqg.oracle.backward_error`), then
+    that each block's first row carries the spectrum the set claims for it.
     """
     p = gs.params
     d = laplacian_spectrum(p.n)
@@ -91,7 +93,7 @@ def audit_gain_set(gs: synthesis.GainSet) -> list[Check]:
         w = p.pi4 ** 2 * (1.0 - p.pi1 * d)
         kind, (s1, s0) = 1, p.pi4 * gs.spectra / w
         x = symmetric_blocks(s1, s0, s1 * (w * s0 - d))
-    res = backward_error(*(e[kind] for e in ring_equations(p)), x)
+    res = backward_error(*(e[kind] for e in ring_equations(p, d)), x)
     devs = np.abs(spectrum_of_circulant(gs.rows) - gs.spectra).max(axis=-1)
     scales = 1.0 + np.abs(gs.spectra).max(axis=-1)
     return [_at_most("spectral_gain_riccati_residual", res.max(), 1e-9),

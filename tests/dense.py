@@ -13,8 +13,7 @@ from scipy import linalg as sla
 
 from wavelqg import simulator
 from wavelqg.params import NondimParams
-from wavelqg.spectral import (circulant_rows, laplacian_spectrum,
-                              rfft_multiplicities)
+from wavelqg.spectral import laplacian_spectrum, rfft_multiplicities
 from wavelqg.synthesis import design_spectra
 
 
@@ -23,6 +22,16 @@ def circulant(rows):
     of each matrix is rows[..., (j - i) mod n]."""
     n = rows.shape[-1]
     return rows[..., (np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+
+
+def first_rows(vals):
+    """First rows of the circulants whose real spectra, symmetric under
+    k -> n - k over all n frequencies, run along the last axis: row[j] =
+    sum_k vals[k] cos(2 pi k j / n) / n, as one product with a cosine
+    matrix, the inverse of the package's eigenvalue convention."""
+    n = vals.shape[-1]
+    k = np.arange(n)
+    return vals @ np.cos(2.0 * np.pi * (np.outer(k, k) % n) / n) / n
 
 
 def offdiag_masses(rows):
@@ -60,7 +69,7 @@ def state_weight(p: NondimParams):
 
 def gains(blocks):
     """Dense K = [K1 K2] and L = [L1; L2] from the four block spectra."""
-    k1, k2, l1, l2 = circulant(circulant_rows(blocks))
+    k1, k2, l1, l2 = circulant(first_rows(blocks))
     return np.hstack([k1, k2]), np.vstack([l1, l2])
 
 

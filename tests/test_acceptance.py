@@ -142,7 +142,7 @@ def test_06_lqg_cost_trace_forms_agree():
     """Primal and dual trace expressions of the LQG cost agree to 1e-6
     relative on 20 random draws (n <= 16)."""
     for p in _draws(20, 1e-2, 1e2, seed=606, n_choices=(2, 4, 8, 16)):
-        j1 = analysis.lqg_cost(p)
+        j1 = analysis.report(p).j_lqg
         j2 = analysis.lqg_cost_dual(p)
         assert abs(j1 - j2) / abs(j1) <= 1e-6
 
@@ -224,7 +224,7 @@ def test_09_correlated_noise_has_the_advertised_covariance(monkeypatch):
         assert not imag.any()
 
         # site noise of each live normal: through b and irfft
-        one, zero = np.ones(n), np.zeros(n)
+        one, zero = np.ones(n // 2 + 1), np.zeros(n // 2 + 1)
         _, b, _ = frequency_blocks(p, k0=one, kc=one, l0=zero, lc=one, dt=1.0)
         unit = bin_noise(np.eye(n), n)[:, :, 0]
         for col, cov in [(b[:, 1, 0], np.eye(n)),

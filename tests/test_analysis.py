@@ -10,11 +10,11 @@ import pytest
 import dense
 from wavelqg import analysis
 from wavelqg.analysis import (COLUMNS, CSV_HEADER, CostLocalityReport,
-                              SweepGrid, curve_reports, kf_cost, lqg_cost,
-                              lqg_cost_dual, loop_poles, lqr_cost, report,
+                              SweepGrid, curve_reports, kf_cost,
+                              lqg_cost_dual, loop_poles, report,
                               rows_to_csv, sweep)
 from wavelqg.params import NondimParams
-from wavelqg.spectral import circulant_rows, laplacian_spectrum
+from wavelqg.spectral import laplacian_spectrum
 from wavelqg.synthesis import design_spectra
 
 
@@ -25,7 +25,7 @@ def params(pi1=0.5, pi2=1.0, pi3=4.0, pi4=4.0, n=30):
 def test_lqr_cost_frozen_n2():
     # pinned with an independent dense Riccati solve
     p = params(pi1=0.0, pi2=1.0, pi3=1.0, pi4=1.0, n=2)
-    assert lqr_cost(p) == pytest.approx(9.18322075741732, rel=1e-7)
+    assert report(p).j_lqr == pytest.approx(9.18322075741732, rel=1e-7)
 
 
 def test_kf_cost_frozen_n2():
@@ -36,24 +36,23 @@ def test_kf_cost_frozen_n2():
 @pytest.mark.parametrize("n", [2, 6, 16])
 def test_spectral_costs_match_dense_traces(n):
     p = params(pi1=0.8, pi2=1.3, pi3=2.1, pi4=0.9, n=n)
-    assert lqr_cost(p) == pytest.approx(np.trace(dense.regulator_care(p)),
-                                        rel=1e-7)
+    assert report(p).j_lqr == pytest.approx(
+        np.trace(dense.regulator_care(p)), rel=1e-7)
     assert kf_cost(p) == pytest.approx(np.trace(dense.filter_care(p)),
                                        rel=1e-7)
 
 
 def test_costs_scale_linearly_in_n_when_decentralized():
     # constant per-frequency contributions double with the frequency count
-    a, b = params(n=30), params(n=60)
-    assert 2 * lqr_cost(a) == pytest.approx(lqr_cost(b), rel=1e-12)
-    assert 2 * kf_cost(a) == pytest.approx(kf_cost(b), rel=1e-12)
-    assert 2 * lqg_cost(a) == pytest.approx(lqg_cost(b), rel=1e-12)
+    a, b = report(params(n=30)), report(params(n=60))
+    for j in ("j_lqr", "j_kf", "j_lqg"):
+        assert 2 * getattr(a, j) == pytest.approx(getattr(b, j), rel=1e-12)
 
 
 def test_costs_positive_at_decentralized_point():
-    p = params()
-    assert lqr_cost(p) > 0 and kf_cost(p) > 0 and lqg_cost(p) > 0
-    assert np.isfinite([lqr_cost(p), kf_cost(p), lqg_cost(p)]).all()
+    r = report(params())
+    costs = [r.j_lqr, r.j_kf, r.j_lqg]
+    assert min(costs) > 0 and np.isfinite(costs).all()
 
 
 def test_lqg_dual_form_agreement():
@@ -62,7 +61,7 @@ def test_lqg_dual_form_agreement():
         pi = 10.0 ** rng.uniform(-2, 2, size=4)
         p = NondimParams(pi1=pi[0], pi2=pi[1], pi3=pi[2], pi4=pi[3],
                          n=int(rng.choice([2, 4, 8, 16])))
-        j, jd = lqg_cost(p), lqg_cost_dual(p)
+        j, jd = report(p).j_lqg, lqg_cost_dual(p)
         assert j == pytest.approx(jd, rel=1e-6)
 
 
@@ -335,7 +334,7 @@ def test_table_matches_the_full_spectrum(n):
     for j, column in enumerate(("j_lqr", "j_kf", "j_lqg")):
         np.testing.assert_allclose(table[column], costs[:, j], rtol=1e-13,
                                    atol=0)
-    masses = dense.offdiag_masses(circulant_rows(s.blocks))
+    masses = dense.offdiag_masses(dense.first_rows(s.blocks))
     for j, column in enumerate(MASSES):
         np.testing.assert_allclose(table[column], masses[:, j], rtol=0,
                                    atol=1e-14)

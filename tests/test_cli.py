@@ -686,6 +686,43 @@ def test_design_evaluations_per_command(tmp_path, monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("command", COMMANDS)
+def test_designs_take_the_rfft_half(tmp_path, monkeypatch, capsys, command):
+    # every command designs on the n//2 + 1 distinct eigenvalues of its
+    # ring (n = 4 in every command line), and names its ring when the
+    # design fails
+    argv = _command(tmp_path, command)
+    calls = _count_calls(monkeypatch, "design_spectra",
+                         synthesis.design_spectra)
+    assert main(argv) == 0
+    for args in calls:
+        assert np.shape(args[4]) == (3,)
+        assert args[5] == 4
+
+
+def test_verify_at_a_point_solves_the_rfft_half(tmp_path, monkeypatch,
+                                                capsys):
+    argv = _command(tmp_path, "verify")
+    solves = _count_calls(monkeypatch, "newton_kleinman",
+                          oracle.newton_kleinman)
+    scored = _count_calls(monkeypatch, "backward_error",
+                          oracle.backward_error)
+    assert main(argv) == 0
+    assert len(solves) == 1
+    assert solves[0][0].shape == (2, 3, 2, 2)  # (kind, n//2 + 1, 2, 2)
+    assert [args[-1].shape for args in scored] == [(2, 3, 2, 2)]
+
+
+def test_verify_check_file_scores_every_frequency(tmp_path, monkeypatch,
+                                                  capsys):
+    # a file's spectra are checked as given, over all n = 4 frequencies
+    argv = _command(tmp_path, "verify-check-file")
+    scored = _count_calls(monkeypatch, "backward_error",
+                          oracle.backward_error)
+    assert main(argv) == 0
+    assert [args[-1].shape for args in scored] == [(4, 2, 2)]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_eigenvalue_solves_per_command(tmp_path, monkeypatch, capsys,
                                        command):
     # no command assembles a dense matrix (np.block), inverts one, takes

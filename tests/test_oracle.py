@@ -81,7 +81,8 @@ def test_filter_solution_satisfies_filter_equation():
     # solve the primal filter equation a S + S a.T + W - S c.T V^-1 c S = 0
     p = NondimParams(pi1=0.3, pi2=2.0, pi3=0.7, pi4=5.0, n=12)
     x, k = solve_ring(p)
-    a, b, w, v_inv = (arr[1] for arr in ring_equations(p))
+    a, b, w, v_inv = (arr[1] for arr in ring_equations(
+        p, laplacian_spectrum(p.n)[:p.n // 2 + 1]))
     a_f = np.swapaxes(a, -1, -2)
     c = b[:, None, :]
     s = x[1]
@@ -91,13 +92,14 @@ def test_filter_solution_satisfies_filter_equation():
     l = v_inv[:, None] * np.einsum("kij,kj->ki", s, b)
     np.testing.assert_allclose(k[1], l, rtol=1e-14)
     assert max(spectral_abscissa(a_f[i] - np.outer(l[i], b[i]))
-               for i in range(p.n)) < 0.0
+               for i in range(p.n // 2 + 1)) < 0.0
 
 
 def test_backward_error_is_scale_invariant():
+    p = NondimParams(pi1=0.8, pi2=1.3, pi3=2.1, pi4=1.0, n=8)
     a, b, q, r_inv = (arr[0] for arr in ring_equations(
-        NondimParams(pi1=0.8, pi2=1.3, pi3=2.1, pi4=1.0, n=8)))
-    x, _ = solve_ring(NondimParams(pi1=0.8, pi2=1.3, pi3=2.1, pi4=1.0, n=8))
+        p, laplacian_spectrum(p.n)[:p.n // 2 + 1]))
+    x, _ = solve_ring(p)
     off = x[0] * (1.0 + 1e-6)
     err = backward_error(a, b, q, r_inv, off)
     # scaling the equation and its solution together leaves it unchanged

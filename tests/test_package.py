@@ -88,3 +88,15 @@ def test_oracle_shares_only_the_laplacian_with_the_package():
                                         ".spectral"}
     assert {name for m, name in imported if m == ".spectral"} == {
         "laplacian_spectrum"}
+
+
+@pytest.mark.parametrize("module, name", [
+    ("wavelqg", "lqr_cost"), ("wavelqg", "lqg_cost"),
+    ("wavelqg.analysis", "lqr_cost"), ("wavelqg.analysis", "lqg_cost"),
+    ("wavelqg.spectral", "circulant_rows"),
+    ("wavelqg.spectral", "SymmetryError"),
+])
+def test_removed_names_are_gone(module, name):
+    # costs come from analysis.costs or report; gain rows from the rfft
+    # half by numpy.fft.irfft, which needs no symmetry check
+    assert not hasattr(importlib.import_module(module), name)

@@ -108,7 +108,7 @@ def test_one_run_evaluates_the_design_once(monkeypatch):
     _, summ = simulate(cfg)
     assert len(calls) == 1
     monkeypatch.undo()
-    assert summ.predicted_lqg_cost == analysis.lqg_cost(MILD)
+    assert summ.predicted_lqg_cost == analysis.report(MILD).j_lqg
     assert summ.predicted_est_err_cov_trace == analysis.kf_cost(MILD)
 
 
@@ -468,7 +468,7 @@ def test_frequency_blocks_match_dense_loop_for_any_gains(n):
     raw = rng.uniform(0.5, 2.0, (4, n))
     blocks = (raw + np.roll(raw[:, ::-1], 1, axis=1)) / 2.0  # K1 K2 L1 L2
     dt, scale = 0.01, 1.3
-    k0, kc, lc, l0 = blocks
+    k0, kc, lc, l0 = blocks[:, :n // 2 + 1]
     a, b, w = frequency_blocks(p, k0, kc, l0, lc, dt, noise_scale=scale)
 
     kmat, lmat = dense.gains(blocks)
@@ -518,13 +518,13 @@ def test_stepped_blocks_reproduce_the_closed_form_costs(pi, n):
     # The points stay where scipy's solver is accurate: at harsher ones,
     # such as pi = (3, 0.5, 0.02, 50), it alone drifts to ~1e-12.
     p = NondimParams(*pi, n=n)
-    s = synthesis.design_spectra(*pi, laplacian_spectrum(n))
+    s = synthesis.design_spectra(*pi, laplacian_spectrum(n)[:n // 2 + 1])
     a, b, w = frequency_blocks(p, s.k0, s.kc, s.l0, s.lc, dt=1.0)
     cov = np.stack([sla.solve_continuous_lyapunov(g, -bk @ bk.T)
                     for g, bk in zip(a - np.eye(4), b)])
     mult = rfft_multiplicities(n)
     got = [np.einsum("b,bjk,bjl,blk->", mult, wi, wi, cov) for wi in w]
-    want = [analysis.lqg_cost(p), analysis.kf_cost(p)]
+    want = [analysis.report(p).j_lqg, analysis.kf_cost(p)]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 

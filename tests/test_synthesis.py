@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from dense import circulant, offdiag_masses
 from wavelqg.params import NondimParams
-from wavelqg.spectral import (SymmetryError, circulant_rows,
-                              laplacian_spectrum)
-from wavelqg.synthesis import (GainKind, decentralization_tolerance,
+from wavelqg.spectral import laplacian_spectrum
+from wavelqg.synthesis import (GainKind, GainSet, decentralization_tolerance,
                                design_spectra, gain_set_from_dict,
                                gain_set_to_dict, optimal_gains)
 from wavelqg.verify import audit_gain_set
@@ -30,6 +29,18 @@ def random_params(rng, n, lo=1e-2, hi=1e2):
 def spectra(p):
     return design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
                           laplacian_spectrum(p.n))
+
+
+def half_spectra(p):
+    """The design on the rfft half k = 0 .. n//2, as optimal_gains takes it."""
+    return design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
+                          laplacian_spectrum(p.n)[:p.n // 2 + 1], p.n)
+
+
+def mirrored(half, n):
+    """An rfft half (last axis) extended to all n frequencies by
+    vals[n - k] = vals[k]."""
+    return np.concatenate([half, half[..., 1:(n + 1) // 2][..., ::-1]], -1)
 
 
 def control_residual(p, k):
@@ -226,26 +237,50 @@ def test_pi1_zero_offdiag_is_substantial():
 
 
 def test_optimal_gains_rows_equal_per_block_rows():
-    # the four blocks come from one batched transform; each must be the
-    # bitwise same row a lone transform of its spectrum gives
+    # the four blocks come from one batched transform of the rfft half;
+    # each must be the bitwise same row a lone transform of its half gives
     rng = np.random.default_rng(23)
     for _ in range(300):
         n = int(rng.choice([2, 3, 7, 8, 30, 64]))
         p = random_params(rng, n, lo=1e-6, hi=1e6)
-        r = spectra(p)
+        r = half_spectra(p)
         gk, gl = optimal_gains(p)
         got = np.concatenate([gk.rows, gl.rows])
         for row, spec in zip(got, (r.k0, r.kc, r.lc, r.l0)):
-            np.testing.assert_array_equal(row, circulant_rows(spec))
-        np.testing.assert_array_equal(gk.spectra, r.blocks[:2])
-        np.testing.assert_array_equal(gl.spectra, r.blocks[2:])
+            np.testing.assert_array_equal(row, np.fft.irfft(spec, n))
+        np.testing.assert_array_equal(gk.spectra, mirrored(r.blocks[:2], n))
+        np.testing.assert_array_equal(gl.spectra, mirrored(r.blocks[2:], n))
 
 
-def test_batched_rows_reject_one_asymmetric_spectrum():
-    blocks = spectra(params(n=8)).blocks.copy()
-    blocks[2, 1] += 1.0  # L1 loses its k -> n - k mirror symmetry
-    with pytest.raises(SymmetryError):
-        circulant_rows(blocks)
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 31, 64])
+def test_gain_set_spectra_are_exactly_mirror_symmetric(n):
+    p = random_params(np.random.default_rng(n), n, lo=1e-3, hi=1e3)
+    k = np.arange(n)
+    for gs in optimal_gains(p):
+        assert gs.spectra.shape == (2, n)
+        np.testing.assert_array_equal(gs.spectra[..., k],
+                                      gs.spectra[..., (n - k) % n])
+
+
+def test_gain_files_designed_on_all_n_frequencies_still_audit_clean():
+    # gain sets designed on the full spectrum, whose k and n - k entries
+    # differ by roundoff, with rows from the full inverse transform, as
+    # earlier versions wrote them
+    rng = np.random.default_rng(29)
+    asymmetric = 0
+    for _ in range(60):
+        n = int(rng.choice([2, 3, 7, 8, 30, 64]))
+        p = random_params(rng, n)
+        full = spectra(p).blocks
+        asymmetric += np.any(full != full[..., (-np.arange(n)) % n])
+        rows = np.fft.ifft(full, axis=-1).real
+        for i, kind in ((0, GainKind.LQR), (2, GainKind.KF)):
+            gs = GainSet(rows=rows[i:i + 2], kind=kind, params=p,
+                         spectra=full[i:i + 2])
+            back = gain_set_from_dict(json.loads(json.dumps(
+                gain_set_to_dict(gs))))
+            assert all(c.ok for c in audit_gain_set(back)), (p, kind)
+    assert asymmetric > 0
 
 
 def test_gain_set_json_roundtrip():
@@ -268,12 +303,12 @@ def test_gain_set_json_roundtrip():
 def test_gain_file_stores_primary_spectrum_as_k0():
     # the file schema: "k0" holds K1 for the regulator and L2 for the filter
     p = params(pi1=0.2, pi4=2.0, pi3=3.0, n=8)
-    r = spectra(p)
+    r = half_spectra(p)
     gk, gl = optimal_gains(p)
     for gs, k0, companion in ((gk, r.k0, r.kc), (gl, r.l0, r.lc)):
         d = gain_set_to_dict(gs)
-        assert d["spectral"]["k0"] == k0.tolist()
-        assert d["spectral"]["companion"] == companion.tolist()
+        assert d["spectral"]["k0"] == mirrored(k0, p.n).tolist()
+        assert d["spectral"]["companion"] == mirrored(companion, p.n).tolist()
 
 
 def test_audit_riccati_residual_clean_and_tampered():
@@ -294,7 +329,9 @@ def test_kf_blocks_are_ordered_companion_then_l0():
     r = spectra(p)
     _, gl = optimal_gains(p)
     assert gl.kind is GainKind.KF
-    np.testing.assert_array_equal(gl.spectra, np.stack([r.lc, r.l0]))
+    h = half_spectra(p)
+    np.testing.assert_array_equal(gl.spectra,
+                                  mirrored(np.stack([h.lc, h.l0]), p.n))
     got1, got2 = np.linalg.eigvals(circulant(gl.rows))
     assert np.isclose(np.sort(got1.real), np.sort(r.lc)).all()
     assert np.isclose(np.sort(got2.real), np.sort(r.l0)).all()
