@@ -232,8 +232,8 @@ def test_verify_report_schema(tmp_path, capsys):
 
 
 def test_verify_oracle_non_convergence_exits_1(monkeypatch, capsys):
-    # the oracle settles here in about 45 steps; a cap of one forces the
-    # failure path
+    # the oracle settles here in 2 Newton steps from its data-scaled start;
+    # a cap of one forces the failure path
     monkeypatch.setattr(oracle, "MAX_NEWTON_STEPS", 1)
     assert main(["verify", "--pi1", "1e-8", "--pi3", "1e8", "--pi4", "1e8",
                  "--n", "2"]) == 1

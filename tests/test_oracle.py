@@ -65,15 +65,74 @@ def test_solution_is_stabilizing_and_residual_small():
 
 
 def test_convergence_error_carries_step_history(monkeypatch):
+    # from the fixed start s**2 + 2 s + 1 in every block, far from the
+    # solution's scale (gains of order 1e8), Newton only halves the gains
+    p = NondimParams(pi1=1e-8, pi2=1.0, pi3=1e8, pi4=1e8, n=2)
+    a, b, q, r_inv = ring_equations(p, laplacian_spectrum(p.n)[:p.n // 2 + 1])
+    start = _place(a, b)
     monkeypatch.setattr(oracle, "MAX_NEWTON_STEPS", 6)
     with pytest.raises(ConvergenceError, match="did not settle in 6 steps") \
             as exc_info:
-        solve_ring(NondimParams(pi1=1e-8, pi2=1.0, pi3=1e8, pi4=1e8, n=2))
+        newton_kleinman(a, b, q, r_inv, start)
     hist = exc_info.value.step_history
     assert len(hist) == 6
     # far from the solution each Newton step halves the gains, so every
     # step is as large as the gains it leaves
     np.testing.assert_allclose(hist, 1.0, rtol=1e-6)
+
+
+def _seeded_points(count, lo, hi, seed):
+    """``count`` points with pi2, pi3, pi4 log-uniform in [10**lo, 10**hi],
+    pi1 zero for a quarter of them and log-uniform otherwise, n in 2 .. 64."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        e = rng.uniform(lo, hi, 4)
+        pi1 = 0.0 if rng.random() < 0.25 else 10.0 ** e[0]
+        yield NondimParams(pi1=pi1, pi2=10.0 ** e[1], pi3=10.0 ** e[2],
+                           pi4=10.0 ** e[3], n=int(rng.integers(2, 65)))
+
+
+def test_solve_ring_makes_at_most_six_lyapunov_solves(monkeypatch):
+    # from the data-scaled starts: at most 5 Newton steps and the
+    # refinement, however far the gains are from 1
+    calls = []
+    lyapunov = oracle._lyapunov
+    monkeypatch.setattr(oracle, "_lyapunov",
+                        lambda f, c: calls.append(1) or lyapunov(f, c))
+    for p in _seeded_points(300, -12.0, 12.0, seed=27):
+        calls.clear()
+        solve_ring(p)
+        assert len(calls) <= 6, p
+
+
+def test_solve_ring_starts_are_stabilizing(monkeypatch):
+    starts = []
+    solve = oracle.newton_kleinman
+    monkeypatch.setattr(oracle, "newton_kleinman",
+                        lambda *eq: starts.append(eq[-1]) or solve(*eq))
+    for p in _seeded_points(300, -12.0, 12.0, seed=11):
+        starts.clear()
+        _, k = solve_ring(p)
+        (k0, kc), (lc, l0) = np.moveaxis(starts[0], -1, 1)
+        d = laplacian_spectrum(p.n)[:p.n // 2 + 1]
+        # the closed-loop quadratics s**2 + kc s + (k0 - d) and
+        # s**2 + pi4 lc s + (pi4 l0 - d) of every block
+        assert np.all(k0 - d > 0.0) and np.all(kc > 0.0), p
+        assert np.all(p.pi4 * lc > 0.0) and np.all(p.pi4 * l0 - d > 0.0), p
+        # each start is within a factor of 2 below the solution's gain
+        ratio = starts[0] / k
+        assert np.all((ratio >= 0.5) & (ratio <= 1.0 + 1e-12)), p
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("e", range(-100, 101, 4))
+def test_verify_point_passes_at_extreme_pi3_pi4(e):
+    # the gains are far from 1 here: from a start of fixed scale Newton
+    # needs about log2 of their scale in steps, more than MAX_NEWTON_STEPS
+    # at both ends of this range
+    p = NondimParams(pi1=0.0, pi2=1.0, pi3=10.0 ** e, pi4=10.0 ** e, n=4)
+    for check in verify_point(p):
+        assert check.ok, check
 
 
 def test_filter_solution_satisfies_filter_equation():
