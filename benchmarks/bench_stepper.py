@@ -19,7 +19,7 @@ import numpy as np
 from wavelqg import _kernels
 from wavelqg.params import NondimParams
 from wavelqg.simulator import _BLOCK, _KB, _bin_parts, _split, frequency_blocks
-from wavelqg.spectral import laplacian_spectrum
+from wavelqg.spectral import rfft_half
 from wavelqg.synthesis import design_spectra
 
 DT = 0.005
@@ -36,9 +36,8 @@ def build_workload(n: int, steps: int, seed: int = 0):
     count runs a whole number of chunks).
     """
     p = NondimParams(pi1=0.5, pi2=1.0, pi3=4.0, pi4=4.0, n=n)
-    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
-                       laplacian_spectrum(n)[:n // 2 + 1], n)
-    a, b, (w_cost, w_err) = frequency_blocks(p, s.k0, s.kc, s.l0, s.lc, DT)
+    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, *rfft_half(n))
+    a, b, (w_cost, w_err) = frequency_blocks(p, s, DT)
     bins = n // 2 + 1
     chunks = -(-steps // _KB)
     rng = np.random.default_rng(seed)

@@ -9,7 +9,7 @@ simulator for end-to-end checks.
 """
 
 from .params import DimensionalParams, NondimParams, locality_residuals, nondimensionalize
-from .spectral import offdiag_masses, rfft_multiplicities
+from .spectral import offdiag_masses, rfft_half
 from .synthesis import (DesignSpectra, GainKind, GainSet, design_spectra,
                         optimal_gains)
 from .analysis import (CostLocalityReport, SweepGrid, curve_reports, kf_cost,

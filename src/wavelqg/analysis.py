@@ -3,8 +3,8 @@
 All steady-state costs reduce to sums over the per-frequency Riccati
 solutions because traces are invariant under the DFT.  Frequencies k and
 n - k share every summand, so each cost is a sum over the rfft half
-k = 0 .. n//2, with k weighted by its multiplicity m(k)
-(:func:`~wavelqg.spectral.rfft_multiplicities`):
+k = 0 .. n//2, with k weighted by its multiplicity m(k), as the design
+carries them (:attr:`~wavelqg.synthesis.DesignSpectra.mult`):
 
     j_lqr = trace(P) = sum_k m(k) (p1(k) + p2(k))
     j_kf  = trace(S) = sum_k m(k) (s1(k) + s2(k))
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import NondimParams
-from .spectral import laplacian_spectrum, offdiag_masses, rfft_multiplicities
+from .spectral import offdiag_masses, rfft_half
 from .synthesis import DesignSpectra, design_spectra
 
 __all__ = [
@@ -55,34 +55,33 @@ COLUMNS = ("pi1", "pi2", "pi3", "pi4", "n", "j_lqr", "j_kf", "j_lqg",
 CSV_HEADER = ",".join(COLUMNS)
 
 
-def costs(s: DesignSpectra, mult) -> np.ndarray:
+def costs(s: DesignSpectra) -> np.ndarray:
     """(j_lqr, j_kf, j_lqg) along a new last axis, per point of ``s``, each
-    frequency of ``s`` counted ``mult`` times (1 for a full spectrum)."""
+    frequency of ``s`` counted ``s.mult`` times."""
     # trace(S K' R K): R = 1/pi3**2 is folded into p0 and p2
     ctrl = s.s1 * s.k0 * s.p0 + 2.0 * s.s0 * s.k0 * s.p2 + s.s2 * s.kc * s.p2
     return np.sum(np.stack([s.p1 + s.p2, s.s1 + s.s2, s.p2 + ctrl], axis=-2)
-                  * mult, axis=-1)
+                  * s.mult, axis=-1)
 
 
 def _design(p: NondimParams) -> DesignSpectra:
     """The design at ``p`` on the rfft half."""
-    return design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
-                          laplacian_spectrum(p.n)[:p.n // 2 + 1], p.n)
+    return design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, *rfft_half(p.n))
 
 
 def kf_cost(p: NondimParams) -> float:
     """trace of the steady-state estimation error covariance."""
-    return float(costs(_design(p), rfft_multiplicities(p.n))[1])
+    return float(costs(_design(p))[1])
 
 
 def dual_lqg_cost(s: DesignSpectra, p: NondimParams) -> float:
     """The LQG cost through the dual form trace(S Qbar) + trace(P L V L'),
-    from the spectra ``s`` of the design at ``p`` on the rfft half."""
-    v_inv = 1.0 - p.pi1 * laplacian_spectrum(p.n)[:p.n // 2 + 1]
+    from the spectra ``s`` of the design at ``p``."""
+    v_inv = 1.0 - p.pi1 * s.d
     state = s.s1 * v_inv + s.s2 * p.pi2
     inject = (s.p1 * s.lc ** 2 + 2.0 * s.p0 * s.lc * s.l0
               + s.p2 * s.l0 ** 2) / v_inv
-    return float(np.sum(rfft_multiplicities(p.n) * (state + inject)))
+    return float(np.sum(s.mult * (state + inject)))
 
 
 def lqg_cost_dual(p: NondimParams) -> float:
@@ -90,9 +89,9 @@ def lqg_cost_dual(p: NondimParams) -> float:
     return dual_lqg_cost(_design(p), p)
 
 
-def loop_poles(s: DesignSpectra, pi4, d) -> np.ndarray:
-    """Closed-loop poles of the designs in ``s``, evaluated at the
-    Laplacian eigenvalues ``d``, shape (..., 2, len(d), 2).
+def loop_poles(s: DesignSpectra, pi4) -> np.ndarray:
+    """Closed-loop poles of the designs in ``s``, at its eigenvalues
+    ``s.d``, shape (..., 2, len(s.d), 2).
 
     Frequency k's loop is block triangular in (state, estimation error)
     coordinates: its poles are the roots of s**2 + kc s + (k0 - d) (index
@@ -102,7 +101,7 @@ def loop_poles(s: DesignSpectra, pi4, d) -> np.ndarray:
     """
     pi4 = np.asarray(pi4, dtype=float)[..., None]
     t = np.stack([s.kc, pi4 * s.lc], axis=-2)
-    delta = np.stack([s.k0 - d, pi4 * s.l0 - d], axis=-2)
+    delta = np.stack([s.k0 - s.d, pi4 * s.l0 - s.d], axis=-2)
     r1 = -0.5 * (t + np.sqrt(t * t - 4.0 * delta + 0j))
     return np.stack([r1, delta / r1], axis=-1)
 
@@ -143,12 +142,12 @@ def _table(pi1, pi2, pi3, pi4, n: int) -> dict[str, np.ndarray]:
     pi = np.stack(np.broadcast_arrays(
         *np.atleast_1d(pi1, pi2, pi3, pi4))).astype(float)
     step = max(1, _CHUNK_CELLS // n)
-    d, mult = laplacian_spectrum(n)[:n // 2 + 1], rfft_multiplicities(n)
+    d, mult = rfft_half(n)
     values = []
     for i in range(0, pi.shape[1], step):
-        s = design_spectra(*pi[:, i:i + step], d, n)
+        s = design_spectra(*pi[:, i:i + step], d, mult)
         values.append(np.concatenate(
-            [costs(s, mult), offdiag_masses(s.blocks, mult)], axis=-1))
+            [costs(s), offdiag_masses(s.blocks, s.mult)], axis=-1))
     residuals = pi[0] - 2.0 / pi[2:]  # locality_residuals, per point
     return dict(zip(COLUMNS, (*pi, np.full(pi.shape[1], n),
                               *np.concatenate(values).T, *residuals)))

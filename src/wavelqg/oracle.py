@@ -15,10 +15,10 @@ symmetric Lyapunov equation in closed form on the blocks' entries, with no
 linear solver; the last step's solution is refined once by the same
 closed form applied to its own residual.
 
-The oracle shares only :func:`~wavelqg.spectral.laplacian_spectrum` with
-the closed forms of :mod:`wavelqg.synthesis`; agreement between the two is
-the package's main correctness evidence, so keeping the routes disjoint
-is the point.  It needs numpy alone.
+The oracle is given the eigenvalues d and imports only numpy and the
+parameters, so it shares no code with the closed forms of
+:mod:`wavelqg.synthesis`; agreement between the two is the package's main
+correctness evidence, so keeping the routes disjoint is the point.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from .params import NondimParams
-from .spectral import laplacian_spectrum
 
 __all__ = [
     "ConvergenceError",
@@ -92,13 +91,13 @@ def ring_equations(p: NondimParams, d: np.ndarray):
     return a, b, q, r_inv
 
 
-def solve_ring(p: NondimParams) -> tuple[np.ndarray, np.ndarray]:
-    """Stabilizing solutions and gains of :func:`ring_equations` at ``p``,
-    on the rfft half k = 0 .. n//2.
+def solve_ring(p: NondimParams, d) -> tuple[np.ndarray, np.ndarray]:
+    """Stabilizing solutions and gains of :func:`ring_equations` at ``p``
+    and the Laplacian eigenvalues ``d`` (the ring's rfft half, in verify).
 
-    Returns ``(x, k)``: x (2, n//2 + 1, 2, 2) holds the control Riccati
-    blocks and the filter error covariances, k (2, n//2 + 1, 2) the
-    regulator gains [k0, kc] and the filter's dual gains [lc, l0].
+    Returns ``(x, k)``: x (2, m, 2, 2) holds the control Riccati blocks and
+    the filter error covariances, k (2, m, 2) the regulator gains [k0, kc]
+    and the filter's dual gains [lc, l0], m = len(d).
 
     Each block starts from gains scaled by its own data.  With v = 1 -
     pi1 d, X = pi3**2 v and W = pi4**2 v, the regulator starts at k0 =
@@ -112,7 +111,6 @@ def solve_ring(p: NondimParams) -> tuple[np.ndarray, np.ndarray]:
     whichever stabilizing start it is given; the start sets only the step
     count, at most 5 steps and a refinement from these.
     """
-    d = laplacian_spectrum(p.n)[:p.n // 2 + 1]
     v = 1.0 - p.pi1 * d
     x, w = p.pi3 ** 2 * v, p.pi4 ** 2 * v
     k0 = x / (2.0 * abs(d) + np.sqrt(x))

@@ -21,9 +21,9 @@ A bin's real and imaginary parts are two columns driven by the same
 block; :func:`frequency_blocks` builds the blocks, once per run, and
 the simulator never forms a 4n x 4n matrix.  By Parseval, a site-space
 quadratic form is the sum over bins of the per-bin forms, each weighted
-by its multiplicity (:func:`~wavelqg.spectral.rfft_multiplicities`: 1 at
-k = 0 and at the Nyquist bin k = n/2 of an even ring, 2 elsewhere).  Stored
-samples are taken back to sites with ``irfft``.
+by its multiplicity, which the design carries (1 at k = 0 and at the
+Nyquist bin k = n/2 of an even ring, 2 elsewhere).  Stored samples are
+taken back to sites with ``irfft``.
 
 Determinism
 -----------
@@ -92,8 +92,8 @@ import numpy as np
 
 from . import _kernels, analysis
 from .params import NondimParams
-from .spectral import laplacian_spectrum, rfft_multiplicities
-from .synthesis import design_spectra
+from .spectral import rfft_half
+from .synthesis import DesignSpectra, design_spectra
 
 __all__ = [
     "InstabilityError",
@@ -122,15 +122,16 @@ def kernel_backend() -> str:
     return _kernels.BACKEND
 
 
-def frequency_blocks(p: NondimParams, k0, kc, l0, lc, dt: float,
+def frequency_blocks(p: NondimParams, s: DesignSpectra, dt: float,
                      noise_scale: float = 1.0
                      ) -> tuple[np.ndarray, np.ndarray,
                                 tuple[np.ndarray, np.ndarray]]:
-    """The loop's per-bin Euler-Maruyama blocks for any gain spectra.
+    """The loop's per-bin Euler-Maruyama blocks for the gain spectra of
+    ``s`` (other gains by ``dataclasses.replace``), at its bins ``s.d``.
 
-    ``k0``, ``kc`` are the regulator spectra (u = -(K1 phi + K2 psi)) and
-    ``l0``, ``lc`` the filter's (L2 and L1), each over the m = n//2 + 1
-    rfft bins.  Returns
+    ``s.k0``, ``s.kc`` are the regulator spectra (u = -(K1 phi + K2 psi))
+    and ``s.l0``, ``s.lc`` the filter's (L2 and L1), over m bins, in
+    :func:`simulate` the n//2 + 1 rfft bins.  Returns
 
     a : (m, 4, 4) Euler maps I + dt G_k, with G_k bin k's loop generator
         on (x, xhat): the plant [[0, 1], [d, 0]] under the control
@@ -140,11 +141,10 @@ def frequency_blocks(p: NondimParams, k0, kc, l0, lc, dt: float,
         normals: sqrt(dt) noise_scale times the force column [0, 1, 0, 0]
         and the filtered measurement column [0, 0, lc, l0] / sqrt(1 - pi1
         d), both divided by the square root of the bin's multiplicity
-        (:func:`~wavelqg.spectral.rfft_multiplicities`).  The orthonormal
-        rfft of white site noise has variance 1/2 in each part of an inner
-        bin and 1 in the real part at k = 0 and at the Nyquist bin, so unit
-        normals through b, with zero imaginary parts at those two bins,
-        have exactly its law;
+        ``s.mult``.  The orthonormal rfft of white site noise has variance
+        1/2 in each part of an inner bin and 1 in the real part at k = 0
+        and at the Nyquist bin, so unit normals through b, with zero
+        imaginary parts at those two bins, have exactly its law;
     w : (w_cost, w_err), the cost and error weights as square-root
         factors, nonzero rows only: a bin's running cost is |w_cost z|**2
         and its squared estimation error |w_err z|**2, with w_cost (m, 3,
@@ -152,8 +152,7 @@ def frequency_blocks(p: NondimParams, k0, kc, l0, lc, dt: float,
         / pi3 on xhat, and w_err (m, 2, 4) = [I, -I].  Both carry the
         square root of the bin's Parseval weight, its multiplicity.
     """
-    n = p.n
-    d = laplacian_spectrum(n)[:n // 2 + 1]
+    d, k0, kc, l0, lc = s.d, s.k0, s.kc, s.l0, s.lc
     m = d.size
     g = np.zeros((m, 4, 4))  # the generators G_k on (x, xhat)
     g[:, 0, 1] = 1.0
@@ -173,7 +172,7 @@ def frequency_blocks(p: NondimParams, k0, kc, l0, lc, dt: float,
     b[:, 1, 0] = amp
     b[:, 2, 1] = filt * lc
     b[:, 3, 1] = filt * l0
-    root = np.sqrt(rfft_multiplicities(n))[:, None, None]
+    root = np.sqrt(s.mult)[:, None, None]
     w_cost = np.zeros((m, 3, 4))
     w_cost[:, 0, 0] = np.sqrt(1.0 - p.pi1 * d)
     w_cost[:, 1, 1] = math.sqrt(p.pi2)
@@ -477,11 +476,9 @@ def simulate(cfg: SimConfig,
         # checked; leaving the with block joins the helper, on error too
         blocks = _drawn(pool, cfg.seed, groups, n, n_blocks)
         next(blocks)
-        d = laplacian_spectrum(n)[:n // 2 + 1]
-        s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, d, n)
-        a, b, w = frequency_blocks(p, s.k0, s.kc, s.l0, s.lc, cfg.dt,
-                                   cfg.noise_scale)
-        lam = analysis.loop_poles(s, p.pi4, d)  # G_k's poles
+        s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, *rfft_half(n))
+        a, b, w = frequency_blocks(p, s, cfg.dt, cfg.noise_scale)
+        lam = analysis.loop_poles(s, p.pi4)  # G_k's poles
         top = float(lam.real.max())
         if not top < 0.0:
             raise AssertionError(
@@ -580,7 +577,7 @@ def simulate(cfg: SimConfig,
                       plant_state=sites[:, :2].reshape(-1, 2 * n),
                       estimate=sites[:, 2:].reshape(-1, 2 * n),
                       control=control, running_cost=traj_cost)
-    _, j_kf, j_lqg = analysis.costs(s, rfft_multiplicities(n)).tolist()
+    _, j_kf, j_lqg = analysis.costs(s).tolist()
     summary = SimSummary(
         empirical_lqg_cost=float(np.mean(costs)),
         empirical_est_err_cov_trace=float(np.mean(errs)),

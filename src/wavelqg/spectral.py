@@ -23,9 +23,9 @@ the eigenvalue of the Fourier mode exp(+2j*pi*k*j/n), the map
 conj(vals[n-k]); for the symmetric first rows produced everywhere in this
 package the values are real and the sign of the exponent is immaterial.
 Such a spectrum is fixed by its rfft half k = 0 .. n//2, on which every
-per-frequency computation of the package runs, each k weighted by
-:func:`rfft_multiplicities` in sums; ``numpy.fft.irfft(half, n)`` takes the
-half back to the first row.
+per-frequency computation of the package runs, each k weighted in sums
+by its multiplicity, both from :func:`rfft_half`; ``numpy.fft.irfft(half,
+n)`` takes the half back to the first row.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 __all__ = [
     "laplacian_spectrum",
     "spectrum_of_circulant",
-    "rfft_multiplicities",
+    "rfft_half",
     "offdiag_masses",
 ]
 
@@ -64,11 +64,13 @@ def spectrum_of_circulant(rows: np.ndarray) -> np.ndarray:
     return np.conj(np.fft.fft(rows, axis=-1))
 
 
-def rfft_multiplicities(n: int) -> np.ndarray:
-    """How many of the n frequencies each of k = 0 .. n//2 stands for (k
-    and n - k): (1, 2, ..., 2, 1) for even n and (1, 2, ..., 2) for odd n."""
+def rfft_half(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(d, mult)``: the ring's distinct Laplacian eigenvalues d(k), k = 0
+    .. n//2, and how many of the n frequencies each stands for (k and
+    n - k): (1, 2, ..., 2, 1) for even n and (1, 2, ..., 2) for odd n."""
     k = np.arange(n // 2 + 1)
-    return np.where((k == 0) | (2 * k == n), 1.0, 2.0)
+    return (laplacian_spectrum(n)[:n // 2 + 1],
+            np.where((k == 0) | (2 * k == n), 1.0, 2.0))
 
 
 def offdiag_masses(vals: np.ndarray, mult) -> np.ndarray:

@@ -35,9 +35,10 @@ squares: k0 = pi3 and l0 = 1.
 Every spectrum depends on k only through d(k) = d(n - k), so the ring has
 n//2 + 1 distinct blocks, those of the rfft half k = 0 .. n//2.
 :func:`design_spectra` evaluates all of these at a batch of points and
-any Laplacian eigenvalues d, and :func:`optimal_gains` turns one point's
-K1, K2, L1 and L2 spectra (in that order, :attr:`DesignSpectra.blocks`)
-on the half into the first rows of the circulant gain blocks.
+any Laplacian eigenvalues d, which its record carries with their
+multiplicities; :func:`optimal_gains` turns one point's K1, K2, L1 and L2
+spectra (in that order, :attr:`DesignSpectra.blocks`) on the half into
+the first rows of the circulant gain blocks.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import NondimParams
-from .spectral import laplacian_spectrum
+from .spectral import rfft_half
 
 __all__ = [
     "GainKind",
@@ -91,8 +92,11 @@ class GainSet:
 class DesignSpectra:
     """The spectra of the module docstring at a batch of parameter points;
     each array has the broadcast shape of the pi inputs plus a last axis
-    over the Laplacian eigenvalues d given to :func:`design_spectra`."""
+    over the Laplacian eigenvalues ``d``, each standing for ``mult`` of
+    the ring's frequencies (1 for a full spectrum)."""
 
+    d: np.ndarray
+    mult: np.ndarray
     p0: np.ndarray
     p1: np.ndarray
     p2: np.ndarray
@@ -112,13 +116,14 @@ class DesignSpectra:
         return np.stack([self.k0, self.kc, self.lc, self.l0], axis=-2)
 
 
-def design_spectra(pi1, pi2, pi3, pi4, d, n=None) -> DesignSpectra:
+def design_spectra(pi1, pi2, pi3, pi4, d, mult) -> DesignSpectra:
     """Every spectrum for pi values broadcast over a batch, at the Laplacian
-    eigenvalues ``d`` (the last axis of each result: the ring's n, or their
-    rfft half), from one square root per eigenvalue for the regulator and
-    one for the filter.  Raises ValueError naming the first point whose
-    spectra are not finite and ``n`` (default len(d)): pi3 or pi4 above
-    about 1e151, pi3 below 1e-161 or pi4 below 1e-102."""
+    eigenvalues ``d`` (the last axis of each result), each counted ``mult``
+    times (:func:`~wavelqg.spectral.rfft_half`, or 1.0 for all n), from one
+    square root per eigenvalue for the regulator and one for the filter.
+    Raises ValueError naming the first non-finite point and n = sum(mult):
+    pi3 or pi4 above about 1e151, pi3 below 1e-161 or pi4 below 1e-102."""
+    mult = np.broadcast_to(mult, np.shape(d))
     pi1, pi2, pi3, pi4 = (np.asarray(x, dtype=float)[..., None]
                           for x in (pi1, pi2, pi3, pi4))
     with np.errstate(all="ignore"):
@@ -130,29 +135,28 @@ def design_spectra(pi1, pi2, pi3, pi4, d, n=None) -> DesignSpectra:
         w = pi4 ** 2 * v
         s0 = 1.0 / (np.sqrt(d * d + w) - d)
         s1 = np.sqrt(2.0 * s0 / w)
-        s = DesignSpectra(
+        spectra = dict(
             p0=k0 / pi3 ** 2, p1=p2 * (k0 - d), p2=p2, k0=k0, kc=kc,
             s0=s0, s1=s1, s2=s1 * (w * s0 - d), l0=w * s0 / pi4,
             lc=w * s1 / pi4)
     # one whole-array test per spectrum; the per-point mask, about five
     # times dearer, is built only to name the failing point
-    if not all(np.isfinite(a).all() for a in vars(s).values()):
+    if not all(np.isfinite(a).all() for a in spectra.values()):
         ok = np.logical_and.reduce([np.isfinite(a).all(axis=-1)
-                                    for a in vars(s).values()])
+                                    for a in spectra.values()])
         pi = [np.broadcast_to(a[..., 0], ok.shape)[~ok][0]
               for a in (pi1, pi2, pi3, pi4)]
         raise ValueError("the design is not finite in floating point at "
-                         "pi=({:.6g}, {:.6g}, {:.6g}, {:.6g}), n={}"
-                         .format(*pi, d.size if n is None else n))
-    return s
+                         "pi=({:.6g}, {:.6g}, {:.6g}, {:.6g}), n={:.0f}"
+                         .format(*pi, mult.sum()))
+    return DesignSpectra(d=d, mult=mult, **spectra)
 
 
 def optimal_gains(p: NondimParams) -> tuple[GainSet, GainSet]:
     """The optimal (regulator, filter) gain sets at ``p``, designed on the
     rfft half; the half is mirrored to the n frequencies of a set."""
     n = p.n
-    half = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
-                          laplacian_spectrum(n)[:n // 2 + 1], n).blocks
+    half = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, *rfft_half(n)).blocks
     rows = np.fft.irfft(half, n)
     k = np.arange(n)
     spectra = half[..., np.minimum(k, n - k)]

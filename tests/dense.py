@@ -13,7 +13,7 @@ from scipy import linalg as sla
 
 from wavelqg import simulator
 from wavelqg.params import NondimParams
-from wavelqg.spectral import laplacian_spectrum, rfft_multiplicities
+from wavelqg.spectral import laplacian_spectrum, rfft_half
 from wavelqg.synthesis import design_spectra
 
 
@@ -153,7 +153,7 @@ def site_noise(rng, n, steps):
     for _ in range(-(-steps // simulator._BLOCK)):
         rows = bin_noise(rng.standard_normal(
             (2, kb, n * (simulator._BLOCK // kb))), n)
-        rows /= np.sqrt(rfft_multiplicities(n))[:, None, None]
+        rows /= np.sqrt(rfft_half(n)[1])[:, None, None]
         # slot j of chunk c is step kb c + j
         f = rows.transpose(3, 1, 0, 2, 4).reshape(-1, 2, bins, 2)
         blocks.append(np.fft.irfft(f[..., 0] + 1j * f[..., 1], n=n,
@@ -170,7 +170,7 @@ def simulation(cfg):
     p = cfg.params
     n, dt = p.n, cfg.dt
     blocks = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
-                            laplacian_spectrum(n)).blocks
+                            laplacian_spectrum(n), 1.0).blocks
     aug = closed_loop(p, blocks)
     kmat, lmat = gains(blocks)
     qbar = state_weight(p)

@@ -6,6 +6,7 @@ do not loosen them to make a failure go away.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from wavelqg import _kernels, analysis, simulator, synthesis
 from wavelqg._kernels import NOISE_ROWS, advance
 from wavelqg.params import DimensionalParams, NondimParams, locality_residuals, nondimensionalize
 from wavelqg.simulator import SimConfig, frequency_blocks, simulate
-from wavelqg.spectral import laplacian_spectrum
+from wavelqg.spectral import laplacian_spectrum, rfft_half
 from wavelqg.verify import verify_point
 
 N_CYCLE = (2, 4, 8, 16, 30)
@@ -123,7 +124,7 @@ def test_05_closed_loop_is_stable_and_separates():
     ``simulate``) gives the same 4n poles to 1e-8."""
     for p in _draws(20, 1e-1, 1e1, seed=505, n_choices=(2, 4, 8, 16)):
         s = synthesis.design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
-                                     laplacian_spectrum(p.n))
+                                     laplacian_spectrum(p.n), 1.0)
         aug = closed_loop(p, s.blocks)
         assert spectral_abscissa(aug) < 0.0
         a, b, c = plant(p)
@@ -134,8 +135,7 @@ def test_05_closed_loop_is_stable_and_separates():
         got = np.linalg.eigvals(aug)
         tol = 1e-8 * (1.0 + np.abs(expected).max())
         _match_one_to_one(got, expected, tol)
-        _match_one_to_one(analysis.loop_poles(
-            s, p.pi4, laplacian_spectrum(p.n)).ravel(), got, tol)
+        _match_one_to_one(analysis.loop_poles(s, p.pi4).ravel(), got, tol)
 
 
 def test_06_lqg_cost_trace_forms_agree():
@@ -225,7 +225,10 @@ def test_09_correlated_noise_has_the_advertised_covariance(monkeypatch):
 
         # site noise of each live normal: through b and irfft
         one, zero = np.ones(n // 2 + 1), np.zeros(n // 2 + 1)
-        _, b, _ = frequency_blocks(p, k0=one, kc=one, l0=zero, lc=one, dt=1.0)
+        s = replace(synthesis.design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
+                                             *rfft_half(n)),
+                    k0=one, kc=one, l0=zero, lc=one)
+        _, b, _ = frequency_blocks(p, s, dt=1.0)
         unit = bin_noise(np.eye(n), n)[:, :, 0]
         for col, cov in [(b[:, 1, 0], np.eye(n)),
                          (b[:, 2, 1], noise_covariance(pi1, n))]:

@@ -14,7 +14,7 @@ from wavelqg.analysis import (COLUMNS, CSV_HEADER, CostLocalityReport,
                               lqg_cost_dual, loop_poles, report,
                               rows_to_csv, sweep)
 from wavelqg.params import NondimParams
-from wavelqg.spectral import laplacian_spectrum
+from wavelqg.spectral import laplacian_spectrum, rfft_half
 from wavelqg.synthesis import design_spectra
 
 
@@ -66,7 +66,8 @@ def test_lqg_dual_form_agreement():
 
 
 def test_error_covariance_shrinks_with_sensor_quality():
-    s0_at = [design_spectra(0.5, 1.0, 4.0, v, laplacian_spectrum(30)).s0[0]
+    s0_at = [design_spectra(0.5, 1.0, 4.0, v, laplacian_spectrum(30),
+                            1.0).s0[0]
              for v in (0.5, 1.0, 2.0, 8.0)]
     assert all(b < a for a, b in zip(s0_at, s0_at[1:]))
     assert s0_at[-1] == pytest.approx(1.0 / 8.0, rel=1e-14)
@@ -75,7 +76,8 @@ def test_error_covariance_shrinks_with_sensor_quality():
 def test_per_frequency_summands_reflect():
     p = params(pi1=0.8, pi2=1.3, pi3=2.1, pi4=0.9, n=12)
     idx = (-np.arange(12)) % 12
-    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, laplacian_spectrum(12))
+    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, laplacian_spectrum(12),
+                       1.0)
     for arr in (s.p0, s.p1, s.p2, s.s0, s.s1, s.s2):
         np.testing.assert_allclose(arr, arr[idx], rtol=1e-12)
 
@@ -96,7 +98,7 @@ def test_plant_matrices_layout():
 ])
 def test_closed_loop_is_stable(p):
     blocks = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
-                            laplacian_spectrum(p.n)).blocks
+                            laplacian_spectrum(p.n), 1.0).blocks
     assert dense.spectral_abscissa(dense.closed_loop(p, blocks)) < 0.0
 
 
@@ -106,11 +108,12 @@ def test_separation_spectrum():
     for n in (2, 3, 6, 7, 8):
         p = params(pi1=0.7, pi2=1.1, pi3=1.8, pi4=0.8, n=n)
         a, b, c = dense.plant(p)
-        s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, laplacian_spectrum(n))
+        s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, laplacian_spectrum(n),
+                           1.0)
         kmat, lmat = dense.gains(s.blocks)
         separated = np.concatenate([np.linalg.eigvals(a - b @ kmat),
                                     np.linalg.eigvals(a - lmat @ c)])
-        poles = loop_poles(s, p.pi4, laplacian_spectrum(n)).ravel()
+        poles = loop_poles(s, p.pi4).ravel()
         loop = np.linalg.eigvals(dense.closed_loop(p, s.blocks))
         for expected in (separated, poles):
             got = list(loop)
@@ -126,11 +129,10 @@ def test_half_spectrum_poles_are_the_full_spectrum_bins(n):
     # poles of a design evaluated on the rfft half k = 0 .. n//2 are
     # those of the same bins of the full spectrum
     p = params(pi1=0.3, pi2=1.0, pi3=2.0, pi4=1.5, n=n)
-    d = laplacian_spectrum(n)
-    half = d[:n // 2 + 1]
-    full = loop_poles(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, d), p.pi4, d)
-    got = loop_poles(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, half),
-                     p.pi4, half)
+    full = loop_poles(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
+                                     laplacian_spectrum(n), 1.0), p.pi4)
+    got = loop_poles(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
+                                    *rfft_half(n)), p.pi4)
     np.testing.assert_array_equal(got, full[:, :n // 2 + 1])
 
 
@@ -323,14 +325,15 @@ MASSES = ("offdiag_k1", "offdiag_k2", "offdiag_l1", "offdiag_l2")
 def test_table_matches_the_full_spectrum(n):
     # the table sums over the rfft half with multiplicities and takes the
     # masses by Parseval; the references sum over all n frequencies and
-    # take the masses from the blocks' first rows
+    # take the masses from the blocks' first rows.  The dual cost form,
+    # too, reads the frequencies from the design it is given
     rng = np.random.default_rng(700 + n)
     pi = 10.0 ** rng.uniform(-3.0, 3.0, size=(4, 60))
     pi[3, :20] = pi[2, :20]  # tied
     pi[0, :10] = 2.0 / pi[2, :10]  # on the decentralized curve
     table = analysis._table(*pi, n)
-    s = design_spectra(*pi, laplacian_spectrum(n))
-    costs = analysis.costs(s, 1.0)
+    s = design_spectra(*pi, laplacian_spectrum(n), 1.0)
+    costs = analysis.costs(s)
     for j, column in enumerate(("j_lqr", "j_kf", "j_lqg")):
         np.testing.assert_allclose(table[column], costs[:, j], rtol=1e-13,
                                    atol=0)
@@ -338,6 +341,12 @@ def test_table_matches_the_full_spectrum(n):
     for j, column in enumerate(MASSES):
         np.testing.assert_allclose(table[column], masses[:, j], rtol=0,
                                    atol=1e-14)
+    for point in pi.T:
+        p = NondimParams(*point, n=n)
+        full = design_spectra(*point, laplacian_spectrum(n), 1.0)
+        half = design_spectra(*point, *rfft_half(n))
+        assert analysis.dual_lqg_cost(full, p) == pytest.approx(
+            analysis.dual_lqg_cost(half, p), rel=1e-13, abs=0)
 
 
 def test_near_curve_masses_match_50_digit_reference():

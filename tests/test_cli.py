@@ -11,6 +11,7 @@ import pytest
 from wavelqg import analysis, cli, oracle, simulator, synthesis
 from wavelqg.cli import main
 from wavelqg.params import NondimParams
+from wavelqg.spectral import rfft_half
 
 SVG = "{http://www.w3.org/2000/svg}"
 DECENTRAL = ["--pi1", "0.5", "--pi2", "1", "--pi3", "4", "--pi4", "4",
@@ -208,6 +209,20 @@ def test_non_finite_design_is_a_usage_error(tmp_path, capsys):
     assert main(["report", "--pi3", "1e160"]) == 2
     # the table runs on half the spectrum; the message names the ring
     assert capsys.readouterr().err.endswith(", n=30\n")
+
+
+@pytest.mark.parametrize("e, code", [(104, 0), (105, 0), (106, 1), (107, 1)])
+def test_verify_scores_a_tiny_filter_gain_by_its_own_size(capsys, e, code):
+    # lc loses digits as pi3 = pi4 grows (the closed forms' s1 nears
+    # underflow); from 1e106 its error against the oracle, whose gains
+    # are below 1e-30 there, exceeds the 1e-7 tolerance and must show
+    pi = f"1e{e}"
+    assert main(["verify", "--pi1", "0", "--pi3", pi, "--pi4", pi,
+                 "--n", "4"]) == code
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("[FAIL]")]
+    assert [line.split(":")[0] for line in failed] == (
+        ["[FAIL] per_frequency_gain_vs_dense_oracle"] if code else [])
 
 
 def test_verify_against_dense_oracle(capsys):
@@ -688,15 +703,17 @@ def test_design_evaluations_per_command(tmp_path, monkeypatch, capsys,
 @pytest.mark.parametrize("command", COMMANDS)
 def test_designs_take_the_rfft_half(tmp_path, monkeypatch, capsys, command):
     # every command designs on the n//2 + 1 distinct eigenvalues of its
-    # ring (n = 4 in every command line), and names its ring when the
-    # design fails
+    # ring (n = 4 in every command line) with their multiplicities, whose
+    # sum names the ring when the design fails
     argv = _command(tmp_path, command)
     calls = _count_calls(monkeypatch, "design_spectra",
                          synthesis.design_spectra)
     assert main(argv) == 0
+    d, mult = rfft_half(4)
     for args in calls:
-        assert np.shape(args[4]) == (3,)
-        assert args[5] == 4
+        assert len(args) == 6
+        np.testing.assert_array_equal(args[4], d)
+        np.testing.assert_array_equal(args[5], mult)
 
 
 def test_verify_at_a_point_solves_the_rfft_half(tmp_path, monkeypatch,

@@ -12,7 +12,7 @@ from wavelqg import oracle
 from wavelqg.oracle import (ConvergenceError, backward_error, newton_kleinman,
                             ring_equations, solve_ring)
 from wavelqg.params import NondimParams
-from wavelqg.spectral import laplacian_spectrum
+from wavelqg.spectral import laplacian_spectrum, rfft_half
 from wavelqg.synthesis import design_spectra
 from wavelqg.verify import verify_point
 
@@ -68,7 +68,7 @@ def test_convergence_error_carries_step_history(monkeypatch):
     # from the fixed start s**2 + 2 s + 1 in every block, far from the
     # solution's scale (gains of order 1e8), Newton only halves the gains
     p = NondimParams(pi1=1e-8, pi2=1.0, pi3=1e8, pi4=1e8, n=2)
-    a, b, q, r_inv = ring_equations(p, laplacian_spectrum(p.n)[:p.n // 2 + 1])
+    a, b, q, r_inv = ring_equations(p, rfft_half(p.n)[0])
     start = _place(a, b)
     monkeypatch.setattr(oracle, "MAX_NEWTON_STEPS", 6)
     with pytest.raises(ConvergenceError, match="did not settle in 6 steps") \
@@ -101,7 +101,7 @@ def test_solve_ring_makes_at_most_six_lyapunov_solves(monkeypatch):
                         lambda f, c: calls.append(1) or lyapunov(f, c))
     for p in _seeded_points(300, -12.0, 12.0, seed=27):
         calls.clear()
-        solve_ring(p)
+        solve_ring(p, rfft_half(p.n)[0])
         assert len(calls) <= 6, p
 
 
@@ -112,9 +112,9 @@ def test_solve_ring_starts_are_stabilizing(monkeypatch):
                         lambda *eq: starts.append(eq[-1]) or solve(*eq))
     for p in _seeded_points(300, -12.0, 12.0, seed=11):
         starts.clear()
-        _, k = solve_ring(p)
+        d = rfft_half(p.n)[0]
+        _, k = solve_ring(p, d)
         (k0, kc), (lc, l0) = np.moveaxis(starts[0], -1, 1)
-        d = laplacian_spectrum(p.n)[:p.n // 2 + 1]
         # the closed-loop quadratics s**2 + kc s + (k0 - d) and
         # s**2 + pi4 lc s + (pi4 l0 - d) of every block
         assert np.all(k0 - d > 0.0) and np.all(kc > 0.0), p
@@ -139,9 +139,9 @@ def test_filter_solution_satisfies_filter_equation():
     # kind 1 is solved as the dual control equation; its solution must
     # solve the primal filter equation a S + S a.T + W - S c.T V^-1 c S = 0
     p = NondimParams(pi1=0.3, pi2=2.0, pi3=0.7, pi4=5.0, n=12)
-    x, k = solve_ring(p)
-    a, b, w, v_inv = (arr[1] for arr in ring_equations(
-        p, laplacian_spectrum(p.n)[:p.n // 2 + 1]))
+    d = rfft_half(p.n)[0]
+    x, k = solve_ring(p, d)
+    a, b, w, v_inv = (arr[1] for arr in ring_equations(p, d))
     a_f = np.swapaxes(a, -1, -2)
     c = b[:, None, :]
     s = x[1]
@@ -156,9 +156,9 @@ def test_filter_solution_satisfies_filter_equation():
 
 def test_backward_error_is_scale_invariant():
     p = NondimParams(pi1=0.8, pi2=1.3, pi3=2.1, pi4=1.0, n=8)
-    a, b, q, r_inv = (arr[0] for arr in ring_equations(
-        p, laplacian_spectrum(p.n)[:p.n // 2 + 1]))
-    x, _ = solve_ring(p)
+    d = rfft_half(p.n)[0]
+    a, b, q, r_inv = (arr[0] for arr in ring_equations(p, d))
+    x, _ = solve_ring(p, d)
     off = x[0] * (1.0 + 1e-6)
     err = backward_error(a, b, q, r_inv, off)
     # scaling the equation and its solution together leaves it unchanged
@@ -225,5 +225,5 @@ def test_full_ring_dense_solve_matches_spectral_assembly():
     k_dense = p.pi3 ** 2 * regulator_care(p)[p.n:]
     k_spectral, _ = gains(
         design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
-                       laplacian_spectrum(p.n)).blocks)
+                       laplacian_spectrum(p.n), 1.0).blocks)
     assert np.abs(k_dense - k_spectral).max() <= 1e-8 * (1 + np.abs(k_spectral).max())

@@ -75,7 +75,7 @@ def test_package_does_not_import_scipy():
 
 def test_oracle_shares_only_the_laplacian_with_the_package():
     # the oracle checks the closed forms, so of the package it may use the
-    # parameters and the Laplacian eigenvalues only
+    # parameters only; it is given the Laplacian eigenvalues it solves at
     tree = ast.parse(Path(oracle.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
@@ -84,10 +84,7 @@ def test_oracle_shares_only_the_laplacian_with_the_package():
         elif isinstance(node, ast.ImportFrom):
             module = "." * node.level + (node.module or "")
             imported |= {(module, alias.name) for alias in node.names}
-    assert {m for m, _ in imported} <= {"__future__", "numpy", ".params",
-                                        ".spectral"}
-    assert {name for m, name in imported if m == ".spectral"} == {
-        "laplacian_spectrum"}
+    assert {m for m, _ in imported} <= {"__future__", "numpy", ".params"}
 
 
 @pytest.mark.parametrize("module, name", [
@@ -95,8 +92,11 @@ def test_oracle_shares_only_the_laplacian_with_the_package():
     ("wavelqg.analysis", "lqr_cost"), ("wavelqg.analysis", "lqg_cost"),
     ("wavelqg.spectral", "circulant_rows"),
     ("wavelqg.spectral", "SymmetryError"),
+    ("wavelqg", "rfft_multiplicities"),
+    ("wavelqg.spectral", "rfft_multiplicities"),
 ])
 def test_removed_names_are_gone(module, name):
     # costs come from analysis.costs or report; gain rows from the rfft
-    # half by numpy.fft.irfft, which needs no symmetry check
+    # half by numpy.fft.irfft, which needs no symmetry check; the half and
+    # its multiplicities from spectral.rfft_half
     assert not hasattr(importlib.import_module(module), name)

@@ -11,7 +11,7 @@ import os
 import subprocess
 import sys
 import threading
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -30,7 +30,7 @@ from wavelqg.simulator import (
     kernel_backend,
     simulate,
 )
-from wavelqg.spectral import laplacian_spectrum, rfft_multiplicities
+from wavelqg.spectral import laplacian_spectrum, rfft_half
 
 MILD = NondimParams(pi1=0.0, pi2=1.0, pi3=1.0, pi4=1.0, n=4)
 # pi3 = pi4 = 2/pi1: the completely decentralized family at n=4.
@@ -66,8 +66,8 @@ def test_simulate_asserts_hurwitz_poles(monkeypatch):
     # half plane can only come from a bug in the closed forms.
     poles = analysis.loop_poles
 
-    def unstable(s, pi4, d):
-        return -poles(s, pi4, d)  # mirrored into the right half plane
+    def unstable(s, pi4):
+        return -poles(s, pi4)  # mirrored into the right half plane
 
     monkeypatch.setattr(analysis, "loop_poles", unstable)
     cfg = SimConfig(params=MILD)
@@ -469,7 +469,10 @@ def test_frequency_blocks_match_dense_loop_for_any_gains(n):
     blocks = (raw + np.roll(raw[:, ::-1], 1, axis=1)) / 2.0  # K1 K2 L1 L2
     dt, scale = 0.01, 1.3
     k0, kc, lc, l0 = blocks[:, :n // 2 + 1]
-    a, b, w = frequency_blocks(p, k0, kc, l0, lc, dt, noise_scale=scale)
+    s = replace(synthesis.design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
+                                         *rfft_half(n)),
+                k0=k0, kc=kc, l0=l0, lc=lc)
+    a, b, w = frequency_blocks(p, s, dt, noise_scale=scale)
 
     kmat, lmat = dense.gains(blocks)
     gen = dense.closed_loop(p, blocks)
@@ -486,7 +489,7 @@ def test_frequency_blocks_match_dense_loop_for_any_gains(n):
     white = rng.standard_normal((2, n))
     # b takes unit normals: the orthonormal rfft of white noise over the
     # bins' 1/sqrt(multiplicity)
-    unit = to_bins(white) * np.sqrt(rfft_multiplicities(n))[:, None, None]
+    unit = to_bins(white) * np.sqrt(s.mult)[:, None, None]
     step = x + dt * gen @ x
     step[n:2 * n] += np.sqrt(dt) * scale * white[0]
     step[2 * n:] += np.sqrt(dt) * scale * (
@@ -518,12 +521,11 @@ def test_stepped_blocks_reproduce_the_closed_form_costs(pi, n):
     # The points stay where scipy's solver is accurate: at harsher ones,
     # such as pi = (3, 0.5, 0.02, 50), it alone drifts to ~1e-12.
     p = NondimParams(*pi, n=n)
-    s = synthesis.design_spectra(*pi, laplacian_spectrum(n)[:n // 2 + 1])
-    a, b, w = frequency_blocks(p, s.k0, s.kc, s.l0, s.lc, dt=1.0)
+    s = synthesis.design_spectra(*pi, *rfft_half(n))
+    a, b, w = frequency_blocks(p, s, dt=1.0)
     cov = np.stack([sla.solve_continuous_lyapunov(g, -bk @ bk.T)
                     for g, bk in zip(a - np.eye(4), b)])
-    mult = rfft_multiplicities(n)
-    got = [np.einsum("b,bjk,bjl,blk->", mult, wi, wi, cov) for wi in w]
+    got = [np.einsum("b,bjk,bjl,blk->", s.mult, wi, wi, cov) for wi in w]
     want = [analysis.report(p).j_lqg, analysis.kf_cost(p)]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -565,7 +567,7 @@ def test_zero_noise_decay_rate_matches_filter_abscissa():
     a, _, c = dense.plant(MILD)
     _, lmat = dense.gains(synthesis.design_spectra(
         MILD.pi1, MILD.pi2, MILD.pi3, MILD.pi4,
-        laplacian_spectrum(MILD.n)).blocks)
+        laplacian_spectrum(MILD.n), 1.0).blocks)
     absc = dense.spectral_abscissa(a - lmat @ c)
     assert absc < 0.0
 
@@ -635,7 +637,7 @@ def test_control_is_gain_times_estimate():
     traj, _ = simulate(cfg)
     kmat, _ = dense.gains(synthesis.design_spectra(
         DECENTRAL.pi1, DECENTRAL.pi2, DECENTRAL.pi3, DECENTRAL.pi4,
-        laplacian_spectrum(DECENTRAL.n)).blocks)
+        laplacian_spectrum(DECENTRAL.n), 1.0).blocks)
     assert np.allclose(traj.control, -traj.estimate @ kmat.T, atol=1e-13)
 
 

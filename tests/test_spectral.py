@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import dense
 from dense import circulant, laplacian
-from wavelqg.spectral import (laplacian_spectrum, offdiag_masses,
-                              rfft_multiplicities, spectrum_of_circulant)
+from wavelqg.spectral import (laplacian_spectrum, offdiag_masses, rfft_half,
+                              spectrum_of_circulant)
 
 
 def test_laplacian_first_row():
@@ -142,7 +142,8 @@ def test_offdiag_mass_zero_matrix():
     (8, [1, 2, 2, 2, 1]), (9, [1, 2, 2, 2, 2]),
 ])
 def test_rfft_multiplicities(n, expected):
-    mult = rfft_multiplicities(n)
+    d, mult = rfft_half(n)
+    np.testing.assert_array_equal(d, laplacian_spectrum(n)[:n // 2 + 1])
     np.testing.assert_array_equal(mult, expected)
     assert mult.sum() == n
     # simulate's Parseval weights are their square roots, bit for bit
@@ -160,15 +161,13 @@ def test_offdiag_masses_of_spectra_match_the_row_space_masses(n):
     rows[1, 1:] *= 1e-9  # nearly diagonal
     vals = spectrum_of_circulant(rows).real
     ref = dense.offdiag_masses(rows)
-    half = vals[:, :n // 2 + 1]
-    for got in (offdiag_masses(vals, 1.0),
-                offdiag_masses(half, rfft_multiplicities(n))):
+    half, mult = vals[:, :n // 2 + 1], rfft_half(n)[1]
+    for got in (offdiag_masses(vals, 1.0), offdiag_masses(half, mult)):
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
     assert offdiag_masses(vals, 1.0)[0] == 0.0
     assert offdiag_masses(np.full(n, 3.5), 1.0) == 0.0
-    np.testing.assert_array_equal(
-        offdiag_masses(half, rfft_multiplicities(n)),
-        [offdiag_masses(v, rfft_multiplicities(n)) for v in half])
+    np.testing.assert_array_equal(offdiag_masses(half, mult),
+                                  [offdiag_masses(v, mult) for v in half])
 
 
 def test_circulant_commutes_with_cyclic_shift():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dense import circulant, offdiag_masses
 from wavelqg.params import NondimParams
-from wavelqg.spectral import laplacian_spectrum
+from wavelqg.spectral import laplacian_spectrum, rfft_half
 from wavelqg.synthesis import (GainKind, GainSet, decentralization_tolerance,
                                design_spectra, gain_set_from_dict,
                                gain_set_to_dict, optimal_gains)
@@ -28,13 +28,12 @@ def random_params(rng, n, lo=1e-2, hi=1e2):
 
 def spectra(p):
     return design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
-                          laplacian_spectrum(p.n))
+                          laplacian_spectrum(p.n), 1.0)
 
 
 def half_spectra(p):
     """The design on the rfft half k = 0 .. n//2, as optimal_gains takes it."""
-    return design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
-                          laplacian_spectrum(p.n)[:p.n // 2 + 1], p.n)
+    return design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, *rfft_half(p.n))
 
 
 def mirrored(half, n):
