@@ -19,8 +19,7 @@ import numpy as np
 from wavelqg import _kernels
 from wavelqg.params import NondimParams
 from wavelqg.simulator import _BLOCK, _KB, _bin_parts, _split, frequency_blocks
-from wavelqg.spectral import rfft_half
-from wavelqg.synthesis import design_spectra
+from wavelqg.synthesis import ring_design
 
 DT = 0.005
 
@@ -36,8 +35,7 @@ def build_workload(n: int, steps: int, seed: int = 0):
     count runs a whole number of chunks).
     """
     p = NondimParams(pi1=0.5, pi2=1.0, pi3=4.0, pi4=4.0, n=n)
-    s = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, *rfft_half(n))
-    a, b, (w_cost, w_err) = frequency_blocks(p, s, DT)
+    a, b, (w_cost, w_err) = frequency_blocks(ring_design(p), DT)
     bins = n // 2 + 1
     chunks = -(-steps // _KB)
     rng = np.random.default_rng(seed)

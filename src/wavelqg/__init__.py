@@ -11,7 +11,7 @@ simulator for end-to-end checks.
 from .params import DimensionalParams, NondimParams, locality_residuals, nondimensionalize
 from .spectral import offdiag_masses, rfft_half
 from .synthesis import (DesignSpectra, GainKind, GainSet, design_spectra,
-                        optimal_gains)
+                        optimal_gains, ring_design)
 from .analysis import (CostLocalityReport, SweepGrid, curve_reports, kf_cost,
                        lqg_cost_dual, report, sweep)
 from .simulator import SimConfig, SimSummary, Trajectory, simulate

@@ -12,9 +12,9 @@ carries them (:attr:`~wavelqg.synthesis.DesignSpectra.mult`):
 
 with R = I/pi3**2.  The output-feedback cost has an equivalent dual form
 trace(S Qbar) + trace(P L V L') with Qbar the state weight and V =
-(I - pi1 Lap)**-1 the measurement noise covariance; both are computed here
-through independent per-frequency combinations and must agree, which the
-test suite and the ``verify`` command exercise.
+(I - pi1 Lap)**-1 the measurement noise covariance.  Functions taking a
+design record read its point from it and batch over its points; the two
+forms are independent sums, which the tests and ``verify`` compare.
 
 :func:`sweep` and :func:`curve_reports` return tables: a dict that maps
 each column of :data:`CSV_HEADER` (:data:`COLUMNS`) to a 1-D array, one
@@ -31,7 +31,7 @@ import numpy as np
 
 from .params import NondimParams
 from .spectral import offdiag_masses, rfft_half
-from .synthesis import DesignSpectra, design_spectra
+from .synthesis import DesignSpectra, design_spectra, ring_design
 
 __all__ = [
     "CostLocalityReport",
@@ -64,44 +64,38 @@ def costs(s: DesignSpectra) -> np.ndarray:
                   * s.mult, axis=-1)
 
 
-def _design(p: NondimParams) -> DesignSpectra:
-    """The design at ``p`` on the rfft half."""
-    return design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, *rfft_half(p.n))
-
-
 def kf_cost(p: NondimParams) -> float:
     """trace of the steady-state estimation error covariance."""
-    return float(costs(_design(p))[1])
+    return float(costs(ring_design(p))[1])
 
 
-def dual_lqg_cost(s: DesignSpectra, p: NondimParams) -> float:
+def dual_lqg_cost(s: DesignSpectra) -> np.ndarray:
     """The LQG cost through the dual form trace(S Qbar) + trace(P L V L'),
-    from the spectra ``s`` of the design at ``p``."""
-    v_inv = 1.0 - p.pi1 * s.d
-    state = s.s1 * v_inv + s.s2 * p.pi2
+    per point of ``s``, like ``costs(s)[..., 2]``."""
+    v_inv = 1.0 - s.pi1 * s.d
+    state = s.s1 * v_inv + s.s2 * s.pi2
     inject = (s.p1 * s.lc ** 2 + 2.0 * s.p0 * s.lc * s.l0
               + s.p2 * s.l0 ** 2) / v_inv
-    return float(np.sum(s.mult * (state + inject)))
+    return np.sum(s.mult * (state + inject), axis=-1)
 
 
 def lqg_cost_dual(p: NondimParams) -> float:
     """Same cost through the dual form trace(S Qbar) + trace(P L V L')."""
-    return dual_lqg_cost(_design(p), p)
+    return float(dual_lqg_cost(ring_design(p)))
 
 
-def loop_poles(s: DesignSpectra, pi4) -> np.ndarray:
-    """Closed-loop poles of the designs in ``s``, at its eigenvalues
-    ``s.d``, shape (..., 2, len(s.d), 2).
+def loop_poles(s: DesignSpectra) -> np.ndarray:
+    """Closed-loop poles of the designs in ``s``, each at its own pi4 and
+    at the eigenvalues ``s.d``, shape (..., 2, len(s.d), 2).
 
     Frequency k's loop is block triangular in (state, estimation error)
     coordinates: its poles are the roots of s**2 + kc s + (k0 - d) (index
     0 of axis -3) and of s**2 + pi4 lc s + (pi4 l0 - d) (index 1), each
     pair as r1 = -(t + sqrt(t**2 - 4 delta)) / 2 and r2 = delta / r1, so
-    no root cancels.  ``pi4`` broadcasts against the points of ``s``.
+    no root cancels.
     """
-    pi4 = np.asarray(pi4, dtype=float)[..., None]
-    t = np.stack([s.kc, pi4 * s.lc], axis=-2)
-    delta = np.stack([s.k0 - s.d, pi4 * s.l0 - s.d], axis=-2)
+    t = np.stack([s.kc, s.pi4 * s.lc], axis=-2)
+    delta = np.stack([s.k0 - s.d, s.pi4 * s.l0 - s.d], axis=-2)
     r1 = -0.5 * (t + np.sqrt(t * t - 4.0 * delta + 0j))
     return np.stack([r1, delta / r1], axis=-1)
 

@@ -35,10 +35,10 @@ squares: k0 = pi3 and l0 = 1.
 Every spectrum depends on k only through d(k) = d(n - k), so the ring has
 n//2 + 1 distinct blocks, those of the rfft half k = 0 .. n//2.
 :func:`design_spectra` evaluates all of these at a batch of points and
-any Laplacian eigenvalues d, which its record carries with their
-multiplicities; :func:`optimal_gains` turns one point's K1, K2, L1 and L2
-spectra (in that order, :attr:`DesignSpectra.blocks`) on the half into
-the first rows of the circulant gain blocks.
+any Laplacian eigenvalues d, which its record carries with the points and
+multiplicities; :func:`optimal_gains` turns the K1, K2, L1 and L2 spectra
+(in that order, :attr:`DesignSpectra.blocks`) of one point's design on
+its ring's half, :func:`ring_design`, into the gain blocks' first rows.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ __all__ = [
     "GainSet",
     "DesignSpectra",
     "design_spectra",
+    "ring_design",
     "optimal_gains",
     "decentralization_tolerance",
 ]
@@ -90,11 +91,15 @@ class GainSet:
 
 @dataclass(frozen=True, eq=False)
 class DesignSpectra:
-    """The spectra of the module docstring at a batch of parameter points;
-    each array has the broadcast shape of the pi inputs plus a last axis
-    over the Laplacian eigenvalues ``d``, each standing for ``mult`` of
-    the ring's frequencies (1 for a full spectrum)."""
+    """The spectra of the module docstring at a batch of points ``pi1`` ..
+    ``pi4``, held as given with a last axis of length 1; each spectrum has
+    their broadcast shape but for a last axis over the eigenvalues ``d``,
+    each standing for ``mult`` of the ring's frequencies (1 for all n)."""
 
+    pi1: np.ndarray
+    pi2: np.ndarray
+    pi3: np.ndarray
+    pi4: np.ndarray
     d: np.ndarray
     mult: np.ndarray
     p0: np.ndarray
@@ -121,8 +126,9 @@ def design_spectra(pi1, pi2, pi3, pi4, d, mult) -> DesignSpectra:
     eigenvalues ``d`` (the last axis of each result), each counted ``mult``
     times (:func:`~wavelqg.spectral.rfft_half`, or 1.0 for all n), from one
     square root per eigenvalue for the regulator and one for the filter.
-    Raises ValueError naming the first non-finite point and n = sum(mult):
-    pi3 or pi4 above about 1e151, pi3 below 1e-161 or pi4 below 1e-102."""
+    Raises ValueError naming n = sum(mult) and the first point where a
+    spectrum is not positive and finite: pi3 above 1e151 or below 1e-161,
+    pi4 below 1e-102, or s1 underflowing (pi4 > 1e108; pi1 > 1e216)."""
     mult = np.broadcast_to(mult, np.shape(d))
     pi1, pi2, pi3, pi4 = (np.asarray(x, dtype=float)[..., None]
                           for x in (pi1, pi2, pi3, pi4))
@@ -139,24 +145,29 @@ def design_spectra(pi1, pi2, pi3, pi4, d, mult) -> DesignSpectra:
             p0=k0 / pi3 ** 2, p1=p2 * (k0 - d), p2=p2, k0=k0, kc=kc,
             s0=s0, s1=s1, s2=s1 * (w * s0 - d), l0=w * s0 / pi4,
             lc=w * s1 / pi4)
-    # one whole-array test per spectrum; the per-point mask, about five
-    # times dearer, is built only to name the failing point
-    if not all(np.isfinite(a).all() for a in spectra.values()):
-        ok = np.logical_and.reduce([np.isfinite(a).all(axis=-1)
+    # one whole-array test per spectrum, which NaN fails too; the per-point
+    # mask, about five times dearer, is built only to name the failing point
+    if not all(0.0 < a.min() and a.max() < np.inf for a in spectra.values()):
+        ok = np.logical_and.reduce([((0.0 < a) & (a < np.inf)).all(axis=-1)
                                     for a in spectra.values()])
         pi = [np.broadcast_to(a[..., 0], ok.shape)[~ok][0]
               for a in (pi1, pi2, pi3, pi4)]
-        raise ValueError("the design is not finite in floating point at "
-                         "pi=({:.6g}, {:.6g}, {:.6g}, {:.6g}), n={:.0f}"
-                         .format(*pi, mult.sum()))
-    return DesignSpectra(d=d, mult=mult, **spectra)
+        raise ValueError("the design is not positive and finite in floating "
+                         "point at pi=({:.6g}, {:.6g}, {:.6g}, {:.6g}), "
+                         "n={:.0f}".format(*pi, mult.sum()))
+    return DesignSpectra(pi1, pi2, pi3, pi4, d, mult, **spectra)
+
+
+def ring_design(p: NondimParams) -> DesignSpectra:
+    """The design at ``p`` on the rfft half of its ring."""
+    return design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, *rfft_half(p.n))
 
 
 def optimal_gains(p: NondimParams) -> tuple[GainSet, GainSet]:
     """The optimal (regulator, filter) gain sets at ``p``, designed on the
     rfft half; the half is mirrored to the n frequencies of a set."""
     n = p.n
-    half = design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, *rfft_half(n)).blocks
+    half = ring_design(p).blocks
     rows = np.fft.irfft(half, n)
     k = np.arange(n)
     spectra = half[..., np.minimum(k, n - k)]

@@ -1,7 +1,7 @@
 """Checks of the closed forms against the Newton-Kleinman oracle, and
 gain-file audits.
 
-``verify_point`` scores the closed forms at one parameter point against
+``verify_point`` scores the ring design at one parameter point against
 the batched per-frequency Newton-Kleinman oracle of :mod:`wavelqg.oracle`,
 which shares no code path with them; ``audit_gain_set`` checks a gain set
 read back from a file against its own parameters.  Both return
@@ -19,7 +19,7 @@ from . import analysis, synthesis
 from .oracle import (ConvergenceError, backward_error, ring_equations,
                      solve_ring, symmetric_blocks)
 from .params import NondimParams
-from .spectral import laplacian_spectrum, rfft_half, spectrum_of_circulant
+from .spectral import laplacian_spectrum, spectrum_of_circulant
 
 __all__ = ["Check", "ConvergenceError", "verify_point", "audit_gain_set"]
 
@@ -44,8 +44,8 @@ def _rel_dev(ref, x):
 
 
 def verify_point(p: NondimParams) -> list[Check]:
-    """Closed forms at ``p`` against the Newton-Kleinman oracle, over the
-    rfft half k = 0 .. n//2 at once.
+    """The design :func:`~wavelqg.synthesis.ring_design` gives at ``p``
+    against the Newton-Kleinman oracle at ``p``, over the rfft half at once.
 
     Checks, in order: the worst relative gain deviation from the oracle,
     the worst backward error of the closed-form Riccati blocks (control
@@ -55,7 +55,7 @@ def verify_point(p: NondimParams) -> list[Check]:
     of the per-frequency poles of :func:`~wavelqg.analysis.loop_poles`.
     Raises :class:`ConvergenceError` when the oracle does not converge.
     """
-    s = synthesis.design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, *rfft_half(p.n))
+    s = synthesis.ring_design(p)
     _, k = solve_ring(p, s.d)
     # the oracle's kind 1 is the filter's dual, whose gain is [lc, l0]
     closed_k = np.stack([np.stack([s.k0, s.kc], -1),
@@ -63,9 +63,8 @@ def verify_point(p: NondimParams) -> list[Check]:
     closed_x = np.stack([symmetric_blocks(s.p1, s.p0, s.p2),
                          symmetric_blocks(s.s1, s.s0, s.s2)])
     res_max = backward_error(*ring_equations(p, s.d), closed_x).max()
-    dual_dev = _rel_dev(float(analysis.costs(s)[2]),
-                        analysis.dual_lqg_cost(s, p))
-    absc = float(analysis.loop_poles(s, p.pi4).real.max())
+    dual_dev = _rel_dev(analysis.costs(s)[2], analysis.dual_lqg_cost(s))
+    absc = float(analysis.loop_poles(s).real.max())
     return [
         _at_most("per_frequency_gain_vs_dense_oracle",
                  _rel_dev(k, closed_k).max(), 1e-7),

@@ -17,7 +17,7 @@ from wavelqg import _kernels, analysis, simulator, synthesis
 from wavelqg._kernels import NOISE_ROWS, advance
 from wavelqg.params import DimensionalParams, NondimParams, locality_residuals, nondimensionalize
 from wavelqg.simulator import SimConfig, frequency_blocks, simulate
-from wavelqg.spectral import laplacian_spectrum, rfft_half
+from wavelqg.spectral import laplacian_spectrum
 from wavelqg.verify import verify_point
 
 N_CYCLE = (2, 4, 8, 16, 30)
@@ -135,7 +135,7 @@ def test_05_closed_loop_is_stable_and_separates():
         got = np.linalg.eigvals(aug)
         tol = 1e-8 * (1.0 + np.abs(expected).max())
         _match_one_to_one(got, expected, tol)
-        _match_one_to_one(analysis.loop_poles(s, p.pi4).ravel(), got, tol)
+        _match_one_to_one(analysis.loop_poles(s).ravel(), got, tol)
 
 
 def test_06_lqg_cost_trace_forms_agree():
@@ -225,10 +225,8 @@ def test_09_correlated_noise_has_the_advertised_covariance(monkeypatch):
 
         # site noise of each live normal: through b and irfft
         one, zero = np.ones(n // 2 + 1), np.zeros(n // 2 + 1)
-        s = replace(synthesis.design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
-                                             *rfft_half(n)),
-                    k0=one, kc=one, l0=zero, lc=one)
-        _, b, _ = frequency_blocks(p, s, dt=1.0)
+        s = replace(synthesis.ring_design(p), k0=one, kc=one, l0=zero, lc=one)
+        _, b, _ = frequency_blocks(s, dt=1.0)
         unit = bin_noise(np.eye(n), n)[:, :, 0]
         for col, cov in [(b[:, 1, 0], np.eye(n)),
                          (b[:, 2, 1], noise_covariance(pi1, n))]:

@@ -15,7 +15,7 @@ from wavelqg.analysis import (COLUMNS, CSV_HEADER, CostLocalityReport,
                               rows_to_csv, sweep)
 from wavelqg.params import NondimParams
 from wavelqg.spectral import laplacian_spectrum, rfft_half
-from wavelqg.synthesis import design_spectra
+from wavelqg.synthesis import design_spectra, ring_design
 
 
 def params(pi1=0.5, pi2=1.0, pi3=4.0, pi4=4.0, n=30):
@@ -113,7 +113,7 @@ def test_separation_spectrum():
         kmat, lmat = dense.gains(s.blocks)
         separated = np.concatenate([np.linalg.eigvals(a - b @ kmat),
                                     np.linalg.eigvals(a - lmat @ c)])
-        poles = loop_poles(s, p.pi4).ravel()
+        poles = loop_poles(s).ravel()
         loop = np.linalg.eigvals(dense.closed_loop(p, s.blocks))
         for expected in (separated, poles):
             got = list(loop)
@@ -130,9 +130,8 @@ def test_half_spectrum_poles_are_the_full_spectrum_bins(n):
     # those of the same bins of the full spectrum
     p = params(pi1=0.3, pi2=1.0, pi3=2.0, pi4=1.5, n=n)
     full = loop_poles(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
-                                     laplacian_spectrum(n), 1.0), p.pi4)
-    got = loop_poles(design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
-                                    *rfft_half(n)), p.pi4)
+                                     laplacian_spectrum(n), 1.0))
+    got = loop_poles(ring_design(p))
     np.testing.assert_array_equal(got, full[:, :n // 2 + 1])
 
 
@@ -341,12 +340,16 @@ def test_table_matches_the_full_spectrum(n):
     for j, column in enumerate(MASSES):
         np.testing.assert_allclose(table[column], masses[:, j], rtol=0,
                                    atol=1e-14)
-    for point in pi.T:
-        p = NondimParams(*point, n=n)
-        full = design_spectra(*point, laplacian_spectrum(n), 1.0)
-        half = design_spectra(*point, *rfft_half(n))
-        assert analysis.dual_lqg_cost(full, p) == pytest.approx(
-            analysis.dual_lqg_cost(half, p), rel=1e-13, abs=0)
+    half = design_spectra(*pi, *rfft_half(n))
+    np.testing.assert_allclose(analysis.dual_lqg_cost(half),
+                               analysis.dual_lqg_cost(s), rtol=1e-13, atol=0)
+
+
+def test_dual_cost_batches_like_the_primal_form():
+    # each point of a batched design is scored with its own pi1 and pi2
+    s = design_spectra([0.3, 0.9], 1.2, 2.5, 1.7, *rfft_half(8))
+    np.testing.assert_allclose(analysis.dual_lqg_cost(s),
+                               analysis.costs(s)[:, 2], rtol=1e-13, atol=0)
 
 
 def test_near_curve_masses_match_50_digit_reference():

@@ -211,6 +211,22 @@ def test_non_finite_design_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.endswith(", n=30\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--t-final", "1"], ["report"], ["verify"], ["synth"]])
+def test_underflowed_design_is_a_usage_error(tmp_path, capsys, argv):
+    # every spectrum is positive in exact arithmetic, but at pi1 = 1e250
+    # s1 = sqrt(2 s0 / w) underflows to 0, and with it lc and s2
+    argv = [*argv, "--pi1", "1e250", "--n", "4"]
+    if argv[0] == "synth":
+        argv += ["--out", str(tmp_path / "g")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not positive and finite" in err
+    assert "pi=(1e+250, 1, 1, 1), n=4" in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("e, code", [(104, 0), (105, 0), (106, 1), (107, 1)])
 def test_verify_scores_a_tiny_filter_gain_by_its_own_size(capsys, e, code):
     # lc loses digits as pi3 = pi4 grows (the closed forms' s1 nears

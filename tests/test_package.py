@@ -1,17 +1,21 @@
 """Package structure: exported names and start-up imports."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wavelqg
-from wavelqg import oracle
+from wavelqg import analysis, oracle, simulator, synthesis
+from wavelqg.params import NondimParams
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(wavelqg.__path__))
 
@@ -85,6 +89,27 @@ def test_oracle_shares_only_the_laplacian_with_the_package():
             module = "." * node.level + (node.module or "")
             imported |= {(module, alias.name) for alias in node.names}
     assert {m for m, _ in imported} <= {"__future__", "numpy", ".params"}
+
+
+@pytest.mark.parametrize("function", [
+    simulator.frequency_blocks, analysis.loop_poles, analysis.costs,
+    analysis.dual_lqg_cost])
+def test_per_bin_functions_take_the_design_alone(function):
+    # a design carries its point, so none is passed beside it
+    params = set(inspect.signature(function).parameters)
+    assert not params & {"p", "pi1", "pi2", "pi3", "pi4"}
+
+
+def test_the_ring_design_is_the_source_of_its_point():
+    p = NondimParams(pi1=0.3, pi2=1.2, pi3=2.5, pi4=1.7, n=8)
+    s = synthesis.ring_design(p)
+    assert [getattr(s, f"pi{i}").tolist() for i in range(1, 5)] == [
+        [p.pi1], [p.pi2], [p.pi3], [p.pi4]]
+    # another pi4 moves the filter poles only: loop_poles reads the record
+    poles = analysis.loop_poles(s)
+    moved = analysis.loop_poles(dataclasses.replace(s, pi4=2.0 * p.pi4))
+    np.testing.assert_array_equal(moved[0], poles[0])
+    assert np.abs(moved[1] - poles[1]).min() > 0.1
 
 
 @pytest.mark.parametrize("module, name", [

@@ -30,7 +30,7 @@ from wavelqg.simulator import (
     kernel_backend,
     simulate,
 )
-from wavelqg.spectral import laplacian_spectrum, rfft_half
+from wavelqg.spectral import laplacian_spectrum
 
 MILD = NondimParams(pi1=0.0, pi2=1.0, pi3=1.0, pi4=1.0, n=4)
 # pi3 = pi4 = 2/pi1: the completely decentralized family at n=4.
@@ -66,8 +66,8 @@ def test_simulate_asserts_hurwitz_poles(monkeypatch):
     # half plane can only come from a bug in the closed forms.
     poles = analysis.loop_poles
 
-    def unstable(s, pi4):
-        return -poles(s, pi4)  # mirrored into the right half plane
+    def unstable(s):
+        return -poles(s)  # mirrored into the right half plane
 
     monkeypatch.setattr(analysis, "loop_poles", unstable)
     cfg = SimConfig(params=MILD)
@@ -95,13 +95,13 @@ def test_stability_check_never_asserts_over_the_wide_range(pi1, pi2, pi3,
 def test_one_run_evaluates_the_design_once(monkeypatch):
     # once: simulate checks, steps and predicts from one design
     calls = []
-    design = simulator.design_spectra
+    design = synthesis.design_spectra
 
     def counted(*args):
         calls.append(args)
         return design(*args)
 
-    for module in (simulator, analysis, synthesis):
+    for module in (analysis, synthesis):
         monkeypatch.setattr(module, "design_spectra", counted)
     cfg = SimConfig(params=MILD, t_final=1.0)
     assert len(calls) == 0
@@ -469,10 +469,8 @@ def test_frequency_blocks_match_dense_loop_for_any_gains(n):
     blocks = (raw + np.roll(raw[:, ::-1], 1, axis=1)) / 2.0  # K1 K2 L1 L2
     dt, scale = 0.01, 1.3
     k0, kc, lc, l0 = blocks[:, :n // 2 + 1]
-    s = replace(synthesis.design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
-                                         *rfft_half(n)),
-                k0=k0, kc=kc, l0=l0, lc=lc)
-    a, b, w = frequency_blocks(p, s, dt, noise_scale=scale)
+    s = replace(synthesis.ring_design(p), k0=k0, kc=kc, l0=l0, lc=lc)
+    a, b, w = frequency_blocks(s, dt, noise_scale=scale)
 
     kmat, lmat = dense.gains(blocks)
     gen = dense.closed_loop(p, blocks)
@@ -521,8 +519,8 @@ def test_stepped_blocks_reproduce_the_closed_form_costs(pi, n):
     # The points stay where scipy's solver is accurate: at harsher ones,
     # such as pi = (3, 0.5, 0.02, 50), it alone drifts to ~1e-12.
     p = NondimParams(*pi, n=n)
-    s = synthesis.design_spectra(*pi, *rfft_half(n))
-    a, b, w = frequency_blocks(p, s, dt=1.0)
+    s = synthesis.ring_design(p)
+    a, b, w = frequency_blocks(s, dt=1.0)
     cov = np.stack([sla.solve_continuous_lyapunov(g, -bk @ bk.T)
                     for g, bk in zip(a - np.eye(4), b)])
     got = [np.einsum("b,bjk,bjl,blk->", s.mult, wi, wi, cov) for wi in w]

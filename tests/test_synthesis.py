@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from dense import circulant, offdiag_masses
 from wavelqg.params import NondimParams
-from wavelqg.spectral import laplacian_spectrum, rfft_half
+from wavelqg.spectral import laplacian_spectrum
 from wavelqg.synthesis import (GainKind, GainSet, decentralization_tolerance,
                                design_spectra, gain_set_from_dict,
-                               gain_set_to_dict, optimal_gains)
+                               gain_set_to_dict, optimal_gains, ring_design)
 from wavelqg.verify import audit_gain_set
 
 
@@ -29,11 +29,6 @@ def random_params(rng, n, lo=1e-2, hi=1e2):
 def spectra(p):
     return design_spectra(p.pi1, p.pi2, p.pi3, p.pi4,
                           laplacian_spectrum(p.n), 1.0)
-
-
-def half_spectra(p):
-    """The design on the rfft half k = 0 .. n//2, as optimal_gains takes it."""
-    return design_spectra(p.pi1, p.pi2, p.pi3, p.pi4, *rfft_half(p.n))
 
 
 def mirrored(half, n):
@@ -100,6 +95,18 @@ def test_roots_match_50_digit_reference(pi1, pi3, pi4, n):
             for name, value in ref.items():
                 rel = abs((mpmath.mpf(got[name][k]) - value) / value)
                 assert rel <= 1e-13, f"{name}[{k}] off by {float(rel):.2e}"
+
+
+@pytest.mark.parametrize("pi1, pi34, below", [(0.0, 1e108, 1e107),
+                                              (1e216, 1.0, 1e215)])
+def test_underflowed_spectra_are_rejected(pi1, pi34, below):
+    # every spectrum is positive in exact arithmetic; from these points
+    # s1 = sqrt(2 s0 / w) underflows to 0, and lc and s2 with it
+    with pytest.raises(ValueError, match="not positive and finite"):
+        ring_design(params(pi1=pi1, pi3=pi34, pi4=pi34, n=4))
+    pi1, pi34 = (below, pi34) if pi1 else (pi1, below)
+    s = ring_design(params(pi1=pi1, pi3=pi34, pi4=pi34, n=4))
+    assert min(getattr(s, f).min() for f in ("s1", "s2", "lc")) > 0.0
 
 
 def test_per_frequency_closed_loops_are_hurwitz():
@@ -242,7 +249,7 @@ def test_optimal_gains_rows_equal_per_block_rows():
     for _ in range(300):
         n = int(rng.choice([2, 3, 7, 8, 30, 64]))
         p = random_params(rng, n, lo=1e-6, hi=1e6)
-        r = half_spectra(p)
+        r = ring_design(p)
         gk, gl = optimal_gains(p)
         got = np.concatenate([gk.rows, gl.rows])
         for row, spec in zip(got, (r.k0, r.kc, r.lc, r.l0)):
@@ -302,7 +309,7 @@ def test_gain_set_json_roundtrip():
 def test_gain_file_stores_primary_spectrum_as_k0():
     # the file schema: "k0" holds K1 for the regulator and L2 for the filter
     p = params(pi1=0.2, pi4=2.0, pi3=3.0, n=8)
-    r = half_spectra(p)
+    r = ring_design(p)
     gk, gl = optimal_gains(p)
     for gs, k0, companion in ((gk, r.k0, r.kc), (gl, r.l0, r.lc)):
         d = gain_set_to_dict(gs)
@@ -328,7 +335,7 @@ def test_kf_blocks_are_ordered_companion_then_l0():
     r = spectra(p)
     _, gl = optimal_gains(p)
     assert gl.kind is GainKind.KF
-    h = half_spectra(p)
+    h = ring_design(p)
     np.testing.assert_array_equal(gl.spectra,
                                   mirrored(np.stack([h.lc, h.l0]), p.n))
     got1, got2 = np.linalg.eigvals(circulant(gl.rows))
