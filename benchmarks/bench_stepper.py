@@ -41,12 +41,12 @@ def build_workload(n: int, steps: int, seed: int = 0):
     rng = np.random.default_rng(seed)
     work = _kernels.work_buffer(_KB, chunks, (), bins,
                                 w_cost.shape[-2] + w_err.shape[-2])
+    work[...] = 0.0  # uninitialized outside the noise rows filled below
     noise = work[_kernels.NOISE_ROWS]
     inner, real = _bin_parts(n)
     draws = _split(rng.standard_normal((2, _KB, n * chunks)), n)
     noise[:, :, inner] = draws[0]
     noise[:, :, real, :, 0] = draws[1]
-    noise[:, :, real, :, 1] = 0.0
     noise[:, steps % _KB or _KB:, :, -1, :] = 0.0
     z0 = rng.standard_normal((4, bins, 2))
     return z0, np.concatenate([a, b], axis=-1), w_cost, w_err, work

@@ -212,7 +212,11 @@ def curve_reports(pi1_values, pi2: float = 1.0, n: int = 30
     """The sweep table along the fully decentralized family
     pi3 = pi4 = 2/pi1."""
     pi1 = _positive_values("pi1_values", pi1_values)
-    pi34 = 2.0 / pi1
+    with np.errstate(over="ignore"):
+        pi34 = 2.0 / pi1
+    if not np.isfinite(pi34).all():
+        raise ValueError("pi3 = pi4 = 2/pi1 overflows at pi1 = "
+                         f"{float(pi1[~np.isfinite(pi34)][0])!r}")
     NondimParams(pi1[0], pi2, pi34[0], pi34[0], n)  # checks pi2 and n
     table = _table(pi1, pi2, pi34, pi34, n)
     table["on_curve"] = np.ones(pi1.size, dtype=bool)

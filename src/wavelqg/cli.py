@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from collections.abc import Iterable
@@ -206,7 +207,10 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _log_grid(lo: float, hi: float, count: int) -> np.ndarray:
+def _log_grid(name: str, lo: float, hi: float, count: int) -> np.ndarray:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"--{name}-min and --{name}-max must be finite, "
+                         f"got {lo!r} and {hi!r}")
     if not (lo > 0.0 and count >= 1
             and (hi > lo or (hi == lo and count == 1))):
         raise UsageError("grid bounds must satisfy 0 < min < max, count >= 1")
@@ -220,13 +224,13 @@ def _cmd_sweep(args) -> int:
         raise UsageError("--heatmap needs a 2-D sweep, not --curve-only")
     if args.lineplot and not args.curve_only:
         raise UsageError("--lineplot is for --curve-only sweeps")
-    pi1 = _log_grid(args.pi1_min, args.pi1_max, args.pi1_count)
+    pi1 = _log_grid("pi1", args.pi1_min, args.pi1_max, args.pi1_count)
     if args.curve_only:
         table = analysis.curve_reports(pi1, pi2=args.pi2, n=args.n)
     else:
         grid = analysis.SweepGrid(
             pi1_values=pi1,
-            pi34_values=_log_grid(args.pi34_min, args.pi34_max,
+            pi34_values=_log_grid("pi34", args.pi34_min, args.pi34_max,
                                   args.pi34_count),
             pi2=args.pi2, n=args.n, tie_pi3_pi4=not args.untie,
             pi3_fixed=args.pi3_fixed)

@@ -1,9 +1,11 @@
 """Euler-Maruyama Monte Carlo validation of the closed-loop design.
 
 The loop simulated here is the optimal output-feedback loop on the
-ring: plant driven by unit-intensity force disturbance, estimator driven
-by the measured displacements corrupted by spatially correlated noise
-with covariance (I - pi1 Lap)^-1, control u = -K (estimate).
+ring, started from rest: plant driven by unit-intensity force
+disturbance, estimator driven by the measured displacements corrupted by
+spatially correlated noise with covariance (I - pi1 Lap)^-1, control
+u = -K (estimate).  A run is its :class:`SimConfig`: the costs it
+checks are time averages after burn-in, which no initial state changes.
 :func:`frequency_blocks` is the one implementation of that noise law: it
 scales each bin's white measurement noise by 1/sqrt(1 - pi1 d(k)), the
 square root of the law's per-frequency variance.  The empirical
@@ -294,15 +296,9 @@ class SimSummary:
     backend: str = ""
 
 
-def _to_bins(sites: np.ndarray) -> np.ndarray:
-    """Site rows (..., n) -> orthonormal rfft bins (..., n//2 + 1, 2) with
-    real and imaginary parts last."""
-    f = np.fft.rfft(sites, norm="ortho")
-    return f.view(float).reshape(f.shape + (2,))
-
-
 def _to_sites(bins: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`_to_bins`."""
+    """Orthonormal rfft bins (..., n//2 + 1, 2), real and imaginary parts
+    last -> site rows (..., n)."""
     return np.fft.irfft(bins[..., 0] + 1j * bins[..., 1], n=n, norm="ortho")
 
 
@@ -425,14 +421,11 @@ def _drawn(pool, seed, groups, n, n_blocks):
             yield inner[:, j], real[:, j]
 
 
-def simulate(cfg: SimConfig,
-             x0: np.ndarray | None = None,
-             xh0: np.ndarray | None = None) -> tuple[Trajectory, SimSummary]:
-    """Run the Monte Carlo experiment described by ``cfg``.
+def simulate(cfg: SimConfig) -> tuple[Trajectory, SimSummary]:
+    """Run the Monte Carlo experiment ``cfg``, each realization from rest.
 
     Returns the (subsampled) trajectory of the first realization together
-    with summary statistics over all realizations.  ``x0``/``xh0`` override
-    the zero initial plant state / estimate (mainly for decay tests).
+    with summary statistics over all realizations.
 
     Raises
     ------
@@ -510,17 +503,10 @@ def simulate(cfg: SimConfig,
         chunk, slot = np.divmod(off, _KB)
         marks, cuts = marks.tolist(), cuts.tolist()
 
-        sites0 = np.zeros((4, n))  # rows: phi, psi, phi hat, psi hat
-        if x0 is not None:
-            sites0[:2] = np.asarray(x0, dtype=float).reshape(2, n)
-        if xh0 is not None:
-            sites0[2:] = np.asarray(xh0, dtype=float).reshape(2, n)
-        z0 = _to_bins(sites0)
-
         costs = np.empty(n_real)
         errs = np.empty(n_real)
         traj_bins = np.empty((stored.size, 4, bins, 2))
-        traj_bins[0] = z0
+        traj_bins[0] = 0.0
         traj_cost = np.zeros(stored.size)
         cum_cost = 0.0  # realization 0's, up to the current block
 
@@ -531,7 +517,7 @@ def simulate(cfg: SimConfig,
             noise = work[:, _kernels.NOISE_ROWS]
             noise[..., real, :, 1] = 0.0  # k = 0 and Nyquist: real only
             dst = noise[..., inner, :, :], noise[..., real, :, 0]
-            z = np.tile(z0, (len(reals), 1, 1, 1))
+            z = np.zeros((len(reals), 4, bins, 2))  # at rest
             post_cost = np.zeros(len(reals))
             post_err = np.zeros(len(reals))
             for k, lo in enumerate(range(0, n_steps, _BLOCK)):
@@ -569,10 +555,10 @@ def simulate(cfg: SimConfig,
             errs[first:stop] = post_err / t_post
 
     sites = _to_sites(traj_bins, n)
-    sites[0] = sites0  # the given initial state, not its round trip
     gain = np.stack([s.k0, s.kc])[..., None]
     control = _to_sites(-(traj_bins[:, 2] * gain[0]
                           + traj_bins[:, 3] * gain[1]), n)
+    sites[0] = control[0] = 0.0  # at rest; irfft of zeros may sign them
     traj = Trajectory(times=stored * cfg.dt,
                       plant_state=sites[:, :2].reshape(-1, 2 * n),
                       estimate=sites[:, 2:].reshape(-1, 2 * n),

@@ -202,8 +202,9 @@ def gain_set_to_dict(gs: GainSet) -> dict:
 def gain_set_from_dict(d: dict) -> GainSet:
     """Inverse of :func:`gain_set_to_dict`.
 
-    Raises ValueError naming a field that is not an object, a malformed
-    pi value or ``n``, or the first array that does not hold ``n`` numbers.
+    Raises ValueError naming, by its dotted path, a missing field or one
+    that is not an object, a malformed pi value or ``n``, or the first
+    array that does not hold ``n`` numbers.
     """
     def obj(name: str, value) -> dict:
         if not isinstance(value, dict):
@@ -211,11 +212,17 @@ def gain_set_from_dict(d: dict) -> GainSet:
                              f"got {type(value).__name__}")
         return value
 
+    def get(parent: dict, path: str):
+        key = path.rpartition(".")[2]
+        if key not in parent:
+            raise ValueError(f"gain file has no field {path}")
+        return parent[key]
+
     d = obj("gain file", d)
-    pi = obj("gain file field pi", d["pi"])
-    p = NondimParams(pi1=pi["pi1"], pi2=pi["pi2"], pi3=pi["pi3"],
-                     pi4=pi["pi4"], n=d["n"])
-    kind = GainKind(d["kind"])
+    pi = obj("gain file field pi", get(d, "pi"))
+    p = NondimParams(*(get(pi, f"pi.pi{i}") for i in range(1, 5)),
+                     n=get(d, "n"))
+    kind = GainKind(get(d, "kind"))
 
     def array(name: str, values) -> np.ndarray:
         try:
@@ -228,11 +235,11 @@ def gain_set_from_dict(d: dict) -> GainSet:
                              f"numbers, got shape {a.shape}")
         return a
 
-    spec = obj("gain file field spectral", d["spectral"])
-    spectra = np.stack([array("spectral.k0", spec["k0"]),
-                        array("spectral.companion", spec["companion"])])
-    rows = np.stack([array("block1_first_row", d["block1_first_row"]),
-                     array("block2_first_row", d["block2_first_row"])])
+    spec = obj("gain file field spectral", get(d, "spectral"))
+    spectra = np.stack([array(path, get(spec, path))
+                        for path in ("spectral.k0", "spectral.companion")])
+    rows = np.stack([array(path, get(d, path))
+                     for path in ("block1_first_row", "block2_first_row")])
     return GainSet(rows=rows, kind=kind, params=p,
                    spectra=spectra[_FILE_ORDER[kind]])
 

@@ -1,7 +1,7 @@
 """Trace costs, closed-loop poles, reports, and parameter sweeps."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import mpmath
 import numpy as np
@@ -14,6 +14,7 @@ from wavelqg.analysis import (COLUMNS, CSV_HEADER, CostLocalityReport,
                               lqg_cost_dual, loop_poles, report,
                               rows_to_csv, sweep)
 from wavelqg.params import NondimParams
+from wavelqg.simulator import frequency_blocks
 from wavelqg.spectral import laplacian_spectrum, rfft_half
 from wavelqg.synthesis import design_spectra, ring_design
 
@@ -122,6 +123,30 @@ def test_separation_spectrum():
                 assert abs(got[j] - lam) <= 1e-8 * (1 + abs(lam)), (n, lam)
                 got.pop(j)
             assert not got
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 16])
+def test_loop_poles_hold_for_any_gains(n):
+    # with the plant as the observer's model the (x, e) loop is block
+    # triangular whatever the gains, so loop_poles are the eigenvalues of
+    # each bin's generator (a - I)/dt, here for random gains of either sign
+    rng = np.random.default_rng(n)
+    s = ring_design(params(pi1=0.3, pi2=1.2, pi3=2.5, pi4=1.7, n=n))
+    s = replace(s, **{g: rng.uniform(-3.0, 3.0, s.d.shape)
+                      for g in ("k0", "kc", "l0", "lc")})
+    dt = 0.01
+    a, _, _ = frequency_blocks(s, dt)
+    generators = np.linalg.eigvals((a - np.eye(4)) / dt)
+    poles = loop_poles(s)
+    for k in range(s.d.size):
+        expected = poles[:, k].ravel()
+        tol = 1e-9 * np.abs(expected).max()
+        got = list(generators[k])
+        for lam in expected:
+            j = int(np.argmin(np.abs(np.asarray(got) - lam)))
+            assert abs(got[j] - lam) <= tol, (n, k, lam)
+            got.pop(j)
+        assert not got
 
 
 @pytest.mark.parametrize("n", [2, 7, 8, 31])

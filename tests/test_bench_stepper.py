@@ -38,6 +38,19 @@ def test_workload_steps_through_a_positional_advance_call():
         assert np.isfinite(mx)
 
 
+def test_workload_is_zero_outside_the_noise_rows():
+    # the kernel's buffer is uninitialized: dirty the memory it may reuse
+    n, steps = 8, 300
+    shape = _kernels.work_buffer(_KB, -(-steps // _KB), (), n // 2 + 1,
+                                 5).shape
+    dirty = np.full(shape, np.nan)
+    del dirty
+    work = _bench_stepper().build_workload(n, steps)[-1]
+    rest = np.ones(work.shape[0], dtype=bool)
+    rest[_kernels.NOISE_ROWS] = False
+    assert np.array_equal(work[rest], np.zeros_like(work[rest]))
+
+
 def test_main_prints_a_rate(capsys):
     bench = _bench_stepper()
     assert bench.main(["--n", "4", "--steps", "300", "--repeat", "1"]) == 0

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import os
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
@@ -331,6 +333,25 @@ def test_check_file_with_wrong_array_length_is_rejected(tmp_path, capsys,
         assert field in err
 
 
+@pytest.mark.parametrize("field", [
+    "kind", "n", "pi", "pi.pi1", "pi.pi2", "pi.pi3", "pi.pi4",
+    "block1_first_row", "block2_first_row", "spectral", "spectral.k0",
+    "spectral.companion"])
+def test_check_file_without_a_field_names_it(tmp_path, capsys, field):
+    main(["synth", *DECENTRAL, "--kind", "lqr", "--out", str(tmp_path / "g")])
+    path = tmp_path / "g_lqr.json"
+    payload = json.loads(path.read_text())
+    *parents, key = field.split(".")
+    parent = payload
+    for name in parents:
+        parent = parent[name]
+    del parent[key]
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", "--check-file", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: gain file has no field {field}\n"
+
+
 @pytest.mark.parametrize("source, mutation, field", [
     ("gain file", {"n": 4.9}, "n"),
     ("gain file", {"n": [8]}, "n"),
@@ -519,6 +540,26 @@ def test_lineplot_needs_curve_only(tmp_path, capsys):
 def test_bad_grid_bounds(tmp_path, capsys):
     assert main(["sweep", "--pi1-min", "2", "--pi1-max", "1",
                  "--out", str(tmp_path / "s.csv")]) == 2
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["--pi34-max", "1e309"], "--pi34-max"),
+    (["--pi1-max", "inf"], "--pi1-max"),
+    (["--curve-only", "--pi1-min", "1e-320", "--pi1-max", "1e-300",
+      "--pi1-count", "3"], "2/pi1 overflows at pi1 = 1e-320")],
+    ids=["pi34-max-overflow", "pi1-max-inf", "curve-2-over-pi1-overflow"])
+def test_sweep_grid_overflow_is_one_error_line(tmp_path, argv, names):
+    # in a fresh interpreter, so numpy's warnings would reach stderr
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"}
+    run = subprocess.run(
+        [sys.executable, "-m", "wavelqg.cli", "sweep", *argv,
+         "--out", str(tmp_path / "s.csv")],
+        capture_output=True, text=True, env=env)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+    assert names in run.stderr and "np.float64" not in run.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------- simulate

@@ -100,6 +100,11 @@ def test_per_bin_functions_take_the_design_alone(function):
     assert not params & {"p", "pi1", "pi2", "pi3", "pi4"}
 
 
+def test_a_monte_carlo_run_is_its_config():
+    # every run starts from rest; no initial state is passed beside cfg
+    assert list(inspect.signature(simulator.simulate).parameters) == ["cfg"]
+
+
 def test_the_ring_design_is_the_source_of_its_point():
     p = NondimParams(pi1=0.3, pi2=1.2, pi3=2.5, pi4=1.7, n=8)
     s = synthesis.ring_design(p)
@@ -119,6 +124,7 @@ def test_the_ring_design_is_the_source_of_its_point():
     ("wavelqg.spectral", "SymmetryError"),
     ("wavelqg", "rfft_multiplicities"),
     ("wavelqg.spectral", "rfft_multiplicities"),
+    ("wavelqg.simulator", "_to_bins"),
 ])
 def test_removed_names_are_gone(module, name):
     # costs come from analysis.costs or report; gain rows from the rfft
