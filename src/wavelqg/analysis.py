@@ -121,18 +121,22 @@ class CostLocalityReport:
 
 
 # Sets the points per kernel call: _table steps _CHUNK_CELLS // n points,
-# each over the n//2 + 1 rfft bins, so a call holds about 2048
-# point-frequency cells (4096 at n = 2, and one point's n//2 + 1 past
-# n = 4096).  The kernel holds about 300 bytes per cell, so this caps its
-# working memory near 0.6 MB for any grid size, small enough not to raise
-# a sweep's peak resident memory.
-_CHUNK_CELLS = 1 << 12
+# each over the n//2 + 1 rfft bins, so a call holds about 4096
+# point-frequency cells (8192 at n = 2, and one point's n//2 + 1 past
+# n = 8192).  The kernel holds about 200 bytes per cell (tracemalloc's
+# peak over one chunk at n = 8, 30 and 128), so this caps its working
+# memory near 1 MB for any grid size.  At 1 << 13 a sweep's peak resident
+# memory reads as at 1 << 12; chunks of 1 << 14 cells took another 12%
+# off a 2500-point table at n = 128 but raised it by 0.2 to 0.4 MB.
+_CHUNK_CELLS = 1 << 13
 
 
 def _table(pi1, pi2, pi3, pi4, n: int) -> dict[str, np.ndarray]:
     """Every column but ``on_curve`` at the points (pi1, pi2, pi3, pi4),
     broadcast to one axis, all on n sites; the design is evaluated chunk
-    by chunk, on the rfft half of the spectrum."""
+    by chunk, on the rfft half of the spectrum.  Raises ValueError naming
+    n and the first point whose costs or masses are not finite (a cost's
+    sum or products can overflow on a design that is finite)."""
     pi = np.stack(np.broadcast_arrays(
         *np.atleast_1d(pi1, pi2, pi3, pi4))).astype(float)
     step = max(1, _CHUNK_CELLS // n)
@@ -140,8 +144,17 @@ def _table(pi1, pi2, pi3, pi4, n: int) -> dict[str, np.ndarray]:
     values = []
     for i in range(0, pi.shape[1], step):
         s = design_spectra(*pi[:, i:i + step], d, mult)
-        values.append(np.concatenate(
-            [costs(s), offdiag_masses(s.blocks, s.mult)], axis=-1))
+        with np.errstate(all="ignore"):
+            chunk = np.concatenate(
+                [costs(s), offdiag_masses(s.blocks, s.mult)], axis=-1)
+        finite = np.isfinite(chunk)
+        if not finite.all():
+            j = i + np.flatnonzero(~finite.all(axis=-1))[0]
+            raise ValueError(
+                "the costs or masses are not finite in floating point at "
+                "pi=({:.6g}, {:.6g}, {:.6g}, {:.6g}), n={}".format(
+                    *pi[:, j], n))
+        values.append(chunk)
     residuals = pi[0] - 2.0 / pi[2:]  # locality_residuals, per point
     return dict(zip(COLUMNS, (*pi, np.full(pi.shape[1], n),
                               *np.concatenate(values).T, *residuals)))

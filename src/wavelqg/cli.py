@@ -10,7 +10,8 @@ Each command builds its output files, then ``_write_all`` writes all or none.
 Exit codes: 0 success, 1 verification failure (including a Newton-Kleinman
 oracle that does not converge), 2 bad usage or configuration, including a
 simulate --dt that fails a step-size check or makes the run blow up, a
-design that is not finite, and output files that cannot all be written.
+design or a report or sweep table that is not finite, and output files
+that cannot all be written.
 """
 
 from __future__ import annotations

@@ -126,36 +126,52 @@ def design_spectra(pi1, pi2, pi3, pi4, d, mult) -> DesignSpectra:
     eigenvalues ``d`` (the last axis of each result), each counted ``mult``
     times (:func:`~wavelqg.spectral.rfft_half`, or 1.0 for all n), from one
     square root per eigenvalue for the regulator and one for the filter.
-    Raises ValueError naming n = sum(mult) and the first point where a
-    spectrum is not positive and finite: pi3 above 1e151 or below 1e-161,
+
+    The ten spectra are written, in the order of the record's fields, into
+    one block of shape (10, *batch, len(d)), and the fields are its rows.
+    One min and one max over the block test it positive and finite (NaN
+    fails both); only when that fails is a per-point mask built, to name
+    n = sum(mult) and the first failing point in a ValueError.  Every
+    spectrum is positive in exact arithmetic, so that happens only at the
+    extremes: pi3 above 1e154 (less at large pi1 or pi2) or below 1e-161,
     pi4 below 1e-102, or s1 underflowing (pi4 > 1e108; pi1 > 1e216)."""
     mult = np.broadcast_to(mult, np.shape(d))
     pi1, pi2, pi3, pi4 = (np.asarray(x, dtype=float)[..., None]
                           for x in (pi1, pi2, pi3, pi4))
+    block = np.empty((10, *np.broadcast_shapes(
+        pi1.shape, pi2.shape, pi3.shape, pi4.shape, np.shape(d))))
+    p0, p1, p2, k0, kc, s0, s1, s2, l0, lc = block
+    # lc holds v = 1 - pi1 d and then w = pi4**2 v until its own turn, k0
+    # holds x = pi3**2 v and kc the regulator's root; each value is the
+    # expression of the module docstring, in its order of operations
     with np.errstate(all="ignore"):
-        v = 1.0 - pi1 * d
-        x = pi3 ** 2 * v
-        k0 = x / (np.sqrt(d * d + x) - d)
-        kc = np.sqrt(2.0 * k0 + pi2 * pi3 ** 2)
-        p2 = kc / pi3 ** 2
-        w = pi4 ** 2 * v
-        s0 = 1.0 / (np.sqrt(d * d + w) - d)
-        s1 = np.sqrt(2.0 * s0 / w)
-        spectra = dict(
-            p0=k0 / pi3 ** 2, p1=p2 * (k0 - d), p2=p2, k0=k0, kc=kc,
-            s0=s0, s1=s1, s2=s1 * (w * s0 - d), l0=w * s0 / pi4,
-            lc=w * s1 / pi4)
-    # one whole-array test per spectrum, which NaN fails too; the per-point
-    # mask, about five times dearer, is built only to name the failing point
-    if not all(0.0 < a.min() and a.max() < np.inf for a in spectra.values()):
-        ok = np.logical_and.reduce([((0.0 < a) & (a < np.inf)).all(axis=-1)
-                                    for a in spectra.values()])
+        pi3sq, dd = pi3 ** 2, d * d
+        v = np.subtract(1.0, np.multiply(pi1, d, out=lc), out=lc)
+        x = np.multiply(pi3sq, v, out=k0)
+        np.subtract(np.sqrt(np.add(dd, x, out=kc), out=kc), d, out=kc)
+        np.divide(x, kc, out=k0)
+        np.multiply(2.0, k0, out=kc)
+        np.sqrt(np.add(kc, pi2 * pi3sq, out=kc), out=kc)
+        np.divide(kc, pi3sq, out=p2)
+        np.divide(k0, pi3sq, out=p0)
+        np.multiply(p2, np.subtract(k0, d, out=p1), out=p1)
+        w = np.multiply(pi4 ** 2, v, out=lc)
+        np.subtract(np.sqrt(np.add(dd, w, out=s0), out=s0), d, out=s0)
+        np.divide(1.0, s0, out=s0)
+        np.sqrt(np.divide(np.multiply(2.0, s0, out=s1), w, out=s1), out=s1)
+        np.multiply(s1, np.subtract(np.multiply(w, s0, out=s2), d, out=s2),
+                    out=s2)
+        np.divide(np.multiply(w, s0, out=l0), pi4, out=l0)
+        np.divide(np.multiply(w, s1, out=lc), pi4, out=lc)
+    if not (0.0 < block.min() and block.max() < np.inf):
+        ok = ((0.0 < block) & (block < np.inf)).all(axis=(0, -1))
         pi = [np.broadcast_to(a[..., 0], ok.shape)[~ok][0]
               for a in (pi1, pi2, pi3, pi4)]
         raise ValueError("the design is not positive and finite in floating "
                          "point at pi=({:.6g}, {:.6g}, {:.6g}, {:.6g}), "
                          "n={:.0f}".format(*pi, mult.sum()))
-    return DesignSpectra(pi1, pi2, pi3, pi4, d, mult, **spectra)
+    return DesignSpectra(pi1, pi2, pi3, pi4, d, mult,
+                         p0, p1, p2, k0, kc, s0, s1, s2, l0, lc)
 
 
 def ring_design(p: NondimParams) -> DesignSpectra:
@@ -203,8 +219,9 @@ def gain_set_from_dict(d: dict) -> GainSet:
     """Inverse of :func:`gain_set_to_dict`.
 
     Raises ValueError naming, by its dotted path, a missing field or one
-    that is not an object, a malformed pi value or ``n``, or the first
-    array that does not hold ``n`` numbers.
+    that is not an object, a malformed pi value or ``n``, a ``kind`` that
+    is not ``"lqr"`` or ``"kf"``, or the first array that does not hold
+    ``n`` numbers.
     """
     def obj(name: str, value) -> dict:
         if not isinstance(value, dict):
@@ -222,7 +239,12 @@ def gain_set_from_dict(d: dict) -> GainSet:
     pi = obj("gain file field pi", get(d, "pi"))
     p = NondimParams(*(get(pi, f"pi.pi{i}") for i in range(1, 5)),
                      n=get(d, "n"))
-    kind = GainKind(get(d, "kind"))
+    kind = get(d, "kind")
+    kinds = [k.value for k in GainKind]
+    if kind not in kinds:
+        raise ValueError(f"gain file field kind must be one of {kinds}, "
+                         f"got {kind!r}")
+    kind = GainKind(kind)
 
     def array(name: str, values) -> np.ndarray:
         try:

@@ -1,6 +1,7 @@
 """Trace costs, closed-loop poles, reports, and parameter sweeps."""
 
 import json
+import re
 from dataclasses import asdict, replace
 
 import mpmath
@@ -368,6 +369,41 @@ def test_table_matches_the_full_spectrum(n):
     half = design_spectra(*pi, *rfft_half(n))
     np.testing.assert_allclose(analysis.dual_lqg_cost(half),
                                analysis.dual_lqg_cost(s), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n", [3, 8, 128])
+def test_table_columns_do_not_depend_on_the_chunk_size(monkeypatch, n):
+    # every point is evaluated on its own bins, so each column is bitwise
+    # the same however the points are cut into chunks
+    rng = np.random.default_rng(900 + n)
+    pi = 10.0 ** rng.uniform(-2.0, 2.0, size=(4, 700))
+    pi[3, :200] = pi[2, :200]
+    default = analysis._table(*pi, n)
+    for cells in (20, 4096, 700 * n + 1):
+        monkeypatch.setattr(analysis, "_CHUNK_CELLS", cells)
+        table = analysis._table(*pi, n)
+        assert table.keys() == default.keys()
+        for column, values in default.items():
+            assert np.array_equal(table[column], values), (cells, column)
+
+
+@pytest.mark.parametrize("bad, n", [
+    ((0.0, 1.0, 1e155, 1.0), 4), ((0.0, 1.0, 1e-162, 1.0), 4),
+    ((0.0, 1.0, 1.0, 1e-103), 4), ((0.0, 1.0, 1e108, 1e108), 4),
+    ((1e216, 1.0, 1.0, 1.0), 4),
+    ((5.9e77, 8.6e282, 4.1e-101, 9.2e-62), 12)],
+    ids=["pi3-above-1e154", "pi3-below-1e-161", "pi4-below-1e-102",
+         "s1-underflow-pi4-1e108", "s1-underflow-pi1-1e216", "cost-overflow"])
+def test_table_names_a_failing_point_in_its_second_chunk(monkeypatch, bad, n):
+    # chunks of _CHUNK_CELLS // n points; the only failing point sits in
+    # the middle of the second one.  In the cost-overflow case its design
+    # is finite, but a cost's products overflow
+    monkeypatch.setattr(analysis, "_CHUNK_CELLS", 5 * n)
+    pi = np.tile(np.array([[0.5], [1.0], [4.0], [4.0]]), (1, 15))
+    pi[:, 7] = bad
+    text = "pi=({:.6g}, {:.6g}, {:.6g}, {:.6g}), n={}".format(*bad, n)
+    with pytest.raises(ValueError, match=re.escape(text)):
+        analysis._table(*pi, n)
 
 
 def test_dual_cost_batches_like_the_primal_form():

@@ -229,6 +229,28 @@ def test_underflowed_design_is_a_usage_error(tmp_path, capsys, argv):
     assert out == "" and list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "--pi1", "5.9e77", "--pi2", "8.6e282", "--pi3", "4.1e-101",
+     "--pi4", "9.2e-62", "--n", "12", "--out", "{x}.json"],
+    ["sweep", "--pi2", "1e300", "--pi1-min", "1", "--pi1-max", "1",
+     "--pi1-count", "1", "--pi34-min", "1e-50", "--pi34-max", "1",
+     "--pi34-count", "3", "--n", "4", "--out", "{x}.csv",
+     "--heatmap", "{x}.svg"],
+], ids=["report", "sweep"])
+def test_overflowing_costs_are_a_usage_error(tmp_path, capsys, argv):
+    # every spectrum is finite here, but a cost's products overflow; the
+    # table names the first such point instead of writing Infinity
+    x = str(tmp_path / "x")
+    assert main([a.format(x=x) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "costs or masses are not finite" in err
+    point = ("pi=(5.9e+77, 8.6e+282, 4.1e-101, 9.2e-62), n=12"
+             if argv[0] == "report" else "pi=(1, 1e+300, 1e-50, 1e-50), n=4")
+    assert point in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("e, code", [(104, 0), (105, 0), (106, 1), (107, 1)])
 def test_verify_scores_a_tiny_filter_gain_by_its_own_size(capsys, e, code):
     # lc loses digits as pi3 = pi4 grows (the closed forms' s1 nears
@@ -364,10 +386,13 @@ def test_check_file_without_a_field_names_it(tmp_path, capsys, field):
     ("config", {"pi3": True}, "pi3"),
     ("config", {"pi1": "0.5"}, "pi1"),
     ("gain file", {"pi": {"pi1": True, "pi2": 1, "pi3": 4, "pi4": 4}}, "pi1"),
+    ("gain file", {"kind": "bogus"}, "kind must be one of ['lqr', 'kf']"),
+    ("gain file", {"kind": 1}, "kind must be one of ['lqr', 'kf']"),
 ], ids=["file-n-fraction", "file-n-list", "file-pi-null",
         "file-spectral-null", "file-pi1-null",
         "config-n-fraction", "config-pi1-null", "file-not-an-object",
-        "config-pi3-bool", "config-pi1-string", "file-pi1-bool"])
+        "config-pi3-bool", "config-pi1-string", "file-pi1-bool",
+        "file-kind-bogus", "file-kind-number"])
 def test_malformed_parameters_are_usage_errors(tmp_path, capsys, source,
                                                mutation, field):
     # never truncated to a neighbouring n, never a traceback

@@ -1,6 +1,7 @@
 """Closed-form spectral gains, Riccati spectra, and circulant assembly."""
 
 import json
+import re
 
 import mpmath
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from dense import circulant, offdiag_masses
 from wavelqg.params import NondimParams
-from wavelqg.spectral import laplacian_spectrum
+from wavelqg.spectral import laplacian_spectrum, rfft_half
 from wavelqg.synthesis import (GainKind, GainSet, decentralization_tolerance,
                                design_spectra, gain_set_from_dict,
                                gain_set_to_dict, optimal_gains, ring_design)
@@ -107,6 +108,100 @@ def test_underflowed_spectra_are_rejected(pi1, pi34, below):
     pi1, pi34 = (below, pi34) if pi1 else (pi1, below)
     s = ring_design(params(pi1=pi1, pi3=pi34, pi4=pi34, n=4))
     assert min(getattr(s, f).min() for f in ("s1", "s2", "lc")) > 0.0
+
+
+_FIELDS = ("p0", "p1", "p2", "k0", "kc", "s0", "s1", "s2", "l0", "lc")
+
+
+def plain_spectra(pi1, pi2, pi3, pi4, d):
+    """The ten spectra as the module docstring's expressions, one plain
+    numpy expression each, batched like :func:`design_spectra`."""
+    pi1, pi2, pi3, pi4 = (np.asarray(x, dtype=float)[..., None]
+                          for x in (pi1, pi2, pi3, pi4))
+    with np.errstate(all="ignore"):
+        v = 1.0 - pi1 * d
+        x = pi3 ** 2 * v
+        k0 = x / (np.sqrt(d * d + x) - d)
+        kc = np.sqrt(2.0 * k0 + pi2 * pi3 ** 2)
+        p2 = kc / pi3 ** 2
+        w = pi4 ** 2 * v
+        s0 = 1.0 / (np.sqrt(d * d + w) - d)
+        s1 = np.sqrt(2.0 * s0 / w)
+        return dict(p0=k0 / pi3 ** 2, p1=p2 * (k0 - d), p2=p2, k0=k0, kc=kc,
+                    s0=s0, s1=s1, s2=s1 * (w * s0 - d), l0=w * s0 / pi4,
+                    lc=w * s1 / pi4)
+
+
+def _draws(rng, exponent, shape):
+    pi = 10.0 ** rng.uniform(-exponent, exponent, size=(4, *shape))
+    pi[0] = np.where(rng.random(shape) < 0.2, 0.0, pi[0])
+    return pi
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 30, 128])
+@pytest.mark.parametrize("shape", [(), (7,), (5, 6)],
+                         ids=["point", "batch", "grid"])
+@pytest.mark.parametrize("exponent", [2.0, 50.0], ids=["narrow", "wide"])
+def test_spectra_are_bitwise_the_plain_expressions(n, shape, exponent):
+    # pi in [1e-2, 1e2], and in [1e-50, 1e50], where every draw is accepted
+    rng = np.random.default_rng(int(exponent) * 1000 + n * 10 + len(shape))
+    d, mult = rfft_half(n)
+    for _ in range(5):
+        pi = _draws(rng, exponent, shape)
+        s = design_spectra(*pi, d, mult)
+        ref = plain_spectra(*pi, d)
+        for name in _FIELDS:
+            assert np.array_equal(getattr(s, name), ref[name]), name
+        assert s.p0.shape == (*shape, d.size)
+
+
+def test_spectra_are_the_plain_expressions_or_rejected():
+    # single points over [1e-150, 1e150]: where every plain spectrum is
+    # positive and finite the design equals them bitwise, and elsewhere
+    # it is rejected
+    rng = np.random.default_rng(31)
+    rejected = 0
+    for i in range(400):
+        n = (2, 3, 8, 30, 128)[i % 5]
+        pi = _draws(rng, 150.0, ())
+        d, mult = rfft_half(n)
+        ref = plain_spectra(*pi, d)
+        if all(np.all((0.0 < a) & (a < np.inf)) for a in ref.values()):
+            s = design_spectra(*pi, d, mult)
+            for name in _FIELDS:
+                assert np.array_equal(getattr(s, name), ref[name]), name
+        else:
+            rejected += 1
+            with pytest.raises(ValueError, match="not positive and finite"):
+                design_spectra(*pi, d, mult)
+    assert 0 < rejected < 400
+
+
+# One point per regime of the design_spectra docstring, at n = 4
+_REJECTED = {
+    "pi3-above-1e154": (0.0, 1.0, 1e155, 1.0),
+    "pi3-below-1e-161": (0.0, 1.0, 1e-162, 1.0),
+    "pi4-below-1e-102": (0.0, 1.0, 1.0, 1e-103),
+    "s1-underflow-pi4-1e108": (0.0, 1.0, 1e108, 1e108),
+    "s1-underflow-pi1-1e216": (1e216, 1.0, 1.0, 1.0),
+}
+
+
+def _named(point, n):
+    return re.escape("pi=({:.6g}, {:.6g}, {:.6g}, {:.6g}), n={}".format(
+        *point, n))
+
+
+@pytest.mark.parametrize("bad", list(_REJECTED.values()), ids=list(_REJECTED))
+def test_batch_rejection_names_its_only_failing_point(bad):
+    # the block's min/max test fails; the per-point fallback must name the
+    # one bad point in the middle of a 1-D batch and of a 2-D grid
+    pi = np.tile(np.array([[0.5], [1.0], [4.0], [4.0]]), (1, 9))
+    pi[:, 4] = bad
+    with pytest.raises(ValueError, match=_named(bad, 4)):
+        design_spectra(*pi, *rfft_half(4))
+    with pytest.raises(ValueError, match=_named(bad, 4)):
+        design_spectra(*pi.reshape(4, 3, 3), *rfft_half(4))
 
 
 def test_per_frequency_closed_loops_are_hurwitz():
