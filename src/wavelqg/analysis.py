@@ -41,6 +41,7 @@ __all__ = [
     "lqg_cost_dual",
     "dual_lqg_cost",
     "loop_poles",
+    "not_finite_error",
     "report",
     "sweep",
     "curve_reports",
@@ -131,6 +132,14 @@ class CostLocalityReport:
 _CHUNK_CELLS = 1 << 13
 
 
+def not_finite_error(pi, n: int) -> ValueError:
+    """The error for a point (pi1, pi2, pi3, pi4) on n sites whose costs or
+    masses overflow, though its design is finite."""
+    return ValueError(
+        "the costs or masses are not finite in floating point at "
+        "pi=({:.6g}, {:.6g}, {:.6g}, {:.6g}), n={}".format(*pi, n))
+
+
 def _table(pi1, pi2, pi3, pi4, n: int) -> dict[str, np.ndarray]:
     """Every column but ``on_curve`` at the points (pi1, pi2, pi3, pi4),
     broadcast to one axis, all on n sites; the design is evaluated chunk
@@ -150,10 +159,7 @@ def _table(pi1, pi2, pi3, pi4, n: int) -> dict[str, np.ndarray]:
         finite = np.isfinite(chunk)
         if not finite.all():
             j = i + np.flatnonzero(~finite.all(axis=-1))[0]
-            raise ValueError(
-                "the costs or masses are not finite in floating point at "
-                "pi=({:.6g}, {:.6g}, {:.6g}, {:.6g}), n={}".format(
-                    *pi[:, j], n))
+            raise not_finite_error(pi[:, j], n)
         values.append(chunk)
     residuals = pi[0] - 2.0 / pi[2:]  # locality_residuals, per point
     return dict(zip(COLUMNS, (*pi, np.full(pi.shape[1], n),

@@ -7,11 +7,15 @@ JSON --config file may supply the same keys, with explicit flags winning.
 
 Each command builds its output files, then ``_write_all`` writes all or none.
 
+Start-up imports only what every command runs (``params``, ``spectral``
+and ``synthesis``); each command imports the other modules it uses at the
+top of its function, marked "# this command's own modules".
+
 Exit codes: 0 success, 1 verification failure (including a Newton-Kleinman
 oracle that does not converge), 2 bad usage or configuration, including a
 simulate --dt that fails a step-size check or makes the run blow up, a
-design or a report or sweep table that is not finite, and output files
-that cannot all be written.
+design or a report, sweep or verify cost that is not finite, and output
+files that cannot all be written.
 """
 
 from __future__ import annotations
@@ -27,12 +31,10 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import analysis, synthesis
+from . import synthesis
 from .params import (DimensionalParams, NondimParams, locality_residuals,
                      nondimensionalize)
-from .simulator import SimConfig, simulate
 from .spectral import offdiag_masses
-from .svgplot import heatmap_svg, line_plot_svg
 
 _PI_DEFAULTS = {"pi1": 0.0, "pi2": 1.0, "pi3": 1.0, "pi4": 1.0}
 _DIM_KEYS = ("c", "dx", "q1", "q2", "r", "sigma_m", "sigma_d", "alpha")
@@ -180,7 +182,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import verify  # imported here: only verify needs the oracle
+    from . import verify  # this command's own modules: it and the oracle
     if args.check_file:
         with open(args.check_file) as fh:
             gs = synthesis.gain_set_from_dict(json.load(fh))
@@ -221,6 +223,8 @@ def _log_grid(name: str, lo: float, hi: float, count: int) -> np.ndarray:
 
 
 def _cmd_sweep(args) -> int:
+    from . import analysis  # this command's own modules
+    from .svgplot import heatmap_svg, line_plot_svg
     if args.curve_only and args.heatmap:
         raise UsageError("--heatmap needs a 2-D sweep, not --curve-only")
     if args.lineplot and not args.curve_only:
@@ -259,6 +263,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulator import SimConfig, simulate  # this command's own modules
     p = _resolve_params(args, require_matched_scaling=True)
     cfg = SimConfig(params=p, dt=args.dt, t_final=args.t_final,
                     seed=args.seed, burn_in=args.burn_in,
@@ -295,6 +300,7 @@ def _trajectory_lines(traj, n: int) -> Iterable[str]:
 
 
 def _cmd_report(args) -> int:
+    from . import analysis  # this command's own modules
     p = _resolve_params(args, require_matched_scaling=True)
     text = json.dumps(asdict(analysis.report(p)), indent=1)
     if args.out:

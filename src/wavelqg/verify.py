@@ -53,9 +53,15 @@ def verify_point(p: NondimParams) -> list[Check]:
     agreement of the primal and dual LQG cost forms, and the spectral
     abscissa of the closed loop (strictly negative), the largest real part
     of the per-frequency poles of :func:`~wavelqg.analysis.loop_poles`.
-    Raises :class:`ConvergenceError` when the oracle does not converge.
+    Raises ValueError naming ``p`` when a cost of either form overflows
+    (see :func:`~wavelqg.analysis.not_finite_error`), and
+    :class:`ConvergenceError` when the oracle does not converge.
     """
     s = synthesis.ring_design(p)
+    with np.errstate(all="ignore"):
+        primal, dual = analysis.costs(s), analysis.dual_lqg_cost(s)
+    if not (np.isfinite(primal).all() and np.isfinite(dual)):
+        raise analysis.not_finite_error((p.pi1, p.pi2, p.pi3, p.pi4), p.n)
     _, k = solve_ring(p, s.d)
     # the oracle's kind 1 is the filter's dual, whose gain is [lc, l0]
     closed_k = np.stack([np.stack([s.k0, s.kc], -1),
@@ -63,7 +69,7 @@ def verify_point(p: NondimParams) -> list[Check]:
     closed_x = np.stack([symmetric_blocks(s.p1, s.p0, s.p2),
                          symmetric_blocks(s.s1, s.s0, s.s2)])
     res_max = backward_error(*ring_equations(p, s.d), closed_x).max()
-    dual_dev = _rel_dev(analysis.costs(s)[2], analysis.dual_lqg_cost(s))
+    dual_dev = _rel_dev(primal[2], dual)
     absc = float(analysis.loop_poles(s).real.max())
     return [
         _at_most("per_frequency_gain_vs_dense_oracle",

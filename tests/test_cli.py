@@ -236,17 +236,21 @@ def test_underflowed_design_is_a_usage_error(tmp_path, capsys, argv):
      "--pi1-count", "1", "--pi34-min", "1e-50", "--pi34-max", "1",
      "--pi34-count", "3", "--n", "4", "--out", "{x}.csv",
      "--heatmap", "{x}.svg"],
-], ids=["report", "sweep"])
+    ["verify", "--pi1", "5.9e77", "--pi2", "8.6e282", "--pi3", "4.1e-101",
+     "--pi4", "9.2e-62", "--n", "12", "--report", "{x}.json"],
+], ids=["report", "sweep", "verify"])
 def test_overflowing_costs_are_a_usage_error(tmp_path, capsys, argv):
     # every spectrum is finite here, but a cost's products overflow; the
-    # table names the first such point instead of writing Infinity
+    # table, or verify before the oracle runs, names the first such point
+    # instead of writing Infinity or scoring NaN (a numpy warning would
+    # fail the test: pytest turns RuntimeWarnings into errors)
     x = str(tmp_path / "x")
     assert main([a.format(x=x) for a in argv]) == 2
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "costs or masses are not finite" in err
     point = ("pi=(5.9e+77, 8.6e+282, 4.1e-101, 9.2e-62), n=12"
-             if argv[0] == "report" else "pi=(1, 1e+300, 1e-50, 1e-50), n=4")
+             if argv[0] != "sweep" else "pi=(1, 1e+300, 1e-50, 1e-50), n=4")
     assert point in err
     assert out == "" and list(tmp_path.iterdir()) == []
 

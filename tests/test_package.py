@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import os
 import pkgutil
 import subprocess
@@ -51,22 +52,101 @@ def _imported_after(statement: str, prefixes) -> str:
                           text=True, check=True, env=env).stdout.strip()
 
 
-CLI_START_UP = "import wavelqg.cli; wavelqg.cli.build_parser()"
+# the package's exports, by the module that defines each
+EXPORTS = {
+    "params": ("DimensionalParams", "NondimParams", "locality_residuals",
+               "nondimensionalize"),
+    "spectral": ("offdiag_masses", "rfft_half"),
+    "synthesis": ("DesignSpectra", "GainKind", "GainSet", "design_spectra",
+                  "optimal_gains", "ring_design"),
+    "analysis": ("CostLocalityReport", "SweepGrid", "curve_reports",
+                 "kf_cost", "lqg_cost_dual", "report", "sweep"),
+    "simulator": ("SimConfig", "SimSummary", "Trajectory", "simulate"),
+}
+EXPORTED = [(module, name) for module, names in EXPORTS.items()
+            for name in names]
 
 
-def test_cli_start_up_does_not_import_scipy():
-    assert _imported_after(CLI_START_UP, ["scipy"]) == "[]"
+def test_the_package_exports_its_names_in_all():
+    assert sorted(wavelqg.__all__) == sorted(name for _, name in EXPORTED)
+    assert len(wavelqg.__all__) == 23
 
 
-def test_cli_start_up_does_not_import_the_oracle():
-    # only ``verify`` needs the oracle, and it imports it on demand
-    assert _imported_after(CLI_START_UP,
-                           ["wavelqg.verify", "wavelqg.oracle"]) == "[]"
+@pytest.mark.parametrize("module, name", EXPORTED,
+                         ids=[name for _, name in EXPORTED])
+def test_an_export_is_its_module_object(module, name):
+    obj = getattr(importlib.import_module(f"wavelqg.{module}"), name)
+    assert getattr(wavelqg, name) is obj
+    namespace = {}
+    exec(f"from wavelqg import {name}", namespace)
+    assert namespace[name] is obj
+    assert name in wavelqg.__all__ and name in dir(wavelqg)
 
 
-def test_cli_start_up_does_not_import_concurrent_futures():
-    # only simulate's helper thread needs it, and it imports it on demand
-    assert _imported_after(CLI_START_UP, ["concurrent"]) == "[]"
+def test_an_unknown_package_attribute_is_named():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        wavelqg.no_such_name
+
+
+def test_importing_the_package_loads_what_every_command_runs():
+    # analysis and simulator load on first use of one of their exports
+    assert _imported_after("import wavelqg", ["wavelqg."]) == str(
+        ["wavelqg.params", "wavelqg.spectral", "wavelqg.synthesis"])
+
+
+DECENTRAL = ["--pi1", "0.5", "--pi2", "1", "--pi3", "4", "--pi4", "4",
+             "--n", "4"]
+SYNTH = ["synth", *DECENTRAL, "--out", "g"]
+START_UP = {"cli", "params", "spectral", "synthesis"}
+
+# each command's command lines, run in order in one fresh interpreter, and
+# the wavelqg modules loaded after them: start-up loads what every command
+# runs, and each command adds only its own modules
+COMMAND_IMPORTS = {
+    "start-up": ([], START_UP),
+    "synth": ([SYNTH], START_UP),
+    "report": ([["report", *DECENTRAL]], START_UP | {"analysis"}),
+    "sweep-heatmap": ([["sweep", "--pi1-count", "3", "--pi34-count", "3",
+                        "--n", "4", "--out", "s.csv", "--heatmap", "s.svg"]],
+                      START_UP | {"analysis", "svgplot"}),
+    "sweep-curve-only": ([["sweep", "--curve-only", "--pi1-count", "3",
+                           "--n", "4", "--out", "c.csv",
+                           "--lineplot", "c.svg"]],
+                         START_UP | {"analysis", "svgplot"}),
+    "verify": ([["verify", *DECENTRAL]],
+               START_UP | {"analysis", "verify", "oracle"}),
+    "verify-check-file": ([SYNTH, ["verify", "--check-file", "g_lqr.json"]],
+                          START_UP | {"analysis", "verify", "oracle"}),
+    "simulate": ([["simulate", *DECENTRAL, "--t-final", "1"]],
+                 START_UP | {"analysis", "simulator", "_kernels"}),
+}
+
+_RUN_COMMANDS = """\
+import json, sys
+from wavelqg import cli
+cli.build_parser()
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules
+                               if m.split(".")[0] in {prefixes})]))
+"""
+
+
+@pytest.mark.parametrize("command", COMMAND_IMPORTS)
+def test_each_command_imports_only_its_own_modules(tmp_path, command):
+    commands, expected = COMMAND_IMPORTS[command]
+    prefixes = {"wavelqg", "scipy", "concurrent"}
+    src = os.path.dirname(os.path.dirname(wavelqg.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", _RUN_COMMANDS.format(prefixes=prefixes),
+         json.dumps(commands)], capture_output=True, text=True, check=True,
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+    codes, loaded = json.loads(run.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands)
+    assert {m.removeprefix("wavelqg.") for m in loaded
+            if m.startswith("wavelqg.")} == expected
+    assert not [m for m in loaded if m.startswith("scipy")]
+    if command != "simulate":  # only simulate's helper thread needs it
+        assert not [m for m in loaded if m.startswith("concurrent")]
 
 
 def test_package_does_not_import_scipy():
