@@ -52,6 +52,24 @@ def _imported_after(statement: str, prefixes) -> str:
                           text=True, check=True, env=env).stdout.strip()
 
 
+CLI_START_UP = "import wavelqg.cli; wavelqg.cli.build_parser()"
+
+
+def test_cli_start_up_does_not_import_scipy():
+    assert _imported_after(CLI_START_UP, ["scipy"]) == "[]"
+
+
+def test_cli_start_up_does_not_import_the_oracle():
+    # only ``verify`` needs the oracle, and it imports it on demand
+    assert _imported_after(CLI_START_UP,
+                           ["wavelqg.verify", "wavelqg.oracle"]) == "[]"
+
+
+def test_cli_start_up_does_not_import_concurrent_futures():
+    # only simulate's helper thread needs it, and it imports it on demand
+    assert _imported_after(CLI_START_UP, ["concurrent"]) == "[]"
+
+
 # the package's exports, by the module that defines each
 EXPORTS = {
     "params": ("DimensionalParams", "NondimParams", "locality_residuals",
